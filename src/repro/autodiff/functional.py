@@ -19,8 +19,6 @@ import numpy as np
 from . import kernels as K
 from .tensor import Tensor, _unbroadcast, astensor
 
-_sigmoid_np = K.sigmoid_np
-
 
 def exp(x) -> Tensor:
     """Elementwise e^x."""
@@ -103,15 +101,19 @@ def tanh(x) -> Tensor:
 
 
 def silu(x) -> Tensor:
-    """SiLU / swish: x·sigmoid(x); derivative s(x)·(1 + x·(1 − s(x)))."""
+    """SiLU / swish: x·sigmoid(x); derivative s(x)·(1 + x·(1 − s(x))).
+
+    Recorded as ``sigmoid`` then ``mul``; the backward closes over the
+    forward's ``s`` instead of evaluating the logistic a second time.
+    """
     x = astensor(x)
+    s = sigmoid(x)
 
     def backward(g: Tensor) -> None:
         if x._track():
-            s = sigmoid(x)
             x._accumulate(g * s * (x * (1.0 - s) + 1.0))
 
-    return Tensor._make(K.siluk(None, x.data), (x,), backward, "silu")
+    return Tensor._make(K.mul(None, x.data, s.data), (x, s), backward, "mul")
 
 
 def softplus(x) -> Tensor:

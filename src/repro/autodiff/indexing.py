@@ -64,8 +64,10 @@ def scatter_add(src, index, dim_size: int) -> Tensor:
 
 
 def concatenate(tensors: Sequence, axis: int = -1) -> Tensor:
-    """Differentiable ``np.concatenate``."""
+    """Differentiable ``np.concatenate`` (of one tensor: that tensor)."""
     ts = [astensor(t) for t in tensors]
+    if len(ts) == 1:
+        return ts[0]
     out_data = K.concatk(None, *[t.data for t in ts], axis=axis)
     ax = axis if axis >= 0 else out_data.ndim + axis
     sizes = [t.shape[ax] for t in ts]

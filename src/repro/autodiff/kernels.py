@@ -9,12 +9,22 @@ has the signature::
 
 ``out`` is an optional caller-provided output buffer: the eager tape passes
 ``None`` (the kernel allocates), the compiled replay passes a preallocated
-arena buffer.  Because eager evaluation and compiled replay execute the
-*same* kernel code, replay results are bitwise-identical to the tape by
-construction — the property the engine equivalence tests pin down.
+arena buffer (C-contiguous, of the result's shape and dtype).  Because eager
+evaluation and compiled replay execute the *same* kernel code, replay
+results are bitwise-identical to the tape by construction — the property the
+engine equivalence tests pin down.  A kernel given ``out`` must leave its
+result *in* ``out``: the engine binds every consumer to that buffer when the
+plan is built and ignores the return value.
 
-Kernels in :data:`ALIAS_OPS` are cheap view/reshape ops; the engine replays
-them without arena buffers (their result aliases the input's storage).
+Kernels in :data:`ALIAS_OPS` are cheap view/reshape ops; their result
+aliases the input's storage, so the engine evaluates them once, when the
+plan is built, and replays nothing.  The exception is a result that is not
+a view (a ``reshape`` of a non-contiguous array has to copy): it is replayed
+like any other kernel, into an arena buffer.
+
+No kernel keeps state between calls — no scratch, no cache keyed by an
+input size: plans replay concurrently on several threads and pair counts
+change at every neighbor rebuild.
 
 Static arguments holding integer index arrays (``gather``/``scatter_add``/
 fancy ``getitem``) keep a reference to the *array object* recorded at
@@ -25,6 +35,7 @@ re-capturing.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Dict
 
 import numpy as np
@@ -34,10 +45,20 @@ from . import tensor as _tensor  # circular-safe: only touched at call time
 
 KERNELS: Dict[str, Callable] = {}
 
-#: Ops whose result is (or may be) a view of the input; replayed without
-#: arena buffers.
+#: Ops whose result is (or may be) a view of the input; the engine hoists
+#: the views out of the replay loop.
 ALIAS_OPS = frozenset(
     {"reshape", "transpose", "broadcast_to", "expand_dims", "squeeze", "slice"}
+)
+
+#: Ops that are one numpy ufunc call writing through ``out=``: elementwise,
+#: so ``out`` may be one of the operands (same shape and dtype).  The engine
+#: uses this to overwrite an operand it no longer needs.
+INPLACE_OPS = frozenset(
+    {
+        "add", "sub", "mul", "div", "neg", "exp", "log", "sin", "cos", "sqrt",
+        "tanh", "abs", "sign", "maximum", "minimum",
+    }
 )
 
 
@@ -105,35 +126,38 @@ def sumk(out, a, axis, keepdims):
 
 
 # -- shape ops (alias kernels) ------------------------------------------------
+# With ``out=None`` the result is a view wherever numpy can make one.  The
+# engine passes a buffer only when it cannot (a reshape that has to copy, an
+# all-integer index yielding a scalar).
 @_kernel("reshape")
 def reshape(out, a, shape):
-    return a.reshape(shape)
+    return _fill(out, a.reshape(shape))
 
 
 @_kernel("transpose")
 def transpose(out, a, axes):
-    return a.transpose(axes)
+    return _fill(out, a.transpose(axes))
 
 
 @_kernel("broadcast_to")
 def broadcast_to(out, a, shape):
-    return np.broadcast_to(a, shape)
+    return _fill(out, np.broadcast_to(a, shape))
 
 
 @_kernel("expand_dims")
 def expand_dims(out, a, axis):
-    return np.expand_dims(a, axis)
+    return _fill(out, np.expand_dims(a, axis))
 
 
 @_kernel("squeeze")
 def squeeze(out, a, axis):
-    return np.squeeze(a, axis=axis)
+    return _fill(out, np.squeeze(a, axis=axis))
 
 
 @_kernel("slice")
 def slice_(out, a, idx):
-    # Basic indexing only (no integer arrays): result is a view.
-    return a[idx]
+    # Basic indexing only (no integer arrays).
+    return _fill(out, a[idx])
 
 
 @_kernel("getitem")
@@ -142,13 +166,28 @@ def getitem(out, a, idx):
     return _fill(out, a[idx])
 
 
+def is_basic_index(idx) -> bool:
+    """True when ``idx`` uses only basic (view-producing) indexing."""
+    items = idx if isinstance(idx, tuple) else (idx,)
+    for it in items:
+        if isinstance(it, (int, np.integer, slice)) or it is Ellipsis or it is None:
+            continue
+        return False
+    return True
+
+
 @_kernel("put_at")
 def put_at(out, g, idx, shape, dtype):
     if out is None:
         out = np.zeros(shape, dtype=dtype)
     else:
         out.fill(0)
-    np.add.at(out, idx, g)
+    if is_basic_index(idx):
+        # A basic index selects every element at most once, so adding into
+        # the strided view equals the unbuffered np.add.at bit for bit.
+        out[idx] += g
+    else:
+        np.add.at(out, idx, g)
     return out
 
 
@@ -183,25 +222,24 @@ def tanhk(out, a):
     return np.tanh(a, out=out) if out is not None else np.tanh(a)
 
 
-def sigmoid_np(v: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic function (shared by sigmoid/silu)."""
-    out = np.empty_like(v)
-    pos = v >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
-    ev = np.exp(v[~pos])
-    out[~pos] = ev / (1.0 + ev)
-    return out
+def sigmoid_np(v: np.ndarray, out=None) -> np.ndarray:
+    """Numerically stable logistic function, branch-free.
+
+    With ``e = exp(-|v|)`` (never overflows) the value is ``1/(1+e)`` for
+    ``v >= 0`` and ``e/(1+e)`` otherwise — the two quotients share their
+    denominator, so only the numerator is selected.
+    """
+    e = np.abs(v, out=np.empty_like(v))
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    num = np.where(v >= 0, 1.0, e)
+    e += 1.0
+    return np.divide(num, e, out=out)
 
 
 @_kernel("sigmoid")
 def sigmoidk(out, a):
-    return _fill(out, sigmoid_np(a))
-
-
-@_kernel("silu")
-def siluk(out, a):
-    s = sigmoid_np(a)
-    return np.multiply(a, s, out=out) if out is not None else a * s
+    return sigmoid_np(a, out)
 
 
 @_kernel("softplus")
@@ -300,12 +338,11 @@ def _cast_out(arr: np.ndarray) -> np.ndarray:
 # Fixed row-block size for 2-D matmul.  BLAS row results are not invariant
 # to the total row count M (threading/dispatch change with size), which
 # would make padded compiled evaluation drift from unpadded eager by ULPs.
-# Processing M in fixed chunks — the tail zero-padded to a full chunk via a
-# cached scratch — means every BLAS call sees the same shapes for the same
+# Processing M in fixed chunks — the tail zero-padded to a full chunk in a
+# per-call scratch — means every BLAS call sees the same shapes for the same
 # absolute row range, so row k of the result depends only on row k of ``a``
 # and on ``b``, never on M.
 _MM_BLOCK = 128
-_mm_scratch: dict = {}
 
 
 def _blocked_matmul(a, b, out):
@@ -317,16 +354,12 @@ def _blocked_matmul(a, b, out):
         np.matmul(a[s : s + _MM_BLOCK], b, out=res[s : s + _MM_BLOCK])
     rem = M - full
     if rem:
-        key = (K, N, res.dtype)
-        sc = _mm_scratch.get(key)
-        if sc is None:
-            sc = (np.zeros((_MM_BLOCK, K), res.dtype), np.empty((_MM_BLOCK, N), res.dtype))
-            _mm_scratch[key] = sc
-        sc_a, sc_c = sc
-        sc_a[:rem] = a[full:]
-        sc_a[rem:] = 0.0
-        np.matmul(sc_a, b, out=sc_c)
-        res[full:] = sc_c[:rem]
+        # Private to this call: plans with equal layer widths replay
+        # concurrently (serve workers, the lock-free _EvalState pool).
+        tail_a = np.empty((_MM_BLOCK, K), res.dtype)
+        tail_a[:rem] = a[full:]
+        tail_a[rem:] = 0.0
+        res[full:] = np.matmul(tail_a, b)[:rem]
     return res
 
 
@@ -351,17 +384,18 @@ def _parse_einsum_spec(spec):
     return subs, rhs
 
 
-def _batched_contract(spec, operands):
+def _batched_contract(spec, operands, out):
     """Pad-invariant fast path for batch-leading contractions.
 
     Recognizes the tensor-product shapes that dominate the force call —
-    ``P+a, P+b, W -> P+c`` (batched outer product against a static 3-index
-    tensor, the Clebsch-Gordan contraction and its two input gradients) and
-    ``P+K, W -> P+M`` (batched matrix multiply, the feature mixing) — and
-    routes them through :func:`_blocked_matmul` on the flattened batch.
-    Rows of the flattened matmul correspond to trailing batch entries, so
-    the result is invariant to trailing padding, exactly like the 2-D
-    matmul kernel.  Returns None when the spec does not match.
+    ``P+a, P+b, W -> P+c`` (the Clebsch-Gordan contraction against a static
+    3-index tensor and its two input gradients) and ``P+K, W -> P+M``
+    (batched matrix multiply, the feature mixing) — and routes them through
+    :func:`_blocked_matmul` on the flattened batch.  Rows of the flattened
+    matmul correspond to trailing batch entries, so the result is invariant
+    to trailing padding, exactly like the 2-D matmul kernel.  The result is
+    written into ``out`` when given.  Returns None when the spec does not
+    match.
     """
     parsed = _parse_einsum_spec(spec)
     if parsed is None:
@@ -389,12 +423,16 @@ def _batched_contract(spec, operands):
             perm = tuple(sw.index(s) for s in (a, b, c))
             w_mat = np.ascontiguousarray(w.transpose(perm))
             na, nb, nc = w_mat.shape
-            outer = x[..., :, None] * y[..., None, :]
-            batch = outer.shape[:-2]
-            res = _blocked_matmul(
-                outer.reshape(-1, na * nb), w_mat.reshape(na * nb, nc), None
+            # t[z,b,c] = sum_a x[z,a] W[a,b,c] on the flattened batch, then
+            # one (1 x b)@(b x c) product per row with y: no outer product,
+            # and both stages are per-row, so pad rows never reach real ones.
+            t = _blocked_matmul(x.reshape(-1, na), w_mat.reshape(na, nb * nc), None)
+            if out is None:
+                out = np.empty(x.shape[:-1] + (nc,), dtype)
+            np.matmul(
+                y.reshape(-1, 1, nb), t.reshape(-1, nb, nc), out=out.reshape(-1, 1, nc)
             )
-            return res.reshape(batch + (nc,))
+            return out
 
     if len(operands) == 2:
         x, w = operands
@@ -414,12 +452,13 @@ def _batched_contract(spec, operands):
                 k_dim = int(np.prod(w_mat.shape[: n_k], dtype=int))
                 m_shape = w_mat.shape[n_k:]
                 m_dim = int(np.prod(m_shape, dtype=int))
-                x2 = np.ascontiguousarray(x)
-                batch = x2.shape[: len(p)]
-                res = _blocked_matmul(
-                    x2.reshape(-1, k_dim), w_mat.reshape(k_dim, m_dim), None
+                if out is None:
+                    out = np.empty(x.shape[: len(p)] + m_shape, dtype)
+                _blocked_matmul(
+                    x.reshape(-1, k_dim), w_mat.reshape(k_dim, m_dim),
+                    out.reshape(-1, m_dim),
                 )
-                return res.reshape(batch + m_shape)
+                return out
         return None
 
     return None
@@ -441,9 +480,9 @@ def einsumk(out, *operands, spec):
     operands = [np.asarray(o, order="C") for o in operands]
     cfg = _tensor.config
     if cfg.matmul_input_cast is None and cfg.matmul_precision is None:
-        fast = _batched_contract(spec, operands)
-        if fast is not None:
-            return _fill(out, fast)
+        res = _batched_contract(spec, operands, out)
+        if res is not None:
+            return res
         return _fill(out, np.einsum(spec, *operands))
     res = _cast_out(np.einsum(spec, *[_cast_in(o) for o in operands]))
     return _fill(out, res)
@@ -461,9 +500,25 @@ def gatherk(out, a, idx):
 @_kernel("scatter_add")
 def scatter_addk(out, src, idx, dim_size):
     if out is None:
-        out = np.zeros((dim_size,) + src.shape[1:], dtype=src.dtype)
-    else:
-        out.fill(0)
+        out = np.empty((dim_size,) + src.shape[1:], dtype=src.dtype)
+    if src.ndim > 1 and src.dtype == np.float64 and idx.dtype.kind == "i":
+        # One np.bincount per column: each bin is a double-precision running
+        # sum taken in edge order from +0.0 — the sequence np.add.at
+        # performs, bit for bit, several times faster.  (np.add.at has its
+        # own fast path for 1-D sources.)
+        n_cols = math.prod(src.shape[1:])
+        cols = src.reshape(src.shape[0], n_cols)
+        out_cols = out.reshape(dim_size, n_cols)
+        for c in range(n_cols):
+            sums = np.bincount(idx, cols[:, c], dim_size)
+            if sums.shape[0] != dim_size:
+                raise IndexError(
+                    f"scatter index {sums.shape[0] - 1} out of bounds for "
+                    f"{dim_size} bins"
+                )
+            out_cols[:, c] = sums
+        return out
+    out.fill(0)
     np.add.at(out, idx, src)
     return out
 

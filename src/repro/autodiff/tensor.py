@@ -200,7 +200,12 @@ class Tensor:
         return None if self.grad is None else self.grad.data
 
     def astype(self, dtype) -> "Tensor":
-        """Differentiable dtype cast (gradient is cast back)."""
+        """Differentiable dtype cast (gradient is cast back).
+
+        A cast to the dtype the tensor already has is the tensor itself.
+        """
+        if self.data.dtype == np.dtype(dtype):
+            return self
         this = self
 
         def backward(g: "Tensor") -> None:
@@ -507,7 +512,7 @@ class Tensor:
             if a._track():
                 a._accumulate(_put_at_zeros(g, idx, in_shape, in_dtype))
 
-        op = "slice" if _is_basic_index(idx) else "getitem"
+        op = "slice" if K.is_basic_index(idx) else "getitem"
         return Tensor._make(self.data[idx], (a,), backward, op, {"idx": idx})
 
     def expand_dims(self, axis: int) -> "Tensor":
@@ -547,16 +552,6 @@ def _unbroadcast(g: Tensor, shape: tuple[int, ...]) -> Tensor:
     if axes:
         g = g.sum(axis=axes, keepdims=True)
     return g
-
-
-def _is_basic_index(idx) -> bool:
-    """True when ``idx`` uses only basic (view-producing) indexing."""
-    items = idx if isinstance(idx, tuple) else (idx,)
-    for it in items:
-        if isinstance(it, (int, np.integer, slice)) or it is Ellipsis or it is None:
-            continue
-        return False
-    return True
 
 
 def _put_at_zeros(g: Tensor, idx, shape, dtype) -> Tensor:

@@ -801,6 +801,12 @@ def profile_config(
             f"{engine_stats['n_replays']} replays, "
             f"{engine_stats['recaptures']} recaptures"
         )
+        # Third level, under md.force: where one plan replay spends its time
+        # (also lands in the stats JSON as engine.kernel_seconds{class=}).
+        kernels = sim.kernel_profile()
+        if kernels:
+            log("")
+            log(format_kernel_table(kernels, engine_stats["plan_steps"]))
     if trace_json is not None:
         get_tracer().write_json(trace_json)
     if stats_json is not None:
@@ -808,6 +814,23 @@ def profile_config(
         payload["timesteps_per_second"] = result.timesteps_per_second
         write_stats_json(stats_json, payload)
     return tracer, sim
+
+
+def format_kernel_table(kernels: dict, plan_steps: int) -> str:
+    """The per-kernel-class rows of ``profile`` (one compiled force call)."""
+    total = sum(row["seconds"] for row in kernels.values())
+    lines = [
+        f"    md.force / engine.replay by kernel class "
+        f"({plan_steps} steps, {1e3 * total:.3f} ms per replay)",
+        f"      {'class':<16}{'steps':>6}{'ms/replay':>11}{'share':>8}",
+    ]
+    for cls, row in kernels.items():
+        share = row["seconds"] / total if total > 0 else 0.0
+        lines.append(
+            f"      {cls:<16}{row['steps']:>6}{1e3 * row['seconds']:>11.3f}"
+            f"{100 * share:>7.1f}%"
+        )
+    return "\n".join(lines)
 
 
 def chaos_command(args) -> int:

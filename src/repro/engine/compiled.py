@@ -18,7 +18,7 @@ all pad edges: each pad edge has ``i = j = pad_atom`` and a shift vector of
 ``(cutoff, 0, 0)``, so its distance sits exactly at the cutoff where every
 envelope is identically zero.  Pad edges therefore contribute exactly 0 to
 every real atom's energy and force, and because they occupy the *tail* of the
-edge arrays the ``np.add.at`` accumulation order over real edges is unchanged
+edge arrays the scatter's edge-order accumulation over real edges is unchanged
 — replayed results are bitwise-identical to the eager tape.
 """
 
@@ -276,10 +276,31 @@ class CompiledPotential:
         plan = self.plan
         if plan is not None:
             out["plan_steps"] = plan.n_steps
+            out["plan_folded"] = plan.n_folded
+            out["plan_hoisted"] = plan.n_hoisted
             out["arena_buffers"] = plan.arena.n_buffers
             out["arena_bytes"] = plan.arena.total_bytes
             out["arena_reuses"] = plan.arena.n_reused
         return out
+
+    def kernel_profile(self, repeats: int = 10) -> dict:
+        """Per-kernel-class time of one replay of the live plan.
+
+        Runs :meth:`ExecutionPlan.profile` on the template plan (on the
+        inputs bound to it last) and publishes the result as
+        ``engine.kernel_seconds{class=}`` gauges on the registry.  Returns
+        the table; empty before the first capture.  Attribution is paid
+        here, on demand — the replay loop itself has no timer.  Not safe
+        concurrently with :meth:`evaluate`.
+        """
+        plan = self.plan
+        if plan is None:
+            return {}
+        table = plan.profile(repeats)
+        for cls, row in table.items():
+            labels = {**(self._obs_labels or {}), "class": cls}
+            self.obs.gauge("engine.kernel_seconds", labels).set(row["seconds"])
+        return table
 
     # -- evaluation -----------------------------------------------------------
     def evaluate(self, positions, species, nl, n_active: Optional[int] = None):
@@ -478,7 +499,9 @@ class CompiledPotential:
                     )
                     e_masked = (e_atoms * mask_t).sum()
                     (gpos,) = ad.grad(e_masked, [pos_t])
-                state.plan = ExecutionPlan(rec, [e_atoms, gpos])
+                state.plan = ExecutionPlan(
+                    rec, [e_atoms, gpos], self._input_arrays(state)
+                )
             sp.add("capacity_atoms", state.cap_atoms)
             sp.add("capacity_pairs", state.cap_pairs)
         self._epoch += 1  # retires every pre-capture state, pooled or in flight
@@ -492,6 +515,14 @@ class CompiledPotential:
         self._states.append(state)
         self._template = state
         return state
+
+    @staticmethod
+    def _input_arrays(state: _EvalState) -> list:
+        """The arrays :meth:`_bind` overwrites before every replay."""
+        return [
+            state.pos_buf, state.species_buf, state.mask_buf,
+            *state.input_bufs.values(),
+        ]
 
     def _clone(self, template: _EvalState) -> _EvalState:
         """A private copy of the template for one more concurrent caller.
@@ -510,12 +541,11 @@ class CompiledPotential:
         }
         state.pad_shift = template.pad_shift
         remap = {
-            id(template.pos_buf): state.pos_buf,
-            id(template.species_buf): state.species_buf,
-            id(template.mask_buf): state.mask_buf,
+            id(old): new
+            for old, new in zip(
+                self._input_arrays(template), self._input_arrays(state)
+            )
         }
-        for key, buf in template.input_bufs.items():
-            remap[id(buf)] = state.input_bufs[key]
         state.plan = template.plan.clone(remap)
         self._states.append(state)
         return state

@@ -15,6 +15,14 @@ Replay is bitwise-identical to eager evaluation because both run the *same*
 kernel functions from :mod:`repro.autodiff.kernels` on arrays of the same
 shape — the plan only changes where results are stored, never how they are
 computed.
+
+Everything that cannot change for the life of a plan is resolved when the
+plan is built.  The caller names the arrays it rebinds between replays (the
+*inputs*).  A step with no input among its ancestors is **folded**: its
+capture-time value becomes a constant.  An alias step whose result is a view
+of fixed storage (an arena buffer, a leaf, a folded constant) is **hoisted**:
+the view is created once.  Every remaining step has its buffer and argument
+arrays **bound** in a tuple, so a replay is one flat loop of kernel calls.
 """
 
 from __future__ import annotations
@@ -24,7 +32,61 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..autodiff import Tensor, Recorder, recording
-from ..autodiff.kernels import ALIAS_OPS, KERNELS
+from ..autodiff.kernels import ALIAS_OPS, INPLACE_OPS, KERNELS
+from ..obs import MONOTONIC
+
+#: Kernel classes reported by :meth:`ExecutionPlan.profile`, in table order.
+KERNEL_CLASSES = (
+    "tp_contraction",
+    "einsum",
+    "matmul",
+    "activation",
+    "scatter_put",
+    "gather",
+    "elementwise",
+    "reduction",
+    "alias_folded",
+)
+
+_CLASS_OF_OP = {
+    "matmul": "matmul",
+    "sigmoid": "activation",
+    "tanh": "activation",
+    "softplus": "activation",
+    "relu": "activation",
+    "scatter_add": "scatter_put",
+    "put_at": "scatter_put",
+    "gather": "gather",
+    "getitem": "gather",
+    "sum": "reduction",
+}
+
+
+def kernel_class(op: str, static: dict) -> str:
+    """The :data:`KERNEL_CLASSES` member a recorded op belongs to."""
+    if op == "einsum":
+        # Three operands: the Clebsch-Gordan contraction and its gradients.
+        return "tp_contraction" if static["spec"].count(",") == 2 else "einsum"
+    if op in ALIAS_OPS:
+        return "alias_folded"
+    return _CLASS_OF_OP.get(op, "elementwise")
+
+
+def _static_arrays(value):
+    """Every ndarray inside one static kwarg of a kernel (tuples nest)."""
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, tuple):
+        for v in value:
+            yield from _static_arrays(v)
+
+
+def _remap_static(value, remap: Dict[int, np.ndarray]):
+    if isinstance(value, np.ndarray):
+        return remap.get(id(value), value)
+    if isinstance(value, tuple):
+        return tuple(_remap_static(v, remap) for v in value)
+    return value
 
 
 class BufferArena:
@@ -33,7 +95,9 @@ class BufferArena:
     Buffers are handed out during plan construction by a liveness scan: a
     node's output buffer is allocated *before* its parents' buffers are
     released, so a kernel never reads and writes the same memory (matmul,
-    einsum and scatter kernels are not alias-safe).
+    einsum and scatter kernels are not alias-safe).  The one exception is
+    deliberate: an elementwise kernel may be handed the buffer of an operand
+    it is the last to read (``INPLACE_OPS``).
     """
 
     def __init__(self) -> None:
@@ -59,16 +123,24 @@ class BufferArena:
 
 
 class ExecutionPlan:
-    """A topologically ordered kernel list with preallocated output buffers.
+    """A flat kernel list with preallocated buffers and pre-bound arguments.
 
     Built from a :class:`~repro.autodiff.Recorder`; replayed with
-    :meth:`execute`.  Leaves (tensors that were *not* produced by a recorded
-    op — parameters, constants, input buffers) contribute their ``.data``
-    array object directly: overwriting those arrays in place and calling
-    :meth:`execute` re-evaluates the graph on the new values.
+    :meth:`execute`.  ``inputs`` are the arrays the caller overwrites in
+    place between replays — leaf ``.data`` arrays and integer index arrays
+    held in kernel static kwargs alike; :meth:`execute` re-evaluates the
+    graph on their current contents.  Every other leaf (parameters,
+    constants) is fixed for the life of the plan, and so is every step that
+    depends on no input.  ``inputs=None`` declares every leaf and every
+    static array an input, so nothing is folded.
     """
 
-    def __init__(self, recorder: Recorder, outputs: Sequence[Tensor]) -> None:
+    def __init__(
+        self,
+        recorder: Recorder,
+        outputs: Sequence[Tensor],
+        inputs: Optional[Sequence[np.ndarray]] = None,
+    ) -> None:
         entries = recorder.entries
         entry_of: Dict[int, int] = {id(e[0]): k for k, e in enumerate(entries)}
 
@@ -95,12 +167,19 @@ class ExecutionPlan:
         for pos, k in enumerate(order):
             slot_of[id(entries[k][0])] = n_leaves + pos
 
-        # -- liveness scan: storage roots and last uses -----------------------
-        # Alias ops (views) share their parent's storage; a buffer is freed
-        # after the step that last reads its storage root.
-        storage: Dict[int, int] = {s: s for s in range(n_leaves)}
+        def is_input(arr: np.ndarray) -> bool:
+            # Overlap, not identity: a view of an input buffer follows it.
+            return inputs is None or any(np.may_share_memory(arr, b) for b in inputs)
+
+        # -- fold: a step is live iff an input is among its ancestors ---------
+        # ``fixed`` holds the value of every slot no step computes: leaves
+        # and folded constants (the eager capture evaluated them with the
+        # same kernels).  Arrays, not Tensors — a folded Tensor would keep
+        # the whole tape alive.
+        fixed: Dict[int, np.ndarray] = {s: t.data for s, t in enumerate(leaves)}
+        live = {s for s, arr in fixed.items() if is_input(arr)}
+        nodes = []
         last_use: Dict[int, int] = {}
-        steps_meta = []
         for pos, k in enumerate(order):
             out, op, parents, static = entries[k]
             if op is None:
@@ -108,49 +187,103 @@ class ExecutionPlan:
                     "captured an op with no kernel name; all autodiff ops "
                     "must pass op= to Tensor._make"
                 )
-            pslots = [slot_of[id(p)] for p in parents]
-            for ps in pslots:
-                last_use[storage[ps]] = pos
+            pslots = tuple(slot_of[id(p)] for p in parents)
             out_slot = n_leaves + pos
-            if op in ALIAS_OPS:
-                storage[out_slot] = storage[pslots[0]]
-            else:
-                storage[out_slot] = out_slot
-            steps_meta.append((out, op, pslots, static, out_slot))
-
-        dying: Dict[int, List[int]] = {}
-        for root, pos in last_use.items():
-            dying.setdefault(pos, []).append(root)
+            if not any(ps in live for ps in pslots) and not any(
+                is_input(a) for v in static.values() for a in _static_arrays(v)
+            ):
+                fixed[out_slot] = out.data
+                continue
+            live.add(out_slot)
+            for ps in pslots:
+                last_use[ps] = pos
+            nodes.append((pos, out, op, pslots, static, out_slot))
 
         out_slots = [slot_of[id(t)] for t in outputs]
-        pinned = set(range(n_leaves)) | {storage[s] for s in out_slots}
+        dying: Dict[int, List[int]] = {}
+        for slot, pos in last_use.items():
+            if slot not in out_slots:  # output storage is never released
+                dying.setdefault(pos, []).append(slot)
 
-        # -- assign arena buffers ---------------------------------------------
+        # -- hoist aliases, assign arena buffers ------------------------------
+        # An alias result is computed here, once, on the storage its parent
+        # occupies in every replay, and shares that storage's root; the
+        # rare alias that is not a view (a reshape that has to copy) gets a
+        # buffer like any compute node.  A buffer returns to the arena after
+        # the step that last reads any slot rooted in it, and a node's
+        # buffer is acquired *before* the buffers dying at that node are
+        # released (see BufferArena) — except that an elementwise kernel
+        # takes over the buffer of an operand it is the last to read.
         arena = BufferArena()
+        vals: Dict[int, np.ndarray] = dict(fixed)
+        root: Dict[int, int] = {s: s for s in fixed}
+        n_rooted: Dict[int, int] = {}
         buffers: Dict[int, np.ndarray] = {}
-        self._steps: List[tuple] = []
-        for pos, (out, op, pslots, static, out_slot) in enumerate(steps_meta):
+        self._program: List[tuple] = []
+        for pos, out, op, pslots, static, out_slot in nodes:
             fn = KERNELS[op]
+            buf = None
             if op in ALIAS_OPS:
-                buf = None
-            else:
-                buf = arena.acquire(out.data.shape, out.data.dtype)
-                buffers[out_slot] = buf
-            self._steps.append((fn, buf, out_slot, tuple(pslots), static))
-            for root in dying.get(pos, ()):
-                if root not in pinned and root >= n_leaves and root in buffers:
-                    arena.release(buffers[root])
+                src = vals[pslots[0]]
+                view = fn(None, src, **static)
+                if np.may_share_memory(view, src):
+                    vals[out_slot] = view
+                    root[out_slot] = root[pslots[0]]
+            if out_slot not in vals:
+                if op in INPLACE_OPS:
+                    # Overwrite an operand that dies here: it owns its
+                    # buffer, nothing else views it, and it is not broadcast.
+                    for ps in pslots:
+                        own = buffers.get(ps)
+                        if (
+                            own is not None
+                            and last_use[ps] == pos
+                            and ps not in out_slots
+                            and n_rooted[ps] == 1
+                            and own.shape == out.data.shape
+                            and own.dtype == out.data.dtype
+                        ):
+                            buf = buffers.pop(ps)
+                            break
+                if buf is None:
+                    buf = arena.acquire(out.data.shape, out.data.dtype)
+                vals[out_slot] = buffers[out_slot] = buf
+                root[out_slot] = out_slot
+            r = root[out_slot]
+            n_rooted[r] = n_rooted.get(r, 0) + 1
+            self._program.append((fn, op, buf, out_slot, pslots, static))
+            for slot in dying.get(pos, ()):
+                r = root[slot]
+                if r in buffers:
+                    n_rooted[r] -= 1
+                    if n_rooted[r] == 0:
+                        arena.release(buffers.pop(r))
 
         self.arena = arena
-        self.n_steps = len(self._steps)
-        self.n_leaves = n_leaves
+        self.n_folded = len(order) - len(nodes)
+        self._fixed = fixed
         self._out_slots = out_slots
-        # Keep leaf tensors alive: their .data arrays are the plan's inputs
-        # (and constants — e.g. pre-fused tensor-product weights).
-        self._leaf_tensors = leaves
-        self._vals: List[Optional[np.ndarray]] = [t.data for t in leaves] + [
-            None
-        ] * len(order)
+        self._bind()
+
+    def _bind(self) -> None:
+        """Resolve ``_program`` against ``_fixed`` into the replay loop.
+
+        Hoisted views are (re)created on this plan's own storage; every
+        executed step gets its argument arrays in a tuple.
+        """
+        vals = dict(self._fixed)
+        steps: List[tuple] = []
+        for fn, _, buf, out_slot, pslots, static in self._program:
+            if buf is None:
+                vals[out_slot] = fn(None, vals[pslots[0]], **static)
+            else:
+                vals[out_slot] = buf
+                steps.append((fn, buf, tuple(vals[p] for p in pslots), static))
+        self._steps = steps
+        self._outputs = [vals[s] for s in self._out_slots]
+        #: Steps one replay executes (folded and hoisted ones are not steps).
+        self.n_steps = len(steps)
+        self.n_hoisted = len(self._program) - len(steps)
 
     def execute(self) -> List[np.ndarray]:
         """Replay the kernel list; returns the output arrays (arena-owned).
@@ -158,24 +291,55 @@ class ExecutionPlan:
         The returned arrays are views into plan-owned buffers: consume or
         copy them before the next :meth:`execute` call.
         """
-        vals = self._vals
-        for fn, buf, out_slot, pslots, static in self._steps:
-            vals[out_slot] = fn(buf, *[vals[p] for p in pslots], **static)
-        return [vals[s] for s in self._out_slots]
+        for fn, buf, args, static in self._steps:
+            fn(buf, *args, **static)
+        return list(self._outputs)
+
+    def profile(self, repeats: int = 10) -> Dict[str, Dict[str, float]]:
+        """Where a replay's time goes, by kernel class.
+
+        Replays the plan ``repeats`` times on the currently bound inputs,
+        reading the obs clock around every step, and returns
+        ``{class: {"steps": n, "seconds": mean seconds per replay}}`` for
+        each of :data:`KERNEL_CLASSES`.  ``alias_folded`` counts the folded
+        and hoisted steps, which cost a replay nothing, next to the copying
+        reshapes, which are timed.  Like :meth:`execute`, one caller at a
+        time; :meth:`execute` itself carries no timer.
+        """
+        if repeats < 1:
+            raise ValueError("repeats must be >= 1")
+        table = {c: {"steps": 0, "seconds": 0.0} for c in KERNEL_CLASSES}
+        table["alias_folded"]["steps"] = self.n_folded + self.n_hoisted
+        classes = [
+            kernel_class(op, static)
+            for _, op, buf, _, _, static in self._program
+            if buf is not None
+        ]
+        for cls in classes:
+            table[cls]["steps"] += 1
+        for _ in range(repeats):
+            for (fn, buf, args, static), cls in zip(self._steps, classes):
+                t0 = MONOTONIC()
+                fn(buf, *args, **static)
+                table[cls]["seconds"] += MONOTONIC() - t0
+        for row in table.values():
+            row["seconds"] /= repeats
+        return table
 
     def clone(self, remap: Optional[Dict[int, np.ndarray]] = None) -> "ExecutionPlan":
         """A plan replaying the same kernel sequence on private buffers.
 
-        ``remap`` maps ``id(old_leaf_array) -> new_array`` for the input
+        ``remap`` maps ``id(old_input_array) -> new_array`` for the input
         buffers the caller rebinds per clone (they appear both as leaf
         values and inside kernel ``static`` kwargs — e.g. gather/scatter
-        index arrays).  Leaves not in the map are shared with the source
-        plan: parameters and constants are only ever read during
-        :meth:`execute`.  Compute buffers are freshly allocated, not
+        index arrays).  Fixed values not in the map are shared with the
+        source plan: parameters and folded constants are only ever read
+        during :meth:`execute`.  Compute buffers are freshly allocated, not
         copied — every compute slot is written by its kernel before any
-        step reads it, which is also why the arena hands out ``np.empty``.
-        The clone can replay concurrently with the source plan as long as
-        each plan has a single caller at a time.
+        step reads it, which is also why the arena hands out ``np.empty``
+        — and the clone's steps and hoisted views are bound to them.  The
+        clone can replay concurrently with the source plan as long as each
+        plan has a single caller at a time.
         """
         remap = remap or {}
         fresh: Dict[int, np.ndarray] = {}
@@ -192,49 +356,41 @@ class ExecutionPlan:
                 fresh[id(buf)] = out
             return out
 
-        def dup_static(value):
-            if isinstance(value, np.ndarray):
-                return remap.get(id(value), value)
-            if isinstance(value, tuple):
-                return tuple(dup_static(v) for v in value)
-            return value
-
         new = object.__new__(ExecutionPlan)
-        new._steps = [
+        new._program = [
             (
                 fn,
+                op,
                 dup_buffer(buf),
                 out_slot,
                 pslots,
-                {k: dup_static(v) for k, v in static.items()},
+                {k: _remap_static(v, remap) for k, v in static.items()},
             )
-            for fn, buf, out_slot, pslots, static in self._steps
+            for fn, op, buf, out_slot, pslots, static in self._program
         ]
         new.arena = self.arena  # capture-time stats; clone buffers are private
-        new.n_steps = self.n_steps
-        new.n_leaves = self.n_leaves
-        new._out_slots = list(self._out_slots)
-        new._leaf_tensors = self._leaf_tensors
-        new._vals = [
-            remap.get(id(v), v) if isinstance(v, np.ndarray) else v
-            for v in self._vals[: self.n_leaves]
-        ] + [None] * (len(self._vals) - self.n_leaves)
+        new.n_folded = self.n_folded
+        new._fixed = {s: remap.get(id(a), a) for s, a in self._fixed.items()}
+        new._out_slots = self._out_slots
+        new._bind()
         return new
 
 
 def capture(
     build: Callable[[], Sequence[Tensor]],
+    inputs: Optional[Sequence[np.ndarray]] = None,
 ) -> Tuple[Sequence[Tensor], ExecutionPlan]:
     """Record ``build()`` and compile its op sequence into an ExecutionPlan.
 
     ``build`` must return the output tensor(s) (a Tensor or a sequence).
     Returns ``(outputs, plan)``; subsequent ``plan.execute()`` calls replay
-    the recorded computation against the *current* contents of every leaf
-    array (inputs are rebound by overwriting those arrays in place).
+    the recorded computation against the *current* contents of the
+    ``inputs`` arrays (rebound by overwriting them in place) — of every
+    leaf and static array when ``inputs`` is None.
     """
     rec = Recorder()
     with recording(rec):
         result = build()
     outputs = (result,) if isinstance(result, Tensor) else tuple(result)
-    plan = ExecutionPlan(rec, outputs)
+    plan = ExecutionPlan(rec, outputs, inputs)
     return result, plan

@@ -204,6 +204,15 @@ class Simulation:
             return self._evaluator.stats()
         return None
 
+    def kernel_profile(self, repeats: int = 10) -> Optional[dict]:
+        """Per-kernel-class time inside one compiled force call; None when eager.
+
+        See :meth:`repro.engine.CompiledPotential.kernel_profile`.
+        """
+        if self.engine == "compiled":
+            return self._evaluator.kernel_profile(repeats)
+        return None
+
     def stats(self) -> dict:
         """Unified observability view: registry counters + engine + phases.
 

@@ -285,6 +285,23 @@ class TestObservabilityCli:
         assert "share" in out
         assert "timesteps/s" in out
 
+    def test_profile_compiled_prints_kernel_classes(self, tmp_path, capsys):
+        """Third level under md.force: one plan replay by kernel class."""
+        cfg = json.loads(json.dumps(EXAMPLE_CONFIG))
+        cfg["system"] = {"kind": "water", "n_grid": 3, "seed": 1}
+        cfg["potential"] = {"kind": "lennard_jones"}
+        cfg["md"].update({"steps": 3, "dt": 0.5, "engine": "compiled"})
+        cfg_path = tmp_path / "c.json"
+        cfg_path.write_text(json.dumps(cfg))
+        stats_path = tmp_path / "stats.json"
+        assert main(["profile", str(cfg_path), "--stats-json", str(stats_path)]) == 0
+        out = capsys.readouterr().out
+        assert "by kernel class" in out
+        for cls in ("scatter_put", "elementwise", "alias_folded"):
+            assert cls in out
+        gauges = json.loads(stats_path.read_text())["gauges"]
+        assert gauges["engine.kernel_seconds{class=scatter_put}"] > 0.0
+
     def test_profile_writes_trace_and_stats(self, tmp_path, capsys):
         cfg_path = self._write_config(tmp_path, steps=3)
         trace_path = tmp_path / "trace.json"

@@ -9,13 +9,16 @@ plus the capacity-overflow/recapture machinery and the engine modes of the
 serial and parallel MD drivers.
 """
 
+import sys
 import threading
 
 import numpy as np
 import pytest
 
 import repro.autodiff as ad
+from repro.autodiff.kernels import matmulk
 from repro.engine import BufferArena, CompiledPotential, capture
+from repro.engine.plan import KERNEL_CLASSES
 from repro.md import Cell, System, neighbor_list
 from repro.md.simulation import Simulation
 from repro.models import (
@@ -410,6 +413,43 @@ class TestConcurrentCapture:
         assert cm.n_replays == warm_replays + 10 * len(cases)
 
 
+    def test_blocked_matmul_tail_scratch_is_not_shared(self):
+        """Concurrent matmuls with equal layer widths never cross-talk.
+
+        The row-blocked matmul zero-pads its tail block in a scratch; a
+        scratch shared between threads lets one caller's rows land in
+        another's result — a silent break of served ≡ eager (every
+        ``ForceServer`` with two workers replays plans of equal widths).
+        """
+        rng = np.random.default_rng(0)
+        b = rng.normal(size=(24, 32))
+        inputs = [rng.normal(size=(130 + k, 24)) for k in range(self.N_THREADS)]
+        expected = [matmulk(None, a, b) for a in inputs]
+        wrong = [0] * self.N_THREADS
+        barrier = threading.Barrier(self.N_THREADS)
+
+        def work(k):
+            barrier.wait()
+            for _ in range(1500):
+                if not np.array_equal(matmulk(None, inputs[k], b), expected[k]):
+                    wrong[k] += 1
+
+        threads = [
+            threading.Thread(target=work, args=(k,)) for k in range(self.N_THREADS)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # preempt inside the scratch's window
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == [0] * self.N_THREADS
+
+
 class TestInferenceModeDiscovery:
     def test_freezable_modules_found_recursively(self):
         """Nested MLPs inside layer lists must be frozen by inference_mode."""
@@ -488,6 +528,24 @@ class TestPlanAndArena:
             cm.energy_and_forces(system, nl)
         assert cm.stats()["arena_buffers"] == n_buffers
 
+    def test_stats_report_executed_steps(self, rng):
+        """``plan_steps`` counts what a replay executes; the arena is static."""
+        pot = make_potential("allegro")
+        cm = pot.compile()
+        system = make_system(rng)
+        nl = build_nl(pot, system)
+        cm.energy_and_forces(system, nl)
+        stats = cm.stats()
+        plan = cm.plan
+        assert stats["plan_steps"] == plan.n_steps == len(plan._steps)
+        assert stats["plan_folded"] > 0 and stats["plan_hoisted"] > 0
+        # Every recorded node is executed, folded or hoisted — none lost.
+        assert plan.n_steps + plan.n_hoisted == len(plan._program)
+        for _ in range(3):
+            cm.energy_and_forces(system, nl)
+        assert cm.stats()["arena_bytes"] == stats["arena_bytes"]
+        assert cm.stats()["plan_steps"] == stats["plan_steps"]
+
     def test_compile_requires_traced_energies(self):
         class Opaque:
             cutoff = 3.0
@@ -497,3 +555,156 @@ class TestPlanAndArena:
 
         with pytest.raises(TypeError, match="traced_energies"):
             CompiledPotential(Opaque())
+
+
+class TestPlanBinding:
+    """What the plan resolves when it is built: fold, hoist, bind.
+
+    A step is folded only if no rebindable input — leaf buffer or index
+    array inside a kernel's static kwargs — is among its ancestors; alias
+    steps become views made once; what is left runs with pre-bound
+    arguments, so rebinding inputs *in place* is the only way in.
+    """
+
+    def test_constant_subgraph_is_folded_input_subgraph_is_not(self):
+        x_buf = np.arange(4.0)
+        idx_buf = np.array([0, 2, 1, 1], dtype=np.int64)
+        table = np.array([10.0, 20.0, 30.0])
+        weights = np.array([1.0, 2.0, 3.0])
+
+        def build():
+            # Constants only: folded.
+            scaled = (ad.Tensor(table) * ad.Tensor(weights)).reshape((3,))
+            # Reads idx_buf through ``static`` only (its one parent is the
+            # folded constant): must stay live.
+            picked = ad.gather(scaled, idx_buf)
+            return (picked * ad.Tensor(x_buf)).sum()
+
+        _, plan = capture(build, inputs=[x_buf, idx_buf])
+        assert plan.n_folded == 2  # the mul and its reshape
+        assert plan.n_steps == 3  # gather, mul, sum
+        (r,) = plan.execute()
+        assert float(r) == float(((table * weights)[idx_buf] * x_buf).sum())
+        idx_buf[:] = [2, 2, 0, 1]
+        x_buf[:] = [1.0, -1.0, 0.5, 4.0]
+        (r,) = plan.execute()
+        assert float(r) == float(((table * weights)[idx_buf] * x_buf).sum())
+        # A constant is a constant: overwriting one is not a rebind.
+        table[:] = 0.0
+        (r2,) = plan.execute()
+        assert float(r2) == float(r)
+
+    def test_undeclared_inputs_fold_nothing(self):
+        a = np.arange(3.0)
+
+        def build():
+            return (ad.Tensor(a) * 2.0).sum()
+
+        _, plan = capture(build)
+        assert plan.n_folded == 0
+        a[:] = [5.0, 6.0, 7.0]
+        (r,) = plan.execute()
+        assert float(r) == 36.0
+
+    def test_view_of_an_input_buffer_is_an_input(self):
+        buf = np.arange(6.0).reshape(3, 2)
+
+        def build():
+            return (ad.Tensor(buf[:, 1]) * 3.0).sum()
+
+        _, plan = capture(build, inputs=[buf])
+        assert plan.n_folded == 0
+        buf[:] = 1.0
+        (r,) = plan.execute()
+        assert float(r) == 9.0
+
+    def test_copying_reshape_stays_a_step(self):
+        x_buf = np.arange(6.0).reshape(2, 3)
+
+        def build():
+            doubled = ad.Tensor(x_buf) * 2.0
+            flat_view = doubled.reshape((6,))  # contiguous: a view, hoisted
+            flat_copy = doubled.transpose().reshape((6,))  # has to copy
+            return flat_view + flat_copy
+
+        _, plan = capture(build, inputs=[x_buf])
+        assert plan.n_hoisted == 2  # the view reshape and the transpose
+        assert plan.n_steps == 3  # mul, copying reshape, add
+        assert plan.profile(1)["alias_folded"]["steps"] == 3
+        for trial in range(2):
+            x_buf[:] = np.arange(6.0).reshape(2, 3) + trial
+            (r,) = plan.execute()
+            d = x_buf * 2.0
+            np.testing.assert_array_equal(r, d.reshape(6) + d.T.reshape(6))
+
+    def test_operand_read_later_is_never_overwritten(self):
+        """An elementwise step reuses an operand's buffer only at its last read."""
+        x_buf = np.arange(5.0)
+
+        def build():
+            y = ad.Tensor(x_buf) * 2.0
+            z = y + 1.0  # y is read again below: must not be overwritten
+            w = z * y  # last read of both: may take over either buffer
+            return w + 0.5
+
+        _, plan = capture(build, inputs=[x_buf])
+        assert plan.arena.n_buffers == 2  # y and z; w and the sum reuse them
+        for trial in range(2):
+            x_buf[:] = np.arange(5.0) - trial
+            (r,) = plan.execute()
+            np.testing.assert_array_equal(r, (x_buf * 2.0 + 1.0) * (x_buf * 2.0) + 0.5)
+
+    @pytest.mark.parametrize("name", ALL_MODELS)
+    def test_rebinding_every_input_in_place_is_followed(self, name, rng):
+        """New positions, species *and* neighbor list on one captured plan."""
+        pot = make_potential(name)
+        cm = pot.compile(capacity=24, pair_capacity=600)
+        for trial in range(3):
+            system = make_system(rng, n=14 + trial)
+            nl = build_nl(pot, system)
+            assert nl.n_edges <= 600
+            e_eager, f_eager = pot.energy_and_forces(system, nl)
+            e_c, f_c = cm.energy_and_forces(system, nl)
+            assert e_c == e_eager, f"{name}: energy drift on trial {trial}"
+            np.testing.assert_array_equal(f_c, f_eager)
+        assert cm.n_captures == 1
+
+    def test_clone_shares_no_compute_buffer(self, rng):
+        pot = make_potential("allegro")
+        cm = pot.compile()
+        system = make_system(rng)
+        cm.energy_and_forces(system, build_nl(pot, system))
+        plan = cm.plan
+        clone = plan.clone()
+        assert clone.n_steps == plan.n_steps
+        own = [buf for _, buf, _, _ in plan._steps]
+        for (_, buf, args, _), (_, src_buf, _, _) in zip(clone._steps, plan._steps):
+            assert buf.shape == src_buf.shape
+            assert not any(np.shares_memory(buf, o) for o in own if o.shape == buf.shape)
+        for out, src_out in zip(clone.execute(), plan.execute()):
+            assert not np.shares_memory(out, src_out)
+            np.testing.assert_array_equal(out, src_out)
+
+    def test_profile_accounts_for_every_step(self, rng):
+        pot = make_potential("allegro")
+        cm = pot.compile()
+        system = make_system(rng)
+        nl = build_nl(pot, system)
+        assert cm.kernel_profile() == {}  # nothing captured yet
+        e0, f0 = cm.energy_and_forces(system, nl)
+        table = cm.kernel_profile(repeats=2)
+        assert tuple(table) == KERNEL_CLASSES
+        plan = cm.plan
+        executed = sum(r["steps"] for c, r in table.items() if c != "alias_folded")
+        assert executed + table["alias_folded"]["steps"] == (
+            plan.n_steps + plan.n_folded + plan.n_hoisted
+        )
+        assert table["tp_contraction"]["steps"] > 0
+        assert table["tp_contraction"]["seconds"] > 0.0
+        assert table["alias_folded"]["seconds"] == 0.0
+        gauges = cm.obs.snapshot()["gauges"]
+        assert gauges["engine.kernel_seconds{class=matmul}"] == table["matmul"]["seconds"]
+        # Profiling is a replay: the next evaluation is still bitwise.
+        e1, f1 = cm.energy_and_forces(system, nl)
+        assert e1 == e0
+        np.testing.assert_array_equal(f1, f0)

@@ -18,7 +18,7 @@ from repro.data import water_box
 from repro.data.reference import SPECIES_INDEX
 from repro.md import neighbor_list, ordered_pair_counts, radial_distribution
 from repro.models import AllegroModel
-from repro.perf import time_callable
+from repro.obs import time_callable
 
 
 def paper_cutoff_matrix() -> np.ndarray:

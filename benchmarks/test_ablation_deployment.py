@@ -17,7 +17,7 @@ import pytest
 from conftest import fmt_table, small_allegro_config
 from repro.data import water_unit_cell
 from repro.models import AllegroModel
-from repro.perf import time_callable
+from repro.obs import time_callable
 
 
 def test_deployment_mode_speedup(reporter, benchmark):

@@ -23,7 +23,7 @@ from repro.equivariant import (
     StridedLayout,
     UnfusedTensorProduct,
 )
-from repro.perf import time_callable
+from repro.obs import time_callable
 
 
 def _inputs(rng, lay1, lay2, z):

@@ -20,7 +20,8 @@ import numpy as np
 from conftest import fmt_table
 from repro.md import Cell, System
 from repro.models import LennardJones
-from repro.serve import Client, ForceServer, Metrics
+from repro.obs import Registry
+from repro.serve import Client, ForceServer
 
 N_STRUCTURES = 40
 MEASURED_PASSES = 3
@@ -50,7 +51,7 @@ def run_config(label, engine, max_batch, systems):
     ) as server:
         client = Client(server)
         client.evaluate_many(systems)  # warmup: captures + bucket discovery
-        server.metrics = Metrics()  # measure steady state only
+        server.metrics = Registry()  # measure steady state only
         t0 = time.perf_counter()
         for _ in range(MEASURED_PASSES):
             client.evaluate_many(systems)

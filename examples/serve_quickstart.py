@@ -28,7 +28,7 @@ import numpy as np
 from repro import obs
 from repro.md import Cell, System, neighbor_list
 from repro.models import LennardJones, MorsePotential
-from repro.serve import Client, ForceServer, Metrics, ModelRegistry
+from repro.serve import Client, ForceServer, ModelRegistry
 
 
 def make_system(n, seed, box=8.0):
@@ -63,7 +63,7 @@ def main() -> None:
         client = Client(server, model="lj")
         client.evaluate_many(systems)  # warmup: capture + bucket discovery
         server.evaluate(systems[0], model="morse")
-        server.metrics = Metrics()  # report steady-state numbers only
+        server.metrics = obs.Registry()  # report steady-state numbers only
         t0 = time.perf_counter()
         results = client.evaluate_many(systems)
         elapsed = time.perf_counter() - t0

@@ -276,6 +276,7 @@ def run_parallel(spec: ScenarioSpec, workdir: Path, bug: Optional[str] = None) -
         if not dump_writer.closed:
             dump_writer.close()
     cluster = sim.evaluator.cluster
+    resilience = sim.evaluator.resilience_stats()
 
     return {
         "plan": plan,
@@ -284,8 +285,8 @@ def run_parallel(spec: ScenarioSpec, workdir: Path, bug: Optional[str] = None) -
         "reference": {"positions": np.array(clean.system.positions)},
         "box_length": 5 * 1.9,
         "comm": {**cluster.fault_stats(), "pending": cluster.pending()},
-        "n_failures": sim.evaluator.n_failures,
-        "n_recoveries": sim.evaluator.n_recoveries,
+        "n_failures": resilience["n_failures"],
+        "n_recoveries": resilience["n_recoveries"],
         "traj": {
             "clean_path": str(clean_traj),
             "faulted_path": str(faulted_traj),

@@ -238,6 +238,19 @@ def filter_by_pair_cutoffs(
     return NeighborList(nl.edge_index[:, keep], nl.shifts[keep])
 
 
+def pruning_cutoffs(potential, skin: float) -> Optional[np.ndarray]:
+    """Matrix to prune a skinned list with, or None for a uniform cutoff.
+
+    The model envelope zeroes anything between r_c(pair) and the skin, so
+    MD drivers prune against the model's own matrix widened by the skin —
+    decided once per driver, not per step.
+    """
+    pair_cutoffs = getattr(potential, "pair_cutoffs", None)
+    if pair_cutoffs is None or np.allclose(pair_cutoffs, potential.cutoff):
+        return None
+    return np.asarray(pair_cutoffs) + skin
+
+
 def ordered_pair_counts(
     system: System, cutoff_matrix: np.ndarray
 ) -> Tuple[int, int]:

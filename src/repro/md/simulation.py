@@ -21,9 +21,13 @@ Resilience (paper §VII-B: 2.5M-step runs on failure-prone hardware):
   uninterrupted trajectory **bitwise** in float64 (see
   ``tests/test_resilience.py``).
 
-Multi-rank runs use :mod:`repro.parallel.driver`, which wraps the same
-potential in a spatial decomposition; this serial driver is the reference
-it is validated against.
+Multi-rank runs are this same loop:
+:class:`repro.parallel.driver.ParallelSimulation` subclasses
+:class:`Simulation` and overrides only the force call
+(:meth:`Simulation._compute_forces`) and the neighbor-bookkeeping block of
+the checkpoint state — spatial decomposition lives *under* the force call,
+as it does in LAMMPS.  Serial forces remain the reference the decomposed
+forces are validated against.
 """
 
 from __future__ import annotations
@@ -35,9 +39,15 @@ from typing import Callable, List, Optional
 import numpy as np
 
 from ..obs import Registry, get_tracer, span
+from ..resilience.checkpoint import resolve_checkpoint_sink
 from ..resilience.guards import NumericalInstabilityError, validate_energy_forces
 from .integrators import VelocityVerlet
-from .neighborlist import NeighborList, VerletList
+from .neighborlist import (
+    NeighborList,
+    VerletList,
+    filter_by_pair_cutoffs,
+    pruning_cutoffs,
+)
 from .system import System
 from .trajectory import TrajectoryRecorder
 
@@ -100,6 +110,10 @@ def _restore_coupling_state(obj, state: Optional[dict]) -> None:
         obj.last_pressure = state["last_pressure"]
 
 
+def _copy_or_none(array) -> Optional[np.ndarray]:
+    return None if array is None else np.array(array)
+
+
 class Simulation:
     """Single-process MD of a :class:`System` under a Potential.
 
@@ -148,11 +162,9 @@ class Simulation:
     ) -> None:
         from ..engine import CompiledPotential
 
-        self.system = system
-        # One obs.Registry per simulation (injectable, e.g. the CLI profile
-        # shares a single tree across layers); a compiled evaluator built
-        # here records its engine.* counters into the same registry.
-        self.obs = registry if registry is not None else Registry()
+        self._init_loop(
+            system, dt, thermostat, barostat, recorder, watchdog, registry, controllers
+        )
         if isinstance(potential, CompiledPotential):
             # Accept a pre-compiled evaluator directly; keep the raw model
             # for cutoff / pair-cutoff bookkeeping.
@@ -162,7 +174,8 @@ class Simulation:
         elif engine == "compiled":
             # Capture-once/replay-many deployment mode (paper §V-C): the
             # hot loop below then replays a fixed kernel plan instead of
-            # rebuilding the autodiff tape every step.
+            # rebuilding the autodiff tape every step.  The evaluator
+            # records its engine.* counters into this simulation's registry.
             self.potential = potential
             self._evaluator = potential.compile(padding=padding, registry=self.obs)
         elif engine == "eager":
@@ -171,13 +184,38 @@ class Simulation:
         else:
             raise ValueError(f"unknown engine {engine!r} (use 'eager' or 'compiled')")
         self.engine = engine
+        self.verlet = VerletList(
+            self.potential.cutoff, skin=skin, check_every=neighbor_every
+        )
+        self._prune_cutoffs = pruning_cutoffs(self.potential, skin)
+        self._c_rebuilds = self.obs.counter("md.neighbor_rebuilds")
+        self._h_force = self.obs.histogram("md.force_seconds")
+
+    def _init_loop(
+        self,
+        system: System,
+        dt: float,
+        thermostat=None,
+        barostat=None,
+        recorder: Optional[TrajectoryRecorder] = None,
+        watchdog=None,
+        registry: Optional[Registry] = None,
+        controllers=None,
+    ) -> None:
+        """State the step loop reads, whatever computes the forces.
+
+        Split from ``__init__`` so the parallel driver — the same loop over
+        a different force backend — sets it up without building the serial
+        Verlet list and evaluator.
+        """
+        self.system = system
+        # One obs.Registry per simulation (injectable, e.g. the CLI profile
+        # shares a single tree across layers).
+        self.obs = registry if registry is not None else Registry()
         self.integrator = VelocityVerlet(dt)
         self.thermostat = thermostat
         self.barostat = barostat
         self.watchdog = watchdog
-        self.verlet = VerletList(
-            self.potential.cutoff, skin=skin, check_every=neighbor_every
-        )
         self.recorder = recorder
         self.controllers = controllers
         if controllers is not None:
@@ -187,11 +225,9 @@ class Simulation:
         self._pe: float = 0.0
         self._callbacks: List[Callable[[int, "Simulation"], None]] = []
         self._c_steps = self.obs.counter("md.steps")
-        self._c_rebuilds = self.obs.counter("md.neighbor_rebuilds")
         self._c_recoveries = self.obs.counter("md.recoveries")
         self._c_checkpoints = self.obs.counter("md.checkpoints")
         self._c_pairs = self.obs.counter("md.pairs")
-        self._h_force = self.obs.histogram("md.force_seconds")
 
     @property
     def n_recoveries(self) -> int:
@@ -235,24 +271,20 @@ class Simulation:
         self._callbacks.append(fn)
 
     def _compute_forces(self) -> tuple[float, np.ndarray, int]:
+        """(energy, forces, neighbor pairs) at the current positions.
+
+        The one seam between the step loop and the force backend: the
+        parallel driver overrides it with a decomposed force call.
+        """
         with span("md.neighbor") as sp:
             builds_before = self.verlet.n_builds
             nl = self.verlet.get(self.system)
-            if hasattr(self.potential, "prepare_neighbors") and not np.allclose(
-                getattr(self.potential, "pair_cutoffs", self.potential.cutoff),
-                self.potential.cutoff,
-            ):
-                # Per-species-pair pruning happens on the skinned list; the
-                # model envelope zeroes anything between r_c(pair) and the
-                # skin anyway, so we prune against the model's own matrix for
-                # speed.
-                from .neighborlist import filter_by_pair_cutoffs
-
+            if self._prune_cutoffs is not None:
                 nl = filter_by_pair_cutoffs(
                     nl,
                     self.system.positions,
                     self.system.species,
-                    self.potential.pair_cutoffs + self.verlet.skin,
+                    self._prune_cutoffs,
                 )
             rebuilt = self.verlet.n_builds - builds_before
             if rebuilt:
@@ -273,26 +305,11 @@ class Simulation:
         Captures everything the step loop reads: phase-space coordinates,
         the cell, coupling internals (thermostat RNG stream, Nosé–Hoover
         friction, barostat pressure memory), cached forces/energy, and the
-        Verlet-list bookkeeping (reference positions + current list), so a
+        force backend's neighbor bookkeeping (:meth:`_backend_state`), so a
         restored run follows the *same* rebuild/wrap schedule — the
         ingredient that makes resume bitwise-identical rather than merely
         statistically equivalent.
         """
-        verlet_state: dict = {
-            "ref_positions": (
-                None
-                if self.verlet._ref_positions is None
-                else self.verlet._ref_positions.copy()
-            ),
-            "n_builds": self.verlet.n_builds,
-            "since_check": self.verlet._since_check,
-            "nl": None,
-        }
-        if self.verlet._nl is not None:
-            verlet_state["nl"] = (
-                self.verlet._nl.edge_index.copy(),
-                self.verlet._nl.shifts.copy(),
-            )
         return {
             "format": 1,
             "step_count": self.step_count,
@@ -302,10 +319,26 @@ class Simulation:
                 None if self.system.cell is None else self.system.cell.lengths.copy()
             ),
             "pe": float(self._pe),
-            "forces": None if self._forces is None else self._forces.copy(),
+            "forces": _copy_or_none(self._forces),
             "thermostat": _capture_coupling_state(self.thermostat),
             "barostat": _capture_coupling_state(self.barostat),
-            "verlet": verlet_state,
+            **self._backend_state(),
+        }
+
+    def _backend_state(self) -> dict:
+        """Verlet-list bookkeeping: reference positions + current list."""
+        verlet = self.verlet
+        return {
+            "verlet": {
+                "ref_positions": _copy_or_none(verlet._ref_positions),
+                "n_builds": verlet.n_builds,
+                "since_check": verlet._since_check,
+                "nl": (
+                    None
+                    if verlet._nl is None
+                    else (verlet._nl.edge_index.copy(), verlet._nl.shifts.copy())
+                ),
+            }
         }
 
     def set_state(self, state: dict) -> None:
@@ -326,16 +359,20 @@ class Simulation:
             self.system.cell.lengths[...] = np.asarray(state["cell_lengths"])
         self.step_count = int(state["step_count"])
         self._pe = float(state["pe"])
-        self._forces = None if state["forces"] is None else np.array(state["forces"])
+        self._forces = _copy_or_none(state["forces"])
         _restore_coupling_state(self.thermostat, state["thermostat"])
-        _restore_coupling_state(self.barostat, state["barostat"])
+        # Parallel checkpoints written before the loops merged have no
+        # barostat entry.
+        _restore_coupling_state(self.barostat, state.get("barostat"))
+        self._set_backend_state(state)
+
+    def _set_backend_state(self, state: dict) -> None:
         verlet_state = state["verlet"]
         self.verlet.n_builds = int(verlet_state["n_builds"])
         # Older checkpoints predate the check-cadence counter; 0 restores
         # the legacy check-every-step schedule for them.
         self.verlet._since_check = int(verlet_state.get("since_check", 0))
-        ref = verlet_state["ref_positions"]
-        self.verlet._ref_positions = None if ref is None else np.array(ref)
+        self.verlet._ref_positions = _copy_or_none(verlet_state["ref_positions"])
         if verlet_state["nl"] is None:
             self.verlet._nl = None
         else:
@@ -412,19 +449,10 @@ class Simulation:
         rolled-back frames are re-written on replay; in-memory recorder
         frames are truncated).
         """
-        if checkpoint_every is not None and checkpoint_every < 1:
-            raise ValueError("checkpoint_every must be >= 1")
-        manager = checkpoint_manager
-        if manager is None and checkpoint_dir is not None:
-            from ..resilience import CheckpointManager
-
-            manager = CheckpointManager(checkpoint_dir)
-        if manager is not None and checkpoint_every is None:
-            checkpoint_every = DEFAULT_CHECKPOINT_EVERY
-        if checkpoint_every is not None and manager is None:
-            raise ValueError(
-                "checkpoint_every needs a checkpoint_dir or checkpoint_manager"
-            )
+        manager, checkpoint_every = resolve_checkpoint_sink(
+            checkpoint_every, checkpoint_dir, checkpoint_manager,
+            DEFAULT_CHECKPOINT_EVERY,
+        )
         writer = dump_writer
         owns_writer = False
         if writer is None and dump_path is not None:

@@ -44,7 +44,7 @@ from .. import autodiff as ad
 from ..md.neighborlist import NeighborList
 from ..md.system import System
 from ..obs import Registry, get_tracer, span
-from ..resilience.checkpoint import CheckpointManager
+from ..resilience.checkpoint import CheckpointManager, resolve_checkpoint_sink
 from ..resilience.faults import TRAIN_STEP_FAILURE, InjectedFault
 from ..resilience.guards import NumericalInstabilityError
 from .loss import mae, rmse
@@ -444,17 +444,9 @@ class Trainer:
         ``recover`` policy before the first interval completes.
         """
         epochs = epochs if epochs is not None else self.config.max_epochs
-        manager = checkpoint_manager
-        if manager is None and checkpoint_dir is not None:
-            manager = CheckpointManager(checkpoint_dir)
-        if checkpoint_every is not None and checkpoint_every < 1:
-            raise ValueError("checkpoint_every must be >= 1")
-        if checkpoint_every is not None and manager is None:
-            raise ValueError(
-                "checkpoint_every needs a checkpoint_dir or checkpoint_manager"
-            )
-        if manager is not None and checkpoint_every is None:
-            checkpoint_every = 1
+        manager, checkpoint_every = resolve_checkpoint_sink(
+            checkpoint_every, checkpoint_dir, checkpoint_manager, 1
+        )
         if manager is not None and not manager.steps():
             self._save_checkpoint(manager)
 

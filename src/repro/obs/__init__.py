@@ -6,8 +6,7 @@ one snapshot/trace describes a whole run instead of five disjoint
 
 * **Metrics** (:mod:`~repro.obs.metrics`): :class:`Counter`,
   :class:`Gauge`, :class:`Histogram` under a :class:`Registry` with
-  labeled-metric support.  The serving layer's ``repro.serve.metrics``
-  is now a re-export of these (``Metrics`` is an alias of ``Registry``).
+  labeled-metric support.
 * **Span tracing** (:mod:`~repro.obs.trace`): nested ``obs.span("md.step")``
   context managers with wall time and per-span counters, a bounded
   in-memory trace buffer, phase aggregation, and JSON export.  Off by
@@ -51,7 +50,6 @@ from .metrics import (
     Counter,
     Gauge,
     Histogram,
-    Metrics,
     Registry,
     labeled_name,
 )
@@ -84,7 +82,6 @@ __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
-    "Metrics",
     "Registry",
     "Span",
     "Timer",

@@ -1,8 +1,7 @@
 """Thread-safe metric instruments: counters, gauges, histograms, registry.
 
-Grown out of ``repro.serve.metrics`` (which remains as a compatibility
-re-export): the serving layer was the first to need real instrumentation,
-but every layer of the stack — engine capture/replay, MD phase counters,
+The serving layer was the first to need real instrumentation, but every
+layer of the stack — engine capture/replay, MD phase counters,
 parallel comm volumes, trainer step accounting — now records into the same
 primitives so one :class:`Registry` snapshot describes a whole run.
 
@@ -36,7 +35,6 @@ __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
-    "Metrics",
     "Registry",
     "LATENCY_BUCKETS",
     "OCCUPANCY_BUCKETS",
@@ -334,7 +332,3 @@ class Registry:
         """Write the snapshot to ``path`` (the ``--stats-json`` target)."""
         write_json(path, self.snapshot())
 
-
-#: Historical name, kept because the serving layer (and its users) grew up
-#: calling the registry ``Metrics``.
-Metrics = Registry

@@ -1,9 +1,7 @@
 """Wall-clock timing helpers, unified onto the observability clock.
 
-These are the canonical homes of the primitives that used to live in
-``repro.perf.timing`` (now a deprecated shim): one monotonic clock
-(:data:`~repro.obs.trace.MONOTONIC`) for every measurement in the stack,
-and optional span emission so ad-hoc benchmark timings land in the same
+One monotonic clock (:data:`~repro.obs.trace.MONOTONIC`) for every
+measurement in the stack, and optional span emission so ad-hoc benchmark timings land in the same
 trace/phase tables as the built-in instrumentation.
 """
 

@@ -135,19 +135,6 @@ class VirtualCluster:
         self._lost: Dict[Tuple[int, int, str, int], List] = {}
         self._delayed: Dict[Tuple[int, int, str, int], List] = {}
 
-    # Legacy attribute API: the fault counters now live in the registry.
-    @property
-    def n_dropped(self) -> int:
-        return self._c_dropped.value
-
-    @property
-    def n_delayed(self) -> int:
-        return self._c_delayed.value
-
-    @property
-    def n_retransmits(self) -> int:
-        return self._c_retransmits.value
-
     def send(
         self,
         src: int,
@@ -228,9 +215,9 @@ class VirtualCluster:
 
     def fault_stats(self) -> dict:
         return {
-            "n_dropped": self.n_dropped,
-            "n_delayed": self.n_delayed,
-            "n_retransmits": self.n_retransmits,
+            "n_dropped": self._c_dropped.value,
+            "n_delayed": self._c_delayed.value,
+            "n_retransmits": self._c_retransmits.value,
             "max_retries": self.max_retries,
         }
 

@@ -1,13 +1,13 @@
-"""Multi-rank force evaluation and MD: the parallel counterpart of
-:class:`repro.md.simulation.Simulation`.
+"""Multi-rank force evaluation, and the MD driver that runs on it.
 
-Per step (the LAMMPS-with-pair_allegro loop):
+:class:`ParallelSimulation` is :class:`repro.md.simulation.Simulation` with
+one method replaced: the force call.  The step loop (velocity Verlet,
+thermostat, records, dumps, checkpoints, callbacks, ``md.*`` spans and
+counters) is the serial one, unchanged; per force call the evaluator does
 
-1. integrate owned atoms (velocity Verlet half-kick + drift),
-2. forward halo exchange of positions,
-3. every rank evaluates the potential on its owned-center edges,
-4. reverse halo exchange adds ghost force contributions back to owners,
-5. second half-kick (+ thermostat).
+1. forward halo exchange of positions,
+2. every rank evaluates the potential on its owned-center edges,
+3. reverse halo exchange adds ghost force contributions back to owners.
 
 Reneighboring (triggered by the Verlet-skin criterion on the global
 system) rebuilds the partition, migrating atoms between ranks and
@@ -33,23 +33,16 @@ one.
 from __future__ import annotations
 
 import copy
-import time
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np
 
 from .. import autodiff as ad
-from ..md.integrators import VelocityVerlet
-from ..md.neighborlist import filter_by_pair_cutoffs
-from ..md.simulation import (
-    MDResult,
-    _capture_coupling_state,
-    _restore_coupling_state,
-)
+from ..md.neighborlist import filter_by_pair_cutoffs, pruning_cutoffs
+from ..md.simulation import Simulation, _copy_or_none
 from ..md.system import System
 from ..obs import LATENCY_BUCKETS, MONOTONIC, Registry, get_tracer, span
-from ..resilience.guards import validate_energy_forces
 from .comm import CommError, VirtualCluster
 from .decomposition import DomainDecomposition, RankShard
 from .topology import ProcessGrid
@@ -116,17 +109,9 @@ class ParallelForceEvaluator:
         self.decomp = DomainDecomposition(
             grid, potential.cutoff + self.skin, self.cluster
         )
+        self._prune_cutoffs = pruning_cutoffs(potential, self.skin)
         self._shards: Optional[List[RankShard]] = None
         self._ref_positions: Optional[np.ndarray] = None
-
-    # Legacy attribute API: the counters now live in the registry.
-    @property
-    def n_failures(self) -> int:
-        return self._c_failures.value
-
-    @property
-    def n_recoveries(self) -> int:
-        return self._c_recoveries.value
 
     def stats(self) -> dict:
         """Unified observability view: one registry tree + phase times.
@@ -145,8 +130,8 @@ class ParallelForceEvaluator:
     def resilience_stats(self) -> dict:
         """Failure/recovery counters plus the cluster's fault accounting."""
         out = {
-            "n_failures": self.n_failures,
-            "n_recoveries": self.n_recoveries,
+            "n_failures": self._c_failures.value,
+            "n_recoveries": self._c_recoveries.value,
             "max_retries": self.max_retries,
         }
         out.update(self.cluster.fault_stats())
@@ -185,15 +170,9 @@ class ParallelForceEvaluator:
                     nl = self.decomp.local_neighbor_list(
                         shard, self.potential.cutoff + self.skin
                     )
-                    pair_cutoffs = getattr(self.potential, "pair_cutoffs", None)
-                    if pair_cutoffs is not None and not np.allclose(
-                        pair_cutoffs, self.potential.cutoff
-                    ):
+                    if self._prune_cutoffs is not None:
                         nl = filter_by_pair_cutoffs(
-                            nl,
-                            shard.positions,
-                            shard.species,
-                            np.asarray(pair_cutoffs) + self.skin,
+                            nl, shard.positions, shard.species, self._prune_cutoffs
                         )
                     shard.nl = nl
                 self._ref_positions = system.positions.copy()
@@ -328,15 +307,18 @@ class ParallelForceEvaluator:
         return energy, forces, RankWorkStats(n_owned, n_ghost, n_edges)
 
 
-class ParallelSimulation:
-    """NVE/NVT MD over a virtual cluster (mirrors md.Simulation).
+class ParallelSimulation(Simulation):
+    """NVE/NVT MD over a virtual cluster: the serial loop, decomposed forces.
 
-    Supports the same checkpoint/restart contract as the serial driver:
-    ``run(..., checkpoint_every=, checkpoint_dir=)`` snapshots the global
-    phase space, thermostat internals, cached forces, *and* the evaluator's
-    decomposition bookkeeping (shards + reference positions), so a restored
-    parallel run follows the identical reneighbor/migration schedule and
-    reproduces the uninterrupted trajectory bitwise.
+    Everything :meth:`Simulation.run` offers — checkpoint sinks, binary
+    dumps, step callbacks, ``md.*`` spans and counters — applies unchanged:
+    the driver holds the *gathered* global system (rank-0 semantics;
+    per-rank shards are an evaluator detail), so dumps write whole frames
+    on the same absolute-step schedule.  Checkpoints carry the evaluator's
+    decomposition bookkeeping (shards + reference positions) in place of
+    the Verlet list, so a restored parallel run follows the identical
+    reneighbor/migration schedule and reproduces the uninterrupted
+    trajectory bitwise.
     """
 
     def __init__(
@@ -355,10 +337,11 @@ class ParallelSimulation:
     ) -> None:
         if system.cell is None:
             raise ValueError("parallel MD requires a periodic cell")
-        self.system = system
+        # One registry tree spans the loop, cluster, evaluator, and per-rank
+        # compiled engines, so md steps, comm bytes and capture counters are
+        # one view.
+        self._init_loop(system, dt, thermostat, registry=registry)
         self.potential = potential
-        self.integrator = VelocityVerlet(dt)
-        self.thermostat = thermostat
         # grid_dims overrides the surface-minimizing default factorization
         # (how a tuned parallel profile pins the measured-best grid).
         if grid_dims is not None:
@@ -370,9 +353,6 @@ class ParallelSimulation:
             self.grid = ProcessGrid(dims, system.cell)
         else:
             self.grid = ProcessGrid.create(n_ranks, system.cell)
-        # One registry tree spans the cluster, evaluator, and per-rank
-        # compiled engines, so comm bytes and capture counters are one view.
-        self.obs = registry if registry is not None else Registry()
         self.cluster = VirtualCluster(
             n_ranks, fault_plan=fault_plan, registry=self.obs
         )
@@ -386,191 +366,46 @@ class ParallelSimulation:
             max_retries=max_retries,
             registry=self.obs,
         )
-        self.step_count = 0
-        self._forces: Optional[np.ndarray] = None
-        self._pe = 0.0
         self.last_stats: Optional[RankWorkStats] = None
 
+    def _compute_forces(self) -> Tuple[float, np.ndarray, int]:
+        with span("md.force"):
+            energy, forces, self.last_stats = self.evaluator.compute(self.system)
+        n_pairs = int(self.last_stats.n_edges.sum())
+        self._c_pairs.inc(n_pairs)
+        return energy, forces, n_pairs
+
+    def engine_stats(self) -> Optional[dict]:
+        """Aggregated per-rank capture/replay counters (None when eager)."""
+        return self.evaluator.engine_stats()
+
+    def kernel_profile(self, repeats: int = 10) -> None:
+        """Every rank owns its own plan; there is no single one to profile."""
+        return None
+
     def stats(self) -> dict:
-        """Unified registry view over comm, engine, and failure counters."""
+        """Unified registry view over md, comm, engine, and failure counters."""
         return self.evaluator.stats()
 
     # -- checkpointable state -------------------------------------------------
-    def get_state(self) -> dict:
-        """Complete restart state (global + decomposition bookkeeping)."""
+    def _backend_state(self) -> dict:
+        """Decomposition bookkeeping, in place of the serial Verlet list."""
         ev = self.evaluator
         return {
-            "format": 1,
             "parallel": True,
-            "step_count": self.step_count,
-            "positions": self.system.positions.copy(),
-            "velocities": self.system.velocities.copy(),
-            "cell_lengths": self.system.cell.lengths.copy(),
-            "pe": float(self._pe),
-            "forces": None if self._forces is None else self._forces.copy(),
-            "thermostat": _capture_coupling_state(self.thermostat),
             "shards": copy.deepcopy(ev._shards),
-            "ref_positions": (
-                None if ev._ref_positions is None else ev._ref_positions.copy()
-            ),
-            "prev_owner": (
-                None
-                if ev.decomp._prev_owner is None
-                else ev.decomp._prev_owner.copy()
-            ),
+            "ref_positions": _copy_or_none(ev._ref_positions),
+            "prev_owner": _copy_or_none(ev.decomp._prev_owner),
         }
 
     def set_state(self, state: dict) -> None:
         """Restore :meth:`get_state` output (same system size and ranks)."""
-        if state.get("format") != 1 or not state.get("parallel"):
+        if not state.get("parallel"):
             raise ValueError("not a parallel simulation checkpoint")
-        positions = np.asarray(state["positions"], dtype=np.float64)
-        if positions.shape != self.system.positions.shape:
-            raise ValueError(
-                f"checkpoint holds {positions.shape[0]} atoms, "
-                f"simulation has {self.system.n_atoms}"
-            )
-        self.system.positions[...] = positions
-        self.system.velocities[...] = np.asarray(state["velocities"])
-        self.system.cell.lengths[...] = np.asarray(state["cell_lengths"])
-        self.step_count = int(state["step_count"])
-        self._pe = float(state["pe"])
-        self._forces = None if state["forces"] is None else np.array(state["forces"])
-        _restore_coupling_state(self.thermostat, state["thermostat"])
+        super().set_state(state)
+
+    def _set_backend_state(self, state: dict) -> None:
         ev = self.evaluator
         ev._shards = copy.deepcopy(state["shards"])
-        ref = state["ref_positions"]
-        ev._ref_positions = None if ref is None else np.array(ref)
-        prev = state["prev_owner"]
-        ev.decomp._prev_owner = None if prev is None else np.array(prev)
-
-    def run(
-        self,
-        n_steps: int,
-        record_every: int = 1,
-        checkpoint_every: Optional[int] = None,
-        checkpoint_dir=None,
-        checkpoint_manager=None,
-        dump_every: Optional[int] = None,
-        dump_path=None,
-        dump_writer=None,
-    ) -> MDResult:
-        """Advance ``n_steps`` across all ranks.
-
-        ``dump_every`` / ``dump_path`` / ``dump_writer`` mirror the serial
-        driver: the driver holds the *gathered* global system (rank-0
-        semantics — per-rank shards are an evaluator detail), so the
-        binary dump writes whole frames on the same absolute-step schedule
-        and kill-and-resume byte identity carries over unchanged.
-        """
-        if checkpoint_every is not None and checkpoint_every < 1:
-            raise ValueError("checkpoint_every must be >= 1")
-        manager = checkpoint_manager
-        if manager is None and checkpoint_dir is not None:
-            from ..resilience import CheckpointManager
-
-            manager = CheckpointManager(checkpoint_dir)
-        if manager is not None and checkpoint_every is None:
-            checkpoint_every = 100
-        if checkpoint_every is not None and manager is None:
-            raise ValueError(
-                "checkpoint_every needs a checkpoint_dir or checkpoint_manager"
-            )
-        writer = dump_writer
-        owns_writer = False
-        if writer is None and dump_path is not None:
-            from pathlib import Path
-
-            from ..traj import TrajectoryWriter
-
-            resume = self.step_count > 0 and Path(dump_path).exists()
-            writer = TrajectoryWriter(
-                dump_path,
-                system=None if resume else self.system,
-                append_from=self.step_count if resume else None,
-            )
-            owns_writer = True
-        if writer is not None and dump_every is None:
-            dump_every = 10
-        if dump_every is not None and dump_every < 1:
-            raise ValueError("dump_every must be >= 1")
-        if dump_every is not None and writer is None:
-            raise ValueError("dump_every needs a dump_path or dump_writer")
-
-        try:
-            result = self._run_loop(
-                n_steps, record_every, checkpoint_every, manager,
-                dump_every, writer,
-            )
-        except BaseException:
-            if owns_writer:
-                writer.abort()
-            raise
-        if owns_writer:
-            writer.close()
-        return result
-
-    def _run_loop(
-        self,
-        n_steps: int,
-        record_every: int,
-        checkpoint_every: Optional[int],
-        manager,
-        dump_every: Optional[int],
-        writer,
-    ) -> MDResult:
-        times, pes, kes, temps, pairs = [], [], [], [], []
-        if self._forces is None:
-            self._pe, self._forces, self.last_stats = self.evaluator.compute(
-                self.system
-            )
-            validate_energy_forces(self._pe, self._forces, context="initial forces")
-        if manager is not None and not manager.steps():
-            manager.save(self.get_state(), self.step_count)
-        start = self.step_count
-        t0 = time.perf_counter()
-        for k in range(n_steps):
-            self.integrator.half_kick(self.system, self._forces)
-            self.integrator.drift(self.system)
-            self._pe, self._forces, self.last_stats = self.evaluator.compute(
-                self.system
-            )
-            # Fail fast: a non-finite force must never be integrated into
-            # the trajectory (same guard as the serial driver).
-            validate_energy_forces(
-                self._pe, self._forces, context=f"step {self.step_count + 1}"
-            )
-            self.integrator.half_kick(self.system, self._forces)
-            if self.thermostat is not None:
-                self.thermostat.apply(self.system, self.integrator.dt)
-            self.step_count += 1
-            if k % record_every == 0:
-                times.append(self.step_count * self.integrator.dt)
-                pes.append(self._pe)
-                kes.append(self.system.kinetic_energy())
-                temps.append(self.system.temperature())
-                pairs.append(int(self.last_stats.n_edges.sum()))
-            if writer is not None and self.step_count % dump_every == 0:
-                writer.record(
-                    self.step_count,
-                    self.step_count * self.integrator.dt,
-                    self.system,
-                    pe=self._pe,
-                )
-            if (
-                manager is not None
-                and (self.step_count - start) % checkpoint_every == 0
-            ):
-                if writer is not None:
-                    writer.barrier()
-                manager.save(self.get_state(), self.step_count)
-        wall = time.perf_counter() - t0
-        return MDResult(
-            times=np.asarray(times),
-            potential_energies=np.asarray(pes),
-            kinetic_energies=np.asarray(kes),
-            temperatures=np.asarray(temps),
-            pair_counts=np.asarray(pairs),
-            wall_time=wall,
-            n_steps=n_steps,
-        )
+        ev._ref_positions = _copy_or_none(state["ref_positions"])
+        ev.decomp._prev_owner = _copy_or_none(state["prev_owner"])

@@ -1,4 +1,4 @@
-"""Performance emulation: mixed precision, the caching allocator, timing.
+"""Performance emulation: mixed precision and the caching allocator.
 
 * :mod:`precision` — bit-true emulation of the paper's mixed-precision
   schemes (Table IV): TF32 mantissa truncation on matmul inputs, float32
@@ -7,7 +7,6 @@
 * :mod:`allocator` — a PyTorch-style caching-allocator simulator that
   reproduces the fig. 5 warmup instability and its elimination by the 5%
   input padding.
-* :mod:`timing` — wall-clock helpers used by the benchmark harness.
 """
 
 from .precision import (
@@ -25,7 +24,6 @@ from .allocator import (
     scale_pair_trace,
     simulate_md_allocation,
 )
-from .timing import Timer, time_callable
 
 __all__ = [
     "PrecisionPolicy",
@@ -39,6 +37,4 @@ __all__ = [
     "PaddingPolicy",
     "scale_pair_trace",
     "simulate_md_allocation",
-    "Timer",
-    "time_callable",
 ]

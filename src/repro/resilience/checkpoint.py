@@ -32,7 +32,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .faults import TORN_WRITE, FaultPlan
 
-__all__ = ["CheckpointError", "CheckpointManager"]
+__all__ = ["CheckpointError", "CheckpointManager", "resolve_checkpoint_sink"]
 
 #: File magic: identifies the container format (bumped on layout changes).
 _MAGIC = b"RPRCKPT1"
@@ -228,3 +228,28 @@ class CheckpointManager:
             "n_torn": self.n_torn,
             "n_skipped_corrupt": self._c_skipped.value,
         }
+
+
+def resolve_checkpoint_sink(
+    checkpoint_every: Optional[int],
+    checkpoint_dir,
+    checkpoint_manager: Optional[CheckpointManager],
+    default_every: int,
+) -> Tuple[Optional[CheckpointManager], Optional[int]]:
+    """(manager, interval) from a run's checkpoint kwargs; (None, None) = off.
+
+    A directory becomes a manager with default retention; a sink without an
+    interval gets ``default_every`` (MD counts steps, training epochs).
+    """
+    if checkpoint_every is not None and checkpoint_every < 1:
+        raise ValueError("checkpoint_every must be >= 1")
+    manager = checkpoint_manager
+    if manager is None and checkpoint_dir is not None:
+        manager = CheckpointManager(checkpoint_dir)
+    if manager is None:
+        if checkpoint_every is not None:
+            raise ValueError(
+                "checkpoint_every needs a checkpoint_dir or checkpoint_manager"
+            )
+        return None, None
+    return manager, default_every if checkpoint_every is None else checkpoint_every

@@ -17,7 +17,7 @@ inference for deep equivariant potentials):
   because structure graphs stay disjoint.
 * :class:`ForceServer` / :class:`Client` — worker pool, bounded admission
   with shed-on-overload, per-request timeouts, graceful drain, and a
-  :class:`Metrics` registry (counters, latency/queue/occupancy
+  :class:`repro.obs.Registry` (counters, latency/queue/occupancy
   histograms, capture-vs-replay rates, JSON export).
 * :class:`QoSPolicy` / :class:`~repro.health.HealthMonitor` — graceful
   degradation under overload: per-request deadlines
@@ -40,7 +40,6 @@ Quickstart::
 
 from ..health import HEALTH_STATES, HealthMonitor, HealthThresholds
 from .batching import ForceRequest, MicroBatcher, concatenate_structures
-from .metrics import Counter, Gauge, Histogram, Metrics, Registry
 from .plancache import PlanCache, SizeClasses
 from .qos import (
     DEFAULT_PRIORITY,
@@ -69,20 +68,16 @@ from .server import (
 __all__ = [
     "CircuitOpen",
     "Client",
-    "Counter",
     "DEFAULT_PRIORITY",
     "DeadlineExceeded",
     "DrainTimeout",
     "EAGER_FALLBACK",
     "ForceRequest",
     "ForceServer",
-    "Gauge",
     "HEALTH_STATES",
     "HealthMonitor",
     "HealthThresholds",
-    "Histogram",
     "LoadShed",
-    "Metrics",
     "MicroBatcher",
     "ModelEntry",
     "ModelFailure",
@@ -90,7 +85,6 @@ __all__ = [
     "PRIORITIES",
     "PlanCache",
     "QoSPolicy",
-    "Registry",
     "RequestTimeout",
     "ServeError",
     "ServeResult",

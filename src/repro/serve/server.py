@@ -60,7 +60,7 @@ import numpy as np
 from .. import autodiff as ad
 from ..health import HealthMonitor
 from ..md.neighborlist import neighbor_list
-from ..obs import OCCUPANCY_BUCKETS, Metrics, span
+from ..obs import OCCUPANCY_BUCKETS, Registry, span
 from ..resilience.guards import NumericalInstabilityError, validate_energy_forces
 from ..resilience.retry import RetryPolicy
 from .batching import ForceRequest, MicroBatcher, concatenate_structures
@@ -225,7 +225,7 @@ class ForceServer:
         batch_wait: float = 2e-3,
         engine: str = "compiled",
         default_timeout: Optional[float] = None,
-        metrics: Optional[Metrics] = None,
+        metrics: Optional[Registry] = None,
         retry_policy: Optional[RetryPolicy] = None,
         fault_plan=None,
         stall_time: float = 0.01,
@@ -251,7 +251,7 @@ class ForceServer:
         self.engine = engine
         self.max_queue = int(max_queue)
         self.default_timeout = default_timeout
-        self.metrics = metrics or Metrics()
+        self.metrics = metrics or Registry()
         self.retry_policy = retry_policy or RetryPolicy(
             max_retries=2, base_delay=1e-3, max_delay=0.02
         )

@@ -27,7 +27,6 @@ from repro.obs import (
     Counter,
     Gauge,
     Histogram,
-    Metrics,
     Registry,
     Timer,
     Tracer,
@@ -96,17 +95,6 @@ class TestRegistry:
 
     def test_snapshot_has_schema_version(self):
         assert Registry().snapshot()["schema_version"] == 1
-
-    def test_metrics_alias_is_registry(self):
-        assert Metrics is Registry
-
-    def test_serve_metrics_reexport_unchanged(self):
-        from repro.serve.metrics import Metrics as ServeMetrics
-
-        assert ServeMetrics is Registry
-        m = ServeMetrics()
-        m.counter("requests").inc(5)
-        assert m.snapshot()["counters"] == {"requests": 5}
 
     def test_delta_since(self):
         reg = Registry()
@@ -322,7 +310,7 @@ class TestTracing:
 
 
 # ---------------------------------------------------------------------------
-# Timing primitives (canonical home; repro.perf.timing is the shim)
+# Timing primitives
 # ---------------------------------------------------------------------------
 
 
@@ -343,18 +331,6 @@ class TestTiming:
         assert best >= 0.0
         with pytest.raises(ValueError):
             time_callable(lambda: 1, repeat=0)
-
-    def test_perf_timing_shim_warns_but_works(self):
-        from repro.perf.timing import Timer as OldTimer
-        from repro.perf.timing import time_callable as old_time_callable
-
-        with pytest.warns(DeprecationWarning):
-            with OldTimer() as t:
-                pass
-        assert t.elapsed >= 0.0
-        with pytest.warns(DeprecationWarning):
-            best, result = old_time_callable(lambda: 7, repeat=1)
-        assert result == 7
 
 
 # ---------------------------------------------------------------------------
@@ -570,7 +546,7 @@ class TestIntegration:
             if k.startswith("comm.bytes{category=halo")
         ]
         assert halo, f"no halo traffic counters in {sorted(snap['counters'])}"
-        assert sim.evaluator.n_failures == 0
+        assert sim.evaluator.resilience_stats()["n_failures"] == 0
         assert sim.stats()["counters"] == snap["counters"]
 
     def test_trainer_counters_live_in_registry(self):

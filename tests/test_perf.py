@@ -6,17 +6,16 @@ import pytest
 import repro.autodiff as ad
 from repro.data import water_unit_cell
 from repro.models import AllegroConfig, AllegroModel
+from repro.obs import Timer, time_callable
 from repro.parallel import PerfModel, strong_scaling_curve, weak_scaling_curve
 from repro.perf import (
     POLICIES,
     CachingAllocator,
     PaddingPolicy,
-    Timer,
     apply_policy,
     policy_speed_factor,
     round_f32,
     simulate_md_allocation,
-    time_callable,
     truncate_tf32,
 )
 from repro.perf.precision import PrecisionPolicy

@@ -26,7 +26,6 @@ from repro.serve import (
     HealthMonitor,
     HealthThresholds,
     LoadShed,
-    Metrics,
     MicroBatcher,
     ModelRegistry,
     QoSPolicy,

@@ -347,10 +347,13 @@ class TestSimulationGuards:
         with pytest.raises(NumericalInstabilityError, match="no .?checkpointing"):
             sim.run(20)
 
-    def test_checkpoint_every_needs_sink(self):
-        sim = _make_sim("nve")
-        with pytest.raises(ValueError, match="checkpoint_every"):
-            sim.run(5, checkpoint_every=2)
+    def test_checkpoint_every_needs_sink(self, tmp_path):
+        s, lj = _parallel_system()
+        for sim in (_make_sim("nve"), ParallelSimulation(s, lj, n_ranks=4, dt=0.2)):
+            with pytest.raises(ValueError, match="needs a checkpoint_dir"):
+                sim.run(5, checkpoint_every=2)
+            with pytest.raises(ValueError, match="must be >= 1"):
+                sim.run(5, checkpoint_every=0, checkpoint_dir=tmp_path)
 
 
 # ---------------------------------------------------------------------------
@@ -497,8 +500,9 @@ class TestParallelFaults:
         grid = ProcessGrid.create(8, s.cell)
         ev = ParallelForceEvaluator(lj, grid, cluster)
         e, f, _ = ev.compute(s)
-        assert cluster.n_dropped > 0
-        assert cluster.n_retransmits == cluster.n_dropped
+        faults = cluster.fault_stats()
+        assert faults["n_dropped"] > 0
+        assert faults["n_retransmits"] == faults["n_dropped"]
         assert "retransmit" in cluster.stats.messages
         np.testing.assert_allclose(e, e_ref, rtol=1e-10)
         np.testing.assert_allclose(f, f_ref, atol=1e-9)
@@ -519,11 +523,10 @@ class TestParallelFaults:
         grid = ProcessGrid.create(8, s.cell)
         ev = ParallelForceEvaluator(lj, grid, fault_plan=plan, max_retries=2)
         e, f, _ = ev.compute(s)
-        assert ev.n_failures == 1 and ev.n_recoveries == 1
+        stats = ev.resilience_stats()
+        assert stats["n_failures"] == 1 and stats["n_recoveries"] == 1
         np.testing.assert_allclose(e, e_ref, rtol=1e-10)
         np.testing.assert_allclose(f, f_ref, atol=1e-9)
-        stats = ev.resilience_stats()
-        assert stats["n_recoveries"] == 1
 
     def test_rank_failure_budget_exhaustion_raises(self):
         s, lj = _parallel_system()
@@ -532,7 +535,7 @@ class TestParallelFaults:
         ev = ParallelForceEvaluator(lj, grid, fault_plan=plan, max_retries=3)
         with pytest.raises(Exception, match="rank"):
             ev.compute(s)
-        assert ev.n_failures == 4  # initial + 3 retries
+        assert ev.resilience_stats()["n_failures"] == 4  # initial + 3 retries
 
     def test_parallel_resume_is_bitwise(self, tmp_path):
         def make():
@@ -569,7 +572,7 @@ class TestParallelFaults:
         plan = FaultPlan(seed=9, rates={COMM_DROP: 0.05})
         sim = ParallelSimulation(s2, lj2, n_ranks=4, dt=0.2, fault_plan=plan)
         sim.run(10)
-        assert sim.evaluator.cluster.n_dropped > 0
+        assert sim.evaluator.resilience_stats()["n_dropped"] > 0
         # Retransmission is transparent: trajectory identical to fault-free.
         np.testing.assert_allclose(
             sim.system.positions, ref.system.positions, atol=1e-9

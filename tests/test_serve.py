@@ -20,13 +20,13 @@ import pytest
 from repro.md import Cell, System, neighbor_list
 from repro.models import LennardJones, MorsePotential
 from repro.models.electrostatics import WolfCoulomb
+from repro.obs import Histogram, Registry
 from repro.resilience import FaultPlan, RetryPolicy
 from repro.resilience.faults import POTENTIAL_CORRUPT, WORKER_CRASH, WORKER_STALL
 from repro.serve import (
     CircuitOpen,
     Client,
     ForceServer,
-    Metrics,
     MicroBatcher,
     ModelFailure,
     ModelRegistry,
@@ -39,7 +39,6 @@ from repro.serve import (
     concatenate_structures,
 )
 from repro.serve.batching import ForceRequest
-from repro.serve.metrics import Histogram
 
 
 def make_system(n=12, seed=0, box=8.0):
@@ -86,14 +85,14 @@ def direct_eager(pot, system):
 
 class TestMetrics:
     def test_counters_and_get_or_create(self):
-        m = Metrics()
+        m = Registry()
         m.counter("requests").inc()
         m.counter("requests").inc(4)
         assert m.counter("requests").value == 5
         assert m.snapshot()["counters"] == {"requests": 5}
 
     def test_histogram_moments_and_percentiles(self):
-        m = Metrics()
+        m = Registry()
         h = m.histogram("lat", buckets=[0.001, 0.01, 0.1, 1.0])
         for x in [0.002, 0.003, 0.004, 0.05, 0.5]:
             h.observe(x)
@@ -114,20 +113,20 @@ class TestMetrics:
             Histogram("h", [], lock)
 
     def test_snapshot_json_roundtrip_and_delta(self):
-        m = Metrics()
+        m = Registry()
         m.counter("a").inc(3)
         m.histogram("h").observe(0.01)
         before = m.snapshot()
         m.counter("a").inc(2)
         m.counter("b").inc()
-        delta = Metrics.delta_since(before, m.snapshot())
+        delta = Registry.delta_since(before, m.snapshot())
         assert delta == {"a": 2, "b": 1}
         parsed = json.loads(m.to_json())
         assert parsed["counters"]["a"] == 5
         assert parsed["histograms"]["h"]["count"] == 1
 
     def test_write_json(self, tmp_path):
-        m = Metrics()
+        m = Registry()
         m.counter("x").inc()
         path = tmp_path / "metrics.json"
         m.write_json(path)
@@ -462,7 +461,7 @@ class TestReplayRate:
             before = server.metrics.snapshot()
             for _ in range(3):
                 client.evaluate_many(systems)
-            delta = Metrics.delta_since(before, server.metrics.snapshot())
+            delta = Registry.delta_since(before, server.metrics.snapshot())
         replays = delta.get("plan_replays", 0)
         captures = delta.get("plan_captures", 0)
         assert replays + captures > 0

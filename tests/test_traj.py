@@ -430,11 +430,14 @@ class TestKillAndResume:
         )
 
     def test_dump_every_validation(self, tmp_path):
-        sim = _sim()
-        with pytest.raises(ValueError, match="dump_every"):
-            sim.run(4, dump_every=0, dump_path=tmp_path / "t.rtrj")
-        with pytest.raises(ValueError, match="dump_every"):
-            sim.run(4, dump_every=5)
+        from repro.parallel import ParallelSimulation
+
+        parallel = ParallelSimulation(_system(), _sim().potential, n_ranks=4, dt=0.2)
+        for sim in (_sim(), parallel):
+            with pytest.raises(ValueError, match="dump_every"):
+                sim.run(4, dump_every=0, dump_path=tmp_path / "t.rtrj")
+            with pytest.raises(ValueError, match="dump_every"):
+                sim.run(4, dump_every=5)
 
     def test_parallel_dump_matches_serial(self, tmp_path):
         from repro.parallel import ParallelSimulation

@@ -114,7 +114,7 @@ def main() -> None:
         np.testing.assert_array_equal(
             guarded.system.positions, ref.system.positions
         )
-        print(f"   recovered {guarded.n_recoveries}x by rolling back to the "
+        print(f"   recovered {guarded.stats()['n_recoveries']}x by rolling back to the "
               "last checkpoint; final state still bitwise identical.")
 
     print("done.")

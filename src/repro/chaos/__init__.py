@@ -25,9 +25,9 @@ Three layers:
   :mod:`~repro.chaos.shrink`) — ``soak(n, seed)`` runs N scenarios under
   a wall-clock budget; any violation is delta-debugged (``ddmin``) to a
   1-minimal fault schedule and emitted as a byte-deterministic JSON
-  reproducer, replayable via ``repro.cli chaos replay``.
+  reproducer, replayable via ``repro chaos replay``.
 
-CLI: ``python -m repro.cli chaos {run,soak,replay}``.
+CLI: ``repro chaos {run,soak,replay}``.
 """
 
 from .invariants import Violation, check_all, invariant, registered_invariants

@@ -29,6 +29,7 @@ from typing import Dict, Optional
 
 import numpy as np
 
+from ..config import ServeConfig, build_server
 from ..md import (
     BerendsenBarostat,
     Cell,
@@ -215,7 +216,7 @@ def run_md(spec: ScenarioSpec, workdir: Path, bug: Optional[str] = None) -> Dict
         },
         "series": np.array(res.potential_energies),
         "ref_series": np.array(clean_res.potential_energies),
-        "n_recoveries": sim.n_recoveries,
+        "n_recoveries": sim.stats()["n_recoveries"],
         "watchdog_trips": watchdog.n_trips,
     }
 
@@ -338,25 +339,19 @@ def run_serve(spec: ScenarioSpec, workdir: Path, bug: Optional[str] = None) -> D
     return _run_serve_burst(spec, workdir)
 
 
-def _run_serve_burst(spec: ScenarioSpec, workdir: Path) -> Dict:
-    from ..serve import ForceServer, ServeError
+def _faulted_server(spec: ScenarioSpec, lj, start: bool = True, **serve):
+    """``(server, plan, metrics)``: an eager one-worker server under the
+    spec's fault plan, configured by ``serve``-section keys.
 
-    opts = spec.options
-    n_requests = int(opts.get("n_requests", 12))
-    max_batch = int(opts.get("max_batch", 4))
-    lj, systems, reference = _serve_systems(n_requests)
-
+    One worker keeps the plan's draw order single-threaded (the plan's
+    counters are not synchronized); the batching/retry/metrics paths are
+    exercised identically.
+    """
     plan = spec.fault_plan()
     metrics = Registry()
-    # One worker keeps the plan's draw order single-threaded (the plan's
-    # counters are not synchronized); the batching/retry/metrics paths are
-    # exercised identically.
-    server = ForceServer(
+    server = build_server(
+        ServeConfig(n_workers=1, batch_wait=1e-3, engine="eager", **serve),
         lj,
-        n_workers=1,
-        max_batch=max_batch,
-        batch_wait=1e-3,
-        engine="eager",
         metrics=metrics,
         retry_policy=RetryPolicy(
             max_retries=2, base_delay=1e-4, max_delay=1e-3, seed=spec.seed
@@ -364,7 +359,19 @@ def _run_serve_burst(spec: ScenarioSpec, workdir: Path) -> Dict:
         fault_plan=plan,
         stall_time=2e-3,
         drain_timeout=30.0,
+        start=start,
     )
+    return server, plan, metrics
+
+
+def _run_serve_burst(spec: ScenarioSpec, workdir: Path) -> Dict:
+    from ..serve import ServeError
+
+    opts = spec.options
+    n_requests = int(opts.get("n_requests", 12))
+    max_batch = int(opts.get("max_batch", 4))
+    lj, systems, reference = _serve_systems(n_requests)
+    server, plan, metrics = _faulted_server(spec, lj, max_batch=max_batch)
     futures = [server.submit(s) for s in systems]
     outcomes = []
     for fut in futures:
@@ -392,15 +399,7 @@ _OVERLOAD_PRIORITIES = ("interactive", "batch", "background")
 
 
 def _run_serve_overload(spec: ScenarioSpec, workdir: Path) -> Dict:
-    from ..serve import (
-        DeadlineExceeded,
-        ForceServer,
-        HealthMonitor,
-        HealthThresholds,
-        LoadShed,
-        QoSPolicy,
-        ServeError,
-    )
+    from ..serve import DeadlineExceeded, LoadShed, ServeError
 
     opts = spec.options
     n_requests = int(opts.get("n_requests", 16))
@@ -408,36 +407,25 @@ def _run_serve_overload(spec: ScenarioSpec, workdir: Path) -> Dict:
     max_queue = int(opts.get("max_queue", 6))
     lj, systems, reference = _serve_systems(n_requests)
 
-    plan = spec.fault_plan()
-    metrics = Registry()
     # Deterministic by construction: the server starts with no workers,
     # so the whole admission sequence (class bounds, health transitions,
     # evictions, pre-expired deadlines) is a pure function of the
     # submission order; the p99 health signal stays disabled and the
     # down-dwell is too long for wall-clock timing to move the machine.
-    qos = QoSPolicy()
-    health = HealthMonitor(
-        thresholds=HealthThresholds(queue_degraded=0.3, queue_shedding=0.65),
-        dwell_up=2,
-        dwell_down=10_000,
-    )
-    server = ForceServer(
+    server, plan, metrics = _faulted_server(
+        spec,
         lj,
-        n_workers=1,
+        start=False,
         max_batch=max_batch,
         max_queue=max_queue,
-        batch_wait=1e-3,
-        engine="eager",
-        metrics=metrics,
-        retry_policy=RetryPolicy(
-            max_retries=2, base_delay=1e-4, max_delay=1e-3, seed=spec.seed
-        ),
-        fault_plan=plan,
-        stall_time=2e-3,
-        drain_timeout=30.0,
-        start=False,
-        qos=qos,
-        health=health,
+        qos={  # the default (enforced) policy plus early health thresholds
+            "health": {
+                "queue_degraded": 0.3,
+                "queue_shedding": 0.65,
+                "dwell_up": 2,
+                "dwell_down": 10_000,
+            }
+        },
     )
 
     server.start(workers=False)  # admit deterministically, workers later

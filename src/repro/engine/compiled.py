@@ -184,23 +184,6 @@ class CompiledPotential:
         return self._c_captures.value
 
     @property
-    def n_replay_failures(self) -> int:
-        return self._c_replay_failures.value
-
-    @property
-    def n_failure_recaptures(self) -> int:
-        return self._c_failure_recaptures.value
-
-    @property
-    def n_eager_fallbacks(self) -> int:
-        return self._c_eager_fallbacks.value
-
-    @property
-    def recaptures(self) -> int:
-        """Captures beyond the initial one (the Fig. 5 counter)."""
-        return max(0, self.n_captures - 1)
-
-    @property
     def n_replays(self) -> int:
         """Total replays across all evaluation states.
 
@@ -208,11 +191,6 @@ class CompiledPotential:
         sum is exact whenever no evaluation is in flight.
         """
         return sum(s.n_replays for s in list(self._states))
-
-    @property
-    def n_clones(self) -> int:
-        """Evaluation states cloned for concurrent callers (not captures)."""
-        return len(self._states) - self._n_templates
 
     @property
     def capacity_atoms(self) -> int:
@@ -264,14 +242,16 @@ class CompiledPotential:
         """
         out = {
             "n_captures": self.n_captures,
-            "recaptures": self.recaptures,
+            # Captures beyond the initial one (the Fig. 5 counter).
+            "recaptures": max(0, self.n_captures - 1),
             "n_replays": self.n_replays,
-            "n_clones": self.n_clones,
+            # Evaluation states cloned for concurrent callers (not captures).
+            "n_clones": len(self._states) - self._n_templates,
             "capacity_atoms": self.capacity_atoms,
             "capacity_pairs": self.capacity_pairs,
-            "n_replay_failures": self.n_replay_failures,
-            "n_failure_recaptures": self.n_failure_recaptures,
-            "n_eager_fallbacks": self.n_eager_fallbacks,
+            "n_replay_failures": self._c_replay_failures.value,
+            "n_failure_recaptures": self._c_failure_recaptures.value,
+            "n_eager_fallbacks": self._c_eager_fallbacks.value,
         }
         plan = self.plan
         if plan is not None:

@@ -29,9 +29,8 @@ def mean_squared_displacement(
     Uses the FKT decomposition: MSD(τ) = S(τ) − 2·C(τ) per coordinate
     signal, with S(τ) from prefix sums of |x|² and C(τ) (the position
     autocorrelation summed over origins) from one FFT — O(T log T) total
-    instead of the naive O(T·τ_max) sweep.  Agrees with
-    :func:`_mean_squared_displacement_naive` to float round-off (pinned
-    by a regression test).
+    instead of the naive O(T·τ_max) sweep, which it agrees with to float
+    round-off (pinned by a regression test against that sweep).
     """
     traj = np.stack([np.asarray(f, dtype=np.float64) for f in frames])
     if atom_indices is not None:
@@ -53,27 +52,6 @@ def mean_squared_displacement(
     n_atoms = traj.shape[1]
     out = (S - 2.0 * corr.sum(axis=1).real) / ((T - lags) * n_atoms)
     out[0] = 0.0
-    return out
-
-
-def _mean_squared_displacement_naive(
-    frames: Sequence[np.ndarray],
-    max_lag: Optional[int] = None,
-    atom_indices: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """Reference O(T·τ_max) MSD; kept to pin the FFT path in tests."""
-    traj = np.stack([np.asarray(f) for f in frames])  # [T, N, 3]
-    if atom_indices is not None:
-        traj = traj[:, np.asarray(atom_indices)]
-    T = len(traj)
-    if T < 2:
-        raise ValueError("need at least two frames")
-    max_lag = max_lag if max_lag is not None else T - 1
-    max_lag = min(max_lag, T - 1)
-    out = np.zeros(max_lag + 1)
-    for lag in range(1, max_lag + 1):
-        disp = traj[lag:] - traj[:-lag]
-        out[lag] = float((disp**2).sum(axis=-1).mean())
     return out
 
 

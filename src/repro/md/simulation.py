@@ -229,11 +229,6 @@ class Simulation:
         self._c_checkpoints = self.obs.counter("md.checkpoints")
         self._c_pairs = self.obs.counter("md.pairs")
 
-    @property
-    def n_recoveries(self) -> int:
-        """Watchdog recover-policy rollbacks performed by :meth:`run`."""
-        return self._c_recoveries.value
-
     def engine_stats(self) -> Optional[dict]:
         """Capture/replay counters when running compiled; None when eager."""
         if self.engine == "compiled":
@@ -259,7 +254,8 @@ class Simulation:
         """
         snap = self.obs.snapshot()
         snap["engine_stats"] = self.engine_stats()
-        snap["n_recoveries"] = self.n_recoveries
+        # Watchdog recover-policy rollbacks performed by ``run``.
+        snap["n_recoveries"] = self._c_recoveries.value
         snap["neighbor_builds"] = self.verlet.n_builds
         snap["phases"] = get_tracer().phase_totals("md.")
         if self.controllers is not None:

@@ -20,10 +20,14 @@ config keys it writes.
 from __future__ import annotations
 
 import copy
-from typing import Dict, Iterable, List, Optional
+import json
+from dataclasses import fields
+from typing import Dict, Iterable, List, Optional, get_type_hints
 
+from ..config import RunConfig
 from ..obs import write_json
 from ..obs.jsonio import SCHEMA_VERSION, to_json
+from .targets import ENGINE_SPACE, MD_SPACE, SERVE_SPACE
 
 __all__ = ["TuningProfile", "apply_profile", "PROFILE_KIND"]
 
@@ -112,8 +116,6 @@ class TuningProfile:
 
     @classmethod
     def load(cls, path: str) -> "TuningProfile":
-        import json
-
         with open(path) as fh:
             return cls.from_payload(json.load(fh))
 
@@ -121,49 +123,33 @@ class TuningProfile:
         return f"TuningProfile(targets={sorted(self.targets)})"
 
 
-def _apply_engine(config: dict, best: dict) -> List[str]:
-    config.setdefault("md", {})["padding"] = best["padding"]
-    return ["md.padding"]
-
-def _apply_md(config: dict, best: dict) -> List[str]:
-    md = config.setdefault("md", {})
-    applied = []
-    for key in ("skin", "neighbor_every", "padding"):
-        if key in best:
-            md[key] = best[key]
-            applied.append(f"md.{key}")
-    return applied
-
-
-def _apply_serve(config: dict, best: dict) -> List[str]:
-    serve = config.setdefault("serve", {})
-    applied = []
-    for key in (
-        "max_batch",
-        "batch_wait",
-        "adaptive",
-        "n_workers",
-        "plan_floor",
-        "plan_growth",
-    ):
-        if key in best:
-            serve[key] = best[key]
-            applied.append(f"serve.{key}")
-    return applied
-
-
-def _apply_parallel(config: dict, best: dict) -> List[str]:
-    parallel = config.setdefault("parallel", {})
-    parallel["grid"] = [int(d) for d in best["grid"]]
-    return ["parallel.grid"]
-
-
-_APPLIERS = {
-    "engine": _apply_engine,
-    "md": _apply_md,
-    "serve": _apply_serve,
-    "parallel": _apply_parallel,
+#: target -> (config section its winners are written to, the space naming
+#: the keys).  ``parallel`` writes its one key, ``parallel.grid``, itself.
+_WRITES = {
+    "engine": ("md", ENGINE_SPACE),
+    "md": ("md", MD_SPACE),
+    "serve": ("serve", SERVE_SPACE),
 }
+
+# A tuned knob must be a key the config schema knows, or applying a profile
+# would produce a config that no longer loads.
+for _section, _space in _WRITES.values():
+    _keys = {f.name for f in fields(get_type_hints(RunConfig)[_section])}
+    if not set(_space.names) <= _keys:
+        raise ImportError(
+            f"tuned knobs {sorted(set(_space.names) - _keys)} are not "
+            f"'{_section}' config keys"
+        )
+
+
+def _apply(config: dict, target: str, best: dict) -> List[str]:
+    if target == "parallel":
+        config.setdefault("parallel", {})["grid"] = [int(d) for d in best["grid"]]
+        return ["parallel.grid"]
+    section, space = _WRITES[target]
+    tuned = {name: best[name] for name in space.names if name in best}
+    config.setdefault(section, {}).update(tuned)
+    return [f"{section}.{name}" for name in tuned]
 
 
 def apply_profile(
@@ -184,13 +170,13 @@ def apply_profile(
         wanted = set(profile.targets)
     else:
         wanted = set(targets)
-        unknown = wanted - set(_APPLIERS)
+        unknown = wanted - set(APPLY_ORDER)
         if unknown:
             raise ValueError(f"unknown profile targets: {sorted(unknown)}")
     out = copy.deepcopy(config)
     applied: List[str] = []
     for name in APPLY_ORDER:
         if name in wanted and name in profile.targets:
-            applied.extend(_APPLIERS[name](out, profile.best(name)))
+            applied.extend(_apply(out, name, profile.best(name)))
     out.setdefault("_tuning", {})["applied"] = applied
     return out

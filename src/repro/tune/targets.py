@@ -40,13 +40,35 @@ from __future__ import annotations
 
 import json
 import math
+import statistics
 import time
 from collections import OrderedDict
+from dataclasses import asdict, replace
 from typing import List, Optional, Tuple
 
 import numpy as np
 
+from ..config import (
+    EXAMPLE_SERVE_CONFIG,
+    MDConfig,
+    ServeConfig,
+    build_potential,
+    build_server,
+    build_simulation,
+    build_system,
+    load_config,
+    request_stream,
+)
+from ..md.neighborlist import neighbor_list
+from ..models.base import Potential
 from ..obs import LATENCY_BUCKETS, OCCUPANCY_BUCKETS, Registry
+from ..parallel.driver import ParallelForceEvaluator
+from ..parallel.perfmodel import ClusterSpec, PerfModel
+from ..parallel.topology import ProcessGrid, _factor_triplets
+from ..perf.allocator import PaddingPolicy
+from ..serve import Client
+from ..serve.batching import ForceRequest, MicroBatcher
+from ..serve.plancache import SizeClasses
 from .search import MeasurementProtocol, SearchResult, Trial, coordinate_descent
 from .space import Param, ParamSpace
 
@@ -105,27 +127,29 @@ INFEASIBLE_SCORE = 1e30
 #: amortize away and steady-state padding waste dominates instead.
 SERVE_SIM_CYCLES = 1
 
+# Every knob is a field of the config section its profile is applied to
+# (``md`` / ``serve``), and starts the search from that field's default.
 MD_SPACE = ParamSpace(
     [
-        Param("skin", (0.1, 0.2, 0.4, 0.7, 1.0), 0.4),
-        Param("neighbor_every", (1, 2, 4), 1),
-        Param("padding", (0.02, 0.05, 0.1, 0.2), 0.05),
+        Param("skin", (0.1, 0.2, 0.4, 0.7, 1.0), MDConfig.skin),
+        Param("neighbor_every", (1, 2, 4), MDConfig.neighbor_every),
+        Param("padding", (0.02, 0.05, 0.1, 0.2), MDConfig.padding),
     ]
 )
 
 SERVE_SPACE = ParamSpace(
     [
-        Param("max_batch", (4, 8, 16, 32), 8),
-        Param("batch_wait", (0.0005, 0.001, 0.002, 0.004), 0.002),
-        Param("adaptive", (True, False), True),
-        Param("n_workers", (1, 2, 4), 2),
-        Param("plan_floor", (16, 32, 64), 16),
-        Param("plan_growth", (1.2, 1.5, 2.0), 1.5),
+        Param("max_batch", (4, 8, 16, 32), ServeConfig.max_batch),
+        Param("batch_wait", (0.0005, 0.001, 0.002, 0.004), ServeConfig.batch_wait),
+        Param("adaptive", (True, False), ServeConfig.adaptive),
+        Param("n_workers", (1, 2, 4), ServeConfig.n_workers),
+        Param("plan_floor", (16, 32, 64), ServeConfig.plan_floor),
+        Param("plan_growth", (1.2, 1.5, 2.0), ServeConfig.plan_growth),
     ]
 )
 
 ENGINE_SPACE = ParamSpace(
-    [Param("padding", (0.0, 0.02, 0.05, 0.1, 0.2, 0.3), 0.05)]
+    [Param("padding", (0.0, 0.02, 0.05, 0.1, 0.2, 0.3), MDConfig.padding)]
 )
 
 
@@ -174,6 +198,16 @@ def _default_md_config(seed: int) -> dict:
     }
 
 
+def _md_workload(raw: dict, n_steps: int, md: MDConfig) -> dict:
+    """The workload a ``md``/``engine`` report describes (specs as written)."""
+    return {
+        "system": raw["system"],
+        "potential": raw["potential"],
+        "steps": n_steps,
+        "seed": md.seed,
+    }
+
+
 def tune_md(
     config: Optional[dict] = None,
     seed: int = 0,
@@ -190,43 +224,29 @@ def tune_md(
     rate, padded capacity).  Trajectories are bitwise-deterministic per
     configuration, so the counters — and the profile — are too.
     """
-    from ..cli import build_potential, build_system, build_thermostat
-    from ..md import Simulation
-
-    cfg = config if config is not None else _default_md_config(seed)
-    md = dict(cfg.get("md", {}))
-    n_steps = int(steps if steps is not None else min(int(md.get("steps", 30)), 60))
-    temperature = float(md.get("temperature", 300.0))
-    md_seed = int(md.get("seed", seed))
+    raw = config if config is not None else _default_md_config(seed)
+    cfg = load_config(raw)
+    md = cfg.md
+    n_steps = int(steps if steps is not None else min(md.steps, 60))
+    # Potentials without traced_energies (e.g. the reference labeler)
+    # cannot be compiled: tune skin/cadence on the eager engine instead.
+    # The padding knob is then inert, all its candidates tie, and the
+    # descent keeps the default — nothing bogus lands in the profile.
+    traced = getattr(
+        type(build_potential(cfg.potential)), "traced_energies", None
+    )
+    compilable = traced is not None and traced is not Potential.traced_energies
 
     def objective(params: dict) -> Tuple[float, dict]:
         registry = Registry()
-        system = build_system(cfg.get("system", {"kind": "water", "n_grid": 3}))
-        potential = build_potential(
-            cfg.get("potential", {"kind": "lennard_jones"})
+        knobs = dict(params, engine="compiled")
+        if not compilable:
+            knobs.update(engine="eager", padding=None)
+        sim = build_simulation(
+            replace(cfg, md=replace(md, **knobs)), registry=registry
         )
-        # Potentials without traced_energies (e.g. the reference labeler)
-        # cannot be compiled: tune skin/cadence on the eager engine instead.
-        # The padding knob is then inert, all its candidates tie, and the
-        # descent keeps the default — nothing bogus lands in the profile.
-        from ..models.base import Potential as _PotentialBase
-
-        traced = getattr(type(potential), "traced_energies", None)
-        compilable = (
-            traced is not None and traced is not _PotentialBase.traced_energies
-        )
-        sim = Simulation(
-            system,
-            potential,
-            dt=float(md.get("dt", 0.5)),
-            thermostat=build_thermostat(md),
-            skin=params["skin"],
-            neighbor_every=params["neighbor_every"],
-            padding=params["padding"] if compilable else None,
-            engine="compiled" if compilable else "eager",
-            registry=registry,
-        )
-        system.seed_velocities(temperature, np.random.default_rng(md_seed))
+        system = sim.system
+        system.seed_velocities(md.temperature, np.random.default_rng(md.seed))
         t0 = time.perf_counter()
         try:
             sim.run(n_steps)
@@ -266,13 +286,7 @@ def tune_md(
 
     protocol = MeasurementProtocol(objective, warmup=warmup, repeats=repeats)
     result = coordinate_descent(MD_SPACE, protocol, max_sweeps=max_sweeps)
-    workload = {
-        "system": cfg.get("system"),
-        "potential": cfg.get("potential"),
-        "steps": n_steps,
-        "seed": md_seed,
-    }
-    return _report("md", result, MD_SPACE.describe(), workload)
+    return _report("md", result, MD_SPACE.describe(), _md_workload(raw, n_steps, md))
 
 
 # -- engine replay target ------------------------------------------------------
@@ -296,27 +310,13 @@ def tune_engine(
     with its recapture rate and waste — and the best point minimizes the
     modeled per-step cost.
     """
-    from ..cli import build_potential, build_system, build_thermostat
-    from ..md import Simulation
-    from ..perf.allocator import PaddingPolicy
+    raw = config if config is not None else _default_md_config(seed)
+    cfg = load_config(raw)
+    md = cfg.md
+    n_steps = int(steps if steps is not None else min(md.steps, 120))
 
-    cfg = config if config is not None else _default_md_config(seed)
-    md = dict(cfg.get("md", {}))
-    n_steps = int(steps if steps is not None else min(int(md.get("steps", 60)), 120))
-    md_seed = int(md.get("seed", seed))
-
-    system = build_system(cfg.get("system", {"kind": "water", "n_grid": 2}))
-    potential = build_potential(cfg.get("potential", {"kind": "lennard_jones"}))
-    sim = Simulation(
-        system,
-        potential,
-        dt=float(md.get("dt", 0.5)),
-        thermostat=build_thermostat(md),
-        engine="eager",
-    )
-    system.seed_velocities(
-        float(md.get("temperature", 300.0)), np.random.default_rng(md_seed)
-    )
+    sim = build_simulation(replace(cfg, md=replace(md, engine="eager")))
+    sim.system.seed_velocities(md.temperature, np.random.default_rng(md.seed))
     t0 = time.perf_counter()
     md_result = sim.run(n_steps, record_every=1)
     trace_wall = time.perf_counter() - t0
@@ -354,13 +354,9 @@ def tune_engine(
 
     protocol = MeasurementProtocol(objective, warmup=warmup, repeats=repeats)
     result = coordinate_descent(ENGINE_SPACE, protocol, max_sweeps=max_sweeps)
-    workload = {
-        "system": cfg.get("system"),
-        "potential": cfg.get("potential"),
-        "steps": n_steps,
-        "seed": md_seed,
-    }
-    return _report("engine", result, ENGINE_SPACE.describe(), workload)
+    return _report(
+        "engine", result, ENGINE_SPACE.describe(), _md_workload(raw, n_steps, md)
+    )
 
 
 # -- serve target --------------------------------------------------------------
@@ -388,30 +384,23 @@ class _SizedSystem:
         self.n_atoms = int(n_atoms)
 
 
-def _workload_sizes(config: dict, seed: int) -> Tuple[List[Tuple[int, int]], dict]:
+def _workload_sizes(raw: dict) -> Tuple[List[Tuple[int, int]], dict]:
     """Real (n_atoms, n_pairs) sizes for the configured request stream."""
-    from ..cli import build_potential, build_system
-    from ..md.neighborlist import neighbor_list
-
-    workload = dict(config.get("workload", {}))
-    specs = workload.get("systems") or [{"kind": "molecule", "n_heavy": 4}]
-    n_requests = int(workload.get("n_requests", 32))
-    wl_seed = int(workload.get("seed", seed))
-    potential = build_potential(
-        config.get("potential", {"kind": "lennard_jones"})
-    )
-    sizes: List[Tuple[int, int]] = []
-    for k in range(n_requests):
-        spec = dict(specs[k % len(specs)])
-        spec.setdefault("seed", wl_seed + k)
-        system = build_system(spec)
-        nl = neighbor_list(system, potential.cutoff)
-        sizes.append((system.n_atoms, nl.n_edges))
+    cfg = load_config(raw)
+    workload = cfg.workload
+    cutoff = build_potential(cfg.potential).cutoff
+    sizes = [
+        (system.n_atoms, neighbor_list(system, cutoff).n_edges)
+        for system in request_stream(workload)
+    ]
     described = {
-        "systems": specs,
-        "n_requests": n_requests,
-        "seed": wl_seed,
-        "potential": config.get("potential"),
+        # As written; a config that leaves the stream to the default
+        # describes the default's full spec.
+        "systems": raw.get("workload", {}).get("systems")
+        or [asdict(spec) for spec in workload.systems],
+        "n_requests": workload.n_requests,
+        "seed": workload.seed,
+        "potential": raw["potential"],
     }
     return sizes, described
 
@@ -424,9 +413,7 @@ def _simulate_serve(
     max_plans: int = 8,
 ) -> dict:
     """One deterministic pass of the pipeline; records into ``registry``."""
-    from ..serve.batching import ForceRequest, MicroBatcher
-    from ..serve.plancache import SizeClasses
-
+    ladders = ServeConfig(**params).plan_cache_opts()
     clock = _FakeClock()
     batcher = MicroBatcher(
         max_batch=params["max_batch"],
@@ -434,8 +421,8 @@ def _simulate_serve(
         adaptive=params["adaptive"],
         clock=clock.now,
     )
-    atom_ladder = SizeClasses(params["plan_floor"], params["plan_growth"])
-    pair_ladder = SizeClasses(4 * params["plan_floor"], params["plan_growth"])
+    atom_ladder = SizeClasses(ladders["atom_floor"], ladders["growth"])
+    pair_ladder = SizeClasses(ladders["pair_floor"], ladders["growth"])
     buckets: "OrderedDict[Tuple[int, int], bool]" = OrderedDict()
     n_workers = int(params["n_workers"])
     free_at = [0.0] * n_workers
@@ -560,11 +547,9 @@ def tune_serve(
     included).  The score is the simulated makespan plus a weighted p99
     latency read back from the injected registry's histogram.
     """
-    if config is None:
-        from ..cli import EXAMPLE_SERVE_CONFIG
-
-        config = EXAMPLE_SERVE_CONFIG
-    sizes, workload = _workload_sizes(config, seed)
+    sizes, workload = _workload_sizes(
+        config if config is not None else EXAMPLE_SERVE_CONFIG
+    )
     n_sim = len(sizes) * max(1, int(cycles if cycles is not None else SERVE_SIM_CYCLES))
     sim_sizes = [sizes[k % len(sizes)] for k in range(n_sim)]
     rng = np.random.default_rng(seed)
@@ -605,35 +590,13 @@ def measure_serve(
     report the tuned configuration's actual throughput and by the gain
     benchmark.  Never feeds the persisted profile (wall clocks are noisy).
     """
-    import statistics
-
-    from ..cli import build_potential, build_system
-    from ..serve import Client, ForceServer
-
-    workload = dict(config.get("workload", {}))
-    specs = workload.get("systems") or [{"kind": "molecule", "n_heavy": 4}]
-    n_requests = int(workload.get("n_requests", 32))
-    wl_seed = int(workload.get("seed", 0))
-    systems = []
-    for k in range(n_requests):
-        spec = dict(specs[k % len(specs)])
-        spec.setdefault("seed", wl_seed + k)
-        systems.append(build_system(spec))
-    potential = build_potential(config.get("potential", {"kind": "lennard_jones"}))
-    serve_cfg = dict(config.get("serve", {}))
-    server = ForceServer(
-        potential,
-        n_workers=int(params.get("n_workers", serve_cfg.get("n_workers", 2))),
-        max_queue=int(serve_cfg.get("max_queue", 64)),
-        max_batch=int(params.get("max_batch", serve_cfg.get("max_batch", 8))),
-        batch_wait=float(params.get("batch_wait", serve_cfg.get("batch_wait", 2e-3))),
-        adaptive=bool(params.get("adaptive", serve_cfg.get("adaptive", True))),
-        plan_cache_opts={
-            "atom_floor": int(params.get("plan_floor", 16)),
-            "pair_floor": 4 * int(params.get("plan_floor", 16)),
-            "growth": float(params.get("plan_growth", 1.5)),
-        },
-        engine=serve_cfg.get("engine", "compiled"),
+    cfg = load_config(config)
+    systems = request_stream(cfg.workload)
+    n_requests = len(systems)
+    # Throughput of the batching/plan knobs alone: no admission policy.
+    server = build_server(
+        replace(cfg.serve, qos=None, timeout=None, **params),
+        build_potential(cfg.potential),
     )
     rates = []
     with server:
@@ -669,22 +632,16 @@ def tune_parallel(
     load-imbalance counters decide the winner.  Unverified candidates
     keep their model scores in the tried table (``verified: false``).
     """
-    from ..cli import build_potential, build_system
-    from ..parallel.driver import ParallelForceEvaluator
-    from ..parallel.perfmodel import ClusterSpec, PerfModel
-    from ..parallel.topology import ProcessGrid, _factor_triplets
-
-    cfg = config if config is not None else {}
-    system_spec = cfg.get("system", {"kind": "water", "n_grid": 3, "seed": seed})
-    potential_spec = cfg.get(
-        "potential",
-        {"kind": "lennard_jones", "epsilon": 0.8, "sigma": 1.1, "cutoff": 3.0},
-    )
-    n_ranks = int(cfg.get("parallel", {}).get("n_ranks", 8))
-    probe = build_system(system_spec)
+    # The built-in workload's system and potential stand in for whichever
+    # of the two the given config leaves out.
+    raw = {**_default_md_config(seed), **(config or {})}
+    cfg = load_config(raw)
+    system_spec, potential_spec = raw["system"], raw["potential"]
+    n_ranks = cfg.parallel.n_ranks
+    probe = build_system(cfg.system)
     if probe.cell is None:
         raise ValueError("parallel tuning needs a periodic system")
-    potential = build_potential(potential_spec)
+    potential = build_potential(cfg.potential)
     volume = float(np.prod(probe.cell.lengths))
     density = probe.n_atoms / volume
     spec = ClusterSpec()
@@ -707,7 +664,7 @@ def tune_parallel(
 
     def measure(dims: Tuple[int, int, int]) -> Tuple[float, dict]:
         registry = Registry()
-        system = build_system(system_spec)
+        system = build_system(cfg.system)
         evaluator = ParallelForceEvaluator(
             potential,
             ProcessGrid(dims, system.cell),
@@ -746,7 +703,7 @@ def tune_parallel(
     for rank, dims in enumerate(ranked):
         params = {"grid": list(dims)}
         if rank < max(top_k, 1):
-            score, metrics = protocol(params_to_dims(params))
+            score, metrics = protocol(dims)
             metrics = dict(metrics)
             metrics["verified"] = True
             metrics["model_s_per_step"] = model_score(dims)
@@ -778,11 +735,6 @@ def tune_parallel(
     }
     space_desc = {"grid": [list(d) for d in candidates]}
     return _report("parallel", result, space_desc, workload)
-
-
-def params_to_dims(params: dict) -> Tuple[int, int, int]:
-    """The grid triplet from a parallel params dict."""
-    return tuple(int(d) for d in params["grid"])
 
 
 #: target name -> tuner callable (the CLI dispatch table).

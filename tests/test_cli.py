@@ -5,7 +5,11 @@ import json
 import numpy as np
 import pytest
 
-from repro.cli import (
+from repro.cli import main
+from repro.cli.md import run_config
+from repro.cli.serve import serve_config
+from repro.cli.train import train_config
+from repro.config import (
     EXAMPLE_CONFIG,
     EXAMPLE_SERVE_CONFIG,
     EXAMPLE_TRAIN_CONFIG,
@@ -13,10 +17,6 @@ from repro.cli import (
     build_system,
     build_training_frames,
     build_training_model,
-    main,
-    run_config,
-    serve_config,
-    train_config,
 )
 
 

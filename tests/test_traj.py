@@ -16,11 +16,7 @@ import numpy as np
 import pytest
 
 from repro.md import Cell, Simulation, System
-from repro.md.analysis import (
-    _mean_squared_displacement_naive,
-    mean_squared_displacement,
-    velocity_autocorrelation,
-)
+from repro.md.analysis import mean_squared_displacement, velocity_autocorrelation
 from repro.md.observables import radial_distribution
 from repro.models import LennardJones
 from repro.resilience import TRAJ_TORN_CHUNK, CheckpointManager, FaultPlan
@@ -535,13 +531,27 @@ class TestStreaming:
             b = to_json(analyze_stream(reader, msd_window=5))
         assert a == b
 
+    @staticmethod
+    def _mean_squared_displacement_naive(frames, max_lag=None, atom_indices=None):
+        """Reference O(T·τ_max) MSD; pins the FFT path."""
+        traj = np.stack([np.asarray(f) for f in frames])  # [T, N, 3]
+        if atom_indices is not None:
+            traj = traj[:, np.asarray(atom_indices)]
+        T = len(traj)
+        max_lag = min(max_lag if max_lag is not None else T - 1, T - 1)
+        out = np.zeros(max_lag + 1)
+        for lag in range(1, max_lag + 1):
+            disp = traj[lag:] - traj[:-lag]
+            out[lag] = float((disp**2).sum(axis=-1).mean())
+        return out
+
     def test_msd_fft_equals_naive(self):
         rng = np.random.default_rng(3)
         traj = np.cumsum(rng.normal(size=(120, 5, 3)), axis=0)
         for kw in [{}, {"max_lag": 40}, {"atom_indices": np.array([0, 2, 4])}]:
             np.testing.assert_allclose(
                 mean_squared_displacement(list(traj), **kw),
-                _mean_squared_displacement_naive(list(traj), **kw),
+                self._mean_squared_displacement_naive(list(traj), **kw),
                 rtol=1e-9,
                 atol=1e-9,
             )

@@ -5,14 +5,10 @@ import json
 import numpy as np
 import pytest
 
-from repro.cli import (
-    EXAMPLE_CONFIG,
-    EXAMPLE_SERVE_CONFIG,
-    apply_profile_path,
-    build_simulation,
-    main,
-    tune_config,
-)
+from repro.cli import main
+from repro.cli.common import apply_profile_path
+from repro.cli.tune import tune_config
+from repro.config import EXAMPLE_CONFIG, EXAMPLE_SERVE_CONFIG, build_simulation
 from repro.obs.jsonio import SCHEMA_VERSION
 from repro.tune import (
     ENGINE_SPACE,
@@ -364,7 +360,7 @@ class TestSimulationKnobs:
             cfg["md"]["steps"] = 10
             cfg["md"]["skin"] = 0.6
             cfg["md"]["neighbor_every"] = neighbor_every
-            sim, _, _ = build_simulation(cfg)
+            sim = build_simulation(cfg)
             sim.run(10)
             return sim.system.positions.copy()
 

@@ -261,11 +261,11 @@ class TestControllerSet:
 
 class TestOffByDefault:
     def test_simulation_and_server_have_no_controllers(self):
-        from repro.cli import EXAMPLE_CONFIG, build_simulation
+        from repro.config import EXAMPLE_CONFIG, build_simulation
         from repro.models import LennardJones
         from repro.serve import ForceServer
 
-        sim, _, _ = build_simulation(
+        sim = build_simulation(
             {k: v for k, v in EXAMPLE_CONFIG.items() if k != "output"}
         )
         assert sim.controllers is None
@@ -273,14 +273,14 @@ class TestOffByDefault:
             assert server.controllers is None
 
     def test_simulation_recovery_reaches_controllers(self):
-        from repro.cli import build_simulation
+        from repro.config import build_simulation
 
         cfg = {
             "system": {"kind": "water", "n_grid": 2, "seed": 0},
             "potential": {"kind": "lennard_jones", "cutoff": 2.5},
             "md": {"steps": 2, "dt": 0.5, "seed": 0},
         }
-        sim, _, _ = build_simulation(cfg)
+        sim = build_simulation(cfg)
         c = KnobController(dwell=1)
         sim.controllers = ControllerSet([c]).bind(sim.obs)
         sim._pe = 0.0

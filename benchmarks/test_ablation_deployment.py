@@ -7,8 +7,12 @@ equivalent here is :meth:`Potential.inference_mode`: parameters stop
 requiring gradients (forces still flow through positions) and fused
 tensors are cached.
 
-Measured: identical energies/forces, and the force-call speedup from the
-smaller tape + cached fusion.
+Measured: identical energies/forces, and the force-call time with the
+smaller tape + cached fusion.  Since PR 19 an eager force call
+differentiates with respect to positions only, inside this context or
+outside it, so the two modes run at the same speed (it was 1.5x); what
+the context still buys is the pre-fused tensor product, which a capture
+needs.
 """
 
 import numpy as np
@@ -63,8 +67,12 @@ def test_compiled_engine_speedup(reporter):
     ``model.compile()`` freezes parameters, pre-fuses tensor-product path
     weights, captures the energy+force graph once and replays it into a
     padded buffer arena.  The contract is strict: bitwise-identical
-    energies/forces in float64, and ≥1.5× the eager force-call throughput
-    once the arena is warm.
+    energies/forces in float64, and faster than the eager force call once
+    the arena is warm.  The floor was 1.5× (measured 2.2×) while the eager
+    call also formed every weight gradient; it no longer does (13.4 ms a
+    replay against 29 ms eager became 11-14 ms against 13-18 ms), so what is
+    measured now is what the engine itself removes — allocation, tape
+    construction, constant subgraphs: 1.2-1.3×, floor 1.1×.
     """
     model = AllegroModel(small_allegro_config(seed=5))
     system = water_unit_cell(n_grid=3)
@@ -123,4 +131,4 @@ def test_compiled_engine_speedup(reporter):
     assert e1 == e0
     assert np.array_equal(f1, f0)
     # Throughput: the acceptance floor for the engine.
-    assert speedup >= 1.5, f"compiled engine only {speedup:.2f}x vs eager"
+    assert speedup >= 1.1, f"compiled engine only {speedup:.2f}x vs eager"

@@ -26,6 +26,19 @@ No kernel keeps state between calls — no scratch, no cache keyed by an
 input size: plans replay concurrently on several threads and pair counts
 change at every neighbor rebuild.
 
+Two kinds of contraction live here, with different guarantees.  *Batch-
+leading* kernels — ``matmul`` on 2-D operands and the ``einsum`` routes
+``P+a, P+b, W -> P+c`` and ``P+K, W -> P+M`` — carry the **pad-invariance
+guarantee**: row *k* of the result depends on row *k* of the batch operand
+only, never on how many rows follow it, which is what lets a plan captured
+at a padded capacity reproduce the unpadded tape bit for bit.  Contractions
+*over* the batch — ``contract_rows`` (``aᵀ @ g``, the weight gradient of a
+matmul) and the ``einsum`` route ``P+a, P+b, P+c -> abc`` (the gradient of
+a Clebsch-Gordan tensor) — sum every row into every output element, have
+no such property to protect, and go to BLAS directly.  They compute
+gradients with respect to parameters, so a captured plan (parameters
+frozen) never contains one.
+
 Static arguments holding integer index arrays (``gather``/``scatter_add``/
 fancy ``getitem``) keep a reference to the *array object* recorded at
 capture time; the engine rebinds inputs by overwriting those arrays in
@@ -373,6 +386,21 @@ def matmulk(out, a, b):
     return np.matmul(a, b, out=out) if out is not None else a @ b
 
 
+@_kernel("contract_rows")
+def contract_rowsk(out, a, g):
+    """``aᵀ @ g`` for 2-D ``a [M, K]``, ``g [M, N]``: one GEMM over all rows.
+
+    The sum runs over the batch, so no row of the result belongs to a batch
+    entry and :func:`_blocked_matmul`'s fixed-shape chunks (whose tail would
+    pad the ``K`` result rows to a full block of ``M``-long vectors) buy
+    nothing.
+    """
+    cfg = _tensor.config
+    if cfg.matmul_input_cast is not None or cfg.matmul_precision is not None:
+        return _fill(out, _cast_out(_cast_in(a).T @ _cast_in(g)))
+    return np.matmul(a.T, g, out=out)
+
+
 def _parse_einsum_spec(spec):
     if "->" not in spec or "." in spec:
         return None
@@ -385,7 +413,7 @@ def _parse_einsum_spec(spec):
 
 
 def _batched_contract(spec, operands, out):
-    """Pad-invariant fast path for batch-leading contractions.
+    """BLAS routes for the contractions a tensor-product model is made of.
 
     Recognizes the tensor-product shapes that dominate the force call —
     ``P+a, P+b, W -> P+c`` (the Clebsch-Gordan contraction against a static
@@ -393,9 +421,15 @@ def _batched_contract(spec, operands, out):
     (batched matrix multiply, the feature mixing) — and routes them through
     :func:`_blocked_matmul` on the flattened batch.  Rows of the flattened
     matmul correspond to trailing batch entries, so the result is invariant
-    to trailing padding, exactly like the 2-D matmul kernel.  The result is
-    written into ``out`` when given.  Returns None when the spec does not
-    match.
+    to trailing padding, exactly like the 2-D matmul kernel.
+
+    Also recognizes the gradient of the 3-index tensor itself,
+    ``P+a, P+b, P+c -> abc`` in any operand and output order: a reduction
+    over the whole batch, done as one outer product and one GEMM (not
+    pad-invariant, and not reachable with frozen parameters).
+
+    The result is written into ``out`` when given.  Returns None when the
+    spec does not match.
     """
     parsed = _parse_einsum_spec(spec)
     if parsed is None:
@@ -431,6 +465,28 @@ def _batched_contract(spec, operands, out):
                 out = np.empty(x.shape[:-1] + (nc,), dtype)
             np.matmul(
                 y.reshape(-1, 1, nb), t.reshape(-1, nb, nc), out=out.reshape(-1, 1, nc)
+            )
+            return out
+        if (
+            len(so) == 3
+            and len(sx) >= 2
+            and sx[:-1] == sy[:-1] == sw[:-1]
+            and sorted(so) == sorted(sx[-1] + sy[-1] + sw[-1])
+            and x.shape[:-1] == y.shape[:-1] == w.shape[:-1]
+        ):
+            # out[p,q,r] = sum_z f[z,p] (s[z,q] t[z,r]): the outer product of
+            # the two operands carrying the last two output letters, then
+            # one (p x Z)@(Z x qr) GEMM lands in the output's own layout.
+            by_letter = dict(zip(sx[-1] + sy[-1] + sw[-1], operands))
+            f, s, t = (by_letter[c] for c in so)
+            rows = math.prod(x.shape[:-1])
+            n_p, n_q, n_r = f.shape[-1], s.shape[-1], t.shape[-1]
+            outer = s.reshape(rows, n_q, 1) * t.reshape(rows, 1, n_r)
+            if out is None:
+                out = np.empty((n_p, n_q, n_r), dtype)
+            np.matmul(
+                f.reshape(rows, n_p).T, outer.reshape(rows, n_q * n_r),
+                out=out.reshape(n_p, n_q * n_r),
             )
             return out
 
@@ -491,10 +547,8 @@ def einsumk(out, *operands, spec):
 # -- indexing / assembly ------------------------------------------------------
 @_kernel("gather")
 def gatherk(out, a, idx):
-    if out is None:
-        return a[idx]
-    np.take(a, idx, axis=0, out=out)
-    return out
+    # take, not a[idx]: same rows bit for bit, several times faster.
+    return np.take(a, idx, axis=0, out=out)
 
 
 @_kernel("scatter_add")

@@ -41,10 +41,34 @@ def _matmul2(a: Tensor, b: Tensor) -> Tensor:
             ga = matmul(g, b.swapaxes(-1, -2))
             a._accumulate(_unbroadcast(ga, a.shape))
         if b._track():
-            gb = matmul(a.swapaxes(-1, -2), g)
-            b._accumulate(_unbroadcast(gb, b.shape))
+            if a.ndim == 2 and b.ndim == 2:
+                gb = _contract_rows(a, g)
+            else:
+                gb = _unbroadcast(matmul(a.swapaxes(-1, -2), g), b.shape)
+            b._accumulate(gb)
 
     return Tensor._make(K.matmulk(None, a.data, b.data), (a, b), backward, "matmul")
+
+
+def _contract_rows(a: Tensor, g: Tensor) -> Tensor:
+    """``aᵀ @ g`` for 2-D operands with the same rows: a sum over the batch.
+
+    This is the weight gradient of ``a @ w``.  It is its own op, not a
+    ``matmul`` of a transposed view, because the ``matmul`` kernel promises
+    that a result row depends on the matching row of its first operand only
+    (and pays for that with fixed-size row blocks); a contraction over the
+    rows has no such rows.  Its own gradients are batch-leading again.
+    """
+
+    def backward(r: Tensor) -> None:
+        if a._track():
+            a._accumulate(matmul(g, r.swapaxes(0, 1)))
+        if g._track():
+            g._accumulate(matmul(a, r))
+
+    return Tensor._make(
+        K.contract_rowsk(None, a.data, g.data), (a, g), backward, "contract_rows"
+    )
 
 
 def _parse_spec(spec: str, n_ops: int) -> tuple[list[str], str]:

@@ -218,7 +218,16 @@ class Tensor:
 
     # -- tape machinery ------------------------------------------------------
     def _track(self) -> bool:
-        return self.requires_grad
+        """Whether a backward closure should send this tensor a gradient.
+
+        Inside a pass restricted to ``inputs`` (:meth:`backward`,
+        :func:`grad`) that is "lies between those inputs and the output" —
+        the calling thread's target set; otherwise it is ``requires_grad``.
+        """
+        targets = getattr(_grad_state, "targets", None)
+        if targets is None:
+            return self.requires_grad
+        return id(self) in targets
 
     def _accumulate(self, grad: "Tensor") -> None:
         if self.grad is None:
@@ -245,7 +254,10 @@ class Tensor:
         return topo
 
     def backward(
-        self, grad: Optional[np.ndarray] = None, create_graph: bool = False
+        self,
+        grad: Optional[np.ndarray] = None,
+        create_graph: bool = False,
+        inputs: Optional[Sequence["Tensor"]] = None,
     ) -> None:
         """Backpropagate from this tensor, accumulating into ``.grad``.
 
@@ -256,6 +268,18 @@ class Tensor:
         create_graph:
             Record the backward computation on the tape so gradients are
             themselves differentiable (needed for force-matching losses).
+        inputs:
+            Differentiate with respect to these tensors only
+            (``torch.Tensor.backward(inputs=...)``).  A sweep over the
+            topological order marks every node that depends on one of
+            them; for the duration of the pass :meth:`_track` answers "is
+            this tensor marked", so closures never enter a branch that
+            leads elsewhere — to the weights, in a forces-only call — and
+            gradients are accumulated into ``inputs`` alone: every other
+            tensor's ``.grad`` is put back as it was.  ``requires_grad``
+            is not touched, so under ``create_graph`` the ops the closures
+            build still tape the weights.  The marks belong to the calling
+            thread and the previous ones are restored on exit.
         """
         if grad is None:
             seed = Tensor(np.ones_like(self.data))
@@ -268,16 +292,37 @@ class Tensor:
             seed = Tensor(g)
 
         topo = self._toposort()
-        ctx = contextlib.nullcontext() if create_graph else no_grad()
-        with ctx:
-            self._accumulate(seed)
-            for node in reversed(topo):
-                if node._backward is not None and node.grad is not None:
-                    node._backward(node.grad)
-                    # Free intermediate gradients to bound memory; keep leaf
-                    # gradients (parameters/positions) for the caller.
-                    if node is not self and node._parents:
-                        node.grad = None
+        if inputs is None:
+            # Keep leaf gradients (parameters/positions) and this tensor's.
+            targets, stash = None, []
+            keep = {id(n) for n in topo if not n._parents}
+            keep.add(id(self))
+        else:
+            keep = {id(t) for t in inputs}
+            targets = {id(t) for t in inputs if t.requires_grad}
+            for node in topo:
+                if any(id(p) in targets for p in node._parents):
+                    targets.add(id(node))
+            stash = [(n, n.grad) for n in topo if id(n) not in keep]
+            for n, _ in stash:
+                n.grad = None
+
+        prev = getattr(_grad_state, "targets", None)
+        _grad_state.targets = targets
+        try:
+            with contextlib.nullcontext() if create_graph else no_grad():
+                self._accumulate(seed)
+                for node in reversed(topo):
+                    if node._backward is not None and node.grad is not None:
+                        node._backward(node.grad)
+                        # Free intermediate gradients to bound memory: the
+                        # pass holds one frontier, not the whole graph.
+                        if id(node) not in keep:
+                            node.grad = None
+        finally:
+            _grad_state.targets = prev
+            for n, old in stash:
+                n.grad = old
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -589,36 +634,22 @@ def grad(
 ) -> List[Tensor]:
     """Functional gradients of ``output`` w.r.t. ``inputs`` (torch.autograd.grad).
 
-    Does **not** pollute ``.grad`` fields: gradients accumulated during the
-    pass are collected for ``inputs`` and cleared everywhere else, and any
-    pre-existing ``.grad`` values are restored.  With ``create_graph=True``
-    the returned tensors carry their own tape, so a loss built from them
-    (e.g. force MSE) backpropagates into model weights.
+    ``output.backward(seed, create_graph, inputs=inputs)`` with the result
+    handed back instead of left in ``.grad``: only what lies between
+    ``inputs`` and ``output`` is differentiated, and no ``.grad`` field is
+    changed — those of ``inputs`` are restored too.  With
+    ``create_graph=True`` the returned tensors carry their own tape, so a
+    loss built from them (e.g. force MSE) backpropagates into the model
+    weights.  An input ``output`` does not depend on gets zeros.
     """
-    topo = output._toposort()
-    stash = [(n, n.grad) for n in topo]
-    for n in topo:
-        n.grad = None
-
-    if seed is None:
-        seed_t = Tensor(np.ones_like(output.data))
-    else:
-        seed_t = Tensor(np.asarray(seed, dtype=output.data.dtype))
-
-    ctx = contextlib.nullcontext() if create_graph else no_grad()
-    with ctx:
-        output._accumulate(seed_t)
-        for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
-                node._backward(node.grad)
-
-    results: List[Tensor] = []
-    for inp in inputs:
-        if inp.grad is None:
-            results.append(Tensor(np.zeros_like(inp.data)))
-        else:
-            results.append(inp.grad)
-
-    for n, old in stash:
-        n.grad = old
-    return results
+    saved = [t.grad for t in inputs]
+    for t in inputs:
+        t.grad = None
+    try:
+        output.backward(seed, create_graph=create_graph, inputs=inputs)
+        return [
+            Tensor(np.zeros_like(t.data)) if t.grad is None else t.grad for t in inputs
+        ]
+    finally:
+        for t, old in zip(reversed(inputs), reversed(saved)):
+            t.grad = old

@@ -301,9 +301,7 @@ class CompiledPotential:
         if nl.n_edges == 0:
             # Degenerate graph: delegate to the eager path (shape-special
             # cases like per-model empty returns are not worth capturing).
-            pos = ad.Tensor(positions, requires_grad=True)
-            e_atoms = self.potential.atomic_energies(pos, species, nl)
-            return e_atoms.data, np.zeros((n, 3))
+            return self.potential.evaluate(positions, species, nl, n_active)
 
         inputs = self.potential.graph_inputs(species, nl)
         n_edges = int(nl.n_edges)
@@ -354,18 +352,7 @@ class CompiledPotential:
             # Invalidate so later calls do not keep replaying a bad plan.
             self.invalidate()
             self._c_eager_fallbacks.inc()
-            return self._evaluate_eager(positions, species, nl, n_act)
-
-    def _evaluate_eager(self, positions, species, nl, n_act):
-        """Last-resort eager evaluation on the underlying potential."""
-        pos = ad.Tensor(np.asarray(positions, dtype=np.float64), requires_grad=True)
-        e_atoms = self.potential.atomic_energies(pos, species, nl)
-        n = int(np.asarray(species).shape[0])
-        e_seed = e_atoms[:n_act].sum() if n_act < n else e_atoms.sum()
-        e_seed.backward()
-        grad = pos.grad
-        forces = -grad.data if grad is not None else np.zeros((n, 3))
-        return np.asarray(e_atoms.data, dtype=np.float64).copy(), forces
+            return self.potential.evaluate(positions, species, nl, n_act)
 
     def _checkout(self, n, n_edges, positions, species, inputs, n_act) -> _EvalState:
         """Acquire a private evaluation state fitting (n, n_edges).

@@ -145,6 +145,29 @@ class Potential(Module):
         """Scalar total energy; the final sum stays in float64."""
         return self.atomic_energies(positions, species, nl).sum()
 
+    def evaluate(
+        self,
+        positions: np.ndarray,
+        species: np.ndarray,
+        nl: NeighborList,
+        n_active: Optional[int] = None,
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Per-atom energies [N] and forces [N,3] on the eager tape.
+
+        The signature of :meth:`repro.engine.CompiledPotential.evaluate`:
+        ``n_active`` restricts the differentiated energy to the first atoms
+        (a shard's owners; the gradient on the remaining rows is then the
+        halo force contribution), default all.  Only the gradient with
+        respect to positions is formed (:func:`repro.autodiff.grad`); a
+        graph with no geometric dependence — an empty neighbor list — gives
+        zero forces.
+        """
+        pos = ad.Tensor(positions, requires_grad=True)
+        e_atoms = self.atomic_energies(pos, species, nl)
+        e_seed = e_atoms if n_active is None else e_atoms[:n_active]
+        (gpos,) = ad.grad(e_seed.sum(), [pos])
+        return e_atoms.data, -gpos.data
+
     def energy_and_forces(
         self,
         system: System,
@@ -153,23 +176,20 @@ class Potential(Module):
         """Convenience numpy API: (E [eV], F [N,3] eV/Å) for a system."""
         if nl is None:
             nl = neighbor_list(system, self.cutoff)
-        pos = ad.Tensor(system.positions, requires_grad=True)
-        energy = self.total_energy(pos, system.species, nl)
-        energy.backward()
-        # A graph with no geometric dependence (e.g. empty neighbor list)
-        # leaves no gradient; forces are then exactly zero.
-        forces = -pos.grad.data if pos.grad is not None else np.zeros_like(pos.data)
-        return float(energy.data), forces
+        e_atoms, forces = self.evaluate(system.positions, system.species, nl)
+        return float(e_atoms.sum()), forces
 
     @contextlib.contextmanager
     def inference_mode(self) -> Iterator[None]:
         """Deployment context: parameters stop requiring gradients.
 
-        Forces still flow (positions keep their tape), but the backward
-        graph no longer extends into the weights — the same effect as
-        deploying a compiled TorchScript model in pair_allegro: smaller
-        tape, faster force evaluation, identical numbers.  Tensor products
-        additionally pre-fuse their path weights.
+        Used to capture a plan: the tape (and so the recorded graph) no
+        longer extends into the weights, and tensor products pre-fuse their
+        path weights into one Clebsch-Gordan tensor — the same effect as
+        deploying a compiled TorchScript model in pair_allegro.  Numbers are
+        identical.  It is not needed to make an eager force call cheap:
+        :meth:`evaluate` never differentiates with respect to the weights,
+        inside this context or outside it.
         """
         params = self.parameters()
         old = [p.requires_grad for p in params]
@@ -200,8 +220,5 @@ class Potential(Module):
         intra-structure; a single backward pass yields every force because
         the structures are independent.
         """
-        pos = ad.Tensor(positions, requires_grad=True)
-        e_atoms = self.atomic_energies(pos, species, nl)
-        e_struct = ad.scatter_add(e_atoms, batch_index, n_structures)
-        e_struct.sum().backward()
-        return e_struct.data.copy(), -pos.grad.data
+        e_atoms, forces = self.evaluate(positions, species, nl)
+        return np.bincount(batch_index, e_atoms, n_structures), forces

@@ -38,7 +38,6 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .. import autodiff as ad
 from ..md.neighborlist import filter_by_pair_cutoffs, pruning_cutoffs
 from ..md.simulation import Simulation, _copy_or_none
 from ..md.system import System
@@ -262,33 +261,24 @@ class ParallelForceEvaluator:
                     ghost_blocks.append(np.zeros((shard.n_ghost, 3)))
                     continue
                 t_rank = MONOTONIC() if timed else 0.0
+                evaluator = self.potential
                 if self.engine == "compiled":
-                    cp = self._compiled.get(shard.rank)
-                    if cp is None:
+                    evaluator = self._compiled.get(shard.rank)
+                    if evaluator is None:
                         from ..engine import CompiledPotential
 
-                        cp = CompiledPotential(
+                        evaluator = self._compiled[shard.rank] = CompiledPotential(
                             self.potential,
                             registry=self.obs,
                             labels={"rank": str(shard.rank)},
                         )
-                        self._compiled[shard.rank] = cp
-                    # n_active masks the energy seed to owned-center rows, the
-                    # compiled analogue of e_atoms[:n_owned].sum(); gradients
-                    # on ghost rows are exactly the halo force contributions.
-                    e_atoms, local_f = cp.evaluate(
-                        shard.positions, shard.species, shard.nl, n_active=shard.n_owned
-                    )
-                    energy += float(np.sum(e_atoms[: shard.n_owned]))
-                else:
-                    pos = ad.Tensor(shard.positions, requires_grad=True)
-                    e_atoms = self.potential.atomic_energies(
-                        pos, shard.species, shard.nl
-                    )
-                    e_owned = e_atoms[: shard.n_owned].sum()
-                    e_owned.backward()
-                    local_f = -pos.grad.data
-                    energy += float(e_owned.data)
+                # n_active restricts the differentiated energy to owned-center
+                # rows; gradients on ghost rows are exactly the halo force
+                # contributions.
+                e_atoms, local_f = evaluator.evaluate(
+                    shard.positions, shard.species, shard.nl, n_active=shard.n_owned
+                )
+                energy += float(np.sum(e_atoms[: shard.n_owned]))
                 if timed:
                     self._rank_hist(shard.rank).observe(MONOTONIC() - t_rank)
                 forces[shard.owned_ids] += local_f[: shard.n_owned]

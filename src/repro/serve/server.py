@@ -57,7 +57,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .. import autodiff as ad
 from ..health import HealthMonitor
 from ..md.neighborlist import neighbor_list
 from ..obs import OCCUPANCY_BUCKETS, Registry, span
@@ -829,12 +828,8 @@ class ForceServer:
                 self.metrics.counter("plan_captures").inc(captured)
                 self.metrics.counter("plan_replays").inc(1 - captured)
             else:
-                pos_t = ad.Tensor(positions, requires_grad=True)
-                e_atoms = potential.atomic_energies(pos_t, species, nl_cat)
-                e_atoms.sum().backward()
-                grad = pos_t.grad
-                forces = -grad.data if grad is not None else np.zeros_like(positions)
-                split = self._split(e_atoms.data, forces, offsets)
+                e_atoms, forces = potential.evaluate(positions, species, nl_cat)
+                split = self._split(e_atoms, forces, offsets)
             for i, result in zip(dense, split):
                 results[i] = result
         for (e, f) in results:

@@ -135,3 +135,66 @@ def test_force_loss_gradient_drives_descent(rng):
         loss.backward()
         w.data -= 0.5 * w.grad.data
     assert losses[-1] < losses[0] * 0.9, losses
+
+
+def _force_norm_param_grads(params, energy, x0):
+    """Analytic and finite-difference ∂/∂θ ‖∂E/∂x‖² for every θ in ``params``.
+
+    The inner gradient is taken with ``ad.grad(..., create_graph=True)``,
+    which differentiates with respect to ``x`` only; the second-order terms
+    into the parameters must survive that pruning exactly.
+    """
+
+    def force_norm(create_graph):
+        x = ad.Tensor(x0, requires_grad=True)
+        (gx,) = ad.grad(energy(x), [x], create_graph=create_graph)
+        return (gx * gx).sum()
+
+    for p in params:
+        p.zero_grad()
+    force_norm(True).backward()
+    pairs = []
+    for p in params:
+        num = np.zeros_like(p.data)
+        for ix in np.ndindex(p.data.shape):
+            orig = p.data[ix]
+            vals = []
+            for s in (1e-6, -1e-6):
+                p.data[ix] = orig + s
+                vals.append(float(force_norm(False).data))
+            p.data[ix] = orig
+            num[ix] = (vals[0] - vals[1]) / 2e-6
+        ana = p.grad_data()
+        pairs.append((np.zeros_like(num) if ana is None else ana, num))
+    return pairs
+
+
+def test_double_backprop_through_fused_tensor_product_path_weights(rng):
+    """Trainable path weights: W = Σ_p w_p·B_p is rebuilt on the tape."""
+    from repro.equivariant import FusedTensorProduct, StridedLayout
+
+    tp = FusedTensorProduct(StridedLayout.spherical(1, mul=2), StridedLayout.spherical(1, mul=2))
+    tp.weights.tensor.data = rng.normal(size=tp.num_paths)
+    y0 = ad.Tensor(rng.normal(size=(5, 2, tp.layout2.dim)))
+    x0 = rng.normal(size=(5, 2, tp.layout1.dim))
+
+    def energy(x):
+        out = tp(x, y0 * x.sum(axis=-1, keepdims=True))
+        return (out * out).sum()
+
+    ((ana, num),) = _force_norm_param_grads(tp.parameters(), energy, x0)
+    assert np.abs(num).max() > 1e-3
+    assert np.allclose(ana, num, atol=1e-4, rtol=1e-4), np.abs(ana - num).max()
+
+
+def test_double_backprop_through_mlp(rng):
+    from repro.nn import MLP
+
+    mlp = MLP([3, 5, 4, 1], bias=True, rng=rng)
+    x0 = rng.normal(size=(6, 3))
+    pairs = _force_norm_param_grads(mlp.parameters(), lambda x: mlp(x).sum(), x0)
+    assert len(pairs) == 6
+    # the output bias does not reach ∂E/∂x: its gradient is zero both ways
+    assert [bool(np.abs(num).max() > 1e-6) for _, num in pairs] == [True] * 5 + [False]
+    for ana, num in pairs:
+        assert np.allclose(ana, num, atol=1e-4, rtol=1e-4), np.abs(ana - num).max()

@@ -7,8 +7,14 @@ bitwise where the arithmetic is unchanged (scatter, put, logistic), within a
 tolerance fixed beforehand from the dtype where the summation order changed
 (the three-operand tensor-product contraction) — and that the contraction
 stays invariant to trailing pad rows, which is what lets a padded plan equal
-the unpadded tape.
+the unpadded tape.  The contractions *over* the batch (the gradient of the
+Clebsch-Gordan tensor, the weight gradient of a matmul) have no pad rows to
+ignore; they are pinned to ``np.einsum`` / ``a.T @ g`` within a dtype
+tolerance, and a sentinel at the end checks that a training step reaches
+neither a large fallback ``einsum`` nor a padded small matmul.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -226,6 +232,228 @@ class TestBatchedContract:
         assert_bitwise(out, K.einsumk(None, x, w, spec="znl,ld->znd"))
 
 
+def assert_close_relative(res, ref, dtype):
+    """Norm-wise relative error within 1e-12 (float64) / 1e-5 (float32)."""
+    tol = 1e-12 if np.dtype(dtype) == np.float64 else 1e-5
+    scale = max(float(np.abs(ref).max(initial=0.0)), np.finfo(np.float64).tiny)
+    assert res.shape == ref.shape and res.dtype == np.dtype(dtype)
+    assert float(np.abs(res - ref).max(initial=0.0)) <= tol * scale
+
+
+class TestFullReduction:
+    """``P+a, P+b, P+c -> abc``: the gradient of the Clebsch-Gordan tensor."""
+
+    @given(
+        st.lists(st.integers(0, 40), min_size=1, max_size=2),
+        st.tuples(*[st.integers(1, 16)] * 3),
+        st.permutations("abc"),
+        st.permutations("abc"),
+        st.sampled_from([np.float32, np.float64]),
+        st.booleans(),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_matches_einsum(self, prefix, sizes, in_order, out_order, dtype,
+                            with_out, seed):
+        rng = np.random.default_rng(seed)
+        p = "zu"[: len(prefix)]
+        dims = dict(zip("abc", sizes))
+        spec = ",".join(p + c for c in in_order) + "->" + "".join(out_order)
+        ops = [rng.normal(size=prefix + [dims[c]]).astype(dtype) for c in in_order]
+        out = None
+        if with_out:
+            out = np.full([dims[c] for c in out_order], np.nan, dtype)
+        res = K._batched_contract(spec, ops, out)
+        assert res is not None and (out is None or res is out)
+        ref = np.einsum(spec, *[o.astype(np.float64) for o in ops])
+        assert_close_relative(res, ref.astype(dtype), dtype)
+        assert_bitwise(res, K.einsumk(None, *ops, spec=spec))
+
+    def test_the_three_specs_training_emits(self):
+        rng = np.random.default_rng(0)
+        x, y, g = (rng.normal(size=(50, 4, 9)) for _ in range(3))
+        for spec in ("zuc,zua,zub->abc", "zua,zuc,zub->abc", "zub,zuc,zua->abc"):
+            res = K._batched_contract(spec, [g, x, y], None)
+            assert_close_relative(res, np.einsum(spec, g, x, y), np.float64)
+
+    @pytest.mark.parametrize(
+        "spec, shapes",
+        [
+            # a prefix letter survives into the output: not a full reduction
+            ("zua,zub,zuc->uab", [(6, 4, 3)] * 3),
+            # repeated trailing letter
+            ("zua,zua,zub->ab", [(6, 4, 3)] * 3),
+            # two operands only
+            ("zua,zub->ab", [(6, 4, 3)] * 2),
+            # prefixes differ
+            ("zua,zub,zc->abc", [(6, 4, 3), (6, 4, 3), (6, 3)]),
+            # np.einsum would broadcast the size-1 axis; reshape would not
+            ("zua,zub,zuc->abc", [(6, 4, 3), (6, 1, 3), (6, 4, 3)]),
+            # mixed dtypes
+            ("za,zb,zc->abc", [(6, 3)] * 3),
+        ],
+    )
+    def test_specs_that_must_not_match_fall_through(self, spec, shapes):
+        rng = np.random.default_rng(1)
+        ops = [rng.normal(size=s) for s in shapes]
+        if spec == "za,zb,zc->abc":
+            ops[0] = ops[0].astype(np.float32)
+        assert K._batched_contract(spec, ops, None) is None
+        assert_bitwise(K.einsumk(None, *ops, spec=spec), np.einsum(spec, *ops))
+
+    def test_older_routes_still_taken(self, monkeypatch):
+        """The batch-leading specs keep going through the blocked matmul."""
+        calls = []
+        real = K._blocked_matmul
+        monkeypatch.setattr(
+            K, "_blocked_matmul", lambda a, b, out: calls.append(a.shape) or real(a, b, out)
+        )
+        rng = np.random.default_rng(2)
+        x, y, w = rng.normal(size=(7, 4, 9)), rng.normal(size=(7, 4, 5)), rng.normal(size=(9, 5, 7))
+        K.einsumk(None, x, y, w, spec="zua,zub,abc->zuc")
+        K.einsumk(None, x, rng.normal(size=(9, 3)), spec="zud,dl->zul")
+        assert calls == [(28, 9), (28, 9)]
+        K.einsumk(None, x, x, x, spec="zua,zub,zuc->abc")
+        assert len(calls) == 2
+
+    def test_gradient_of_cg_tensor_uses_it(self):
+        """ad.einsum's backward for W builds exactly this spec."""
+        rng = np.random.default_rng(3)
+        x = ad.Tensor(rng.normal(size=(30, 4, 9)))
+        y = ad.Tensor(rng.normal(size=(30, 4, 9)))
+        w = ad.Tensor(rng.normal(size=(9, 9, 9)), requires_grad=True)
+        rec = ad.Recorder()
+        with ad.recording(rec):
+            ad.einsum("zua,zub,abc->zuc", x, y, w).sum().backward()
+        specs = [static["spec"] for _, op, _, static in rec.entries if op == "einsum"]
+        assert specs == ["zua,zub,abc->zuc", "zuc,zua,zub->abc"]
+        ref = np.einsum("zua,zub->ab", x.data, y.data)[:, :, None] * np.ones(9)
+        assert_close_relative(w.grad.data, ref, np.float64)
+
+
+class TestContractRows:
+    """``aᵀ @ g``: the weight gradient of a 2-D matmul, as its own op."""
+
+    @given(
+        st.integers(0, 400),
+        st.integers(1, 40),
+        st.integers(1, 40),
+        st.sampled_from([np.float32, np.float64]),
+        st.booleans(),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_kernel_matches_transposed_product(self, m, k, n, dtype, with_out, seed):
+        rng = np.random.default_rng(seed)
+        a = rng.normal(size=(m, k)).astype(dtype)
+        g = rng.normal(size=(m, n)).astype(dtype)
+        out = np.full((k, n), np.nan, dtype) if with_out else None
+        res = K.contract_rowsk(out, a, g)
+        assert out is None or res is out
+        ref = a.astype(np.float64).T @ g.astype(np.float64)
+        assert_close_relative(res, ref.astype(dtype), dtype)
+
+    def test_precision_hooks_apply_as_for_matmul(self):
+        rng = np.random.default_rng(4)
+        a, g = rng.normal(size=(20, 3)), rng.normal(size=(20, 2))
+        ad.config.matmul_precision = lambda r: r.astype(np.float32).astype(np.float64)
+        try:
+            res = K.contract_rowsk(None, a, g)
+        finally:
+            ad.config.matmul_precision = None
+        np.testing.assert_array_equal(res, (a.T @ g).astype(np.float32).astype(np.float64))
+
+    def test_matmul_backward_emits_it_and_skips_the_tail_pad(self, monkeypatch):
+        tails = []
+        real = K._blocked_matmul
+
+        def counting(a, b, out):
+            if a.shape[0] % K._MM_BLOCK:
+                tails.append(a.shape)
+            return real(a, b, out)
+
+        monkeypatch.setattr(K, "_blocked_matmul", counting)
+        rng = np.random.default_rng(5)
+        x = ad.Tensor(rng.normal(size=(256, 24)), requires_grad=True)
+        w = ad.Tensor(rng.normal(size=(24, 12)), requires_grad=True)
+        seed = rng.normal(size=(256, 12))
+        rec = ad.Recorder()
+        with ad.recording(rec):
+            (x @ w).backward(seed)
+        assert [op for _, op, _, _ in rec.entries] == [
+            "matmul", "transpose", "matmul", "contract_rows"]
+        assert tails == []  # 256 rows: two full blocks, and no [24, 256] pad
+        assert_close_relative(w.grad.data, x.data.T @ seed, np.float64)
+        assert_close_relative(x.grad.data, seed @ w.data.T, np.float64)
+
+    def test_batched_operands_keep_the_matmul_route(self):
+        rng = np.random.default_rng(6)
+        a = ad.Tensor(rng.normal(size=(5, 7, 3)))
+        w = ad.Tensor(rng.normal(size=(3, 2)), requires_grad=True)
+        rec = ad.Recorder()
+        with ad.recording(rec):
+            (a @ w).sum().backward()
+        assert "contract_rows" not in [op for _, op, _, _ in rec.entries]
+        ref = np.einsum("bmk,bmn->kn", a.data, np.ones((5, 7, 2)))
+        assert_close_relative(w.grad.data, ref, np.float64)
+
+    def test_first_and_second_derivatives_gradcheck(self):
+        from repro.autodiff.linalg import _contract_rows
+
+        rng = np.random.default_rng(7)
+        ad.gradcheck(_contract_rows, [rng.normal(size=(6, 3)), rng.normal(size=(6, 4))])
+        v = ad.Tensor(rng.normal(size=(4, 1)))
+
+        def tracked(t):  # the numerical pass hands in plain tensors
+            return t if t.requires_grad else ad.Tensor(t.data, requires_grad=True)
+
+        def weight_grad_norm(x, w):
+            """‖∂E/∂w‖² for E = Σ silu(x w) v: differentiates contract_rows."""
+            x, w = tracked(x), tracked(w)
+            (gw,) = ad.grad((ad.silu(x @ w) @ v).sum(), [w], create_graph=True)
+            return (gw * gw).sum()
+
+        ad.gradcheck(weight_grad_norm, [rng.normal(size=(6, 3)), rng.normal(size=(3, 4))])
+
+
+class TestGather:
+    """One gather for eager and replay: ``np.take`` on both sides."""
+
+    @given(
+        st.integers(1, 30),
+        st.sampled_from([(), (3,), (2, 3)]),
+        st.sampled_from([(0,), (17,), (4, 5), (2, 1, 3)]),
+        st.sampled_from([np.int64, np.int32]),
+        st.booleans(),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_bitwise_equals_fancy_index(self, n_rows, trailing, idx_shape, idx_dtype,
+                                        with_out, seed):
+        rng = np.random.default_rng(seed)
+        a = rng.normal(size=(n_rows,) + trailing)
+        a.flat[:: 3] = rng.choice(SPECIAL, size=a.flat[:: 3].shape)
+        # negative entries count from the end, as in a[idx]
+        idx = rng.integers(-n_rows, n_rows, size=idx_shape).astype(idx_dtype)
+        out = np.full(idx_shape + trailing, np.nan) if with_out else None
+        res = K.gatherk(out, a, idx)
+        assert out is None or res is out
+        assert_bitwise(res, a[idx])
+        if not with_out:
+            assert not np.shares_memory(res, a)
+
+    def test_out_of_range_raises_on_both_sides(self):
+        a = np.zeros((3, 2))
+        for out in (None, np.zeros((1, 2))):
+            with pytest.raises(IndexError):
+                K.gatherk(out, a, np.array([3]))
+
+    def test_op_forward_with_negative_and_2d_index(self):
+        x = np.arange(12.0).reshape(4, 3)
+        idx = np.array([[0, -1], [2, -4]])
+        np.testing.assert_array_equal(ad.gather(x, idx).data, x[idx])
+
+
 class TestAliasKernelsHonorOut:
     """Given a buffer, even a view op must leave its result in the buffer."""
 
@@ -237,3 +465,66 @@ class TestAliasKernelsHonorOut:
         cell = np.full((), np.nan)
         assert K.slice_(cell, a, (1, 2)) is cell
         assert float(cell) == a[1, 2]
+
+
+class TestTrainingStepStaysOffTheSlowRoutes:
+    """Sentinel: one Allegro ℓmax=2 training step, slow routes counted.
+
+    ``np.einsum`` is reached only as the fallback of ``einsumk``; what is
+    left there must be small (the ℓ ≤ 2 spherical-harmonic recursion and
+    the per-channel scalings, < 10⁵ multiply-adds on one 81-atom frame).
+    ``_blocked_matmul`` pads its last row block to 128 rows; a call whose
+    operand has fewer than 64 rows altogether is a weight gradient (layer
+    width × edges) that should have been a ``contract_rows``.
+    """
+
+    def test_no_large_fallback_einsum_and_no_small_padded_matmul(self, monkeypatch):
+        from repro.data import label_frames, perturbed_water_frames
+        from repro.models import AllegroConfig, AllegroModel
+        from repro.nn import TrainConfig, Trainer
+
+        frames = label_frames(perturbed_water_frames(1, seed=5, sigma=0.05, n_grid=3))
+        model = AllegroModel(
+            AllegroConfig(
+                n_species=4, lmax=2, n_tensor=4, n_layers=2, latent_dim=24,
+                two_body_hidden=(24,), latent_hidden=(32,), edge_energy_hidden=(16,),
+                r_cut=3.5, avg_num_neighbors=14.0, seed=0,
+            )
+        )
+        trainer = Trainer(model, frames, config=TrainConfig(lr=5e-3, batch_size=1, seed=0))
+
+        fallbacks, small_tails, routed = [], [], []
+        real_einsum, real_blocked, real_contract = (
+            np.einsum, K._blocked_matmul, K._batched_contract)
+
+        def einsum(spec, *ops, **kw):
+            sizes = {}
+            for sub, op in zip(spec.split("->")[0].split(","), ops):
+                sizes.update(zip(sub, np.shape(op)))
+            fallbacks.append((spec, math.prod(sizes.values())))
+            return real_einsum(spec, *ops, **kw)
+
+        def blocked(a, b, out):
+            if a.shape[0] < K._MM_BLOCK // 2:
+                small_tails.append((a.shape, b.shape))
+            return real_blocked(a, b, out)
+
+        def contract(spec, operands, out):
+            res = real_contract(spec, operands, out)
+            if res is not None:
+                routed.append(spec)
+            return res
+
+        monkeypatch.setattr(np, "einsum", einsum)
+        monkeypatch.setattr(K, "_blocked_matmul", blocked)
+        monkeypatch.setattr(K, "_batched_contract", contract)
+        trainer.fit(epochs=1)
+        monkeypatch.undo()
+
+        assert fallbacks, "the wrapper saw no einsum: the sentinel is not wired in"
+        assert max(n for _, n in fallbacks) <= 10**5, sorted(set(fallbacks))
+        assert small_tails == []
+        # ... because the work went where it was meant to go
+        for spec in ("zuc,zua,zub->abc", "zua,zuc,zub->abc", "zub,zuc,zua->abc"):
+            assert spec in routed
+        assert np.isfinite(trainer.history[-1].train_loss)

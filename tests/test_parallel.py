@@ -154,6 +154,23 @@ class TestDecompositionExactness:
         assert E_p == pytest.approx(E_s, rel=1e-9)
         assert np.abs(F_p - F_s).max() < 1e-8
 
+    @pytest.mark.parametrize("n_ranks", [2, 4])
+    @pytest.mark.parametrize("engine", ["eager", "compiled"])
+    def test_rank_with_atoms_but_no_pairs(self, n_ranks, engine):
+        """A dilute gas: every rank owns atoms, none has a pair in range."""
+        pos = np.array([[2.0, 2, 2], [12, 2, 2], [2, 12, 12], [12, 12, 2]])
+        gas = System(pos, np.zeros(4, int), Cell.cubic(20.0))
+        lj = LennardJones(epsilon=0.05, sigma=1.5, cutoff=3.0)
+        E_s, F_s = lj.energy_and_forces(gas)
+        grid = ProcessGrid.create(n_ranks, gas.cell)
+        E_p, F_p, stats = ParallelForceEvaluator(lj, grid, engine=engine).compute(
+            gas.copy()
+        )
+        assert stats.n_edges.sum() == 0 and (stats.n_owned > 0).sum() >= 2
+        assert E_p == E_s == 0.0
+        assert np.array_equal(F_p, np.zeros((4, 3)))
+        assert np.array_equal(F_p, F_s)
+
     def test_ghosts_only_within_halo(self, rng):
         system, lj = _lj_system(rng)
         grid = ProcessGrid.create(8, system.cell)

@@ -131,3 +131,42 @@ class TestBatching:
         n_comp = [f.forces.size for f in frames[:2]]
         expected = (losses1[0] * n_comp[0] + losses1[1] * n_comp[1]) / sum(n_comp)
         assert loss2 == pytest.approx(expected, rel=1e-10)
+
+
+class TestContractionRoutesDoNotMoveTraining:
+    """Parameter-gradient contractions on BLAS vs the routes they replaced.
+
+    The reference run declines every ``_batched_contract`` pattern (so each
+    einsum is ``c_einsum``'s) and sends the matmul weight gradient back
+    through the blocked ``matmul`` kernel — a test-side patch; ``src/`` has
+    no switch.  Only summation order differs, so three epochs of Adam must
+    land on the same parameters to 1e-9.
+    """
+
+    @pytest.mark.parametrize("family", ["allegro", "classical"])
+    def test_parameters_after_three_epochs(self, family, frames, monkeypatch):
+        from repro.autodiff import kernels as K
+
+        def train():
+            model = (
+                tiny_allegro() if family == "allegro"
+                else ClassicalForceField(ClassicalConfig(n_species=4, r_cut=3.5))
+            )
+            tr = Trainer(model, frames[:6], frames[6:8],
+                         TrainConfig(lr=5e-3, batch_size=3, seed=2))
+            hist = tr.fit(epochs=3)
+            return [p.data.copy() for p in model.parameters()], hist
+
+        params, hist = train()
+        monkeypatch.setattr(K, "_batched_contract", lambda spec, operands, out: None)
+        monkeypatch.setattr(K, "contract_rowsk", lambda out, a, g: K.matmulk(out, a.T, g))
+        ref_params, ref_hist = train()
+        monkeypatch.undo()
+
+        assert len(params) == len(ref_params) > 0
+        for p, ref in zip(params, ref_params):
+            scale = max(float(np.abs(ref).max()), 1e-300)
+            assert np.abs(p - ref).max() <= 1e-9 * scale
+        for h, ref in zip(hist, ref_hist):
+            assert h.train_loss == pytest.approx(ref.train_loss, rel=1e-9)
+            assert h.val_force_rmse == pytest.approx(ref.val_force_rmse, rel=1e-9)

@@ -298,6 +298,7 @@ class Tensor:
             keep = {id(n) for n in topo if not n._parents}
             keep.add(id(self))
         else:
+            inputs = list(inputs)
             keep = {id(t) for t in inputs}
             targets = {id(t) for t in inputs if t.requires_grad}
             for node in topo:
@@ -642,6 +643,9 @@ def grad(
     loss built from them (e.g. force MSE) backpropagates into the model
     weights.  An input ``output`` does not depend on gets zeros.
     """
+    inputs = list(inputs)
+    if seed is not None:
+        seed = np.broadcast_to(seed, output.shape)
     saved = [t.grad for t in inputs]
     for t in inputs:
         t.grad = None

@@ -50,7 +50,6 @@ KERNEL_CLASSES = (
 
 _CLASS_OF_OP = {
     "matmul": "matmul",
-    "contract_rows": "matmul",
     "sigmoid": "activation",
     "tanh": "activation",
     "softplus": "activation",

@@ -222,15 +222,24 @@ class FaultyPotential:
     def atomic_energies(self, positions, species, nl):
         return self.potential.atomic_energies(positions, species, nl)
 
+    def evaluate(self, positions, species, nl, n_active=None):
+        """The eager force call of the parallel and serve paths, corrupted
+        on the same schedule (``"inf"`` poisons every per-atom energy)."""
+        return self._corrupt(
+            *self.potential.evaluate(positions, species, nl, n_active)
+        )
+
     def energy_and_forces(self, system, nl=None):
-        energy, forces = self.potential.energy_and_forces(system, nl)
+        return self._corrupt(*self.potential.energy_and_forces(system, nl))
+
+    def _corrupt(self, energy, forces):
         if self.plan.fires(self.channel):
-            forces = np.array(forces, copy=True)
             if self.mode == "nan":
+                forces = np.array(forces, copy=True)
                 if forces.size:
                     forces[0, 0] = np.nan
             else:
-                energy = float("inf")
+                energy = energy + float("inf")
         return energy, forces
 
 

@@ -141,6 +141,17 @@ class TestRandomGraphs:
         (gx,) = ad.grad(y, [x], seed=np.array([1.0, 2.0, 3.0]))
         np.testing.assert_array_equal(gx.data, [2.0, 4.0, 6.0])
 
+    def test_inputs_may_be_any_iterable_and_the_seed_broadcasts(self):
+        x = ad.Tensor(np.arange(3.0), requires_grad=True)
+        w = ad.Tensor(np.full(3, 2.0), requires_grad=True)
+        y = x * w
+        gx, gw = ad.grad(y, (t for t in (x, w)), seed=2.0)
+        np.testing.assert_array_equal(gx.data, 2.0 * w.data)
+        np.testing.assert_array_equal(gw.data, 2.0 * x.data)
+        y.backward(inputs=iter([x]))
+        np.testing.assert_array_equal(x.grad.data, w.data)
+        assert w.grad is None
+
     def test_requires_grad_is_not_flipped_so_create_graph_reaches_the_weights(self):
         rng = np.random.default_rng(1)
         x = ad.Tensor(rng.normal(size=(4, 3)), requires_grad=True)

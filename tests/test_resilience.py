@@ -537,6 +537,30 @@ class TestParallelFaults:
             ev.compute(s)
         assert ev.resilience_stats()["n_failures"] == 4  # initial + 3 retries
 
+    def test_faulty_potential_on_the_parallel_eager_path(self):
+        """The eager rank loop calls ``potential.evaluate``; the wrapper
+        proxies it, clean when the plan is silent and poisoned on schedule
+        (one draw per shard: 4 ranks, so draw 4 is the second call)."""
+        s, lj = _parallel_system()
+        grid = ProcessGrid.create(4, s.cell)
+        e_ref, f_ref, _ = ParallelForceEvaluator(lj, grid).compute(s)
+        plan = FaultPlan(at={POTENTIAL_CORRUPT: [4]})
+        ev = ParallelForceEvaluator(FaultyPotential(lj, plan, mode="nan"), grid)
+        e, f, _ = ev.compute(s)
+        assert e == e_ref
+        np.testing.assert_array_equal(f, f_ref)
+        _, f_bad, _ = ev.compute(s)
+        assert np.isnan(f_bad).any()
+        assert plan.draws(POTENTIAL_CORRUPT) == 8
+
+        s.seed_velocities(30.0, np.random.default_rng(12))
+        plan = FaultPlan(at={POTENTIAL_CORRUPT: [9]})
+        sim = ParallelSimulation(
+            s, FaultyPotential(lj, plan, mode="inf"), n_ranks=4, dt=0.2
+        )
+        with pytest.raises(NumericalInstabilityError, match="energy"):
+            sim.run(10)
+
     def test_parallel_resume_is_bitwise(self, tmp_path):
         def make():
             s, lj = _parallel_system()

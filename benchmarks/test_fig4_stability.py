@@ -28,7 +28,6 @@ from repro.data.reference import ATOMIC_NUMBERS
 from repro.md import (
     LangevinThermostat,
     Simulation,
-    TrajectoryRecorder,
     minimize,
     rmsd,
     sample_md_frames,
@@ -79,24 +78,32 @@ def protein_md():
 
     md_system = system.copy()
     md_system.seed_velocities(300.0, np.random.default_rng(47))
-    recorder = TrajectoryRecorder(every=10)
     sim = Simulation(
         md_system,
         model,
         dt=0.5,
         thermostat=LangevinThermostat(300.0, friction=0.05, seed=13),
-        recorder=recorder,
     )
+    # Backbone RMSD folded every 10 steps as the run goes; no frame is kept.
+    backbone = ps.backbone_indices
+    ref = system.positions[backbone]
+    samples = []  # (time fs, RMSD Å)
+
+    def sample(step, sim):
+        if step % 10 == 0:
+            samples.append(
+                (step * sim.integrator.dt, rmsd(sim.system.positions[backbone], ref))
+            )
+
+    sim.add_callback(sample)
     result = sim.run(300)
-    return ps, system, recorder, result, train_rmse
+    return system, samples, result, train_rmse
 
 
 def test_fig4_rmsd_and_temperature_stability(protein_md, reporter, benchmark):
-    ps, initial, recorder, result, train_rmse = protein_md
-    backbone = ps.backbone_indices
-    ref = initial.positions[backbone]
-    rmsds = np.array([rmsd(f[backbone], ref) for f in recorder.frames])
-    times_ps = np.array(recorder.times) / 1000.0
+    initial, samples, result, train_rmse = protein_md
+    times_fs, rmsds = (np.array(column) for column in zip(*samples))
+    times_ps = times_fs / 1000.0
 
     rows = [(f"{t:.3f}", f"{r:.2f}") for t, r in zip(times_ps[::3], rmsds[::3])]
     text = fmt_table(

@@ -3,10 +3,9 @@
 The hysteresis controllers are off by default; when enabled they are
 ticked once per MD step (and per serve batch) from the hot loop.  That
 placement is only acceptable if a tick — EWMA update, dwell check, the
-occasional bounded knob move — is effectively free.  Mirrors
-test_obs_overhead.py: same 125-atom LJ NVT workload, interleaved
-off/on runs, medians, but with a RepadController attached to the
-compiled engine in the "on" runs.
+occasional bounded knob move — is effectively free.  A 125-atom LJ NVT
+workload, interleaved off/on runs, medians, with a RepadController
+attached to the compiled engine in the "on" runs.
 """
 
 import numpy as np

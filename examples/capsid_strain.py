@@ -15,7 +15,7 @@ Run:  python examples/capsid_strain.py
 import numpy as np
 
 from repro.data import ReferencePotential, capsid_assembly, shell_strain
-from repro.md import LangevinThermostat, Simulation, TrajectoryRecorder, minimize
+from repro.md import LangevinThermostat, Simulation, minimize
 
 def main() -> None:
     print("1. assembling a solvated icosahedral capsid proxy ...")
@@ -32,19 +32,26 @@ def main() -> None:
 
     print("3. thermal dynamics at 300 K, tracking shell strain ...")
     system.seed_velocities(300.0, np.random.default_rng(11))
-    recorder = TrajectoryRecorder(every=5)
     sim = Simulation(
         system,
         reference,
         dt=0.5,
         thermostat=LangevinThermostat(300.0, friction=0.05, seed=13),
-        recorder=recorder,
     )
+    # The observable is folded as the run goes; no frame is kept.
+    strains = []  # (time fs, shell strain Å), every 5 steps
+
+    def sample(step, sim):
+        if step % 5 == 0:
+            strains.append(
+                (step * sim.integrator.dt, shell_strain(capsid, sim.system.positions))
+            )
+
+    sim.add_callback(sample)
     result = sim.run(40)
 
     print("\n   time (fs)   shell strain (Å)   T (K)")
-    for t, frame in zip(recorder.times, recorder.frames):
-        strain = shell_strain(capsid, frame)
+    for t, strain in strains:
         idx = min(int(t / 0.5) - 1, len(result.temperatures) - 1)
         print(f"   {t:8.1f}   {strain:14.3f}   {result.temperatures[idx]:6.0f}")
     print(f"\n   throughput: {result.timesteps_per_second:.2f} timesteps/s "

@@ -16,7 +16,6 @@ from repro.data.reference import ATOMIC_NUMBERS
 from repro.md import (
     LangevinThermostat,
     Simulation,
-    TrajectoryRecorder,
     minimize,
     rmsd,
     sample_md_frames,
@@ -62,20 +61,26 @@ def main() -> None:
     print("3. NVT MD at 300 K, tracking backbone RMSD ...")
     md_system = system.copy()
     md_system.seed_velocities(300.0, rng)
-    recorder = TrajectoryRecorder(every=10)
     sim = Simulation(
         md_system,
         model,
         dt=0.5,
         thermostat=LangevinThermostat(300.0, friction=0.02, seed=5),
-        recorder=recorder,
     )
+    # The observable is folded as the run goes; no frame is kept.
+    ref = system.positions[ps.backbone_indices]
+    rmsds = []  # (time fs, backbone RMSD Å), every 10 steps
+
+    def sample(step, sim):
+        if step % 10 == 0:
+            r = rmsd(sim.system.positions[ps.backbone_indices], ref)
+            rmsds.append((step * sim.integrator.dt, r))
+
+    sim.add_callback(sample)
     result = sim.run(150)
 
-    ref = system.positions[ps.backbone_indices]
     print("\n   time (fs)   RMSD (Å)   T (K)")
-    for k, (t, frame) in enumerate(zip(recorder.times, recorder.frames)):
-        r = rmsd(frame[ps.backbone_indices], ref)
+    for t, r in rmsds:
         temp = result.temperatures[min(int(t / 0.5) - 1, len(result.temperatures) - 1)]
         print(f"   {t:8.1f}   {r:8.3f}   {temp:6.0f}")
     print(f"\n   throughput: {result.timesteps_per_second:.2f} timesteps/s "

@@ -8,11 +8,12 @@ from typing import Optional
 
 import numpy as np
 
-from ..config import build_recorder, build_simulation, dump_args, load_config
+from ..config import build_simulation, dump_args, load_config
 from ..md import minimize, stability_report
 from ..obs import Registry, write_json
 from ..resilience import CheckpointManager
 from .common import logger, read_config, tracing
+from .traj import rtrj_to_xyz
 
 
 def _engine_line(stats: dict) -> str:
@@ -24,14 +25,20 @@ def _engine_line(stats: dict) -> str:
 
 def _run_and_report(sim, cfg, n_steps, log, stats_json, extra, **checkpoint_sink):
     """Shared run/resume body: integrate, report, engine stats, JSON payload."""
+    dump = dump_args(cfg.output)
+    start_positions = sim.system.positions.copy()
     result = sim.run(
         n_steps,
         checkpoint_every=cfg.md.checkpoint_every,
         **checkpoint_sink,
-        **dump_args(cfg.output),
+        **dump,
     )
-    sim.recorder.close()
-    log(str(stability_report(result, frames=sim.recorder.frames or None)))
+    if dump and dump["dump_path"] != cfg.output.trajectory:
+        # The run wrote (on resume: appended to) the sibling .rtrj; the
+        # text file is its conversion, so it holds every frame of the run
+        # however many times the run was killed and resumed.
+        rtrj_to_xyz(dump["dump_path"], cfg.output.trajectory)
+    log(str(stability_report(result, frames=(start_positions, sim.system.positions))))
     log(f"{result.n_steps} steps at {result.timesteps_per_second:.2f} timesteps/s")
     stats = sim.engine_stats()
     if stats is not None:
@@ -57,7 +64,7 @@ def run_config(config: dict, quiet: bool = False, stats_json=None):
     log = logger(quiet)
     cfg = load_config(config)
     md = cfg.md
-    sim = build_simulation(cfg, recorder=build_recorder(cfg.output))
+    sim = build_simulation(cfg)
     system = sim.system
 
     log(f"system: {system.n_atoms} atoms; potential: {cfg.potential.kind}")
@@ -108,11 +115,11 @@ def resume_config(
     cfg = load_config(read_config(config_path, tuning_profile))
     manager = CheckpointManager(ckpt_dir)
     step, state = manager.load_latest()
-    sim = build_simulation(cfg, recorder=build_recorder(cfg.output))
+    sim = build_simulation(cfg)
     sim.set_state(state)
     n = max(0, cfg.md.steps - sim.step_count) if steps is None else int(steps)
     log(f"resumed from checkpoint at step {step}; running {n} more step(s)")
-    # A binary dump appends from the restored step (Simulation.run sees
+    # The dump appends from the restored step (Simulation.run sees
     # step_count > 0 and an existing file): the finished trajectory is
     # byte-identical to an uninterrupted run's.
     extra = {"resumed_from_step": step, "checkpoint_dir": str(ckpt_dir)}
@@ -140,18 +147,13 @@ def profile_config(
     """
     log = logger(quiet)
     cfg = load_config(config)
-    sim = build_simulation(
-        cfg, registry=Registry(), recorder=build_recorder(cfg.output)
-    )
+    sim = build_simulation(cfg, registry=Registry())
     sim.system.seed_velocities(
         cfg.md.temperature, np.random.default_rng(cfg.md.seed)
     )
     n = int(steps) if steps is not None else cfg.md.steps
     with tracing(trace_json, force=True) as tracer:
-        try:
-            result = sim.run(n)
-        finally:
-            sim.recorder.close()
+        result = sim.run(n)
     log(
         f"profiled {n} steps of {sim.system.n_atoms} atoms on "
         f"{sim.engine} engine: {result.timesteps_per_second:.2f} timesteps/s"

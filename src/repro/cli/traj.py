@@ -71,30 +71,36 @@ def traj_command(args) -> int:
     return 0
 
 
+def rtrj_to_xyz(src, dst) -> int:
+    """Write every frame of the ``.rtrj`` file ``src`` as extended XYZ to
+    ``dst``; returns the frame count."""
+    with TrajectoryReader(src) as reader, open(dst, "w") as fh:
+        h = reader.header
+        n = 0
+        for frame in reader.frames():
+            system = System(
+                frame.positions,
+                h.species,
+                None
+                if frame.cell_lengths is None
+                else Cell(frame.cell_lengths, pbc=tuple(h.pbc)),
+                species_names=list(h.species_names),
+            )
+            system.velocities = frame.velocities
+            fields = {"step": frame.step, "time_fs": f"{frame.time_fs:.3f}"}
+            if frame.pe == frame.pe:  # not NaN
+                fields["pe"] = repr(frame.pe)
+            write_xyz_frame(fh, system, fields)
+            n += 1
+    return n
+
+
 def _traj_convert(args, log) -> int:
     """``traj convert SRC DST`` — direction chosen by file extension."""
     src, dst = Path(args.src), Path(args.dst)
 
     if src.suffix == ".rtrj" and dst.suffix == ".xyz":
-        with TrajectoryReader(src) as reader, open(dst, "w") as fh:
-            h = reader.header
-            n = 0
-            for frame in reader.frames():
-                system = System(
-                    frame.positions,
-                    h.species,
-                    None
-                    if frame.cell_lengths is None
-                    else Cell(frame.cell_lengths, pbc=tuple(h.pbc)),
-                    species_names=list(h.species_names),
-                )
-                system.velocities = frame.velocities
-                fields = {"step": frame.step, "time_fs": f"{frame.time_fs:.3f}"}
-                if frame.pe == frame.pe:  # not NaN
-                    fields["pe"] = repr(frame.pe)
-                write_xyz_frame(fh, system, fields)
-                n += 1
-        log(f"converted {n} frame(s) -> {dst}")
+        log(f"converted {rtrj_to_xyz(src, dst)} frame(s) -> {dst}")
         return 0
 
     if src.suffix == ".xyz" and dst.suffix == ".rtrj":

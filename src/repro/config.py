@@ -27,7 +27,7 @@ import numpy as np
 
 from . import data, models
 from .health import health_from_config
-from .md import BerendsenThermostat, LangevinThermostat, Simulation, TrajectoryRecorder
+from .md import BerendsenThermostat, LangevinThermostat, Simulation
 from .models import AllegroConfig
 from .nn import TrainConfig
 from .serve import ForceServer, qos_from_config
@@ -157,10 +157,12 @@ class MDConfig:
 class OutputConfig:
     """``output``: the trajectory dump."""
 
-    #: Dump path: ``.rtrj`` selects the binary store with the asynchronous
-    #: writer (:mod:`repro.traj`), anything else extended XYZ; None, no file.
+    #: Dump path; None, no file.  The run always dumps the binary ``.rtrj``
+    #: store (:mod:`repro.traj`: asynchronous, crash-atomic, appended on
+    #: resume); any other suffix names the extended-XYZ conversion of the
+    #: sibling ``.rtrj``, written when the run or the resume completes.
     trajectory: Optional[str] = None
-    every: int = 10  # dump (and in-memory record) interval, steps
+    every: int = 10  # dump interval, steps
 
 
 @dataclass(frozen=True)
@@ -366,25 +368,19 @@ def build_thermostat(md: MDConfig):
     raise ValueError(f"unknown thermostat {md.thermostat!r}")
 
 
-def _is_binary_traj(path: Optional[str]) -> bool:
-    return path is not None and path.endswith(".rtrj")
-
-
-def build_recorder(output: OutputConfig) -> TrajectoryRecorder:
-    """The in-memory frame recorder, also writing XYZ unless the dump is binary."""
-    path = None if _is_binary_traj(output.trajectory) else output.trajectory
-    return TrajectoryRecorder(path=path, every=output.every)
-
-
 def dump_args(output: OutputConfig) -> dict:
-    """``dump_path``/``dump_every`` kwargs for ``Simulation.run``: a ``.rtrj``
-    trajectory goes through its async binary writer, not the recorder."""
-    if not _is_binary_traj(output.trajectory):
+    """``dump_path``/``dump_every`` kwargs for ``Simulation.run``.  The step
+    loop only ever writes ``.rtrj``: a trajectory named otherwise dumps the
+    sibling ``.rtrj`` and is converted from it afterwards."""
+    if output.trajectory is None:
         return {}
-    return {"dump_path": output.trajectory, "dump_every": output.every}
+    return {
+        "dump_path": os.path.splitext(output.trajectory)[0] + ".rtrj",
+        "dump_every": output.every,
+    }
 
 
-def build_simulation(config, registry=None, recorder=None) -> Simulation:
+def build_simulation(config, registry=None) -> Simulation:
     """The configured :class:`~repro.md.Simulation`.
 
     No minimization or velocity seeding happens here — ``run`` does both
@@ -401,7 +397,6 @@ def build_simulation(config, registry=None, recorder=None) -> Simulation:
         dt=md.dt,
         thermostat=build_thermostat(md),
         skin=md.skin,
-        recorder=recorder,
         engine=md.engine,
         registry=registry,
         neighbor_every=md.neighbor_every,

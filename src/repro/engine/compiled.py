@@ -65,7 +65,33 @@ class _EvalState:
         self.n_replays = 0
 
 
-class CompiledPotential:
+class PotentialWrapper:
+    """Mixin for a force evaluator around ``self.potential`` (the captured
+    plan below, :class:`repro.resilience.FaultyPotential`): the neighbor half
+    of the potential protocol is the wrapped model's, and
+    ``energy_and_forces`` is the wrapper's own ``evaluate`` on the list that
+    model prepares — so a wrapper drops into ``Simulation`` or a server."""
+
+    @property
+    def cutoff(self) -> float:
+        return self.potential.cutoff
+
+    @property
+    def pair_cutoffs(self):
+        return self.potential.pair_cutoffs
+
+    def prepare_neighbors(self, system):
+        return self.potential.prepare_neighbors(system)
+
+    def energy_and_forces(self, system, nl=None):
+        """Drop-in for :meth:`repro.models.base.Potential.energy_and_forces`."""
+        if nl is None:
+            nl = self.prepare_neighbors(system)
+        e_atoms, forces = self.evaluate(system.positions, system.species, nl)
+        return float(np.sum(e_atoms)), forces
+
+
+class CompiledPotential(PotentialWrapper):
     """Capture-once / replay-many wrapper around a :class:`Potential`.
 
     Parameters
@@ -160,23 +186,6 @@ class CompiledPotential:
         self._states: list = []  # every state ever built (counter aggregation)
         self._n_templates = 0
         self._epoch = 0
-
-    # -- proxies so a CompiledPotential drops into Simulation -----------------
-    @property
-    def cutoff(self) -> float:
-        """Interaction cutoff of the wrapped potential."""
-        return self.potential.cutoff
-
-    @property
-    def pair_cutoffs(self):
-        return getattr(self.potential, "pair_cutoffs", None)
-
-    def prepare_neighbors(self, system):
-        if hasattr(self.potential, "prepare_neighbors"):
-            return self.potential.prepare_neighbors(system)
-        from ..md.neighborlist import neighbor_list
-
-        return neighbor_list(system, self.cutoff)
 
     # -- counter views (registry-backed; see __init__) ------------------------
     @property
@@ -393,13 +402,6 @@ class CompiledPotential:
             # change is a new "shape" and re-captures (Fig. 5, no padding).
             return n + 1 == state.cap_atoms and n_edges == state.cap_pairs
         return n + 1 <= state.cap_atoms and n_edges <= state.cap_pairs
-
-    def energy_and_forces(self, system, nl=None):
-        """Drop-in for :meth:`Potential.energy_and_forces` (compiled path)."""
-        if nl is None:
-            nl = self.prepare_neighbors(system)
-        e_atoms, forces = self.evaluate(system.positions, system.species, nl)
-        return float(np.sum(e_atoms)), forces
 
     # -- internals ------------------------------------------------------------
     def _allocate_state(self, n: int, n_edges: int, species, inputs) -> _EvalState:

@@ -23,16 +23,9 @@ from .barostat import BerendsenBarostat, instantaneous_pressure
 from .constraints import BondConstraints
 from .simulation import Simulation, MDResult
 from .minimize import minimize, sample_md_frames, MinimizeResult
-from .analysis import (
-    StabilityReport,
-    diffusion_coefficient,
-    mean_squared_displacement,
-    stability_report,
-    unwrap_trajectory,
-    velocity_autocorrelation,
-)
+from .analysis import StabilityReport, diffusion_coefficient, stability_report
 from .observables import rmsd, kabsch_align, radial_distribution, energy_drift_per_atom, block_average
-from .trajectory import TrajectoryRecorder, write_xyz_frame, read_xyz
+from .trajectory import write_xyz_frame, read_xyz
 
 __all__ = [
     "Cell",
@@ -60,16 +53,12 @@ __all__ = [
     "MinimizeResult",
     "StabilityReport",
     "diffusion_coefficient",
-    "mean_squared_displacement",
     "stability_report",
-    "unwrap_trajectory",
-    "velocity_autocorrelation",
     "rmsd",
     "kabsch_align",
     "radial_distribution",
     "energy_drift_per_atom",
     "block_average",
-    "TrajectoryRecorder",
     "write_xyz_frame",
     "read_xyz",
 ]

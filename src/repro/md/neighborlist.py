@@ -42,11 +42,6 @@ class NeighborList:
     def distances(self, positions: np.ndarray) -> np.ndarray:
         return np.linalg.norm(self.displacements(positions), axis=1)
 
-    def sorted_by_center(self) -> "NeighborList":
-        """Stable sort edges by center atom (grouping for env sums)."""
-        order = np.argsort(self.edge_index[0], kind="stable")
-        return NeighborList(self.edge_index[:, order], self.shifts[order])
-
 
 def neighbor_list(
     system: System,
@@ -245,10 +240,35 @@ def pruning_cutoffs(potential, skin: float) -> Optional[np.ndarray]:
     MD drivers prune against the model's own matrix widened by the skin —
     decided once per driver, not per step.
     """
-    pair_cutoffs = getattr(potential, "pair_cutoffs", None)
+    pair_cutoffs = potential.pair_cutoffs
     if pair_cutoffs is None or np.allclose(pair_cutoffs, potential.cutoff):
         return None
     return np.asarray(pair_cutoffs) + skin
+
+
+def concatenate_structures(systems, neighbor_lists):
+    """Concatenate structures into one evaluation-ready super-structure.
+
+    Returns ``(positions, species, nl, offsets)`` where ``offsets`` has
+    ``len(systems) + 1`` entries: structure ``k`` owns atom rows
+    ``offsets[k]:offsets[k+1]``.  Edges are shifted by each structure's
+    atom offset so the graphs stay disjoint — no cross-structure
+    interaction exists, which is what makes batched evaluation (a served
+    batch, a training batch) exact.
+    """
+    if len(systems) != len(neighbor_lists):
+        raise ValueError("one neighbor list per structure required")
+    offsets = np.zeros(len(systems) + 1, dtype=np.int64)
+    for k, s in enumerate(systems):
+        offsets[k + 1] = offsets[k] + s.n_atoms
+    positions = np.concatenate([np.asarray(s.positions) for s in systems])
+    species = np.concatenate([np.asarray(s.species) for s in systems])
+    edge_index = np.concatenate(
+        [nl.edge_index + off for nl, off in zip(neighbor_lists, offsets[:-1])],
+        axis=1,
+    )
+    shifts = np.concatenate([nl.shifts for nl in neighbor_lists])
+    return positions, species, NeighborList(edge_index, shifts), offsets
 
 
 def ordered_pair_counts(

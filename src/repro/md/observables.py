@@ -37,6 +37,28 @@ def rmsd(positions: np.ndarray, reference: np.ndarray, align: bool = True) -> fl
     return float(np.sqrt(np.mean(np.sum((P - Q) ** 2, axis=1))))
 
 
+def rdf_counts(
+    distances: np.ndarray, n_atoms: int, volume: float, edges: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """One frame's pair histogram and its ideal-gas expectation per bin.
+
+    ``distances`` are ordered-pair distances; both arrays are additive over
+    frames, so a streaming fold sums them and normalizes once
+    (:func:`rdf_normalize`).
+    """
+    hist, _ = np.histogram(distances, bins=edges)
+    shell_vol = 4.0 / 3.0 * np.pi * (edges[1:] ** 3 - edges[:-1] ** 3)
+    density = n_atoms / volume
+    # ordered pairs: each of the n_atoms has density·shell expected neighbors
+    return hist, density * shell_vol * n_atoms
+
+
+def rdf_normalize(hist: np.ndarray, expected: np.ndarray) -> np.ndarray:
+    """g = observed / expected pair counts (0 where nothing is expected)."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(expected > 0, hist / expected, 0.0)
+
+
 def radial_distribution(
     distances: np.ndarray,
     n_atoms: int,
@@ -51,15 +73,8 @@ def radial_distribution(
     functions of the HIV capsid starting structure", §VI-D).
     """
     edges = np.linspace(0.0, r_max, n_bins + 1)
-    hist, _ = np.histogram(distances, bins=edges)
     centers = 0.5 * (edges[:-1] + edges[1:])
-    shell_vol = 4.0 / 3.0 * np.pi * (edges[1:] ** 3 - edges[:-1] ** 3)
-    density = n_atoms / volume
-    # ordered pairs: each of the n_atoms has density·shell expected neighbors
-    expected = density * shell_vol * n_atoms
-    with np.errstate(divide="ignore", invalid="ignore"):
-        g = np.where(expected > 0, hist / expected, 0.0)
-    return centers, g
+    return centers, rdf_normalize(*rdf_counts(distances, n_atoms, volume, edges))
 
 
 def energy_drift_per_atom(energies: Sequence[float], n_atoms: int) -> float:
@@ -68,6 +83,44 @@ def energy_drift_per_atom(energies: Sequence[float], n_atoms: int) -> float:
     if len(e) < 2:
         return 0.0
     return float(abs(e[-1] - e[0]) / n_atoms)
+
+
+class SeriesDrift:
+    """Mean and least-squares slope of a series against its sample index.
+
+    Running sums only, so a trajectory fold and an in-memory time series
+    get the same fit: ``slope`` is K per recorded sample for a temperature
+    series (0.0 below two samples).
+    """
+
+    def __init__(self, values: Sequence[float] = ()) -> None:
+        self.n = 0
+        self._y_sum = 0.0
+        self._xy_sum = 0.0
+        self._x_sum = 0.0
+        self._x_sq_sum = 0.0
+        for y in values:
+            self.add(float(y))
+
+    def add(self, y: float) -> None:
+        x = float(self.n)
+        self._y_sum += y
+        self._xy_sum += x * y
+        self._x_sum += x
+        self._x_sq_sum += x * x
+        self.n += 1
+
+    @property
+    def mean(self) -> float:
+        return self._y_sum / self.n if self.n else 0.0
+
+    @property
+    def slope(self) -> float:
+        n = self.n
+        denom = n * self._x_sq_sum - self._x_sum**2
+        if n < 2 or not denom:
+            return 0.0
+        return (n * self._xy_sum - self._x_sum * self._y_sum) / denom
 
 
 def block_average(series: Sequence[float], block: int) -> np.ndarray:

@@ -49,7 +49,6 @@ from .neighborlist import (
     pruning_cutoffs,
 )
 from .system import System
-from .trajectory import TrajectoryRecorder
 
 #: Default snapshot interval when checkpointing is enabled without an
 #: explicit ``checkpoint_every``.
@@ -152,7 +151,6 @@ class Simulation:
         thermostat=None,
         barostat=None,
         skin: float = 0.4,
-        recorder: Optional[TrajectoryRecorder] = None,
         engine: str = "eager",
         watchdog=None,
         registry: Optional[Registry] = None,
@@ -163,7 +161,7 @@ class Simulation:
         from ..engine import CompiledPotential
 
         self._init_loop(
-            system, dt, thermostat, barostat, recorder, watchdog, registry, controllers
+            system, dt, thermostat, barostat, watchdog, registry, controllers
         )
         if isinstance(potential, CompiledPotential):
             # Accept a pre-compiled evaluator directly; keep the raw model
@@ -197,7 +195,6 @@ class Simulation:
         dt: float,
         thermostat=None,
         barostat=None,
-        recorder: Optional[TrajectoryRecorder] = None,
         watchdog=None,
         registry: Optional[Registry] = None,
         controllers=None,
@@ -216,7 +213,6 @@ class Simulation:
         self.thermostat = thermostat
         self.barostat = barostat
         self.watchdog = watchdog
-        self.recorder = recorder
         self.controllers = controllers
         if controllers is not None:
             controllers.bind(self.obs)
@@ -440,10 +436,8 @@ class Simulation:
             writer across calls — the caller keeps ownership.
 
         Watchdog recovery rolls the records back too, so the returned time
-        series never contains rolled-back steps; a binary dump writer is
-        rolled back the same way (XYZ recorder files are append-only —
-        rolled-back frames are re-written on replay; in-memory recorder
-        frames are truncated).
+        series never contains rolled-back steps; the dump writer is rolled
+        back the same way.
         """
         manager, checkpoint_every = resolve_checkpoint_sink(
             checkpoint_every, checkpoint_dir, checkpoint_manager,
@@ -522,7 +516,6 @@ class Simulation:
                         rec_steps.pop()
                         times.pop(), pes.pop(), kes.pop(), temps.pop()
                         pairs.pop()
-                    self._truncate_recorder()
                     if writer is not None:
                         # The binary dump rolls back with the state: replayed
                         # steps re-dump, so the file evolves as if the
@@ -550,8 +543,6 @@ class Simulation:
                     kes.append(self.system.kinetic_energy())
                     temps.append(self.system.temperature())
                     pairs.append(n_pairs)
-                if self.recorder is not None:
-                    self.recorder.record(self.step_count, t_now, self.system)
                 if writer is not None and self.step_count % dump_every == 0:
                     # Absolute-step schedule (not run-relative): a resumed
                     # run dumps at the same steps as an uninterrupted one,
@@ -583,13 +574,3 @@ class Simulation:
             wall_time=wall,
             n_steps=n_steps,
         )
-
-    def _truncate_recorder(self) -> None:
-        """Drop in-memory recorder frames newer than the restored step."""
-        rec = self.recorder
-        if rec is None or not rec.keep_in_memory:
-            return
-        t_now = self.step_count * self.integrator.dt
-        while rec.times and rec.times[-1] > t_now:
-            rec.times.pop()
-            rec.frames.pop()

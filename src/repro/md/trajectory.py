@@ -1,19 +1,15 @@
-"""Trajectory I/O: extended-XYZ writing/reading and in-memory recording.
+"""Extended-XYZ import/export (the lingua franca of atomistic tools).
 
-The paper measures "whole application including I/O"; the simulation driver
-can stream frames to an extended-XYZ file (the lingua franca of atomistic
-tools) at a configurable interval, and the benchmarks account dump time the
-same way LAMMPS profiling does.
-
-This is the *text* path — human-readable, interoperable, and lossy only up
-to its fixed decimal precision.  The binary data plane lives in
-:mod:`repro.traj` (chunked, checksummed, async); ``repro traj convert``
-bridges the two formats.
+This is the *text* format — human-readable, interoperable, and lossy only
+up to its fixed decimal precision.  The MD driver never writes it: the step
+loop dumps the binary data plane (:mod:`repro.traj` — chunked, checksummed,
+async, appended on resume) and XYZ is a conversion of a finished ``.rtrj``
+(``repro traj convert``; ``repro run`` does it for an ``output.trajectory``
+that is not ``.rtrj``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import List, Optional, Sequence, TextIO, Union
 
@@ -146,34 +142,3 @@ def read_xyz(
                 system.velocities = vel
             frames.append(system)
     return frames
-
-
-@dataclass
-class TrajectoryRecorder:
-    """In-memory and/or on-disk trajectory sink for the MD driver."""
-
-    path: Optional[Union[str, Path]] = None
-    every: int = 1
-    keep_in_memory: bool = True
-    frames: List[np.ndarray] = field(default_factory=list)
-    times: List[float] = field(default_factory=list)
-    _fh: Optional[TextIO] = None
-
-    def open(self) -> None:
-        if self.path is not None and self._fh is None:
-            self._fh = open(self.path, "w")
-
-    def record(self, step: int, time_fs: float, system: System) -> None:
-        if step % self.every != 0:
-            return
-        if self.keep_in_memory:
-            self.frames.append(system.positions.copy())
-            self.times.append(time_fs)
-        if self.path is not None:
-            self.open()
-            write_xyz_frame(self._fh, system, {"time_fs": f"{time_fs:.3f}"})
-
-    def close(self) -> None:
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None

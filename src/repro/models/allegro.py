@@ -202,11 +202,6 @@ class AllegroModel(Potential):
             )
         return nl
 
-    def energy_and_forces(self, system: System, nl: Optional[NeighborList] = None):
-        if nl is None:
-            nl = self.prepare_neighbors(system)
-        return super().energy_and_forces(system, nl)
-
     # -- forward ------------------------------------------------------------------
     def graph_inputs(self, species: np.ndarray, nl: NeighborList) -> dict:
         inputs = super().graph_inputs(species, nl)

@@ -64,6 +64,14 @@ class Potential(Module):
 
     #: Maximum interaction cutoff in Å (used to build neighbor lists).
     cutoff: float = 0.0
+    #: Per-ordered-species-pair cutoff matrix [S, S] in Å (paper §V-B4), or
+    #: None when every pair interacts out to ``cutoff``.
+    pair_cutoffs: Optional[np.ndarray] = None
+
+    def prepare_neighbors(self, system: System) -> NeighborList:
+        """The neighbor list this model is evaluated on: every caller that
+        has a system and no list (MD, serving, training, wrappers) asks here."""
+        return neighbor_list(system, self.cutoff)
 
     def atomic_energies(
         self, positions: ad.Tensor, species: np.ndarray, nl: NeighborList
@@ -175,7 +183,7 @@ class Potential(Module):
     ) -> Tuple[float, np.ndarray]:
         """Convenience numpy API: (E [eV], F [N,3] eV/Å) for a system."""
         if nl is None:
-            nl = neighbor_list(system, self.cutoff)
+            nl = self.prepare_neighbors(system)
         e_atoms, forces = self.evaluate(system.positions, system.species, nl)
         return float(e_atoms.sum()), forces
 
@@ -205,20 +213,3 @@ class Potential(Module):
                 p.requires_grad = flag
             for tp in tps:
                 tp.unfreeze()
-
-    def predict_batch(
-        self,
-        positions: np.ndarray,
-        species: np.ndarray,
-        nl: NeighborList,
-        batch_index: np.ndarray,
-        n_structures: int,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Per-structure energies and all forces for a concatenated batch.
-
-        Structures are concatenated along the atom axis with edges kept
-        intra-structure; a single backward pass yields every force because
-        the structures are independent.
-        """
-        e_atoms, forces = self.evaluate(positions, species, nl)
-        return np.bincount(batch_index, e_atoms, n_structures), forces

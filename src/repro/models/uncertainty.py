@@ -22,7 +22,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..md.neighborlist import NeighborList, neighbor_list
+from ..md.neighborlist import NeighborList
 from ..md.system import System
 from .base import Potential
 
@@ -41,10 +41,9 @@ class EnsemblePotential(Potential):
         return len(self.members)
 
     def prepare_neighbors(self, system: System) -> NeighborList:
-        first = self.members[0]
-        if hasattr(first, "prepare_neighbors"):
-            return first.prepare_neighbors(system)
-        return neighbor_list(system, self.cutoff)
+        # Members share one architecture (``train_ensemble``): any member's
+        # list — pruned the way that architecture prunes — serves them all.
+        return self.members[0].prepare_neighbors(system)
 
     def atomic_energies(self, positions, species, nl: NeighborList):
         total = self.members[0].atomic_energies(positions, species, nl)

@@ -41,7 +41,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 import numpy as np
 
 from .. import autodiff as ad
-from ..md.neighborlist import NeighborList
+from ..md.neighborlist import NeighborList, concatenate_structures
 from ..md.system import System
 from ..obs import Registry, get_tracer, span
 from ..resilience.checkpoint import CheckpointManager, resolve_checkpoint_sink
@@ -137,26 +137,14 @@ class _Batch:
     )
 
     def __init__(self, frames: Sequence[LabeledFrame], nls: Sequence[NeighborList]):
-        pos, spec, bidx, edges, shifts = [], [], [], [], []
-        offset = 0
-        for k, (f, nl) in enumerate(zip(frames, nls)):
-            n = f.system.n_atoms
-            pos.append(f.system.positions)
-            spec.append(f.system.species)
-            bidx.append(np.full(n, k))
-            edges.append(nl.edge_index + offset)
-            shifts.append(nl.shifts)
-            offset += n
-        self.positions = np.concatenate(pos, axis=0)
-        self.species = np.concatenate(spec)
-        self.batch_index = np.concatenate(bidx).astype(np.int64)
-        self.nl = NeighborList(
-            np.concatenate(edges, axis=1), np.concatenate(shifts, axis=0)
+        self.positions, self.species, self.nl, offsets = concatenate_structures(
+            [f.system for f in frames], nls
         )
         self.n_structures = len(frames)
+        self.n_atoms_per = np.diff(offsets)
+        self.batch_index = np.repeat(np.arange(self.n_structures), self.n_atoms_per)
         self.energies = np.array([f.energy for f in frames])
         self.forces = np.concatenate([f.forces for f in frames], axis=0)
-        self.n_atoms_per = np.array([f.system.n_atoms for f in frames])
 
 
 class Trainer:
@@ -202,8 +190,8 @@ class Trainer:
         self.dataset_report = None
         self._validate_dataset()
 
-        self._train_nls = [self._neighbors(f.system) for f in self.train_frames]
-        self._val_nls = [self._neighbors(f.system) for f in self.val_frames]
+        self._train_nls = [self.model.prepare_neighbors(f.system) for f in self.train_frames]
+        self._val_nls = [self.model.prepare_neighbors(f.system) for f in self.val_frames]
 
         # Paper: "normalize the force targets by the maximum absolute force
         # component computed over the training set".
@@ -311,13 +299,6 @@ class Trainer:
         )
         if frms > 0:
             ss.scales.data = np.full(n_species, frms)
-
-    def _neighbors(self, system: System) -> NeighborList:
-        if hasattr(self.model, "prepare_neighbors"):
-            return self.model.prepare_neighbors(system)
-        from ..md.neighborlist import neighbor_list
-
-        return neighbor_list(system, self.model.cutoff)
 
     # -- core steps -----------------------------------------------------------
     def _batch_loss(self, batch: _Batch) -> ad.Tensor:
@@ -600,7 +581,7 @@ class Trainer:
                 "evaluate() needs at least one frame (got an empty sequence)"
             )
         if nls is None:
-            nls = [self._neighbors(f.system) for f in frames]
+            nls = [self.model.prepare_neighbors(f.system) for f in frames]
         if use_ema:
             with self.ema.average_weights():
                 return self.evaluate(frames, nls, use_ema=False)

@@ -45,6 +45,8 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence
 
 import numpy as np
 
+from ..engine.compiled import PotentialWrapper
+
 __all__ = [
     "COMM_DROP",
     "COMM_DELAY",
@@ -174,7 +176,7 @@ class FaultPlan:
         }
 
 
-class FaultyPotential:
+class FaultyPotential(PotentialWrapper):
     """Wrap a potential so its output is corrupted on schedule.
 
     When ``plan.fires(channel)``, the wrapped result is poisoned: the
@@ -199,26 +201,6 @@ class FaultyPotential:
         self.mode = mode
         self.channel = channel
 
-    # -- potential protocol proxies -------------------------------------------
-    @property
-    def cutoff(self) -> float:
-        return self.potential.cutoff
-
-    @property
-    def pair_cutoffs(self):
-        # AttributeError propagates when the wrapped potential has no
-        # pair-cutoff matrix, so ``getattr(pot, "pair_cutoffs", default)``
-        # behaves identically through the wrapper.
-        return self.potential.pair_cutoffs
-
-    def prepare_neighbors(self, system):
-        prepare = getattr(self.potential, "prepare_neighbors", None)
-        if prepare is not None:
-            return prepare(system)
-        from ..md.neighborlist import neighbor_list
-
-        return neighbor_list(system, self.cutoff)
-
     def atomic_energies(self, positions, species, nl):
         return self.potential.atomic_energies(positions, species, nl)
 
@@ -228,9 +210,6 @@ class FaultyPotential:
         return self._corrupt(
             *self.potential.evaluate(positions, species, nl, n_active)
         )
-
-    def energy_and_forces(self, system, nl=None):
-        return self._corrupt(*self.potential.energy_and_forces(system, nl))
 
     def _corrupt(self, energy, forces):
         if self.plan.fires(self.channel):

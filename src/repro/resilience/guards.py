@@ -27,20 +27,117 @@ class NumericalInstabilityError(RuntimeError):
     """Non-finite energy/forces or an energy spike beyond tolerance."""
 
 
-def validate_energy_forces(energy, forces, context: str = "") -> None:
-    """Raise :class:`NumericalInstabilityError` on any non-finite output."""
-    where = f" ({context})" if context else ""
+def _nonfinite_energy_forces(energy, forces) -> Optional[str]:
+    """What is non-finite in an (energy, forces) result, or None."""
     if not np.isfinite(energy):
-        raise NumericalInstabilityError(f"non-finite energy {energy!r}{where}")
+        return f"non-finite energy {energy!r}"
     forces = np.asarray(forces)
     if not np.isfinite(forces).all():
         bad = int(np.count_nonzero(~np.isfinite(forces).all(axis=-1)))
-        raise NumericalInstabilityError(
-            f"non-finite forces on {bad} atom(s){where}"
-        )
+        return f"non-finite forces on {bad} atom(s)"
+    return None
 
 
-class ForceWatchdog:
+def validate_energy_forces(energy, forces, context: str = "") -> None:
+    """Raise :class:`NumericalInstabilityError` on any non-finite output."""
+    problem = _nonfinite_energy_forces(energy, forces)
+    if problem is not None:
+        where = f" ({context})" if context else ""
+        raise NumericalInstabilityError(f"{problem}{where}")
+
+
+class _SpikeWatchdog:
+    """Detection, trip/escalation policy and history shared by both watchdogs.
+
+    A subclass supplies what differs between the MD and the training guard:
+    the non-finite diagnosis (:meth:`_nonfinite`), what the watched value,
+    the restore counter and its escalation bound are called, and how often
+    the rolling median/MAD are refreshed.
+    """
+
+    POLICIES = ("abort", "recover")
+    _VALUE = ""  # "energy" | "loss": what a spike message calls the value
+    _COUNTER = ""  # attribute and ``stats()`` key counting completed restores
+    _LIMIT = ""  # attribute holding the escalation bound on that counter
+    #: Banked samples between median/MAD refreshes; 1 refreshes every check.
+    _STATS_EVERY = 1
+
+    def __init__(
+        self, policy, spike_factor, min_history, window, abs_floor, limit
+    ) -> None:
+        if policy not in self.POLICIES:
+            raise ValueError(f"unknown policy {policy!r} (abort|recover)")
+        if spike_factor is not None and spike_factor <= 0:
+            raise ValueError("spike_factor must be positive (or None to disable)")
+        if limit < 0:
+            raise ValueError(f"{self._LIMIT} must be >= 0")
+        self.policy = policy
+        self.spike_factor = spike_factor
+        self.min_history = int(min_history)
+        self.abs_floor = float(abs_floor)
+        self._history: deque = deque(maxlen=int(window))
+        self._stats_age = self._STATS_EVERY  # force compute on first use
+        self._median = 0.0
+        self._scale = float(abs_floor)
+        setattr(self, self._LIMIT, int(limit))
+        setattr(self, self._COUNTER, 0)
+        self.n_checks = 0
+        self.n_trips = 0
+        self.last_error: Optional[str] = None
+
+    # -- detection ------------------------------------------------------------
+    def _nonfinite(self, value, arrays) -> Optional[str]:
+        raise NotImplementedError
+
+    def _spike(self, value: float) -> Optional[str]:
+        if self.spike_factor is None or len(self._history) < self.min_history:
+            return None
+        if self._stats_age >= self._STATS_EVERY:
+            hist = np.asarray(self._history)
+            self._median = float(np.median(hist))
+            mad = float(np.median(np.abs(hist - self._median)))
+            self._scale = max(1.4826 * mad, self.abs_floor)
+            self._stats_age = 0
+        dev = abs(value - self._median)
+        if dev > self.spike_factor * self._scale:
+            return (
+                f"{self._VALUE} spike: |{value:.6g} - median {self._median:.6g}| "
+                f"= {dev:.3g} > {self.spike_factor:g} x {self._scale:.3g}"
+            )
+        return None
+
+    def check(self, value, arrays=(), step: Optional[int] = None) -> bool:
+        """True when healthy (value banked); False/raise when tripped."""
+        self.n_checks += 1
+        problem = self._nonfinite(value, arrays) or self._spike(float(value))
+        if problem is None:
+            self._history.append(float(value))
+            self._stats_age += 1
+            return True
+        self.n_trips += 1
+        where = "" if step is None else f" at step {step}"
+        self.last_error = f"{problem}{where}"
+        restores, limit = getattr(self, self._COUNTER), getattr(self, self._LIMIT)
+        if self.policy == "abort" or restores >= limit:
+            raise NumericalInstabilityError(self.last_error)
+        return False
+
+    def reset_history(self) -> None:
+        """Drop banked values (call after restoring an older state)."""
+        self._history.clear()
+        self._stats_age = self._STATS_EVERY
+
+    def stats(self) -> dict:
+        return {
+            "policy": self.policy,
+            "n_checks": self.n_checks,
+            "n_trips": self.n_trips,
+            self._COUNTER: getattr(self, self._COUNTER),
+            "last_error": self.last_error,
+        }
+
+
+class ForceWatchdog(_SpikeWatchdog):
     """Per-step health check on (energy, forces) with abort/recover policy.
 
     Two detectors:
@@ -62,7 +159,14 @@ class ForceWatchdog:
       a deterministic blow-up would otherwise loop forever.
     """
 
-    POLICIES = ("abort", "recover")
+    _VALUE = "energy"
+    _COUNTER = "n_recoveries"
+    _LIMIT = "max_recoveries"
+    # Median/MAD over the window are refreshed every few appends, not every
+    # check — a rolling robust center moves by O(1/window) per sample, far
+    # inside a spike_factor-sized dead band, and the recompute would
+    # otherwise dominate the per-step cost.
+    _STATS_EVERY = 8
 
     def __init__(
         self,
@@ -73,89 +177,18 @@ class ForceWatchdog:
         abs_floor: float = 1e-8,
         max_recoveries: int = 3,
     ) -> None:
-        if policy not in self.POLICIES:
-            raise ValueError(f"unknown policy {policy!r} (abort|recover)")
-        if spike_factor is not None and spike_factor <= 0:
-            raise ValueError("spike_factor must be positive (or None to disable)")
-        if max_recoveries < 0:
-            raise ValueError("max_recoveries must be >= 0")
-        self.policy = policy
-        self.spike_factor = spike_factor
-        self.min_history = int(min_history)
-        self.abs_floor = float(abs_floor)
-        self._history: deque = deque(maxlen=int(window))
-        # Median/MAD over the window are refreshed every few appends, not
-        # every check — a rolling robust center moves by O(1/window) per
-        # sample, far inside a spike_factor-sized dead band, and the
-        # recompute would otherwise dominate the per-step cost.
-        self._stats_every = 8
-        self._stats_age = self._stats_every  # force compute on first use
-        self._median = 0.0
-        self._scale = float(abs_floor)
-        self.max_recoveries = int(max_recoveries)
-        self.n_checks = 0
-        self.n_trips = 0
-        self.n_recoveries = 0
-        self.last_error: Optional[str] = None
+        super().__init__(
+            policy, spike_factor, min_history, window, abs_floor, max_recoveries
+        )
 
-    # -- detection ------------------------------------------------------------
-    def _diagnose(self, energy, forces) -> Optional[str]:
-        if not np.isfinite(energy):
-            return f"non-finite energy {energy!r}"
-        forces = np.asarray(forces)
-        if not np.isfinite(forces).all():
-            bad = int(np.count_nonzero(~np.isfinite(forces).all(axis=-1)))
-            return f"non-finite forces on {bad} atom(s)"
-        if self.spike_factor is not None and len(self._history) >= self.min_history:
-            if self._stats_age >= self._stats_every:
-                hist = np.asarray(self._history)
-                self._median = float(np.median(hist))
-                mad = float(np.median(np.abs(hist - self._median)))
-                self._scale = max(1.4826 * mad, self.abs_floor)
-                self._stats_age = 0
-            dev = abs(float(energy) - self._median)
-            if dev > self.spike_factor * self._scale:
-                return (
-                    f"energy spike: |{energy:.6g} - median {self._median:.6g}| "
-                    f"= {dev:.3g} > {self.spike_factor:g} x {self._scale:.3g}"
-                )
-        return None
-
-    def check(self, energy, forces, step: Optional[int] = None) -> bool:
-        """True when healthy (energy banked); False/raise when tripped."""
-        self.n_checks += 1
-        problem = self._diagnose(energy, forces)
-        if problem is None:
-            self._history.append(float(energy))
-            self._stats_age += 1
-            return True
-        self.n_trips += 1
-        where = "" if step is None else f" at step {step}"
-        self.last_error = f"{problem}{where}"
-        if self.policy == "abort" or self.n_recoveries >= self.max_recoveries:
-            raise NumericalInstabilityError(self.last_error)
-        return False
+    _nonfinite = staticmethod(_nonfinite_energy_forces)
 
     def on_recovered(self) -> None:
         """Record one successful checkpoint restore (recover policy)."""
         self.n_recoveries += 1
 
-    def reset_history(self) -> None:
-        """Drop banked energies (call after restoring an older state)."""
-        self._history.clear()
-        self._stats_age = self._stats_every
 
-    def stats(self) -> dict:
-        return {
-            "policy": self.policy,
-            "n_checks": self.n_checks,
-            "n_trips": self.n_trips,
-            "n_recoveries": self.n_recoveries,
-            "last_error": self.last_error,
-        }
-
-
-class TrainingWatchdog:
+class TrainingWatchdog(_SpikeWatchdog):
     """Per-batch health check on (loss, gradients): the training sibling of
     :class:`ForceWatchdog`.
 
@@ -186,7 +219,9 @@ class TrainingWatchdog:
     carries the same spike-detection state as the uninterrupted one.
     """
 
-    POLICIES = ("abort", "recover")
+    _VALUE = "loss"
+    _COUNTER = "n_rollbacks"
+    _LIMIT = "max_rollbacks"
 
     def __init__(
         self,
@@ -197,65 +232,24 @@ class TrainingWatchdog:
         abs_floor: float = 1e-12,
         max_rollbacks: int = 3,
     ) -> None:
-        if policy not in self.POLICIES:
-            raise ValueError(f"unknown policy {policy!r} (abort|recover)")
-        if spike_factor is not None and spike_factor <= 0:
-            raise ValueError("spike_factor must be positive (or None to disable)")
-        if max_rollbacks < 0:
-            raise ValueError("max_rollbacks must be >= 0")
-        self.policy = policy
-        self.spike_factor = spike_factor
-        self.min_history = int(min_history)
-        self.abs_floor = float(abs_floor)
-        self._history: deque = deque(maxlen=int(window))
-        self.max_rollbacks = int(max_rollbacks)
-        self.n_checks = 0
-        self.n_trips = 0
-        self.n_rollbacks = 0
-        self.last_error: Optional[str] = None
+        super().__init__(
+            policy, spike_factor, min_history, window, abs_floor, max_rollbacks
+        )
 
-    # -- detection ------------------------------------------------------------
-    def _diagnose(self, loss: float, grads) -> Optional[str]:
+    @staticmethod
+    def _nonfinite(loss, grads) -> Optional[str]:
+        loss = float(loss)
         if not np.isfinite(loss):
             return f"non-finite training loss {loss!r}"
         for k, g in enumerate(grads):
             if not np.isfinite(g).all():
                 bad = int(np.count_nonzero(~np.isfinite(g)))
                 return f"non-finite gradient ({bad} component(s) in grad #{k})"
-        if self.spike_factor is not None and len(self._history) >= self.min_history:
-            hist = np.asarray(self._history)
-            median = float(np.median(hist))
-            mad = float(np.median(np.abs(hist - median)))
-            scale = max(1.4826 * mad, self.abs_floor)
-            dev = abs(float(loss) - median)
-            if dev > self.spike_factor * scale:
-                return (
-                    f"loss spike: |{loss:.6g} - median {median:.6g}| "
-                    f"= {dev:.3g} > {self.spike_factor:g} x {scale:.3g}"
-                )
         return None
-
-    def check(self, loss: float, grads=(), step: Optional[int] = None) -> bool:
-        """True when healthy (loss banked); False/raise when tripped."""
-        self.n_checks += 1
-        problem = self._diagnose(float(loss), grads)
-        if problem is None:
-            self._history.append(float(loss))
-            return True
-        self.n_trips += 1
-        where = "" if step is None else f" at step {step}"
-        self.last_error = f"{problem}{where}"
-        if self.policy == "abort" or self.n_rollbacks >= self.max_rollbacks:
-            raise NumericalInstabilityError(self.last_error)
-        return False
 
     def on_rollback(self) -> None:
         """Record one checkpoint rollback (recover policy)."""
         self.n_rollbacks += 1
-
-    def reset_history(self) -> None:
-        """Drop banked losses (call after rolling back to an older state)."""
-        self._history.clear()
 
     # -- checkpointable state -------------------------------------------------
     def state_dict(self) -> dict:
@@ -268,18 +262,9 @@ class TrainingWatchdog:
         }
 
     def load_state_dict(self, state: dict) -> None:
-        self._history.clear()
+        self.reset_history()
         self._history.extend(float(x) for x in state["history"])
         self.n_checks = int(state["n_checks"])
         self.n_trips = int(state["n_trips"])
         self.n_rollbacks = int(state["n_rollbacks"])
         self.last_error = state["last_error"]
-
-    def stats(self) -> dict:
-        return {
-            "policy": self.policy,
-            "n_checks": self.n_checks,
-            "n_trips": self.n_trips,
-            "n_rollbacks": self.n_rollbacks,
-            "last_error": self.last_error,
-        }

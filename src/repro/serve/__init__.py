@@ -39,7 +39,8 @@ Quickstart::
 """
 
 from ..health import HEALTH_STATES, HealthMonitor, HealthThresholds
-from .batching import ForceRequest, MicroBatcher, concatenate_structures
+from ..md.neighborlist import concatenate_structures
+from .batching import ForceRequest, MicroBatcher
 from .plancache import PlanCache, SizeClasses
 from .qos import (
     DEFAULT_PRIORITY,

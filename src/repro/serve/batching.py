@@ -26,12 +26,10 @@ from collections import OrderedDict, deque
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional
 
-import numpy as np
-
 from ..md.neighborlist import NeighborList
 from .qos import DEFAULT_PRIORITY, PRIORITIES, priority_level
 
-__all__ = ["ForceRequest", "MicroBatcher", "concatenate_structures"]
+__all__ = ["ForceRequest", "MicroBatcher"]
 
 
 @dataclass
@@ -62,30 +60,6 @@ class ForceRequest:
     @property
     def priority_level(self) -> int:
         return priority_level(self.priority)
-
-
-def concatenate_structures(systems, neighbor_lists):
-    """Concatenate structures into one evaluation-ready super-structure.
-
-    Returns ``(positions, species, nl, offsets)`` where ``offsets`` has
-    ``len(systems) + 1`` entries: structure ``k`` owns atom rows
-    ``offsets[k]:offsets[k+1]``.  Edges are shifted by each structure's
-    atom offset so the graphs stay disjoint — no cross-structure
-    interaction exists, which is what makes batched evaluation exact.
-    """
-    if len(systems) != len(neighbor_lists):
-        raise ValueError("one neighbor list per structure required")
-    offsets = np.zeros(len(systems) + 1, dtype=np.int64)
-    for k, s in enumerate(systems):
-        offsets[k + 1] = offsets[k] + s.n_atoms
-    positions = np.concatenate([np.asarray(s.positions) for s in systems])
-    species = np.concatenate([np.asarray(s.species) for s in systems])
-    edge_index = np.concatenate(
-        [nl.edge_index + off for nl, off in zip(neighbor_lists, offsets[:-1])],
-        axis=1,
-    )
-    shifts = np.concatenate([nl.shifts for nl in neighbor_lists])
-    return positions, species, NeighborList(edge_index, shifts), offsets
 
 
 class MicroBatcher:

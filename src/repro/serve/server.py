@@ -58,11 +58,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..health import HealthMonitor
-from ..md.neighborlist import neighbor_list
+from ..md.neighborlist import concatenate_structures
 from ..obs import OCCUPANCY_BUCKETS, Registry, span
 from ..resilience.guards import NumericalInstabilityError, validate_energy_forces
 from ..resilience.retry import RetryPolicy
-from .batching import ForceRequest, MicroBatcher, concatenate_structures
+from .batching import ForceRequest, MicroBatcher
 from .qos import (
     DEFAULT_PRIORITY,
     DEGRADED_SERVED,
@@ -135,14 +135,6 @@ class WorkerCrash(ServeError):
 
 class DrainTimeout(ServeError):
     """The shutdown drain deadline expired with this request still pending."""
-
-
-def _build_nl(potential, system):
-    """Model-prepared neighbor list when available, plain cutoff list else."""
-    prepare = getattr(potential, "prepare_neighbors", None)
-    if prepare is not None:
-        return prepare(system)
-    return neighbor_list(system, potential.cutoff)
 
 
 class ForceServer:
@@ -733,10 +725,8 @@ class ForceServer:
         # neighbor-list builds included — or the deadline feasibility
         # check undershoots and admits requests that cannot finish.
         t_service = time.monotonic()
-        nls = [
-            req.nl if req.nl is not None else _build_nl(entry.potential, req.system)
-            for req in live
-        ]
+        prepare = entry.potential.prepare_neighbors
+        nls = [req.nl if req.nl is not None else prepare(req.system) for req in live]
         try:
             results = self.retry_policy.call(
                 lambda: self._evaluate_batch(entry, live, nls, eager),

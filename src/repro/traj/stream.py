@@ -1,22 +1,23 @@
 """Streaming trajectory analysis: single-pass folds over a reader.
 
-The in-memory analysis helpers (:mod:`repro.md.analysis`) materialize the
-whole trajectory; at production scale (the paper's 44M-atom capsid runs)
-that is exactly what a data plane must avoid.  Each fold below consumes
-one frame at a time in O(window · N) work and O(window · N) memory:
+The one analysis stack: materializing a whole trajectory is exactly what a
+data plane must avoid at production scale (the paper's 44M-atom capsid
+runs), so each fold below consumes one frame at a time in O(window · N)
+work and O(window · N) memory:
 
 * :class:`StreamingMSD` — MSD over a windowed ring buffer of unwrapped
   positions (incremental minimum-image unwrapping, so wrapped dumps are
-  handled without a second pass).  Equals the materialized
-  :func:`repro.md.analysis.mean_squared_displacement` exactly when the
-  window covers the trajectory (pinned by tests).
+  handled without a second pass).  Equals the all-origins MSD of the
+  materialized trajectory exactly when the window covers it (pinned by
+  tests against a test-side reference).
 * :class:`StreamingVACF` — normalized velocity autocorrelation over the
   same ring-buffer scheme.
 * :class:`StreamingRDF` — g(r) accumulated per frame under the
-  minimum-image convention, normalized like
-  :func:`repro.md.observables.radial_distribution`.
+  minimum-image convention: the histogram and normalization of
+  :func:`repro.md.observables.radial_distribution`, summed over frames.
 * :class:`StreamingThermo` — temperature mean/drift and the NVE energy
-  drift per atom from the per-frame ``pe`` the binary format stores.
+  drift per atom from the per-frame ``pe`` the binary format stores (the
+  fits ``stability_report`` applies to a run's time series).
 
 :func:`analyze_stream` drives all folds in one pass over a
 :class:`~repro.traj.store.TrajectoryReader` and returns a plain dict that
@@ -27,10 +28,17 @@ one frame at a time in O(window · N) work and O(window · N) memory:
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, Iterable, Optional
+from typing import Dict, Optional
 
 import numpy as np
 
+from ..md.analysis import diffusion_coefficient
+from ..md.observables import (
+    SeriesDrift,
+    energy_drift_per_atom,
+    rdf_counts,
+    rdf_normalize,
+)
 from ..md.system import ACCEL_CONV, KB_EV
 
 __all__ = [
@@ -173,19 +181,16 @@ class StreamingRDF:
             span = pos.max(axis=0) - pos.min(axis=0)
             volume = float(np.prod(np.maximum(span, 1e-12)))
         r = np.sqrt((delta**2).sum(axis=-1))
-        iu = ~np.eye(n, dtype=bool)
-        dists = r[iu]
-        hist, _ = np.histogram(dists[dists <= self.r_max], bins=self._edges)
+        hist, expected = rdf_counts(
+            r[~np.eye(n, dtype=bool)], n, volume, self._edges
+        )
         self._hist += hist
-        shell = 4.0 / 3.0 * np.pi * (self._edges[1:] ** 3 - self._edges[:-1] ** 3)
-        self._expected += (n / volume) * shell * n
+        self._expected += expected
         self.n_frames += 1
 
     def result(self) -> Dict[str, np.ndarray]:
         centers = 0.5 * (self._edges[:-1] + self._edges[1:])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            g = np.where(self._expected > 0, self._hist / self._expected, 0.0)
-        return {"r": centers, "g": g}
+        return {"r": centers, "g": rdf_normalize(self._hist, self._expected)}
 
 
 class StreamingThermo:
@@ -197,27 +202,20 @@ class StreamingThermo:
 
     def __init__(self, masses: np.ndarray) -> None:
         self.masses = np.asarray(masses, dtype=np.float64)
-        self.n_frames = 0
-        self._t_sum = 0.0
-        self._t_sq_sum = 0.0
-        self._xt_sum = 0.0
-        self._x_sum = 0.0
-        self._x_sq_sum = 0.0
+        self._temps = SeriesDrift()
         self._first_total_e: Optional[float] = None
         self._last_total_e: Optional[float] = None
         self._has_pe = True
+
+    @property
+    def n_frames(self) -> int:
+        return self._temps.n
 
     def update(self, velocities: np.ndarray, pe: float) -> None:
         v = np.asarray(velocities, dtype=np.float64)
         ke = float(0.5 * np.sum(self.masses * (v**2).sum(axis=-1)) / ACCEL_CONV)
         dof = 3 * len(v)
-        temp = 2.0 * ke / (dof * KB_EV) if dof else 0.0
-        x = float(self.n_frames)
-        self._t_sum += temp
-        self._t_sq_sum += temp * temp
-        self._xt_sum += x * temp
-        self._x_sum += x
-        self._x_sq_sum += x * x
+        self._temps.add(2.0 * ke / (dof * KB_EV) if dof else 0.0)
         if np.isfinite(pe):
             total = pe + ke
             if self._first_total_e is None:
@@ -225,33 +223,21 @@ class StreamingThermo:
             self._last_total_e = total
         else:
             self._has_pe = False
-        self.n_frames += 1
 
     def result(self) -> Dict[str, float]:
-        n = self.n_frames
-        mean_t = self._t_sum / n if n else 0.0
-        if n > 1:
-            denom = n * self._x_sq_sum - self._x_sum**2
-            drift = (
-                (n * self._xt_sum - self._x_sum * self._t_sum) / denom
-                if denom
-                else 0.0
-            )
-        else:
-            drift = 0.0
         e_drift = 0.0
         if (
             self._has_pe
             and self._first_total_e is not None
             and len(self.masses)
         ):
-            e_drift = abs(self._last_total_e - self._first_total_e) / len(
-                self.masses
+            e_drift = energy_drift_per_atom(
+                [self._first_total_e, self._last_total_e], len(self.masses)
             )
         return {
-            "n_frames": n,
-            "mean_temperature": mean_t,
-            "temperature_drift_per_frame": drift,
+            "n_frames": self.n_frames,
+            "mean_temperature": self._temps.mean,
+            "temperature_drift_per_frame": self._temps.slope,
             "energy_drift_per_atom": e_drift,
         }
 
@@ -319,19 +305,5 @@ def analyze_stream(
         report["dt_between_frames_fs"] = dt
         msd_arr = np.asarray(report["msd"])
         if len(msd_arr) >= 4 and dt > 0:
-            from ..md.analysis import diffusion_coefficient
-
             report["diffusion_coefficient"] = diffusion_coefficient(msd_arr, dt)
     return report
-
-
-def fold_frames(frames: Iterable, *folds) -> None:
-    """Feed an iterable of frames through position/velocity folds (helper)."""
-    for frame in frames:
-        for fold in folds:
-            if isinstance(fold, (StreamingMSD, StreamingRDF)):
-                fold.update(frame.positions, frame.cell_lengths)
-            elif isinstance(fold, StreamingVACF):
-                fold.update(frame.velocities)
-            elif isinstance(fold, StreamingThermo):
-                fold.update(frame.velocities, frame.pe)

@@ -1,4 +1,8 @@
-"""Tests for trajectory analysis: MSD, unwrapping, VACF, stability reports."""
+"""Tests for trajectory analysis: MSD, unwrapping, VACF, stability reports.
+
+MSD/VACF run through the streaming folds (the one analysis stack); the
+materialized all-origins sweeps they are compared against live here.
+"""
 
 import numpy as np
 import pytest
@@ -8,12 +12,10 @@ from repro.md import (
     Simulation,
     System,
     diffusion_coefficient,
-    mean_squared_displacement,
     stability_report,
-    unwrap_trajectory,
-    velocity_autocorrelation,
 )
 from repro.models import LennardJones
+from repro.traj import StreamingMSD, StreamingVACF
 
 
 @pytest.fixture
@@ -21,12 +23,38 @@ def rng():
     return np.random.default_rng(181)
 
 
+def _msd(frames, window=None, cell_lengths=None, atom_indices=None):
+    fold = StreamingMSD(
+        window if window is not None else len(frames) - 1, atom_indices=atom_indices
+    )
+    for f in frames:
+        fold.update(f, cell_lengths)
+    return fold.result()
+
+
+def _vacf(velocities, window=None):
+    fold = StreamingVACF(window if window is not None else len(velocities) - 1)
+    for v in velocities:
+        fold.update(v)
+    return fold.result()
+
+
+def _vacf_reference(velocities, max_lag):
+    """Materialized VACF(τ) = ⟨v(0)·v(τ)⟩ / ⟨v²⟩ over atoms and origins."""
+    v = np.stack(velocities)  # [T, N, 3]
+    norm = float((v * v).sum(axis=-1).mean())
+    out = np.ones(max_lag + 1)
+    for lag in range(1, max_lag + 1):
+        out[lag] = float((v[:-lag] * v[lag:]).sum(axis=-1).mean()) / norm
+    return out
+
+
 class TestMSD:
     def test_ballistic_motion_quadratic(self):
         """Constant-velocity atoms: MSD(τ) = v²τ²."""
         v = np.array([0.1, 0.0, 0.0])
         frames = [np.array([[0.0, 0, 0]]) + v * t for t in range(10)]
-        msd = mean_squared_displacement(frames)
+        msd = _msd(frames)
         taus = np.arange(10)
         assert np.allclose(msd, (0.1 * taus) ** 2, atol=1e-12)
 
@@ -34,7 +62,8 @@ class TestMSD:
         """Brownian steps: MSD grows linearly with lag."""
         steps = rng.normal(scale=0.1, size=(400, 50, 3))
         frames = np.cumsum(steps, axis=0)
-        msd = mean_squared_displacement(list(frames), max_lag=40)
+        msd = _msd(list(frames), window=40)
+        assert len(msd) == 41
         # slope ratio between halves ≈ 1 (linear).
         early = msd[10] / 10
         late = msd[40] / 40
@@ -42,30 +71,33 @@ class TestMSD:
 
     def test_atom_subset(self, rng):
         frames = [rng.normal(size=(6, 3)) for _ in range(5)]
-        full = mean_squared_displacement(frames)
-        sub = mean_squared_displacement(frames, atom_indices=np.arange(6))
+        full = _msd(frames)
+        sub = _msd(frames, atom_indices=np.arange(6))
         assert np.allclose(full, sub)
+        half = _msd(frames, atom_indices=np.arange(3))
+        assert np.allclose(half, _msd([f[:3] for f in frames]))
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            mean_squared_displacement([np.zeros((2, 3))])
+            StreamingMSD(window=0)
+        # One frame carries no displacement: lag 0 only.
+        assert _msd([np.zeros((2, 3))], window=4).tolist() == [0.0]
 
 
 class TestUnwrap:
     def test_crossing_reconstructed(self):
         L = np.array([10.0, 10.0, 10.0])
-        # atom walks +1 per frame, wrapping at 10.
-        true = np.array([[float(t), 0.0, 0.0] for t in range(25)])
+        # atom walks +1 per frame, wrapping at 10: unwrapped across the
+        # boundary its MSD is the ballistic τ², not the wrapped sawtooth.
         wrapped = [np.array([[t % 10.0, 0.0, 0.0]]) for t in range(25)]
-        un = unwrap_trajectory(wrapped, L)
-        rebuilt = np.array([f[0] for f in un])
-        assert np.allclose(rebuilt, true)
+        msd = _msd(wrapped, cell_lengths=L)
+        assert np.allclose(msd, np.arange(25.0) ** 2)
+        assert not np.allclose(_msd(wrapped), msd)
 
     def test_no_wrap_is_identity(self, rng):
         frames = [rng.uniform(2, 8, (4, 3)) + 0.01 * t for t in range(5)]
-        un = unwrap_trajectory(frames, np.array([50.0, 50.0, 50.0]))
-        for a, b in zip(frames, un):
-            assert np.allclose(a, b)
+        in_box = _msd(frames, cell_lengths=np.array([50.0, 50.0, 50.0]))
+        assert np.array_equal(in_box, _msd(frames))
 
 
 class TestDiffusion:
@@ -83,14 +115,16 @@ class TestDiffusion:
 class TestVACF:
     def test_starts_at_one_and_constant_velocity_stays(self, rng):
         v = rng.normal(size=(1, 8, 3)).repeat(10, axis=0)
-        vacf = velocity_autocorrelation(list(v))
+        vacf = _vacf(list(v))
+        assert vacf[0] == 1.0
         assert np.allclose(vacf, 1.0, atol=1e-12)
 
     def test_decorrelates_for_random_velocities(self, rng):
         v = [rng.normal(size=(200, 3)) for _ in range(60)]
-        vacf = velocity_autocorrelation(v, max_lag=10)
+        vacf = _vacf(v, window=10)
         assert vacf[0] == 1.0
         assert abs(vacf[5]) < 0.2
+        assert np.allclose(vacf, _vacf_reference(v, 10), rtol=1e-10, atol=1e-12)
 
 
 class TestStabilityReport:

@@ -9,11 +9,11 @@ from repro.md import (
     LangevinThermostat,
     Simulation,
     System,
-    TrajectoryRecorder,
     energy_drift_per_atom,
     read_xyz,
     write_xyz_frame,
 )
+from repro.cli.traj import rtrj_to_xyz
 from repro.models import LennardJones
 
 
@@ -120,22 +120,27 @@ class TestCallbacksAndRecording:
     def test_trajectory_roundtrip(self, rng, tmp_path):
         s, lj = _lj_crystal(rng)
         s.species_names = ["C"]
+        # The loop dumps .rtrj only; XYZ is its conversion.
         path = tmp_path / "traj.xyz"
-        rec = TrajectoryRecorder(path=str(path), every=2)
-        sim = Simulation(s, lj, dt=0.2, recorder=rec)
-        sim.run(6)
-        rec.close()
+        sim = Simulation(s, lj, dt=0.2)
+        sim.run(6, dump_every=2, dump_path=tmp_path / "traj.rtrj")
+        assert rtrj_to_xyz(tmp_path / "traj.rtrj", path) == 3
         frames = read_xyz(path, ["C"])
         assert len(frames) == 3
         assert frames[0].n_atoms == s.n_atoms
         assert np.allclose(frames[0].cell.lengths, s.cell.lengths)
+        assert np.allclose(frames[-1].positions, s.positions, atol=1e-8)
 
     def test_in_memory_recording(self, rng):
         s, lj = _lj_crystal(rng)
-        rec = TrajectoryRecorder(every=1)
-        Simulation(s, lj, dt=0.2, recorder=rec).run(4)
-        assert len(rec.frames) == 4
-        assert rec.frames[0].shape == (s.n_atoms, 3)
+        # Frames wanted in memory are collected by a callback.
+        frames = []
+        sim = Simulation(s, lj, dt=0.2)
+        sim.add_callback(lambda step, sim: frames.append(sim.system.positions.copy()))
+        sim.run(4)
+        assert len(frames) == 4
+        assert frames[0].shape == (s.n_atoms, 3)
+        assert not np.array_equal(frames[0], frames[-1])
 
     def test_write_xyz_format(self, rng, tmp_path):
         s = System(

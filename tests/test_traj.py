@@ -16,7 +16,6 @@ import numpy as np
 import pytest
 
 from repro.md import Cell, Simulation, System
-from repro.md.analysis import mean_squared_displacement, velocity_autocorrelation
 from repro.md.observables import radial_distribution
 from repro.models import LennardJones
 from repro.resilience import TRAJ_TORN_CHUNK, CheckpointManager, FaultPlan
@@ -467,7 +466,7 @@ class TestStreaming:
         fold = StreamingMSD(window=39)
         for pos in traj:
             fold.update(pos)
-        ref = mean_squared_displacement(list(traj))
+        ref = self._msd_reference(traj)
         np.testing.assert_allclose(fold.result(), ref, rtol=1e-10, atol=1e-12)
 
     def test_streaming_msd_unwraps_minimum_image(self):
@@ -479,7 +478,7 @@ class TestStreaming:
         fold = StreamingMSD(window=29)
         for pos in wrapped:
             fold.update(pos, L)
-        ref = mean_squared_displacement([f for f in unwrapped])
+        ref = self._msd_reference(unwrapped)
         np.testing.assert_allclose(fold.result(), ref, atol=1e-10)
 
     def test_streaming_vacf_equals_materialized(self):
@@ -488,7 +487,11 @@ class TestStreaming:
         fold = StreamingVACF(window=29)
         for v in vel:
             fold.update(v)
-        ref = velocity_autocorrelation([v for v in vel])
+        # Reference: materialized ⟨v(0)·v(τ)⟩ / ⟨v²⟩ over atoms and origins.
+        ref = np.ones(30)
+        for lag in range(1, 30):
+            ref[lag] = (vel[:-lag] * vel[lag:]).sum(axis=-1).mean()
+        ref[1:] /= (vel * vel).sum(axis=-1).mean()
         np.testing.assert_allclose(fold.result(), ref, rtol=1e-10, atol=1e-12)
 
     def test_streaming_rdf_matches_single_frame(self):
@@ -507,6 +510,24 @@ class TestStreaming:
         res = fold.result()
         np.testing.assert_allclose(res["r"], r_ref)
         np.testing.assert_allclose(res["g"], g_ref, rtol=1e-10, atol=1e-12)
+
+    def test_streaming_rdf_one_frame_is_radial_distribution_bitwise(self):
+        """One histogram + normalization: the fold over a single frame IS
+        ``radial_distribution`` of that frame's min-image distances."""
+        system = _system()
+        L = np.asarray(system.cell.lengths, dtype=np.float64)
+        fold = StreamingRDF(r_max=2.5, n_bins=20)
+        fold.update(system.positions, L)
+        d = system.positions[:, None, :] - system.positions[None, :, :]
+        d = d - L * np.round(d / L)
+        dists = np.sqrt((d**2).sum(axis=-1))[~np.eye(system.n_atoms, dtype=bool)]
+        r_ref, g_ref = radial_distribution(
+            dists, system.n_atoms, float(np.prod(L)), r_max=2.5, n_bins=20
+        )
+        res = fold.result()
+        assert np.array_equal(res["r"], r_ref)
+        assert np.array_equal(res["g"], g_ref)
+        assert g_ref.max() > 0
 
     def test_streaming_thermo_drift(self):
         masses = np.ones(4) * 12.0
@@ -532,8 +553,8 @@ class TestStreaming:
         assert a == b
 
     @staticmethod
-    def _mean_squared_displacement_naive(frames, max_lag=None, atom_indices=None):
-        """Reference O(T·τ_max) MSD; pins the FFT path."""
+    def _msd_reference(frames, max_lag=None, atom_indices=None):
+        """Materialized all-origins O(T·τ_max) MSD the fold is pinned to."""
         traj = np.stack([np.asarray(f) for f in frames])  # [T, N, 3]
         if atom_indices is not None:
             traj = traj[:, np.asarray(atom_indices)]
@@ -545,13 +566,16 @@ class TestStreaming:
             out[lag] = float((disp**2).sum(axis=-1).mean())
         return out
 
-    def test_msd_fft_equals_naive(self):
+    def test_streaming_msd_window_and_subset_equal_reference(self):
         rng = np.random.default_rng(3)
         traj = np.cumsum(rng.normal(size=(120, 5, 3)), axis=0)
-        for kw in [{}, {"max_lag": 40}, {"atom_indices": np.array([0, 2, 4])}]:
+        for window, subset in [(119, None), (40, None), (119, np.array([0, 2, 4]))]:
+            fold = StreamingMSD(window, atom_indices=subset)
+            for pos in traj:
+                fold.update(pos)
             np.testing.assert_allclose(
-                mean_squared_displacement(list(traj), **kw),
-                self._mean_squared_displacement_naive(list(traj), **kw),
+                fold.result(),
+                self._msd_reference(traj, max_lag=window, atom_indices=subset),
                 rtol=1e-9,
                 atol=1e-9,
             )

@@ -15,8 +15,12 @@ Design notes
   gradients by summing over broadcast axes.
 * A module-level :class:`Config` carries the matmul precision hook used by
   :mod:`repro.perf.precision` to emulate TF32 tensor-core arithmetic.
+* :mod:`~repro.autodiff.arena` owns the memory of an eager force call's
+  tape: large results live in per-thread blocks that are reused by the next
+  call instead of being faulted in again.
 """
 
+from . import arena
 from .tensor import (
     Tensor,
     Config,
@@ -105,4 +109,5 @@ __all__ = [
     "pad_rows",
     "gradcheck",
     "numerical_grad",
+    "arena",
 ]

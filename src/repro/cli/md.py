@@ -23,6 +23,18 @@ def _engine_line(stats: dict) -> str:
     )
 
 
+def _arena_line(stats: dict) -> str:
+    """Eager force calls' tape memory: a share near 0 on a large eager run
+    means page-faulting is back; dropped blocks mean views escape a call."""
+    asked = stats["outputs_requested"]
+    share = f"{100 * stats['outputs_served'] / asked:.1f}%" if asked else "n/a"
+    return (
+        f"tape arena: {stats['bytes_held'] / 2**20:.1f} MB held in "
+        f"{stats['blocks']} block(s), {stats['outputs_served']} of {asked} "
+        f"eager outputs served ({share}), {stats['blocks_dropped']} block(s) dropped"
+    )
+
+
 def _run_and_report(sim, cfg, n_steps, log, stats_json, extra, **checkpoint_sink):
     """Shared run/resume body: integrate, report, engine stats, JSON payload."""
     dump = dump_args(cfg.output)
@@ -160,6 +172,8 @@ def profile_config(
     )
     log("")
     log(tracer.format_phases("md."))
+    log("")
+    log(_arena_line(sim.stats()["tape_arena"]))
     engine_stats = sim.engine_stats()
     if engine_stats is not None:
         log("")

@@ -47,17 +47,27 @@ def neighbor_list(
     system: System,
     cutoff: float,
     method: str = "auto",
+    n_centers: Optional[int] = None,
 ) -> NeighborList:
     """All ordered pairs with |r_ij| < cutoff.
 
     ``method``: 'auto' picks cell binning when the box supports ≥3 bins per
     periodic axis and the system is large, otherwise chunked brute force
     with the minimum-image convention.
+
+    ``n_centers``: only the first ``n_centers`` atoms are centers (a rank's
+    owned atoms, stored ahead of its ghosts); the rest appear as neighbors
+    only.  The result is the full list filtered by ``edge_index[0] <
+    n_centers`` — same edges, same order — without the candidate pairs of
+    the other centers ever being generated.
     """
     if cutoff <= 0:
         raise ValueError("cutoff must be positive")
     pos = system.positions
     n = len(pos)
+    n_centers = n if n_centers is None else int(n_centers)
+    if not 0 <= n_centers <= n:
+        raise ValueError(f"n_centers={n_centers} outside [0, {n}]")
     if n == 0:
         return NeighborList(np.zeros((2, 0), dtype=np.int64), np.zeros((0, 3)))
     cell = system.cell
@@ -69,13 +79,15 @@ def neighbor_list(
             ok = all((not cell.pbc[ax]) or nbins[ax] >= 3 for ax in range(3))
             method = "cells" if (ok and n >= 256) else "brute"
     if method == "cells":
-        return _cell_list(pos, system.cell, cutoff)
+        return _cell_list(pos, system.cell, cutoff, n_centers)
     if method == "brute":
-        return _brute_force(pos, system.cell, cutoff)
+        return _brute_force(pos, system.cell, cutoff, n_centers)
     raise ValueError(f"unknown method {method!r}")
 
 
-def _brute_force(pos: np.ndarray, cell: Optional[Cell], cutoff: float) -> NeighborList:
+def _brute_force(
+    pos: np.ndarray, cell: Optional[Cell], cutoff: float, n_centers: int
+) -> NeighborList:
     """Chunked O(N²) with minimum image (requires cutoff ≤ L/2 on pbc axes)."""
     n = len(pos)
     if cell is not None:
@@ -90,7 +102,8 @@ def _brute_force(pos: np.ndarray, cell: Optional[Cell], cutoff: float) -> Neighb
     cut2 = cutoff * cutoff
     for start in range(0, n, chunk):
         stop = min(start + chunk, n)
-        disp = pos[None, start:stop, :] - pos[:, None, :]  # [n, c, 3]: j - i
+        # [n_centers, c, 3]: j - i
+        disp = pos[None, start:stop, :] - pos[:n_centers, None, :]
         shift = np.zeros_like(disp)
         if cell is not None:
             for ax in range(3):
@@ -113,9 +126,10 @@ def _brute_force(pos: np.ndarray, cell: Optional[Cell], cutoff: float) -> Neighb
     return NeighborList(edge_index, shifts)
 
 
-def _cell_list(pos: np.ndarray, cell: Optional[Cell], cutoff: float) -> NeighborList:
+def _cell_list(
+    pos: np.ndarray, cell: Optional[Cell], cutoff: float, n_centers: int
+) -> NeighborList:
     """O(N) binned neighbor search, fully vectorized (no Python per-atom loop)."""
-    n = len(pos)
     if cell is not None:
         orig = pos
         pos = cell.wrap(pos)
@@ -145,6 +159,9 @@ def _cell_list(pos: np.ndarray, cell: Optional[Cell], cutoff: float) -> Neighbor
     sorted_flat = flat[order]
     counts = np.bincount(sorted_flat, minlength=total_bins)
     offsets = np.concatenate([[0], np.cumsum(counts)])
+    # Centers, as positions in bin order, and the bin each sits in.
+    centers = np.nonzero(order < n_centers)[0]
+    center_bins = sorted_flat[centers]
 
     # Precompute per-bin 3D coordinates once.
     bx, by, bz = np.meshgrid(
@@ -175,13 +192,13 @@ def _cell_list(pos: np.ndarray, cell: Optional[Cell], cutoff: float) -> Neighbor
                 nflat = (ncoords[:, 0] * nbins[1] + ncoords[:, 1]) * nbins[2] + ncoords[:, 2]
                 nflat = np.where(valid, nflat, 0)
 
-                # For every atom i: candidates are atoms in bin nflat[bin(i)].
-                nb_of_atom = nflat[sorted_flat]
-                cand_count = np.where(valid[sorted_flat], counts[nb_of_atom], 0)
+                # For every center i: candidates are atoms in bin nflat[bin(i)].
+                nb_of_atom = nflat[center_bins]
+                cand_count = np.where(valid[center_bins], counts[nb_of_atom], 0)
                 total = int(cand_count.sum())
                 if total == 0:
                     continue
-                i_rep_sorted = np.repeat(np.arange(n), cand_count)
+                i_rep_sorted = np.repeat(centers, cand_count)
                 starts = offsets[nb_of_atom]
                 cum = np.cumsum(cand_count)
                 ragged = np.arange(total) - np.repeat(cum - cand_count, cand_count)

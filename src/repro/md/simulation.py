@@ -38,6 +38,7 @@ from typing import Callable, List, Optional
 
 import numpy as np
 
+from ..autodiff import arena
 from ..obs import Registry, get_tracer, span
 from ..resilience.checkpoint import resolve_checkpoint_sink
 from ..resilience.guards import NumericalInstabilityError, validate_energy_forces
@@ -254,6 +255,8 @@ class Simulation:
         snap["n_recoveries"] = self._c_recoveries.value
         snap["neighbor_builds"] = self.verlet.n_builds
         snap["phases"] = get_tracer().phase_totals("md.")
+        # The calling thread's tape arena (eager force calls run on it).
+        snap["tape_arena"] = arena.stats()
         if self.controllers is not None:
             snap["controllers"] = self.controllers.stats()
         return snap

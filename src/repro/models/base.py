@@ -170,6 +170,15 @@ class Potential(Module):
         graph with no geometric dependence — an empty neighbor list — gives
         zero forces.
         """
+        # The tape's large arrays live in this thread's arena until the
+        # scope closes; _force_call's frame (and with it the tape) is gone
+        # by then, and the energies leave as a copy.
+        with ad.arena.scope():
+            e_atoms, forces = self._force_call(positions, species, nl, n_active)
+            e_atoms = e_atoms.copy()
+        return e_atoms, forces
+
+    def _force_call(self, positions, species, nl, n_active):
         pos = ad.Tensor(positions, requires_grad=True)
         e_atoms = self.atomic_energies(pos, species, nl)
         e_seed = e_atoms if n_active is None else e_atoms[:n_active]

@@ -211,8 +211,6 @@ class DomainDecomposition:
     # -- local neighbor lists ----------------------------------------------------
     @staticmethod
     def local_neighbor_list(shard: RankShard, cutoff: float) -> NeighborList:
-        """Open-boundary local list keeping only owned-center edges."""
+        """Open-boundary local list with owned atoms as the only centers."""
         local = System(shard.positions, shard.species, cell=None)
-        nl = neighbor_list(local, cutoff)
-        keep = nl.edge_index[0] < shard.n_owned
-        return NeighborList(nl.edge_index[:, keep], nl.shifts[keep])
+        return neighbor_list(local, cutoff, n_centers=shard.n_owned)

@@ -38,6 +38,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
+from ..autodiff import arena
 from ..md.neighborlist import filter_by_pair_cutoffs, pruning_cutoffs
 from ..md.simulation import Simulation, _copy_or_none
 from ..md.system import System
@@ -118,11 +119,14 @@ class ParallelForceEvaluator:
         The snapshot carries the comm traffic (``comm.*``), per-rank engine
         counters (``engine.*{rank=...}``), and failure/recovery totals
         (``parallel.*``); ``phases`` holds span timings for
-        decompose/exchange/force/halo when tracing is enabled.
+        decompose/exchange/force/halo when tracing is enabled;
+        ``tape_arena`` is :func:`repro.autodiff.arena.stats`.
         """
         out = self.obs.snapshot()
         out["resilience"] = self.resilience_stats()
         out["engine"] = self.engine_stats()
+        # Ranks are evaluated on the calling thread: its arena is theirs.
+        out["tape_arena"] = arena.stats()
         out["phases"] = get_tracer().phase_totals("parallel.")
         return out
 

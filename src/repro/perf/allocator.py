@@ -16,6 +16,12 @@ when the cap is hit the cache is flushed (the expensive synchronizing
 drives it with a *measured* per-step pair-count series from a real MD run
 and returns steps/s time series with and without padding — fig. 5's two
 curves.
+
+This module is a *simulation* of the mechanism with order-of-magnitude CUDA
+costs.  The same effect is *measured* on this repo's own CPU allocator —
+glibc page-faulting an eager force call's tape in on every call — and
+removed by :mod:`repro.autodiff.arena` (DESIGN §20; EXPERIMENTS.md,
+"Fig. 5 in miniature, measured").
 """
 
 from __future__ import annotations

@@ -454,6 +454,118 @@ class TestGather:
         np.testing.assert_array_equal(ad.gather(x, idx).data, x[idx])
 
 
+class TestOutBufferEqualsAllocation:
+    """``kernel(out, ...)`` leaves in ``out`` exactly what ``kernel(None, ...)``
+    returns — the eager tape takes the first form whenever its arena serves
+    the buffer, so the two must agree bit for bit, dirty buffer or not."""
+
+    # what the models raise to, and what differentiating those once gives
+    EXPONENTS = [2.0, 0.5, -1.0, 3.0, 5.0, 6.0, 7.0, 1.0, 0.0, -0.5, -2.0, 4.0, -7.0]
+
+    @staticmethod
+    def same_bits(a, b):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("e", EXPONENTS)
+    def test_pow_mirrors_ndarray_pow(self, e, dtype):
+        rng = np.random.default_rng(7)
+        with np.errstate(all="ignore"):
+            a = np.concatenate([
+                rng.normal(scale=3.0, size=4000), rng.uniform(0.0, 3.0, size=4000),
+                [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, 1e-310, 1e300, -1e300],
+            ]).astype(dtype)
+            ref = a**e
+            alloc = K.powk(None, a, e)
+            out = np.full(a.shape, np.nan, dtype)
+            assert K.powk(out, a, e) is out
+        self.same_bits(alloc, ref)
+        self.same_bits(out, ref)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_select(self, dtype):
+        rng = np.random.default_rng(8)
+        cond = (rng.random((50, 1)) < 0.5).astype(np.float64)
+        a = rng.normal(size=(50, 4)).astype(dtype)
+        b = np.asarray(-0.0, dtype=dtype)  # a scalar branch, as safe masks use
+        ref = np.where(cond != 0, a, b)
+        out = np.full(ref.shape, np.nan, ref.dtype)
+        assert K.selectk(out, cond, a, b) is out
+        self.same_bits(out, ref)
+        self.same_bits(K.selectk(None, cond, a, b), ref)
+
+    @pytest.mark.parametrize("src,dst", [
+        (np.float64, np.float32), (np.float32, np.float64), (np.int64, np.float64),
+    ])
+    def test_astype(self, src, dst):
+        a = (np.random.default_rng(9).normal(size=(30, 3)) * 1e3).astype(src)
+        out = np.full(a.shape, 7, dst)
+        assert K.astype(out, a, dst) is out
+        self.same_bits(out, a.astype(dst))
+        self.same_bits(K.astype(None, a, dst), a.astype(dst))
+
+    @pytest.mark.parametrize("axis", [0, 1, -1])
+    def test_concat(self, axis):
+        rng = np.random.default_rng(10)
+        parts = [rng.normal(size=(4, 3, 2)), rng.normal(size=(4, 3, 2)).astype(np.float32)]
+        ref = np.concatenate(parts, axis=axis)
+        out = np.full(ref.shape, np.nan, ref.dtype)
+        assert K.concatk(out, *parts, axis=axis) is out
+        self.same_bits(out, ref)
+        self.same_bits(K.concatk(None, *parts, axis=axis), ref)
+
+    def test_every_kernel_the_arena_serves_is_unchanged_by_it(self):
+        """Above the size floor, inside a scope, each routed kernel writes
+        into an arena block what it returns outside one."""
+        from repro.autodiff import arena
+
+        rng = np.random.default_rng(11)
+        n = 20_000  # 160 kB per float64 column: above the floor
+        x, y = rng.normal(size=n), rng.normal(size=(n, 1)) + 3.0
+        pos, m = np.abs(x) + 0.1, rng.normal(size=(n, 8))
+        idx = rng.integers(0, 500, size=n)
+        w2, w3 = rng.normal(size=(8, 5)), rng.normal(size=(3, 4, 5))
+        calls = {
+            "add": lambda: K.add(None, x, y[:, 0]),
+            "sub": lambda: K.sub(None, m, y),  # broadcast
+            "mul": lambda: K.mul(None, m, np.float64(2.5)),
+            "div": lambda: K.div(None, x, y[:, 0]),
+            "neg": lambda: K.neg(None, m),
+            "pow": lambda: K.powk(None, pos, 6.0),
+            "astype": lambda: K.astype(None, m, np.float32),
+            "exp": lambda: K.expk(None, x),
+            "log": lambda: K.logk(None, pos),
+            "sin": lambda: K.sink(None, x),
+            "cos": lambda: K.cosk(None, x),
+            "sqrt": lambda: K.sqrtk(None, pos),
+            "tanh": lambda: K.tanhk(None, x),
+            "sigmoid": lambda: K.sigmoidk(None, x * 30),
+            "abs": lambda: K.absk(None, x),
+            "sign": lambda: K.signk(None, x),
+            "maximum": lambda: K.maximumk(None, x, y[:, 0]),
+            "minimum": lambda: K.minimumk(None, x, y[:, 0]),
+            "select": lambda: K.selectk(None, (x > 0).astype(np.float64), x, pos),
+            "gather": lambda: K.gatherk(None, m[:500], idx),
+            "scatter_add": lambda: K.scatter_addk(None, m, idx * 40, 20_000),
+            "put_at": lambda: K.put_at(None, m[:, :4], (slice(None), slice(2, 6)), m.shape, np.float64),
+            "concat": lambda: K.concatk(None, m, m[:, :3], axis=-1),
+            "matmul": lambda: K.matmulk(None, m, w2),
+            "einsum_tp": lambda: K.einsumk(None, m[:, :3], m[:, 3:7], w3, spec="za,zb,abc->zc"),
+            "einsum_mix": lambda: K.einsumk(None, m.reshape(n, 2, 4), w3[0], spec="zuk,km->zum"),
+        }
+        for name, call in calls.items():
+            plain = call()
+            assert plain.base is None or plain.base.dtype != np.uint8, name
+            with arena.scope():
+                served = call()
+                assert served.base is not None and served.base.dtype == np.uint8, name
+                with ad.no_grad():  # recording off: malloc, as outside a scope
+                    assert call().base is None, name
+                self.same_bits(served, plain)
+                del served
+
+
 class TestAliasKernelsHonorOut:
     """Given a buffer, even a view op must leave its result in the buffer."""
 

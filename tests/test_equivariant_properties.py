@@ -168,3 +168,22 @@ class TestValidationUtilities:
         M = rng.normal(size=(lay.dim, lay.dim))
         err_bad = check_feature_equivariance(lambda x: x @ M, lay, lay, n_trials=2)
         assert err_bad > 1e-3
+
+    @pytest.mark.parametrize("improper", [False, True])
+    def test_block_diagonal_rep_is_scipy_block_diag(self, improper):
+        """The numpy-filled representation equals the scipy one it replaced
+        (scipy.linalg is no longer imported with the package)."""
+        import scipy.linalg
+
+        from repro.equivariant.validate import block_diagonal_rep
+        from repro.equivariant.wigner import random_rotation, rotation_to_wigner_d
+
+        R = random_rotation(np.random.default_rng(3))
+        for lay in (StridedLayout.full_o3(2, mul=3), StridedLayout.spherical(3, mul=2)):
+            blocks = [
+                rotation_to_wigner_d(ir.l, R) * (ir.p if improper else 1)
+                for ir in lay.irreps
+            ]
+            assert np.array_equal(
+                block_diagonal_rep(lay, R, improper), scipy.linalg.block_diag(*blocks)
+            )

@@ -102,6 +102,75 @@ class TestNeighborListCorrectness:
             assert nl.distances(s.positions).max() < cutoff
 
 
+class TestCentersOnly:
+    """``n_centers`` gives the full list filtered by center — the same edges
+    in the same order, which is what keeps a shard's forces bitwise — without
+    searching around the atoms that are neighbors only."""
+
+    @staticmethod
+    def assert_is_filtered_full_list(system, cutoff, method, n_centers):
+        full = neighbor_list(system, cutoff, method)
+        keep = full.edge_index[0] < n_centers
+        assert 0 < keep.sum() < full.n_edges or n_centers in (0, system.n_atoms)
+        got = neighbor_list(system, cutoff, method, n_centers=n_centers)
+        assert got.edge_index.dtype == np.int64
+        assert np.array_equal(got.edge_index, full.edge_index[:, keep])
+        assert np.array_equal(got.shifts, full.shifts[keep])
+
+    @pytest.mark.parametrize("n_centers", [0, 1, 137, 431, 500])
+    def test_periodic_crystal(self, rng, n_centers):
+        # 5^3 fcc cells, atoms pushed slightly out of the box so the wrap
+        # offsets of both endpoints enter the shifts
+        cells = np.stack(np.meshgrid(*[np.arange(5)] * 3, indexing="ij"), -1)
+        basis = np.array([[0, 0, 0], [.5, .5, 0], [.5, 0, .5], [0, .5, .5]])
+        pos = (2.31 * (cells.reshape(-1, 1, 3) + basis)).reshape(-1, 3)
+        pos = rng.permutation(pos + rng.normal(scale=0.05, size=pos.shape) - 0.1)
+        system = System(pos, np.zeros(len(pos), int), Cell.cubic(2.31 * 5))
+        self.assert_is_filtered_full_list(system, 3.4, "cells", n_centers)
+        self.assert_is_filtered_full_list(system, 3.4, "brute", n_centers)
+
+    @pytest.mark.parametrize("method", ["auto", "cells", "brute"])
+    def test_open_boundary_shard(self, rng, method):
+        """Owned atoms in a brick, ghosts in the shell around it (cell=None):
+        the shape ``DomainDecomposition.local_neighbor_list`` passes."""
+        inner = rng.uniform(0.0, 14.0, (900, 3))
+        shell = rng.uniform(-3.4, 17.4, (4000, 3))
+        shell = shell[((shell < 0.0) | (shell > 14.0)).any(axis=1)]
+        system = System(np.concatenate([inner, shell]), np.zeros(900 + len(shell), int), None)
+        assert system.n_atoms >= 2000  # 'auto' bins an open system this large
+        self.assert_is_filtered_full_list(system, 3.4, method, 900)
+
+    def test_small_system_takes_the_brute_force_route(self, rng):
+        n = 200  # < 256 atoms: 'auto' is brute force, periodic or not
+        pos = rng.uniform(0, 11.0, (n, 3))
+        for cell in (Cell.cubic(11.0), None):
+            system = System(pos, np.zeros(n, int), cell)
+            self.assert_is_filtered_full_list(system, 3.0, "auto", 60)
+            auto = neighbor_list(system, 3.0, n_centers=60)
+            brute = neighbor_list(system, 3.0, "brute", n_centers=60)
+            assert np.array_equal(auto.edge_index, brute.edge_index)
+
+    def test_shard_lists_equal_the_filtered_full_list(self, rng):
+        from repro.parallel import DomainDecomposition, ProcessGrid
+
+        n, L = 1500, 21.0
+        system = System(rng.uniform(0, L, (n, 3)), np.zeros(n, int), Cell.cubic(L))
+        decomp = DomainDecomposition(ProcessGrid.create(4, system.cell), 3.4)
+        for shard in decomp.build(system):
+            local = System(shard.positions, shard.species, cell=None)
+            full = neighbor_list(local, 3.4)
+            keep = full.edge_index[0] < shard.n_owned
+            got = decomp.local_neighbor_list(shard, 3.4)
+            assert np.array_equal(got.edge_index, full.edge_index[:, keep])
+            assert np.array_equal(got.shifts, full.shifts[keep])
+
+    def test_rejects_a_center_count_outside_the_system(self, rng):
+        system = System(rng.uniform(0, 5, (10, 3)), np.zeros(10, int), None)
+        for bad in (-1, 11):
+            with pytest.raises(ValueError, match="n_centers"):
+                neighbor_list(system, 2.0, n_centers=bad)
+
+
 class TestPerPairCutoffs:
     def test_ordered_filtering(self, rng):
         n = 200

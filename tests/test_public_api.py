@@ -103,3 +103,31 @@ class TestExports:
             if not (mod.__doc__ or "").strip():
                 missing.append(info.name)
         assert not missing, f"modules without docstrings: {missing}"
+
+
+class TestImportFootprint:
+    def test_importing_the_package_does_not_import_scipy_or_numpy_testing(self):
+        """``scipy.linalg`` (pulled in for one ``block_diag``) dragged
+        ``scipy._lib`` and ``numpy.testing`` into every process: ~30 MB of
+        RSS and 0.15-0.4 s of start-up.  The one scipy function the package
+        uses, ``scipy.special.erfc``, is imported when the kernel first runs."""
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        code = (
+            "import sys\n"
+            "import repro.models, repro.parallel, repro.serve, repro.nn\n"
+            "import repro.traj, repro.engine\n"
+            "heavy = sorted(m for m in sys.modules\n"
+            "               if m.split('.')[0] == 'scipy' or m.startswith('numpy.testing'))\n"
+            "print(heavy)\n"
+        )
+        src = str(Path(repro.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"

@@ -83,6 +83,9 @@ class PotentialWrapper:
     def prepare_neighbors(self, system):
         return self.potential.prepare_neighbors(system)
 
+    def prepare_batch(self, systems, nls=None):
+        return self.potential.prepare_batch(systems, nls)
+
     def energy_and_forces(self, system, nl=None):
         """Drop-in for :meth:`repro.models.base.Potential.energy_and_forces`."""
         if nl is None:

@@ -15,7 +15,7 @@ benchmark measures the reduction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -41,6 +41,31 @@ class NeighborList:
 
     def distances(self, positions: np.ndarray) -> np.ndarray:
         return np.linalg.norm(self.displacements(positions), axis=1)
+
+
+def _empty_list() -> NeighborList:
+    return NeighborList(np.zeros((2, 0), dtype=np.int64), np.zeros((0, 3)))
+
+
+def _ragged_arange(starts, lengths) -> np.ndarray:
+    """``concatenate([arange(s, s + n) for s, n in zip(starts, lengths)])``."""
+    lengths = np.asarray(lengths, dtype=np.int64)
+    ends = np.cumsum(lengths)
+    return np.arange(ends[-1] if len(ends) else 0) + np.repeat(
+        np.asarray(starts, dtype=np.int64) - (ends - lengths), lengths
+    )
+
+
+def _auto_method(n: int, cell: Optional[Cell], cutoff: float) -> str:
+    """Cell binning when the box supports ≥3 bins per periodic axis and the
+    system is large, otherwise brute force."""
+    if cell is None:
+        return "brute" if n < 2000 else "cells"
+    if n < 256:
+        return "brute"
+    nbins = np.floor(cell.lengths / cutoff).astype(int)
+    ok = all((not cell.pbc[ax]) or nbins[ax] >= 3 for ax in range(3))
+    return "cells" if ok else "brute"
 
 
 def neighbor_list(
@@ -69,60 +94,118 @@ def neighbor_list(
     if not 0 <= n_centers <= n:
         raise ValueError(f"n_centers={n_centers} outside [0, {n}]")
     if n == 0:
-        return NeighborList(np.zeros((2, 0), dtype=np.int64), np.zeros((0, 3)))
-    cell = system.cell
+        return _empty_list()
     if method == "auto":
-        if cell is None:
-            method = "brute" if n < 2000 else "cells"
-        else:
-            nbins = np.floor(cell.lengths / cutoff).astype(int)
-            ok = all((not cell.pbc[ax]) or nbins[ax] >= 3 for ax in range(3))
-            method = "cells" if (ok and n >= 256) else "brute"
+        method = _auto_method(n, system.cell, cutoff)
     if method == "cells":
         return _cell_list(pos, system.cell, cutoff, n_centers)
     if method == "brute":
-        return _brute_force(pos, system.cell, cutoff, n_centers)
+        return _brute_force(pos, [n], [system.cell], cutoff, [n_centers])
     raise ValueError(f"unknown method {method!r}")
 
 
+#: Candidate pairs per pass of the brute-force kernel: its largest
+#: temporaries are [4096, 3] float64 = 96 KiB, under malloc's 128 KiB mmap
+#: threshold, so a pass reuses heap memory instead of mapping fresh pages —
+#: and a thread's scratch is this big however large the batch is.
+_PAIR_CHUNK = 4096
+
+
 def _brute_force(
-    pos: np.ndarray, cell: Optional[Cell], cutoff: float, n_centers: int
+    pos: np.ndarray,
+    sizes: Sequence[int],
+    cells: Sequence[Optional[Cell]],
+    cutoff: float,
+    n_centers: Sequence[int],
 ) -> NeighborList:
-    """Chunked O(N²) with minimum image (requires cutoff ≤ L/2 on pbc axes)."""
-    n = len(pos)
-    if cell is not None:
-        for ax in range(3):
-            if cell.pbc[ax] and cutoff > cell.lengths[ax] / 2 + 1e-9:
-                raise ValueError(
-                    f"brute-force minimum image needs cutoff <= L/2; "
-                    f"cutoff={cutoff}, L[{ax}]={cell.lengths[ax]}"
-                )
-    chunk = max(1, int(4e6 // max(n, 1)))
-    rows_i, rows_j, rows_s = [], [], []
-    cut2 = cutoff * cutoff
-    for start in range(0, n, chunk):
-        stop = min(start + chunk, n)
-        # [n_centers, c, 3]: j - i
-        disp = pos[None, start:stop, :] - pos[:n_centers, None, :]
-        shift = np.zeros_like(disp)
+    """O(N²) minimum-image search over a batch of structures in one pass.
+
+    ``pos`` holds the structures back to back (``sizes[k]`` rows each, a
+    single structure being the batch of one); a structure's first
+    ``n_centers[k]`` atoms are its centers.  The list indexes ``pos`` rows
+    and runs structure by structure, each structure's edges in row-major
+    (i, j) order — for a structure of more than 2000 atoms, column tile by
+    column tile, as the candidate pairs of one tile are bounded at 4·10⁶.
+    Requires cutoff ≤ L/2 on periodic axes.
+
+    The candidate pairs of the whole batch are laid out ragged — structure
+    k contributes ``n_centers[k] · sizes[k]`` of them, nothing is padded
+    to the largest structure — and displacement, minimum-image shift and
+    distance are computed over that flat list ``_PAIR_CHUNK`` pairs at a
+    time.  Every value is computed per pair by the same expression whatever
+    shares the pass, so a structure's edges and shift bits do not depend on
+    the batch it is in.
+    """
+    lengths = np.ones((len(sizes), 3))
+    pbc = np.zeros((len(sizes), 3), dtype=bool)
+    for k, cell in enumerate(cells):
         if cell is not None:
-            for ax in range(3):
-                if cell.pbc[ax]:
-                    L = cell.lengths[ax]
-                    s = -L * np.round(disp[..., ax] / L)
-                    shift[..., ax] = s
-            disp = disp + shift
-        d2 = np.sum(disp * disp, axis=-1)
-        ii, jj = np.nonzero(d2 < cut2)
-        jj_global = jj + start
-        keep = ii != jj_global
-        rows_i.append(ii[keep])
-        rows_j.append(jj_global[keep])
-        rows_s.append(shift[ii[keep], jj[keep]])
-    edge_index = np.stack(
-        [np.concatenate(rows_i).astype(np.int64), np.concatenate(rows_j).astype(np.int64)]
-    )
-    shifts = np.concatenate(rows_s, axis=0)
+            lengths[k], pbc[k] = cell.lengths, cell.pbc
+    too_small = pbc & (cutoff > lengths / 2 + 1e-9)
+    if too_small.any():
+        k, ax = np.argwhere(too_small)[0]
+        raise ValueError(
+            f"brute-force minimum image needs cutoff <= L/2; "
+            f"cutoff={cutoff}, L[{ax}]={lengths[k, ax]}"
+        )
+    # One tile per (structure, block of columns); one segment per (tile,
+    # center): the candidates j of center i are the tile's columns.
+    tile_i0, tile_nc, tile_j0, tile_len = [], [], [], []
+    offset = 0
+    for n, nc in zip(sizes, n_centers):
+        width = max(1, int(4e6 // max(n, 1)))
+        for start in range(0, n, width):
+            tile_i0.append(offset)
+            tile_nc.append(nc)
+            tile_j0.append(offset + start)
+            tile_len.append(min(width, n - start))
+        offset += n
+    tile_nc = np.asarray(tile_nc, dtype=np.int64)
+    seg_i = _ragged_arange(tile_i0, tile_nc)
+    seg_j0 = np.repeat(np.asarray(tile_j0, dtype=np.int64), tile_nc)
+    seg_len = np.repeat(np.asarray(tile_len, dtype=np.int64), tile_nc)
+    seg_end = np.cumsum(seg_len)
+
+    periodic = bool(pbc.any())
+    if periodic:
+        # Per atom, so one gather by center serves every pair of the pass.
+        # Open axes get L = 1 and -L = 0: their product below is a signed
+        # zero that changes no distance.
+        atom_l = np.repeat(lengths, sizes, axis=0)
+        atom_neg_l = np.repeat(np.where(pbc, -lengths, 0.0), sizes, axis=0)
+    cut2 = cutoff * cutoff
+    rows_i, rows_j, rows_s = [], [], []
+    a, done = 0, 0
+    while a < len(seg_len):
+        # A segment is at most 2000 pairs, so at least one fits.
+        b = int(np.searchsorted(seg_end, done + _PAIR_CHUNK, side="right"))
+        ii = np.repeat(seg_i[a:b], seg_len[a:b])
+        jj = _ragged_arange(seg_j0[a:b], seg_len[a:b])
+        disp = np.take(pos, jj, axis=0)
+        disp -= np.take(pos, ii, axis=0)
+        if periodic:
+            shift = disp / np.take(atom_l, ii, axis=0)
+            np.round(shift, out=shift)
+            shift *= np.take(atom_neg_l, ii, axis=0)
+            disp += shift
+        disp *= disp
+        d2 = disp[:, 0] + disp[:, 1] + disp[:, 2]
+        hit = np.flatnonzero((d2 < cut2) & (ii != jj))
+        rows_i.append(np.take(ii, hit))
+        rows_j.append(np.take(jj, hit))
+        if periodic:
+            rows_s.append(np.take(shift, hit, axis=0))
+        a, done = b, seg_end[b - 1]
+    if not rows_i:
+        return _empty_list()
+    edge_index = np.stack([np.concatenate(rows_i), np.concatenate(rows_j)])
+    if not periodic:
+        return NeighborList(edge_index, np.zeros((edge_index.shape[1], 3)))
+    shifts = np.concatenate(rows_s)
+    if not pbc.all():
+        # The shift along an open axis is +0.0, not the product's ±0.0.
+        open_axis = ~np.repeat(pbc, sizes, axis=0)
+        shifts[np.take(open_axis, edge_index[0], axis=0)] = 0.0
     return NeighborList(edge_index, shifts)
 
 
@@ -199,10 +282,7 @@ def _cell_list(
                 if total == 0:
                     continue
                 i_rep_sorted = np.repeat(centers, cand_count)
-                starts = offsets[nb_of_atom]
-                cum = np.cumsum(cand_count)
-                ragged = np.arange(total) - np.repeat(cum - cand_count, cand_count)
-                j_sorted_idx = ragged + np.repeat(starts, cand_count)
+                j_sorted_idx = _ragged_arange(offsets[nb_of_atom], cand_count)
 
                 i_atoms = order[i_rep_sorted]
                 j_atoms = order[j_sorted_idx]
@@ -222,7 +302,7 @@ def _cell_list(
                 all_s.append(s_k)
 
     if not all_i:
-        return NeighborList(np.zeros((2, 0), dtype=np.int64), np.zeros((0, 3)))
+        return _empty_list()
     edge_index = np.stack(
         [np.concatenate(all_i).astype(np.int64), np.concatenate(all_j).astype(np.int64)]
     )
@@ -263,29 +343,84 @@ def pruning_cutoffs(potential, skin: float) -> Optional[np.ndarray]:
     return np.asarray(pair_cutoffs) + skin
 
 
-def concatenate_structures(systems, neighbor_lists):
-    """Concatenate structures into one evaluation-ready super-structure.
+def merged_neighbor_list(
+    systems, cutoff, nls=None, per_structure=None, pair_cutoffs=None
+):
+    """The disjoint graph of a batch of structures, built in one pass.
 
-    Returns ``(positions, species, nl, offsets)`` where ``offsets`` has
-    ``len(systems) + 1`` entries: structure ``k`` owns atom rows
-    ``offsets[k]:offsets[k+1]``.  Edges are shifted by each structure's
-    atom offset so the graphs stay disjoint — no cross-structure
-    interaction exists, which is what makes batched evaluation (a served
-    batch, a training batch) exact.
+    Returns ``(positions, species, nl, offsets, edge_counts)``: structure
+    ``k`` owns atom rows ``offsets[k]:offsets[k+1]`` and ``edge_counts[k]``
+    edges, shifted by its atom offset so the graphs stay disjoint — no
+    cross-structure interaction exists, which is what makes batched
+    evaluation (a served batch, a training batch) exact.  Arrays and edge
+    order are those of concatenating one ``neighbor_list(system, cutoff)``
+    per structure.
+
+    A structure whose list is given in ``nls`` keeps it as it is.  Of the
+    others, those ``method="auto"`` sends to brute force — every small
+    structure — share one ragged :func:`_brute_force` pass, pruned with
+    ``pair_cutoffs`` (:func:`filter_by_pair_cutoffs`) when given; a
+    structure big enough for the cell list is built by
+    ``per_structure(system)``, which does its own pruning.
     """
-    if len(systems) != len(neighbor_lists):
+    nls = [None] * len(systems) if nls is None else list(nls)
+    if len(nls) != len(systems):
         raise ValueError("one neighbor list per structure required")
+    sizes = [s.n_atoms for s in systems]
     offsets = np.zeros(len(systems) + 1, dtype=np.int64)
-    for k, s in enumerate(systems):
-        offsets[k + 1] = offsets[k] + s.n_atoms
+    np.cumsum(sizes, out=offsets[1:])
     positions = np.concatenate([np.asarray(s.positions) for s in systems])
     species = np.concatenate([np.asarray(s.species) for s in systems])
-    edge_index = np.concatenate(
-        [nl.edge_index + off for nl, off in zip(neighbor_lists, offsets[:-1])],
-        axis=1,
-    )
-    shifts = np.concatenate([nl.shifts for nl in neighbor_lists])
-    return positions, species, NeighborList(edge_index, shifts), offsets
+    shared = [False] * len(systems)
+    for k, system in enumerate(systems):
+        if nls[k] is None:
+            if cutoff <= 0:
+                raise ValueError("cutoff must be positive")
+            if _auto_method(sizes[k], system.cell, cutoff) == "brute":
+                shared[k] = True
+            elif per_structure is None:
+                nls[k] = neighbor_list(system, cutoff)
+            else:
+                nls[k] = per_structure(system)
+    merged = _empty_list()
+    if any(shared):
+        # The others enter the pass as open structures without centers:
+        # no candidate pairs, no box to validate.
+        merged = _brute_force(
+            positions,
+            sizes,
+            [s.cell if own else None for s, own in zip(systems, shared)],
+            cutoff,
+            [n if own else 0 for n, own in zip(sizes, shared)],
+        )
+        if pair_cutoffs is not None:
+            merged = filter_by_pair_cutoffs(merged, positions, species, pair_cutoffs)
+    edge_index, shifts = merged.edge_index, merged.shifts
+    given = [(nl, off) for nl, off in zip(nls, offsets) if nl is not None]
+    if given:
+        edge_index = np.concatenate(
+            [edge_index] + [nl.edge_index + off for nl, off in given], axis=1
+        )
+        shifts = np.concatenate([shifts] + [nl.shifts for nl, _ in given])
+    # offsets[structure] <= center < offsets[structure + 1]
+    structure = np.searchsorted(offsets, edge_index[0], side="right") - 1
+    if given and any(shared):
+        # Back into structure order; within a structure nothing moves.
+        order = np.argsort(structure, kind="stable")
+        edge_index, shifts = edge_index[:, order], shifts[order]
+        structure = structure[order]
+    edge_counts = np.bincount(structure, minlength=len(systems))
+    return positions, species, NeighborList(edge_index, shifts), offsets, edge_counts
+
+
+def concatenate_structures(systems, neighbor_lists):
+    """Concatenate structures into one evaluation-ready super-structure:
+    :func:`merged_neighbor_list` with every list given.
+
+    Returns ``(positions, species, nl, offsets)`` where ``offsets`` has
+    ``len(systems) + 1`` entries.
+    """
+    return merged_neighbor_list(systems, None, neighbor_lists)[:4]
 
 
 def ordered_pair_counts(
@@ -389,11 +524,8 @@ def triplet_list(nl: NeighborList) -> Tuple[np.ndarray, np.ndarray]:
     # Each edge pairs with every edge in its center group.
     per_edge_count = np.repeat(counts, counts)  # group size for each sorted edge
     per_edge_start = np.repeat(group_starts, counts)
-    total = int(per_edge_count.sum())
     e1_sorted = np.repeat(np.arange(n_edges), per_edge_count)
-    cum = np.cumsum(per_edge_count)
-    ragged = np.arange(total) - np.repeat(cum - per_edge_count, per_edge_count)
-    e2_sorted = ragged + np.repeat(per_edge_start, per_edge_count)
+    e2_sorted = _ragged_arange(per_edge_start, per_edge_count)
 
     e1 = order[e1_sorted]
     e2 = order[e2_sorted]

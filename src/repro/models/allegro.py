@@ -47,7 +47,13 @@ from ..equivariant import (
     reachable_output_irreps,
 )
 from ..equivariant.spherical_harmonics import spherical_harmonics
-from ..md.neighborlist import NeighborList, filter_by_pair_cutoffs, neighbor_list
+from ..md.neighborlist import (
+    NeighborList,
+    filter_by_pair_cutoffs,
+    merged_neighbor_list,
+    neighbor_list,
+    pruning_cutoffs,
+)
 from ..md.system import System
 from ..nn.mlp import MLP, Linear
 from ..nn.module import ParameterList
@@ -196,11 +202,18 @@ class AllegroModel(Potential):
     def prepare_neighbors(self, system: System) -> NeighborList:
         """Neighbor list at the max cutoff, pruned per ordered species pair."""
         nl = neighbor_list(system, self.cutoff)
-        if not np.allclose(self.pair_cutoffs, self.cutoff):
+        pair_cutoffs = pruning_cutoffs(self, 0.0)
+        if pair_cutoffs is not None:
             nl = filter_by_pair_cutoffs(
-                nl, system.positions, system.species, self.pair_cutoffs
+                nl, system.positions, system.species, pair_cutoffs
             )
         return nl
+
+    def prepare_batch(self, systems, nls=None):
+        """The merged list at the max cutoff, pruned the same way."""
+        return merged_neighbor_list(
+            systems, self.cutoff, nls, self.prepare_neighbors, pruning_cutoffs(self, 0.0)
+        )
 
     # -- forward ------------------------------------------------------------------
     def graph_inputs(self, species: np.ndarray, nl: NeighborList) -> dict:

@@ -17,7 +17,7 @@ from typing import Iterator, Optional, Tuple
 import numpy as np
 
 from .. import autodiff as ad
-from ..md.neighborlist import NeighborList, neighbor_list
+from ..md.neighborlist import NeighborList, merged_neighbor_list, neighbor_list
 from ..md.system import System
 from ..nn.module import Module
 
@@ -72,6 +72,26 @@ class Potential(Module):
         """The neighbor list this model is evaluated on: every caller that
         has a system and no list (MD, serving, training, wrappers) asks here."""
         return neighbor_list(system, self.cutoff)
+
+    def prepare_batch(self, systems, nls=None):
+        """The merged graph several structures are evaluated on at once:
+        ``(positions, species, nl, offsets, edge_counts)`` of
+        :func:`repro.md.neighborlist.merged_neighbor_list`, equal to
+        concatenating one :meth:`prepare_neighbors` list per structure.
+        ``nls[k]``, where not None, is the list structure ``k`` brought.
+
+        Small structures share one brute-force pass at ``self.cutoff``.  A
+        subclass that builds its list differently overrides both methods;
+        one that overrides only :meth:`prepare_neighbors` keeps its own
+        list for every structure.
+        """
+        if type(self).prepare_neighbors is not Potential.prepare_neighbors:
+            nls = [None] * len(systems) if nls is None else nls
+            nls = [
+                self.prepare_neighbors(s) if nl is None else nl
+                for s, nl in zip(systems, nls)
+            ]
+        return merged_neighbor_list(systems, self.cutoff, nls, self.prepare_neighbors)
 
     def atomic_energies(
         self, positions: ad.Tensor, species: np.ndarray, nl: NeighborList

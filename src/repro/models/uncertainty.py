@@ -45,6 +45,9 @@ class EnsemblePotential(Potential):
         # list — pruned the way that architecture prunes — serves them all.
         return self.members[0].prepare_neighbors(system)
 
+    def prepare_batch(self, systems, nls=None):
+        return self.members[0].prepare_batch(systems, nls)
+
     def atomic_energies(self, positions, species, nl: NeighborList):
         total = self.members[0].atomic_energies(positions, species, nl)
         for m in self.members[1:]:

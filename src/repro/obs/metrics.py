@@ -27,6 +27,7 @@ views instead.
 from __future__ import annotations
 
 import threading
+from bisect import bisect_left
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 from .jsonio import SCHEMA_VERSION, to_json, write_json
@@ -155,12 +156,8 @@ class Histogram:
                 self.max = x
 
     def _bucket_index(self, x: float) -> int:
-        # Linear scan: bucket lists are short (tens) and this avoids an
-        # import of bisect semantics into the hot-ish path documentation.
-        for i, b in enumerate(self.bounds):
-            if x <= b:
-                return i
-        return len(self.bounds)
+        """The first bucket whose upper bound is >= x; past the last, overflow."""
+        return bisect_left(self.bounds, x)
 
     @property
     def mean(self) -> float:

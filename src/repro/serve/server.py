@@ -58,7 +58,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..health import HealthMonitor
-from ..md.neighborlist import concatenate_structures
+from ..md.neighborlist import NeighborList
 from ..obs import OCCUPANCY_BUCKETS, Registry, span
 from ..resilience.guards import NumericalInstabilityError, validate_energy_forces
 from ..resilience.retry import RetryPolicy
@@ -243,6 +243,21 @@ class ForceServer:
         self.max_queue = int(max_queue)
         self.default_timeout = default_timeout
         self.metrics = metrics or Registry()
+        # Per-request and per-batch instruments, looked up once: by name
+        # each costs a key build and the registry lock.
+        m = self.metrics
+        self._c_admitted = m.counter("requests_admitted")
+        self._h_queue_depth = m.histogram("queue_depth", OCCUPANCY_BUCKETS)
+        self._c_served = m.counter("requests_served")
+        self._h_latency = m.histogram("latency_s")
+        self._h_queue_wait = m.histogram("queue_wait_s")
+        self._c_batches = m.counter("batches")
+        self._h_occupancy = m.histogram("batch_occupancy", OCCUPANCY_BUCKETS)
+        self._h_prepare = m.histogram("prepare_s")
+        self._h_eval = m.histogram("eval_s")
+        if engine == "compiled":
+            self._c_captures = m.counter("plan_captures")
+            self._c_replays = m.counter("plan_replays")
         self.retry_policy = retry_policy or RetryPolicy(
             max_retries=2, base_delay=1e-3, max_delay=0.02
         )
@@ -506,8 +521,8 @@ class ForceServer:
                 "requests_failed",
                 "shed",
             )
-        self.metrics.counter("requests_admitted").inc()
-        self.metrics.histogram("queue_depth", OCCUPANCY_BUCKETS).observe(depth + 1)
+        self._c_admitted.inc()
+        self._h_queue_depth.observe(depth + 1)
         return fut
 
     def evaluate(
@@ -569,8 +584,8 @@ class ForceServer:
             # Lost the race against stop()'s drain-deadline failure: that
             # path already counted and completed this request.
             return
-        self.metrics.counter("requests_served").inc()
-        self.metrics.histogram("latency_s").observe(time.monotonic() - req.t_enqueue)
+        self._c_served.inc()
+        self._h_latency.observe(time.monotonic() - req.t_enqueue)
         self._mark_completed(req)
 
     def _fail(
@@ -618,7 +633,7 @@ class ForceServer:
         """Signal snapshot for the health monitor's tick."""
         return {
             "queue_frac": self._batcher.pending() / self.max_queue,
-            "p99_s": self.metrics.histogram("latency_s").percentile(0.99),
+            "p99_s": self._h_latency.percentile(0.99),
             "breaker_open": self.registry.any_breaker_open(),
         }
 
@@ -640,7 +655,7 @@ class ForceServer:
             return
         now = time.monotonic()
         for req in batch:
-            self.metrics.histogram("queue_wait_s").observe(now - req.t_enqueue)
+            self._h_queue_wait.observe(now - req.t_enqueue)
         live: List[ForceRequest] = []
         for req in batch:
             if req.timeout_at is not None and now > req.timeout_at:
@@ -677,8 +692,8 @@ class ForceServer:
         if not live:
             self._health_tick()
             return
-        self.metrics.counter("batches").inc()
-        self.metrics.histogram("batch_occupancy", OCCUPANCY_BUCKETS).observe(len(live))
+        self._c_batches.inc()
+        self._h_occupancy.observe(len(live))
         with span("serve.batch") as sp:
             sp.add("requests", len(live))
             self._process_live(live)
@@ -725,11 +740,15 @@ class ForceServer:
         # neighbor-list builds included — or the deadline feasibility
         # check undershoots and admits requests that cannot finish.
         t_service = time.monotonic()
-        prepare = entry.potential.prepare_neighbors
-        nls = [req.nl if req.nl is not None else prepare(req.system) for req in live]
+        with span("serve.prepare"):
+            graph = entry.potential.prepare_batch(
+                [req.system for req in live], [req.nl for req in live]
+            )
+        t_eval = time.monotonic()
+        self._h_prepare.observe(t_eval - t_service)
         try:
             results = self.retry_policy.call(
-                lambda: self._evaluate_batch(entry, live, nls, eager),
+                lambda: self._evaluate_batch(entry, live, graph, eager),
                 retry_on=(WorkerCrash, NumericalInstabilityError),
                 on_retry=lambda attempt, exc: (
                     entry.breaker.record_failure(),
@@ -742,7 +761,9 @@ class ForceServer:
             for req in live:
                 self._fail(req, wrapped, "requests_failed", "model_failure")
             return
-        elapsed = time.monotonic() - t_service
+        now = time.monotonic()
+        self._h_eval.observe(now - t_eval)
+        elapsed = now - t_service
         self._eval_ewma = (
             elapsed if self._eval_ewma is None
             else 0.8 * self._eval_ewma + 0.2 * elapsed
@@ -763,10 +784,11 @@ class ForceServer:
             )
 
     def _evaluate_batch(
-        self, entry, live: List[ForceRequest], nls: List, eager: Optional[bool] = None
+        self, entry, live: List[ForceRequest], graph, eager: bool
     ) -> List[Tuple[float, np.ndarray]]:
         """Results for every request in order; finishes no futures.
 
+        ``graph`` is the batch's merged graph (``Potential.prepare_batch``).
         Raises on any evaluation failure or non-finite output — the caller
         owns retry/shed policy.
         """
@@ -778,31 +800,18 @@ class ForceServer:
             if self.fault_plan.fires(WORKER_CRASH):
                 raise WorkerCrash("injected worker crash")
         with span("serve.eval"):
-            return self._evaluate_batch_inner(entry, live, nls, eager)
+            return self._evaluate_batch_inner(entry, live, graph, eager)
 
     def _evaluate_batch_inner(
-        self, entry, live: List[ForceRequest], nls: List, eager: Optional[bool] = None
+        self, entry, live: List[ForceRequest], graph, eager: bool
     ) -> List[Tuple[float, np.ndarray]]:
         potential = entry.potential
+        positions, species, nl, offsets, edge_counts = graph
         results: List = [None] * len(live)
-        # Zero-edge structures take the eager path: models may define a
-        # non-trivial empty-graph energy (e.g. Wolf self-interaction) that
-        # the traced graph cannot express, and exactness beats batching.
-        dense = [i for i, nl in enumerate(nls) if nl.n_edges > 0]
-        for i, nl in enumerate(nls):
-            if nl.n_edges == 0:
-                e, f = potential.energy_and_forces(live[i].system, nl)
-                results[i] = (float(e), f)
-        if eager is None:
-            eager = self.engine == "eager"
-        if dense:
-            systems = [live[i].system for i in dense]
-            positions, species, nl_cat, offsets = concatenate_structures(
-                systems, [nls[i] for i in dense]
-            )
+        if nl.n_edges > 0:
             if not eager:
                 cache = entry.ensure_cache()
-                pentry = cache.acquire(len(species), nl_cat.n_edges)
+                pentry = cache.acquire(len(species), nl.n_edges)
                 with pentry.lock:
                     # evaluate() itself is safe for concurrent callers
                     # (private per-caller evaluation states); the lock makes
@@ -810,18 +819,23 @@ class ForceServer:
                     # THIS batch, and funnels same-bucket batches through
                     # one state instead of growing the clone pool per worker.
                     captures_before = pentry.compiled.n_captures
-                    e_atoms, forces = pentry.compiled.evaluate(
-                        positions, species, nl_cat
-                    )
-                    split = self._split(e_atoms, forces, offsets)
+                    e_atoms, forces = pentry.compiled.evaluate(positions, species, nl)
+                    results = self._split(e_atoms, forces, offsets)
                     captured = pentry.compiled.n_captures - captures_before
-                self.metrics.counter("plan_captures").inc(captured)
-                self.metrics.counter("plan_replays").inc(1 - captured)
+                self._c_captures.inc(captured)
+                self._c_replays.inc(1 - captured)
             else:
-                e_atoms, forces = potential.evaluate(positions, species, nl_cat)
-                split = self._split(e_atoms, forces, offsets)
-            for i, result in zip(dense, split):
-                results[i] = result
+                e_atoms, forces = potential.evaluate(positions, species, nl)
+                results = self._split(e_atoms, forces, offsets)
+        # Zero-edge structures take the eager path: models may define a
+        # non-trivial empty-graph energy (e.g. Wolf self-interaction) that
+        # the traced graph cannot express, and exactness beats batching.
+        # In the merged graph their atoms are rows without edges, which
+        # leave every other row as it is.
+        no_edges = NeighborList(nl.edge_index[:, :0], nl.shifts[:0])
+        for i in np.flatnonzero(edge_counts == 0):
+            e, f = potential.energy_and_forces(live[i].system, no_edges)
+            results[i] = (float(e), f)
         for (e, f) in results:
             validate_energy_forces(e, f, context=f"model {entry.key}")
         return results

@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 from repro import obs
 from repro.obs import (
     LATENCY_BUCKETS,
+    OCCUPANCY_BUCKETS,
     Counter,
     Gauge,
     Histogram,
@@ -147,6 +148,29 @@ class TestHistogramPercentile:
         h.observe(1.0)
         with pytest.raises(ValueError, match="NaN"):
             h.percentile(float("nan"))
+
+    @pytest.mark.parametrize("bounds", [LATENCY_BUCKETS, OCCUPANCY_BUCKETS, (0.5,)])
+    def test_bucket_of_values_on_between_and_beyond_every_bound(self, bounds):
+        """``observe`` files x under the first bound >= x (the scan over the
+        bounds it used to do), the overflow bucket past the last."""
+        def scan(x):
+            for i, b in enumerate(bounds):
+                if x <= b:
+                    return i
+            return len(bounds)
+
+        edges = [float(b) for b in bounds]
+        values = [-1.0, 0.0, edges[0] / 2, edges[-1] * 2, float("inf")]
+        for lo, hi in zip(edges, edges[1:] + [edges[-1] * 2]):
+            values += [lo, np.nextafter(lo, -np.inf), np.nextafter(lo, np.inf), (lo + hi) / 2]
+        h = Histogram("h", bounds, threading.RLock())
+        want = [0] * (len(bounds) + 1)
+        for x in values:
+            assert h._bucket_index(x) == scan(x), x
+            h.observe(x)
+            want[scan(x)] += 1
+        buckets = h.snapshot()["buckets"]
+        assert list(buckets.values()) == want and buckets["overflow"] == want[-1]
 
     def test_bad_buckets_rejected(self):
         with pytest.raises(ValueError):

@@ -17,8 +17,9 @@ import time
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.md import Cell, System, neighbor_list
-from repro.models import LennardJones, MorsePotential
+from repro.models import AllegroConfig, AllegroModel, LennardJones, MorsePotential
 from repro.models.electrostatics import WolfCoulomb
 from repro.obs import Histogram, Registry
 from repro.resilience import FaultPlan, RetryPolicy
@@ -420,6 +421,105 @@ class TestServedExactness:
         e1, f1 = direct_eager(pot, dense)
         assert e_d == e1
         np.testing.assert_array_equal(f_d, f1)
+
+    @pytest.mark.parametrize("model", ["lj", "wolf", "allegro_pruned"])
+    def test_one_mixed_batch_equals_per_request_submission(self, model):
+        """One batch holding a structure without edges, a structure that
+        brings its own list and one big enough for the cell list, next to
+        small ones: every result is what the structure gets on its own."""
+        if model == "lj":
+            pot = make_lj()
+        elif model == "wolf":
+            pot = WolfCoulomb(np.array([0.4, -0.4]), alpha=0.3, cutoff=3.0)
+        else:
+            pot = AllegroModel(
+                AllegroConfig(
+                    n_species=2, n_tensor=2, latent_dim=8, lmax=1, n_layers=1,
+                    r_cut=3.0, per_pair_cutoffs=np.array([[3.0, 2.0], [2.5, 3.0]]),
+                )
+            )
+        rng = np.random.default_rng(4)
+        lattice = 1.6 * np.stack(
+            np.meshgrid(*[np.arange(7)] * 3, indexing="ij"), axis=-1
+        ).reshape(-1, 3)
+        big = System(
+            lattice + rng.normal(scale=0.05, size=lattice.shape),
+            rng.integers(0, 2, size=len(lattice)),
+            Cell.cubic(7 * 1.6),
+        )
+        assert big.n_atoms >= 256  # 'auto' bins it
+        apart = System(
+            np.array([[0.0, 0.0, 0.0], [20.0, 20.0, 20.0]]), np.array([0, 1]), Cell.cubic(50.0)
+        )
+        own = make_system(n=14, seed=21)
+        # the caller's list is not the model's: unpruned, and reversed
+        own_nl = neighbor_list(own, 3.0)
+        own_nl.edge_index, own_nl.shifts = own_nl.edge_index[:, ::-1], own_nl.shifts[::-1]
+        systems = [make_system(n=9, seed=1), apart, own, big, make_system(n=17, seed=2)]
+        nls = [None, None, own_nl, None, None]
+
+        with ForceServer(pot, n_workers=1, max_batch=8, start=False) as server:
+            server.start(workers=False)
+            futures = [server.submit(s, nl=nl) for s, nl in zip(systems, nls)]
+            server.start()
+            batched = [f.result(timeout=120) for f in futures]
+            stats = server.stats()
+            assert stats["counters"]["batches"] == 1
+            assert stats["histograms"]["batch_occupancy"]["max"] == len(systems)
+            single = [server.evaluate(s, nl=nl) for s, nl in zip(systems, nls)]
+            assert server.stats()["counters"]["batches"] == 1 + len(systems)
+        for system, nl, (e, f), (e1, f1) in zip(systems, nls, batched, single):
+            assert e == e1
+            np.testing.assert_array_equal(f, f1)
+            e0, f0 = pot.energy_and_forces(system, nl)  # nl=None: the model's own
+            assert e == e0
+            np.testing.assert_array_equal(f, f0)
+        if model == "wolf":
+            assert batched[1][0] != 0.0  # the self-energy survived the merged graph
+        if model == "allegro_pruned":
+            assert pot.prepare_neighbors(own).n_edges < own_nl.n_edges
+
+    def test_graph_build_and_model_time_are_separate_stages(self):
+        """``prepare_s`` / ``eval_s`` per batch, and a ``serve.prepare`` span
+        beside ``serve.eval`` under ``serve.batch``."""
+        tracer = obs.get_tracer()
+        tracer.clear()
+        obs.enable()
+        try:
+            with ForceServer(make_lj(), n_workers=1, max_batch=4) as server:
+                server.evaluate_many([make_system(n=10 + k, seed=k) for k in range(8)])
+                stats = server.stats()
+        finally:
+            obs.disable()
+        phases = tracer.phase_totals("serve.batch")
+        tracer.clear()
+        n_batches = stats["counters"]["batches"]
+        hists = stats["histograms"]
+        assert hists["prepare_s"]["count"] == hists["eval_s"]["count"] == n_batches
+        assert phases["serve.batch/serve.prepare"]["count"] == n_batches
+        assert phases["serve.batch/serve.eval"]["count"] == n_batches
+        # the two stages are what a batch's service time is made of
+        assert hists["prepare_s"]["sum"] > 0 and hists["eval_s"]["sum"] > 0
+        assert hists["prepare_s"]["sum"] + hists["eval_s"]["sum"] <= sum(
+            v["total_s"] for k, v in phases.items() if k == "serve.batch"
+        )
+
+    def test_a_model_with_its_own_list_recipe_keeps_it_in_a_batch(self):
+        """Overriding ``prepare_neighbors`` alone is enough: the server does
+        not build a merged list behind such a model's back."""
+        calls = []
+
+        class Skinned(LennardJones):
+            def prepare_neighbors(self, system):
+                calls.append(system.n_atoms)
+                return neighbor_list(system, self.cutoff + 0.5)
+
+        pot = Skinned(epsilon=0.8, sigma=1.1, cutoff=3.0, n_species=2)
+        systems = [make_system(n=10 + k, seed=k, box=9.0) for k in range(4)]
+        graph = pot.prepare_batch(systems)
+        assert calls == [10, 11, 12, 13]
+        assert graph[4].tolist() == [neighbor_list(s, 3.5).n_edges for s in systems]
+        assert graph[4].sum() > sum(neighbor_list(s, 3.0).n_edges for s in systems)
 
     def test_caller_supplied_neighbor_list_is_respected(self):
         pot = make_lj()

@@ -35,10 +35,14 @@ opened the scope (:meth:`repro.models.base.Potential.evaluate`).
 
 Two kinds of contraction live here, with different guarantees.  *Batch-
 leading* kernels — ``matmul`` on 2-D operands and the ``einsum`` routes
-``P+a, P+b, W -> P+c`` and ``P+K, W -> P+M`` — carry the **pad-invariance
+``P+a, P+b, W -> P+c`` (``W`` in any slot), ``P+K, W -> P+M``,
+``P, P+m -> P+m`` and ``P+m, P+m -> P`` — carry the **pad-invariance
 guarantee**: row *k* of the result depends on row *k* of the batch operand
 only, never on how many rows follow it, which is what lets a plan captured
-at a padded capacity reproduce the unpadded tape bit for bit.  Contractions
+at a padded capacity reproduce the unpadded tape bit for bit.  Each spec
+pattern has exactly one route, chosen from the spec and the operands, and
+each route is one C-level call (or one per short-axis element), never a
+Python loop over the batch: DESIGN §22 has the table.  Contractions
 *over* the batch — ``contract_rows`` (``aᵀ @ g``, the weight gradient of a
 matmul) and the ``einsum`` route ``P+a, P+b, P+c -> abc`` (the gradient of
 a Clebsch-Gordan tensor) — sum every row into every output element, have
@@ -197,9 +201,54 @@ def astype(out, a, dtype):
 
 
 # -- reductions ---------------------------------------------------------------
+# Longest middle axis ``sumk`` reduces with strided adds; beyond it the
+# dispatch of ``u - 1`` ufuncs stops beating one ``add.reduce``.
+_SUM_MAX_TERMS = 8
+
+
+def _short_middle_axis(a, axis):
+    """``axis`` as a non-negative int when it names one short middle axis.
+
+    "Middle" is what fixes the order ``add.reduce`` sums in: on a
+    C-contiguous array with more than one element behind the reduced axis it
+    walks that axis as an outer loop, one slice at a time.  (A reduced *last*
+    axis — or a middle one followed only by length-1 axes — becomes the inner
+    loop of a pairwise sum, a different association.)
+    """
+    if a.ndim < 3:
+        return None
+    if isinstance(axis, tuple):
+        if len(axis) != 1:
+            return None
+        (axis,) = axis
+    if axis is None or a.dtype.kind != "f" or not a.flags.c_contiguous:
+        return None
+    ax = axis % a.ndim
+    if not 0 < ax < a.ndim - 1:
+        return None
+    if not 2 <= a.shape[ax] <= _SUM_MAX_TERMS or math.prod(a.shape[ax + 1 :]) < 2:
+        return None
+    return ax
+
+
 @_kernel("sum")
 def sumk(out, a, axis, keepdims):
-    return a.sum(axis=axis, keepdims=keepdims, out=out)
+    ax = _short_middle_axis(a, axis)
+    if ax is None:
+        return a.sum(axis=axis, keepdims=keepdims, out=out)
+    # [Z, u, d] -> [Z, 1, d]: the additions ``add.reduce`` performs, in its
+    # order (((0 + a0) + a1) + a2 ...), as whole-slice adds — bitwise the
+    # same sums, several times faster than its strided iterator.  (The
+    # leading ``0 +`` is what makes a sum of -0.0 terms come out +0.0.)
+    lead = (slice(None),) * ax
+    if out is None:
+        shape = a.shape[:ax] + ((1,) if keepdims else ()) + a.shape[ax + 1 :]
+        out = np.empty(shape, a.dtype)
+    acc = out[lead + (0,)] if keepdims else out
+    np.add(a[lead + (0,)], a.dtype.type(0), out=acc)
+    for k in range(1, a.shape[ax]):
+        np.add(acc, a[lead + (k,)], out=acc)
+    return out
 
 
 # -- shape ops (alias kernels) ------------------------------------------------
@@ -262,9 +311,15 @@ def put_at(out, g, idx, shape, dtype):
     else:
         out.fill(0)
     if is_basic_index(idx):
-        # A basic index selects every element at most once, so adding into
-        # the strided view equals the unbuffered np.add.at bit for bit.
-        out[idx] += g
+        # A basic index selects every element at most once, so the one
+        # addition np.add.at performs per element, 0 + g, can be written
+        # straight into the strided view (bit for bit: -0.0 still lands as
+        # +0.0) without reading the zeros back.
+        view = out[idx]
+        if isinstance(view, np.ndarray):
+            np.add(g, out.dtype.type(0), out=view)
+        else:  # an all-integer index names one element
+            out[idx] += g
     else:
         np.add.at(out, idx, g)
     return out
@@ -318,14 +373,19 @@ def sigmoid_np(v: np.ndarray, out=None) -> np.ndarray:
 
     With ``e = exp(-|v|)`` (never overflows) the value is ``1/(1+e)`` for
     ``v >= 0`` and ``e/(1+e)`` otherwise — the two quotients share their
-    denominator, so only the numerator is selected.
+    denominator, so only the numerator is selected: ``max(e, [v >= 0])``,
+    since ``0 <= e <= 1``.  One scratch array (``e``); ``out`` may be ``v``
+    itself — ``v`` is last read by the step that first writes ``out``.
     """
     e = np.abs(v, out=np.empty_like(v))
     np.negative(e, out=e)
     np.exp(e, out=e)
-    num = np.where(v >= 0, 1.0, e)
+    if out is None:
+        out = np.empty_like(v)
+    np.greater_equal(v, 0.0, out=out)  # 1.0 / 0.0 in v's dtype
+    np.maximum(e, out, out=out)
     e += 1.0
-    return np.divide(num, e, out=out)
+    return np.divide(out, e, out=out)
 
 
 @_kernel("sigmoid")
@@ -446,7 +506,9 @@ def _cast_out(arr: np.ndarray) -> np.ndarray:
 # Processing M in fixed chunks — the tail zero-padded to a full chunk in a
 # per-call scratch — means every BLAS call sees the same shapes for the same
 # absolute row range, so row k of the result depends only on row k of ``a``
-# and on ``b``, never on M.
+# and on ``b``, never on M.  The chunks are a stacking axis of one
+# ``np.matmul``, not a Python loop: at [8696, 3] x [3, 9] the loop's 68
+# dispatches cost four times the arithmetic.
 _MM_BLOCK = 128
 
 
@@ -455,8 +517,18 @@ def _blocked_matmul(a, b, out):
     N = b.shape[1]
     res = out if out is not None else _tape_empty((M, N), np.result_type(a, b))
     full = (M // _MM_BLOCK) * _MM_BLOCK
-    for s in range(0, full, _MM_BLOCK):
-        np.matmul(a[s : s + _MM_BLOCK], b, out=res[s : s + _MM_BLOCK])
+    if full and a.flags.c_contiguous and res.flags.c_contiguous:
+        # All full blocks in one stacked call: numpy runs the same dgemm on
+        # each [128, K] item, so every absolute row range sees the shapes the
+        # loop below gives it and the result is the loop's, bit for bit.
+        # (Reshaping a non-contiguous ``res`` would write into a copy.)
+        np.matmul(
+            a[:full].reshape(-1, _MM_BLOCK, K), b,
+            out=res[:full].reshape(-1, _MM_BLOCK, N),
+        )
+    else:
+        for s in range(0, full, _MM_BLOCK):
+            np.matmul(a[s : s + _MM_BLOCK], b, out=res[s : s + _MM_BLOCK])
     rem = M - full
     if rem:
         # Private to this call: plans with equal layer widths replay
@@ -504,24 +576,158 @@ def _parse_einsum_spec(spec):
     return subs, rhs
 
 
+# Rows of the flattened batch one pass of the three-operand route handles:
+# eight matmul blocks.  Its intermediate ([rows, b*c], 81 columns at lmax=2)
+# then stays in the L2 cache between the GEMM that writes it and the per-row
+# products that read it, instead of streaming megabytes through memory.
+_TP_CHUNK = 8 * _MM_BLOCK
+
+
+def _contract_static3(x, y, w_mat, out):
+    """``out[z, c] = sum_ab x[z, a] y[z, b] w_mat[a, b, c]``, per row ``z``.
+
+    ``t[z, b, c] = sum_a x[z, a] W[a, b, c]`` as a blocked matmul on the
+    flattened batch, then one (1 x b)@(b x c) product per row with ``y``: no
+    outer product, and both stages are per-row, so pad rows never reach real
+    ones.  Chunk boundaries fall on matmul block boundaries, so chunking does
+    not change which dgemm a row goes through.  ``t`` dies with this call:
+    its buffer is malloc's, never the arena's.
+    """
+    na, nb, nc = w_mat.shape
+    x2, y2, out2 = x.reshape(-1, na), y.reshape(-1, 1, nb), out.reshape(-1, 1, nc)
+    w2 = w_mat.reshape(na, nb * nc)
+    rows = x2.shape[0]
+    t = np.empty((min(rows, _TP_CHUNK), nb * nc), x.dtype)
+    for s in range(0, rows, _TP_CHUNK):
+        n = min(_TP_CHUNK, rows - s)
+        _blocked_matmul(x2[s : s + n], w2, t[:n])
+        np.matmul(y2[s : s + n], t[:n].reshape(n, nb, nc), out=out2[s : s + n])
+    return out
+
+
+def _contract_elementwise(subs, so, operands, out):
+    x, w = operands
+    sx, sw = subs
+    if sx == sw and len(sx) >= 2 and so == sx[:-1] and x.shape == w.shape and x.shape[-1]:
+        # ``zum,zum->zu``.  c_einsum sums in another order: agreement with
+        # it is to rounding, not bitwise.
+        if out is None:
+            out = _tape_empty(x.shape[:-1], x.dtype)
+        np.multiply(x[..., 0], w[..., 0], out=out)
+        term = np.empty(out.shape, x.dtype)  # private to this call
+        for m in range(1, x.shape[-1]):
+            np.multiply(x[..., m], w[..., m], out=term)
+            np.add(out, term, out=out)
+        return out
+    if len(sx) > len(sw):  # the scaling operand first: both orders match
+        x, w, sx, sw = w, x, sw, sx
+    if len(sx) >= 1 and sw[:-1] == sx and so == sw and x.shape == w.shape[:-1]:
+        # ``zu,zum->zum``: one product per output element and no sum, so
+        # these are c_einsum's values — and its bits, except that c_einsum
+        # adds each product to a zeroed output and so turns a -0.0 into +0.0.
+        if out is None:
+            out = _tape_empty(w.shape, x.dtype)
+        for m in range(w.shape[-1]):
+            np.multiply(x, w[..., m], out=out[..., m])
+        return out
+    return None
+
+
+def _contract_matmul(subs, so, operands, out):
+    x, w = operands
+    sx, sw = subs
+    for n_k in range(1, len(sx)):
+        p, k = sx[: len(sx) - n_k], sx[len(sx) - n_k :]
+        m = so[len(p) :]
+        if (
+            len(m) >= 1
+            and so[: len(p)] == p
+            and sorted(sw) == sorted(k + m)
+            and not (set(k) & set(m))
+        ):
+            perm = tuple(sw.index(s) for s in k + m)
+            w_mat = np.ascontiguousarray(w.transpose(perm))
+            k_dim = math.prod(w_mat.shape[:n_k])
+            m_shape = w_mat.shape[n_k:]
+            m_dim = math.prod(m_shape)
+            if out is None:
+                out = _tape_empty(x.shape[: len(p)] + m_shape, x.dtype)
+            _blocked_matmul(
+                x.reshape(-1, k_dim), w_mat.reshape(k_dim, m_dim),
+                out.reshape(-1, m_dim),
+            )
+            return out
+    return None
+
+
+def _contract_three(subs, so, operands, out):
+    dtype = operands[0].dtype
+    p, c = so[:-1], so[-1]
+    # The two batch operands carry the output's prefix; the static tensor is
+    # whichever operand is left (``abc,za,zb->zc`` names it first, the
+    # gradient ``zc,abc,za->zb`` second).
+    batch = [k for k, s in enumerate(subs) if len(s) == len(p) + 1 and s[:-1] == p]
+    if len(batch) == 2:
+        i, j = batch
+        w_slot = 3 - i - j
+        a, b, sw = subs[i][-1], subs[j][-1], subs[w_slot]
+        if len(sw) == 3 and sorted(sw) == sorted(a + b + c):
+            x, y = operands[i], operands[j]
+            perm = tuple(sw.index(s) for s in (a, b, c))
+            w_mat = np.ascontiguousarray(operands[w_slot].transpose(perm))
+            if out is None:
+                out = _tape_empty(x.shape[:-1] + w_mat.shape[2:], dtype)
+            return _contract_static3(x, y, w_mat, out)
+    x, y, w = operands
+    sx, sy, sw = subs
+    if (
+        len(so) == 3
+        and len(sx) >= 2
+        and sx[:-1] == sy[:-1] == sw[:-1]
+        and sorted(so) == sorted(sx[-1] + sy[-1] + sw[-1])
+        and x.shape[:-1] == y.shape[:-1] == w.shape[:-1]
+    ):
+        # out[p,q,r] = sum_z f[z,p] (s[z,q] t[z,r]): the outer product of
+        # the two operands carrying the last two output letters, then
+        # one (p x Z)@(Z x qr) GEMM lands in the output's own layout.
+        by_letter = dict(zip(sx[-1] + sy[-1] + sw[-1], operands))
+        f, s, t = (by_letter[c] for c in so)
+        rows = math.prod(x.shape[:-1])
+        n_p, n_q, n_r = f.shape[-1], s.shape[-1], t.shape[-1]
+        outer = s.reshape(rows, n_q, 1) * t.reshape(rows, 1, n_r)
+        if out is None:
+            out = _tape_empty((n_p, n_q, n_r), dtype)
+        np.matmul(
+            f.reshape(rows, n_p).T, outer.reshape(rows, n_q * n_r),
+            out=out.reshape(n_p, n_q * n_r),
+        )
+        return out
+    return None
+
+
 def _batched_contract(spec, operands, out):
-    """BLAS routes for the contractions a tensor-product model is made of.
+    """The one-C-call routes for the contractions a tensor-product model is
+    made of (DESIGN §22 has the table).  Returns None when ``spec`` matches
+    none of them; otherwise the result, written into ``out`` when given.
 
-    Recognizes the tensor-product shapes that dominate the force call —
-    ``P+a, P+b, W -> P+c`` (the Clebsch-Gordan contraction against a static
-    3-index tensor and its two input gradients) and ``P+K, W -> P+M``
-    (batched matrix multiply, the feature mixing) — and routes them through
-    :func:`_blocked_matmul` on the flattened batch.  Rows of the flattened
-    matmul correspond to trailing batch entries, so the result is invariant
-    to trailing padding, exactly like the 2-D matmul kernel.
+    Batch-leading and pad-invariant (row *k* of the result depends on row
+    *k* of the batch operands only):
 
-    Also recognizes the gradient of the 3-index tensor itself,
-    ``P+a, P+b, P+c -> abc`` in any operand and output order: a reduction
-    over the whole batch, done as one outer product and one GEMM (not
-    pad-invariant, and not reachable with frozen parameters).
+    * ``P+a, P+b, W -> P+c`` with the static 3-index tensor ``W`` in any
+      operand slot — the Clebsch-Gordan contraction, the spherical-harmonic
+      product ``abc,za,zb->zc`` and the input gradients of both — through
+      :func:`_contract_static3`;
+    * ``P+K, W -> P+M`` (batched matrix multiply, the feature mixing) as one
+      :func:`_blocked_matmul` on the flattened batch;
+    * ``P, P+m -> P+m`` (per-channel scaling) as one strided multiply per
+      ``m``, and ``P+m, P+m -> P`` (dot product over a short last axis) as
+      multiply-accumulate over ``m``.  Elementwise on whatever layout the
+      operands have, so these two take them as they come.
 
-    The result is written into ``out`` when given.  Returns None when the
-    spec does not match.
+    Over the batch (not pad-invariant, not reachable with frozen
+    parameters): ``P+a, P+b, P+c -> abc`` in any operand and output order,
+    the gradient of the 3-index tensor itself, as one outer product and one
+    GEMM.
     """
     parsed = _parse_einsum_spec(spec)
     if parsed is None:
@@ -533,118 +739,74 @@ def _batched_contract(spec, operands, out):
     if any(o.dtype != dtype for o in operands[1:]):
         return None
 
-    if len(operands) == 3 and len(so) >= 2:
-        x, y, w = operands
-        sx, sy, sw = subs
-        p, c = so[:-1], so[-1]
-        if (
-            len(sx) == len(p) + 1
-            and len(sy) == len(p) + 1
-            and sx[:-1] == p
-            and sy[:-1] == p
-            and len(sw) == 3
-            and sorted(sw) == sorted(sx[-1] + sy[-1] + c)
-        ):
-            a, b = sx[-1], sy[-1]
-            perm = tuple(sw.index(s) for s in (a, b, c))
-            w_mat = np.ascontiguousarray(w.transpose(perm))
-            na, nb, nc = w_mat.shape
-            # t[z,b,c] = sum_a x[z,a] W[a,b,c] on the flattened batch, then
-            # one (1 x b)@(b x c) product per row with y: no outer product,
-            # and both stages are per-row, so pad rows never reach real ones.
-            # t dies with this call: its buffer is malloc's, never the arena's.
-            t = np.empty((x.size // na, nb * nc), dtype)
-            _blocked_matmul(x.reshape(-1, na), w_mat.reshape(na, nb * nc), t)
-            if out is None:
-                out = _tape_empty(x.shape[:-1] + (nc,), dtype)
-            np.matmul(
-                y.reshape(-1, 1, nb), t.reshape(-1, nb, nc), out=out.reshape(-1, 1, nc)
-            )
-            return out
-        if (
-            len(so) == 3
-            and len(sx) >= 2
-            and sx[:-1] == sy[:-1] == sw[:-1]
-            and sorted(so) == sorted(sx[-1] + sy[-1] + sw[-1])
-            and x.shape[:-1] == y.shape[:-1] == w.shape[:-1]
-        ):
-            # out[p,q,r] = sum_z f[z,p] (s[z,q] t[z,r]): the outer product of
-            # the two operands carrying the last two output letters, then
-            # one (p x Z)@(Z x qr) GEMM lands in the output's own layout.
-            by_letter = dict(zip(sx[-1] + sy[-1] + sw[-1], operands))
-            f, s, t = (by_letter[c] for c in so)
-            rows = math.prod(x.shape[:-1])
-            n_p, n_q, n_r = f.shape[-1], s.shape[-1], t.shape[-1]
-            outer = s.reshape(rows, n_q, 1) * t.reshape(rows, 1, n_r)
-            if out is None:
-                out = _tape_empty((n_p, n_q, n_r), dtype)
-            np.matmul(
-                f.reshape(rows, n_p).T, outer.reshape(rows, n_q * n_r),
-                out=out.reshape(n_p, n_q * n_r),
-            )
-            return out
-
     if len(operands) == 2:
-        x, w = operands
-        sx, sw = subs
-        for n_k in range(1, len(sx)):
-            p, k = sx[: len(sx) - n_k], sx[len(sx) - n_k :]
-            m = so[len(p) :]
-            if (
-                len(p) >= 1
-                and len(m) >= 1
-                and so[: len(p)] == p
-                and sorted(sw) == sorted(k + m)
-                and not (set(k) & set(m))
-            ):
-                perm = tuple(sw.index(s) for s in k + m)
-                w_mat = np.ascontiguousarray(w.transpose(perm))
-                k_dim = int(np.prod(w_mat.shape[: n_k], dtype=int))
-                m_shape = w_mat.shape[n_k:]
-                m_dim = int(np.prod(m_shape, dtype=int))
-                if out is None:
-                    out = _tape_empty(x.shape[: len(p)] + m_shape, dtype)
-                _blocked_matmul(
-                    x.reshape(-1, k_dim), w_mat.reshape(k_dim, m_dim),
-                    out.reshape(-1, m_dim),
-                )
-                return out
-        return None
-
+        res = _contract_elementwise(subs, so, operands, out)
+        if res is not None:
+            return res
+    # The GEMM routes flatten the batch: C order, which a reshape of a
+    # transposed view would otherwise reach through a hidden copy.
+    operands = [np.asarray(o, order="C") for o in operands]
+    if len(operands) == 2:
+        return _contract_matmul(subs, so, operands, out)
+    if len(operands) == 3 and len(so) >= 2:
+        return _contract_three(subs, so, operands, out)
     return None
 
 
 @_kernel("einsum")
 def einsumk(out, *operands, spec):
-    # Bitwise-identity requirements.  (1) Never pass ``out=`` to np.einsum:
-    # an output array changes the contraction dispatch, shifting summation
-    # order.  (2) Canonicalize operands to C order: c_einsum's iteration
-    # (and hence accumulation) order follows operand memory layout, and
-    # replay hands contiguous arena copies where eager may hold transposed
-    # views of a previous einsum's result.  (3) No ``optimize=True``: the
-    # optimized path dispatches to BLAS tensordot, whose row results depend
-    # on the (padded vs unpadded) leading dimension; c_einsum iterates rows
-    # sequentially, so results are invariant to trailing padding.
+    # Bitwise-identity requirements of the c_einsum fallback.  (1) Never
+    # pass ``out=`` to np.einsum: an output array changes the contraction
+    # dispatch, shifting summation order.  (2) Canonicalize operands to C
+    # order: c_einsum's iteration (and hence accumulation) order follows
+    # operand memory layout, and replay hands contiguous arena copies where
+    # eager may hold transposed views of a previous einsum's result.  (3) No
+    # ``optimize=True``: the optimized path dispatches to BLAS tensordot,
+    # whose row results depend on the (padded vs unpadded) leading
+    # dimension; c_einsum iterates rows sequentially, so results are
+    # invariant to trailing padding.
     # (asarray with order="C", not ascontiguousarray: the latter promotes
     # 0-d operands to 1-d, which c_einsum rejects for scalar subscripts.)
-    operands = [np.asarray(o, order="C") for o in operands]
     cfg = _tensor.config
     if cfg.matmul_input_cast is None and cfg.matmul_precision is None:
         res = _batched_contract(spec, operands, out)
         if res is not None:
             return res
-        return _fill(out, np.einsum(spec, *operands))
-    res = _cast_out(np.einsum(spec, *[_cast_in(o) for o in operands]))
-    return _fill(out, res)
+        return _fill(out, np.einsum(spec, *[np.asarray(o, order="C") for o in operands]))
+    operands = [_cast_in(np.asarray(o, order="C")) for o in operands]
+    return _fill(out, _cast_out(np.einsum(spec, *operands)))
 
 
 # -- indexing / assembly ------------------------------------------------------
+# Result elements from which ``gatherk`` checks the index itself: the two
+# reductions over ``idx`` cost ~2 us each, the staging copy they avoid costs
+# that at ~16 k elements (a [2174, 8] gather) and 3x the gather at [53 k, 3].
+_GATHER_CHECKED_MIN = 1 << 14
+
+
 @_kernel("gather")
 def gatherk(out, a, idx):
     # take, not a[idx]: same rows bit for bit, several times faster.
     if out is None and (scope := _tape_scope()) is not None:
         out = scope.take(idx.shape + a.shape[1:], a.dtype)
+    if (
+        out is not None
+        and out.size >= _GATHER_CHECKED_MIN
+        and idx.min() >= 0
+        and idx.max() < a.shape[0]
+    ):
+        # In bounds, checked once: ``clip`` never clips, and skips the
+        # staging buffer ``raise`` copies every row through when given
+        # ``out``.  Negative or out-of-range indices keep numpy's handling.
+        return np.take(a, idx, axis=0, out=out, mode="clip")
     return np.take(a, idx, axis=0, out=out)
+
+
+# Columns from which ``scatter_addk`` runs one bincount over (row, column)
+# bins instead of one per column: at 36 columns the single pass wins by a
+# quarter; at 3 (forces on [pairs, 3]) building the flat index costs more
+# than the two extra passes it saves.
+_SCATTER_FLAT_COLS = 8
 
 
 @_kernel("scatter_add")
@@ -652,13 +814,25 @@ def scatter_addk(out, src, idx, dim_size):
     if out is None:
         out = _tape_empty((dim_size,) + src.shape[1:], src.dtype)
     if src.ndim > 1 and src.dtype == np.float64 and idx.dtype.kind == "i":
-        # One np.bincount per column: each bin is a double-precision running
-        # sum taken in edge order from +0.0 — the sequence np.add.at
-        # performs, bit for bit, several times faster.  (np.add.at has its
-        # own fast path for 1-D sources.)
+        # np.bincount: each bin is a double-precision running sum taken in
+        # edge order from +0.0 — the sequence np.add.at performs, bit for
+        # bit, several times faster.  (np.add.at has its own fast path for
+        # 1-D sources.)
         n_cols = math.prod(src.shape[1:])
-        cols = src.reshape(src.shape[0], n_cols)
         out_cols = out.reshape(dim_size, n_cols)
+        if n_cols >= _SCATTER_FLAT_COLS and idx.size:
+            # Wide rows: one pass over (row, column) bins.  Bounds first — a
+            # flat index would alias an out-of-range row into its neighbor.
+            if idx.min() < 0 or idx.max() >= dim_size:
+                raise IndexError(
+                    f"scatter index out of bounds for {dim_size} bins "
+                    f"(min {idx.min()}, max {idx.max()})"
+                )
+            bins = np.add.outer(idx * n_cols, np.arange(n_cols))
+            sums = np.bincount(bins.ravel(), src.ravel(), dim_size * n_cols)
+            out_cols[...] = sums.reshape(dim_size, n_cols)
+            return out
+        cols = src.reshape(src.shape[0], n_cols)
         for c in range(n_cols):
             sums = np.bincount(idx, cols[:, c], dim_size)
             if sums.shape[0] != dim_size:

@@ -123,6 +123,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("config", type=Path)
     _flag(p, "--steps", int, "steps to profile (default: the config's md.steps)")
+    _flag(
+        p,
+        "--top",
+        int,
+        "also print the N most expensive steps of one compiled force call "
+        "(op, einsum spec, shapes, time)",
+    )
     _quiet_flag(p)
     _flag(p, "--trace-json", Path, "also write the trace document as JSON to this path")
     _flag(
@@ -277,6 +284,7 @@ def main(argv: Optional[list] = None) -> int:
             quiet=args.quiet,
             trace_json=args.trace_json,
             stats_json=args.stats_json,
+            top=args.top,
         )
         return 0
     with tracing(args.trace_json):

@@ -146,6 +146,7 @@ def profile_config(
     quiet: bool = False,
     trace_json=None,
     stats_json=None,
+    top: Optional[int] = None,
 ):
     """Run a traced MD segment and print the per-phase time table.
 
@@ -154,8 +155,9 @@ def profile_config(
     capture/replay/arena instruments land in a single tree), enables the
     global span tracer, runs ``steps`` steps (default: ``md.steps``), and
     prints where the wall time went: neighbor rebuilds vs. force evaluation
-    vs. integration vs. thermostatting vs. checkpointing.  Returns
-    ``(tracer, sim)``.
+    vs. integration vs. thermostatting vs. checkpointing.  ``top`` adds the
+    ``top`` most expensive steps of one compiled force call under the
+    per-kernel-class table.  Returns ``(tracer, sim)``.
     """
     log = logger(quiet)
     cfg = load_config(config)
@@ -184,6 +186,10 @@ def profile_config(
         if kernels:
             log("")
             log(format_kernel_table(kernels, engine_stats["plan_steps"]))
+        steps = sim.step_profile() if top else None
+        if steps:
+            log("")
+            log(format_step_table(steps, top))
     if stats_json is not None:
         payload = sim.stats()
         payload["timesteps_per_second"] = result.timesteps_per_second
@@ -204,5 +210,29 @@ def format_kernel_table(kernels: dict, plan_steps: int) -> str:
         lines.append(
             f"      {cls:<16}{row['steps']:>6}{1e3 * row['seconds']:>11.3f}"
             f"{100 * share:>7.1f}%"
+        )
+    return "\n".join(lines)
+
+
+def format_step_table(rows: list, top: int) -> str:
+    """The ``top`` most expensive steps of one replay (``profile --top N``)."""
+    total = sum(row["seconds"] for row in rows)
+
+    def shape(s) -> str:
+        return "x".join(str(n) for n in s) or "()"
+
+    lines = [
+        f"    the {min(top, len(rows))} most expensive of {len(rows)} steps "
+        f"({1e3 * total:.3f} ms per replay)",
+        f"      {'step':>4}  {'op':<12}{'spec':<18}{'out':<12}{'us':>8}{'share':>8}"
+        f"  operands",
+    ]
+    for row in sorted(rows, key=lambda r: -r["seconds"])[:top]:
+        share = row["seconds"] / total if total > 0 else 0.0
+        lines.append(
+            f"      {row['step']:>4}  {row['op']:<12}{row['spec']:<18}"
+            f"{shape(row['out_shape']):<12}{1e6 * row['seconds']:>8.1f}"
+            f"{100 * share:>7.1f}%  "
+            + " ".join(shape(s) for s in row["arg_shapes"])
         )
     return "\n".join(lines)

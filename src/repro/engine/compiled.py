@@ -294,6 +294,15 @@ class CompiledPotential(PotentialWrapper):
             self.obs.gauge("engine.kernel_seconds", labels).set(row["seconds"])
         return table
 
+    def step_profile(self, repeats: int = 10) -> list:
+        """Per-step time of one replay of the live plan, in execution order.
+
+        :meth:`ExecutionPlan.profile_steps` on the template plan; empty
+        before the first capture.  Same caveats as :meth:`kernel_profile`.
+        """
+        plan = self.plan
+        return [] if plan is None else plan.profile_steps(repeats)
+
     # -- evaluation -----------------------------------------------------------
     def evaluate(self, positions, species, nl, n_active: Optional[int] = None):
         """Per-atom energies and forces via plan replay.

@@ -295,6 +295,18 @@ class ExecutionPlan:
             fn(buf, *args, **static)
         return list(self._outputs)
 
+    def _time_steps(self, repeats: int) -> List[float]:
+        """Mean seconds per executed step over ``repeats`` timed replays."""
+        if repeats < 1:
+            raise ValueError("repeats must be >= 1")
+        seconds = [0.0] * len(self._steps)
+        for _ in range(repeats):
+            for k, (fn, buf, args, static) in enumerate(self._steps):
+                t0 = MONOTONIC()
+                fn(buf, *args, **static)
+                seconds[k] += MONOTONIC() - t0
+        return [s / repeats for s in seconds]
+
     def profile(self, repeats: int = 10) -> Dict[str, Dict[str, float]]:
         """Where a replay's time goes, by kernel class.
 
@@ -306,25 +318,39 @@ class ExecutionPlan:
         reshapes, which are timed.  Like :meth:`execute`, one caller at a
         time; :meth:`execute` itself carries no timer.
         """
-        if repeats < 1:
-            raise ValueError("repeats must be >= 1")
         table = {c: {"steps": 0, "seconds": 0.0} for c in KERNEL_CLASSES}
         table["alias_folded"]["steps"] = self.n_folded + self.n_hoisted
-        classes = [
-            kernel_class(op, static)
-            for _, op, buf, _, _, static in self._program
-            if buf is not None
-        ]
-        for cls in classes:
-            table[cls]["steps"] += 1
-        for _ in range(repeats):
-            for (fn, buf, args, static), cls in zip(self._steps, classes):
-                t0 = MONOTONIC()
-                fn(buf, *args, **static)
-                table[cls]["seconds"] += MONOTONIC() - t0
-        for row in table.values():
-            row["seconds"] /= repeats
+        for row in self.profile_steps(repeats):
+            table[row["class"]]["steps"] += 1
+            table[row["class"]]["seconds"] += row["seconds"]
         return table
+
+    def profile_steps(self, repeats: int = 10) -> List[dict]:
+        """The same timed replays as :meth:`profile`, one row per step.
+
+        Rows come in execution order: ``step`` (position in the replay
+        loop), ``op``, ``spec`` (the einsum subscripts, else ``""``),
+        ``class``, ``out_shape``, ``arg_shapes`` and ``seconds`` (mean per
+        replay).  This is the table a kernel change is sized from: which
+        contraction, at which shape, costs what.
+        """
+        executed = [
+            (op, static) for _, op, buf, _, _, static in self._program if buf is not None
+        ]
+        return [
+            {
+                "step": k,
+                "op": op,
+                "spec": static["spec"] if op == "einsum" else "",
+                "class": kernel_class(op, static),
+                "out_shape": buf.shape,
+                "arg_shapes": tuple(np.shape(a) for a in args),
+                "seconds": seconds,
+            }
+            for k, ((op, static), (_, buf, args, _), seconds) in enumerate(
+                zip(executed, self._steps, self._time_steps(repeats))
+            )
+        ]
 
     def clone(self, remap: Optional[Dict[int, np.ndarray]] = None) -> "ExecutionPlan":
         """A plan replaying the same kernel sequence on private buffers.

@@ -241,6 +241,15 @@ class Simulation:
             return self._evaluator.kernel_profile(repeats)
         return None
 
+    def step_profile(self, repeats: int = 10) -> Optional[list]:
+        """Per-step time inside one compiled force call; None when eager.
+
+        See :meth:`repro.engine.CompiledPotential.step_profile`.
+        """
+        if self.engine == "compiled":
+            return self._evaluator.step_profile(repeats)
+        return None
+
     def stats(self) -> dict:
         """Unified observability view: registry counters + engine + phases.
 

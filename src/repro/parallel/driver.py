@@ -377,6 +377,10 @@ class ParallelSimulation(Simulation):
         """Every rank owns its own plan; there is no single one to profile."""
         return None
 
+    def step_profile(self, repeats: int = 10) -> None:
+        """As :meth:`kernel_profile`: no single plan to profile."""
+        return None
+
     def stats(self) -> dict:
         """Unified registry view over md, comm, engine, and failure counters."""
         return self.evaluator.stats()

@@ -10,8 +10,13 @@ stays invariant to trailing pad rows, which is what lets a padded plan equal
 the unpadded tape.  The contractions *over* the batch (the gradient of the
 Clebsch-Gordan tensor, the weight gradient of a matmul) have no pad rows to
 ignore; they are pinned to ``np.einsum`` / ``a.T @ g`` within a dtype
-tolerance, and a sentinel at the end checks that a training step reaches
-neither a large fallback ``einsum`` nor a padded small matmul.
+tolerance.  The routes of DESIGN §22 — the stacked block matmul, the static
+tensor in any einsum slot, the channel-wise specs, the middle-axis sum — each
+get (i) equality with what they replaced, (ii) pad-invariance, (iii) the
+non-contiguous case; two threads replay clones of one plan; the precision
+hooks bypass every route; and a sentinel at the end checks that neither a
+training step nor a compiled force call hands ``np.einsum`` an edge-length
+operand.
 """
 
 import math
@@ -579,64 +584,573 @@ class TestAliasKernelsHonorOut:
         assert float(cell) == a[1, 2]
 
 
-class TestTrainingStepStaysOffTheSlowRoutes:
-    """Sentinel: one Allegro ℓmax=2 training step, slow routes counted.
+def blocked_loop(a, b):
+    """``_blocked_matmul`` as it was: one ``np.matmul`` per 128-row block in
+    a Python loop, the tail zero-padded to a full block."""
+    M, blk = a.shape[0], K._MM_BLOCK
+    res = np.empty((M, b.shape[1]), np.result_type(a, b))
+    full = (M // blk) * blk
+    for s in range(0, full, blk):
+        np.matmul(a[s : s + blk], b, out=res[s : s + blk])
+    if M - full:
+        tail = np.zeros((blk, a.shape[1]), res.dtype)
+        tail[: M - full] = a[full:]
+        res[full:] = np.matmul(tail, b)[: M - full]
+    return res
+
+
+# M around multiples of the block size, M < 128 included
+row_counts = st.builds(
+    lambda blocks, off: max(1, blocks * 128 + off), st.integers(0, 5), st.integers(-3, 3)
+)
+PLAN_KN = [(3, 9), (9, 3), (9, 81), (32, 28), (24, 32), (3, 15), (8, 24), (16, 1), (1, 16)]
+
+
+class TestBlockedMatmul:
+    """One stacked ``np.matmul`` over the full blocks ≡ the block loop."""
+
+    @given(row_counts, st.sampled_from(PLAN_KN), st.booleans(), st.booleans(),
+           st.sampled_from([np.float64, np.float32]), st.integers(0, 2**32 - 1))
+    @settings(max_examples=120, deadline=None)
+    def test_bitwise_equals_the_block_loop(self, m, kn, b_transposed, with_out, dtype, seed):
+        rng = np.random.default_rng(seed)
+        a = rng.normal(size=(m, kn[0])).astype(dtype)
+        b = rng.normal(size=kn).astype(dtype)
+        if b_transposed:  # the backward pass multiplies by a transposed view
+            b = np.ascontiguousarray(b.T).T
+        out = np.full((m, kn[1]), np.nan, dtype) if with_out else None
+        res = K._blocked_matmul(a, b, out)
+        assert out is None or res is out
+        assert res.tobytes() == blocked_loop(a, b).tobytes()
+
+    @given(row_counts, st.integers(1, 200), st.sampled_from(PLAN_KN), st.integers(0, 2**32 - 1))
+    @settings(max_examples=80, deadline=None)
+    def test_pad_rows_never_reach_real_rows(self, m, n_pad, kn, seed):
+        rng = np.random.default_rng(seed)
+        a, b = rng.normal(size=(m, kn[0])), rng.normal(size=kn)
+        padded = np.concatenate([a, rng.normal(size=(n_pad, kn[0]))])
+        assert_bitwise(K._blocked_matmul(padded, b, None)[:m], K._blocked_matmul(a, b, None))
+
+    def test_non_contiguous_operand_or_out_keeps_the_loop(self, monkeypatch):
+        """A reshape of a non-contiguous ``out`` is a copy: the stacked call
+        would write there and lose the result."""
+        rng = np.random.default_rng(12)
+        a, b = rng.normal(size=(300, 6)), rng.normal(size=(6, 4))
+        ref = blocked_loop(a, b)
+        stacked = []
+        real = np.matmul
+        monkeypatch.setattr(
+            np, "matmul", lambda x, y, **kw: stacked.append(x.ndim) or real(x, y, **kw))
+        wide = np.full((300, 8), np.nan)
+        out = wide[:, ::2]  # every other column: not contiguous
+        assert K._blocked_matmul(a, b, out) is out
+        assert_bitwise(out, ref)
+        assert np.isnan(wide[:, 1::2]).all()
+        a_strided = np.asfortranarray(a)
+        assert not a_strided.flags.c_contiguous
+        np.testing.assert_allclose(K._blocked_matmul(a_strided, b, None), ref, rtol=0, atol=1e-13)
+        assert 3 not in stacked  # neither call took the stacked route ...
+        K._blocked_matmul(a, b, None)
+        assert stacked[-2:] == [3, 2]  # ... which contiguous operands do: blocks, tail
+
+    def test_matmul_kernel_routes_2d_float_operands_through_it(self):
+        rng = np.random.default_rng(13)
+        a, b = rng.normal(size=(700, 5)), rng.normal(size=(5, 7))
+        assert_bitwise(K.matmulk(None, a, b), blocked_loop(a, b))
+
+
+SH_SPECS = ["abc,za,zb->zc", "zc,abc,za->zb", "zc,abc,zb->za", "za,abc,zb->zc"]
+
+
+class TestStaticTensorInAnySlot:
+    """``P+a, P+b, W -> P+c`` with ``W`` first or second: the spherical-
+    harmonic product and its gradients take the GEMM route too."""
+
+    @given(st.sampled_from(SH_SPECS), st.integers(1, 300), st.integers(1, 200),
+           st.booleans(), st.integers(0, 2**32 - 1))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_einsum_and_ignores_pad_rows(self, spec, n_rows, n_pad, with_out, seed):
+        rng = np.random.default_rng(seed)
+        lhs, rhs = spec.split("->")
+        dims = {"z": n_rows, "a": 3, "b": 3, "c": 5}
+        ops = [rng.normal(size=[dims[s] for s in sub]) for sub in lhs.split(",")]
+        out = np.full([dims[s] for s in rhs], np.nan) if with_out else None
+        res = K._batched_contract(spec, ops, out)
+        assert res is not None and (out is None or res is out)
+        # float64, nine terms of size ~1 per element: far inside 1e-12
+        np.testing.assert_allclose(res, np.einsum(spec, *ops), rtol=0, atol=1e-12)
+
+        padded = [
+            np.concatenate([o, rng.normal(size=(n_pad,) + o.shape[1:])])
+            if sub[0] == "z" else o
+            for sub, o in zip(lhs.split(","), ops)
+        ]
+        assert_bitwise(K._batched_contract(spec, padded, None)[:n_rows], res)
+
+    def test_operand_order_decides_which_side_meets_the_tensor_first(self):
+        """The first batch operand goes through the GEMM, whatever the slot
+        of the tensor: the specs the plan had before keep their bits."""
+        rng = np.random.default_rng(14)
+        x, y, w = rng.normal(size=(40, 3)), rng.normal(size=(40, 4)), rng.normal(size=(3, 4, 5))
+        last = K.einsumk(None, x, y, w, spec="za,zb,abc->zc")
+        assert_bitwise(K.einsumk(None, w, x, y, spec="abc,za,zb->zc"), last)
+        assert_bitwise(K.einsumk(None, x, w, y, spec="za,abc,zb->zc"), last)
+
+    @given(st.sampled_from(TP_SPECS + SH_SPECS), st.integers(1, 2500), st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_row_chunks_do_not_change_a_bit(self, spec, n_rows, seed):
+        """Chunk boundaries sit on matmul block boundaries."""
+        rng = np.random.default_rng(seed)
+        dims = {"z": n_rows, "u": 2, "a": 4, "b": 3, "c": 5}
+        ops = [rng.normal(size=[dims[s] for s in sub]) for sub in spec.split("->")[0].split(",")]
+        chunked = K._batched_contract(spec, ops, None)
+        real = K._TP_CHUNK
+        K._TP_CHUNK = 10**9
+        try:
+            whole = K._batched_contract(spec, ops, None)
+        finally:
+            K._TP_CHUNK = real
+        assert_bitwise(chunked, whole)
+
+    def test_spherical_harmonics_reach_it(self, monkeypatch):
+        from repro.equivariant import spherical_harmonics
+
+        fallbacks = []
+        real = np.einsum
+        monkeypatch.setattr(
+            np, "einsum", lambda spec, *ops, **kw: fallbacks.append(spec) or real(spec, *ops, **kw))
+        r = ad.Tensor(np.random.default_rng(15).normal(size=(50, 3)), requires_grad=True)
+        spherical_harmonics(2, r).sum().backward()
+        assert [s for s in fallbacks if "z" in s] == []  # setup constants aside
+
+
+@st.composite
+def channel_cases(draw):
+    """``x [Z, u]`` and ``y, y2 [Z, u, m]``, the latter as the strided
+    slices of a wider block the model hands in, or contiguous."""
+    z, u, m = draw(st.integers(1, 40)), draw(st.integers(1, 5)), draw(st.integers(1, 7))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(z, u))
+    wide, wide2 = rng.normal(size=(2, z, u, m + 3))
+    specials = rng.choice(SPECIAL, size=(z, u))
+    x = np.where(rng.random((z, u)) < 0.2, specials, x)
+    if draw(st.booleans()):
+        return x, wide[..., 2 : 2 + m], wide2[..., 1 : 1 + m]
+    return x, wide[..., :m].copy(), wide2[..., :m].copy()
+
+
+class TestChannelwiseRoutes:
+    """``zu,zum->zum`` and ``zum,zum->zu`` leave c_einsum."""
+
+    @given(channel_cases(), st.booleans(), st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_scaling_is_bitwise_einsum_in_either_operand_order(self, case, swapped, with_out):
+        """... up to the sign of a zero product: c_einsum adds every product
+        to a zeroed output, so its -0.0 comes out +0.0; the multiply keeps
+        IEEE's sign.  Adding +0.0 to the result is exactly that step."""
+        x, y, _ = case
+        spec, ops = ("zum,zu->zum", [y, x]) if swapped else ("zu,zum->zum", [x, y])
+        with np.errstate(all="ignore"):
+            ref = np.einsum(spec, *[np.ascontiguousarray(o) for o in ops])
+            out = np.full(y.shape, np.nan) if with_out else None
+            res = K._batched_contract(spec, ops, out)
+        assert res is not None and (out is None or res is out)
+        np.testing.assert_array_equal(res, ref)
+        assert_bitwise(res + 0.0, ref)
+
+    @given(channel_cases(), st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_dot_over_m_matches_einsum_to_rounding(self, case, with_out):
+        _, y, y2 = case
+        out = np.full(y.shape[:-1], np.nan) if with_out else None
+        res = K._batched_contract("zum,zum->zu", [y, y2], out)
+        assert res is not None and (out is None or res is out)
+        # <= 7 products of size ~1, float64: a few ulp of the largest term
+        ref = np.einsum("zum,zum->zu", y, y2)
+        scale = np.abs(y * y2).sum(axis=-1).max(initial=1.0)
+        assert float(np.abs(res - ref).max(initial=0.0)) <= 1e-14 * scale
+
+    @given(channel_cases(), st.integers(1, 30))
+    @settings(max_examples=60, deadline=None)
+    def test_pad_rows_never_reach_real_rows(self, case, n_pad):
+        x, y, y2 = case
+        rng = np.random.default_rng(n_pad)
+
+        def padded(arr):
+            return np.concatenate([arr, rng.normal(size=(n_pad,) + arr.shape[1:])])
+
+        z = x.shape[0]
+        for spec, ops in (("zu,zum->zum", [x, y]), ("zum,zum->zu", [y, y2])):
+            with np.errstate(all="ignore"):
+                res = K._batched_contract(spec, ops, None)
+                res_pad = K._batched_contract(spec, [padded(o) for o in ops], None)
+            assert_bitwise(res_pad[:z], res)
+
+    def test_layout_of_the_operands_does_not_change_the_bits(self):
+        """Eager holds slices of a wider block, a plan may hold copies."""
+        rng = np.random.default_rng(16)
+        wide, wide2 = rng.normal(size=(2, 30, 4, 9))
+        x = rng.normal(size=(30, 4))
+        for spec, ops in (
+            ("zu,zum->zum", [x, wide[..., 4:9]]),
+            ("zum,zum->zu", [wide[..., 1:4], wide2[..., 1:4]]),
+        ):
+            assert not ops[1].flags.c_contiguous
+            assert_bitwise(
+                K.einsumk(None, *ops, spec=spec),
+                K.einsumk(None, *[np.ascontiguousarray(o) for o in ops], spec=spec),
+            )
+
+    def test_shapes_einsum_would_broadcast_fall_through(self):
+        rng = np.random.default_rng(17)
+        x, y = rng.normal(size=(6, 1)), rng.normal(size=(6, 4, 3))
+        assert K._batched_contract("zu,zum->zum", [x, y], None) is None
+        assert K._batched_contract("zum,zum->zu", [y, y[:, :1]], None) is None
+        assert_bitwise(K.einsumk(None, x, y, spec="zu,zum->zum"), np.einsum("zu,zum->zum", x, y))
+
+    def test_scalar_output_tensor_product_uses_both(self, monkeypatch):
+        from repro.equivariant import ScalarOutputTensorProduct, StridedLayout
+
+        fallbacks = []
+        real = np.einsum
+        monkeypatch.setattr(
+            np, "einsum", lambda spec, *ops, **kw: fallbacks.append(spec) or real(spec, *ops, **kw))
+        layout = StridedLayout.spherical(2, mul=4)
+        tp = ScalarOutputTensorProduct(layout, layout)
+        rng = np.random.default_rng(18)
+        x = ad.Tensor(rng.normal(size=(20, 4, layout.dim)), requires_grad=True)
+        y = ad.Tensor(rng.normal(size=(20, 4, layout.dim)), requires_grad=True)
+        tp(x, y).sum().backward()
+        assert [s for s in fallbacks if "z" in s] == []
+
+
+class TestMiddleAxisSum:
+    """``[Z, u, d] -> [Z, 1, d]`` as ``u - 1`` whole-slice adds."""
+
+    @given(st.integers(0, 40), st.integers(1, 10), st.integers(1, 12), st.booleans(),
+           st.booleans(), st.sampled_from([1, -2, (1,)]), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_bitwise_equals_add_reduce(self, z, u, d, keepdims, with_out, axis, data):
+        flat = data.draw(st.lists(values, min_size=z * u * d, max_size=z * u * d))
+        a = np.array(flat, dtype=np.float64).reshape(z, u, d)
+        ref = a.sum(axis=axis, keepdims=keepdims)
+        out = np.full(ref.shape, np.nan) if with_out else None
+        res = K.sumk(out, a, axis, keepdims)
+        assert out is None or res is out
+        assert_bitwise(res, ref)
+
+    def test_the_strided_route_is_the_one_taken(self):
+        a = np.random.default_rng(19).normal(size=(50, 4, 9))
+        assert K._short_middle_axis(a, (1,)) == 1
+        assert K._short_middle_axis(a, -2) == 1
+        four_d = a.reshape(10, 5, 4, 9)
+        assert K._short_middle_axis(four_d, 2) == 2
+        assert_bitwise(K.sumk(None, four_d, 2, True), four_d.sum(axis=2, keepdims=True))
+        # ... and where add.reduce sums in another order, it is left alone
+        for arr, axis in (
+            (a, -1), (a, 0), (a, (0, 1)), (a, None),  # last, first, two axes, all
+            (a[:, :, :1].copy(), 1),  # one element behind the axis: a pairwise sum
+            (a.transpose(0, 2, 1), 1),  # not C-contiguous
+            (np.zeros((5, 9, 3)), 1),  # longer than _SUM_MAX_TERMS
+            (np.zeros((5, 1, 3)), 1),  # nothing to add
+            (np.zeros((5, 4, 3), np.int64), 1),
+        ):
+            assert K._short_middle_axis(arr, axis) is None
+            assert_bitwise(
+                np.asarray(K.sumk(None, arr, axis, True), dtype=np.float64),
+                np.asarray(arr.sum(axis=axis, keepdims=True), dtype=np.float64),
+            )
+
+    @given(st.integers(1, 30), st.integers(1, 20))
+    @settings(max_examples=30, deadline=None)
+    def test_pad_rows_never_reach_real_rows(self, z, n_pad):
+        rng = np.random.default_rng(z * 31 + n_pad)
+        a = rng.normal(size=(z, 4, 9))
+        padded = np.concatenate([a, rng.normal(size=(n_pad, 4, 9))])
+        assert_bitwise(K.sumk(None, padded, (1,), True)[:z], K.sumk(None, a, (1,), True))
+
+
+class TestGatherIntoABuffer:
+    """In bounds, ``np.take(..., out=, mode="clip")``: no staging copy."""
+
+    def test_clip_mode_is_taken_only_for_checked_indices(self, monkeypatch):
+        modes = []
+        real = np.take
+        monkeypatch.setattr(
+            np, "take", lambda a, idx, **kw: modes.append(kw.get("mode", "raise")) or real(a, idx, **kw))
+        monkeypatch.setattr(K, "_GATHER_CHECKED_MIN", 9)
+        a = np.arange(12.0).reshape(4, 3)
+        out = np.full((3, 3), np.nan)
+        K.gatherk(out, a, np.array([3, 0, 3]))
+        np.testing.assert_array_equal(out, a[[3, 0, 3]])
+        K.gatherk(out, a, np.array([3, -1, 0]))  # a negative index counts from the end
+        np.testing.assert_array_equal(out, a[[3, -1, 0]])
+        K.gatherk(None, a, np.array([1, 2]))
+        small = np.full((2, 3), np.nan)  # below the size where checking pays
+        K.gatherk(small, a, np.array([1, 2]))
+        np.testing.assert_array_equal(small, a[[1, 2]])
+        with pytest.raises(IndexError):
+            K.gatherk(out, a, np.array([0, 4, 1]))
+        assert modes == ["clip", "raise", "raise", "raise", "raise"]
+
+    @given(st.integers(1, 30), st.sampled_from([(3,), (2, 3)]), st.sampled_from([(17,), (4, 5)]),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_bitwise_equals_fancy_index(self, n_rows, trailing, idx_shape, seed):
+        rng = np.random.default_rng(seed)
+        a = rng.normal(size=(n_rows,) + trailing)
+        a.flat[::3] = rng.choice(SPECIAL, size=a.flat[::3].shape)
+        idx = rng.integers(0, n_rows, size=idx_shape)
+        real = K._GATHER_CHECKED_MIN
+        K._GATHER_CHECKED_MIN = 0
+        try:
+            out = K.gatherk(np.full(idx_shape + trailing, np.nan), a, idx)
+        finally:
+            K._GATHER_CHECKED_MIN = real
+        assert_bitwise(out, a[idx])
+
+
+class TestSigmoidScratch:
+    def test_out_may_be_the_operand(self):
+        """sigmoid is not an INPLACE_OPS member today, but a caller that
+        passes ``out=v`` must get the same bits."""
+        v = np.array(SPECIAL + [np.inf, -np.inf, 3.0, -3.0])
+        ref = masked_sigmoid(v)
+        w = v.copy()
+        assert K.sigmoid_np(w, out=w) is w
+        assert_bitwise(w, ref)
+        w32 = v.astype(np.float32)
+        ref32 = K.sigmoid_np(w32.copy())
+        K.sigmoid_np(w32, out=w32)
+        assert w32.dtype == np.float32 and w32.tobytes() == ref32.tobytes()
+
+    def test_one_scratch_array(self, monkeypatch):
+        made = []
+        real = np.empty_like
+        monkeypatch.setattr(np, "empty_like", lambda a, **kw: made.append(1) or real(a, **kw))
+        v = np.linspace(-5, 5, 64).reshape(8, 8)
+        K.sigmoid_np(v, out=np.empty_like(v))
+        assert len(made) == 2  # this test's own buffer and the kernel's scratch
+
+
+class TestWideScatter:
+    """Eight columns or more: one bincount over (row, column) bins."""
+
+    @given(st.integers(0, 40), st.integers(1, 12), st.sampled_from([(8,), (4, 9), (2, 2, 3)]),
+           st.booleans(), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_bitwise_equals_add_at(self, n, dim, trailing, with_out, data):
+        width = math.prod(trailing)
+        assert width >= K._SCATTER_FLAT_COLS
+        idx = np.array(data.draw(st.lists(st.integers(0, dim - 1), min_size=n, max_size=n)),
+                       dtype=data.draw(st.sampled_from([np.int64, np.int32])))
+        flat = data.draw(st.lists(values, min_size=n * width, max_size=n * width))
+        src = np.array(flat, dtype=np.float64).reshape((n,) + trailing)
+        ref = np.zeros((dim,) + trailing)
+        np.add.at(ref, idx, src)
+        out = np.full(ref.shape, np.nan) if with_out else None
+        res = K.scatter_addk(out, src, idx, dim)
+        assert out is None or res is out
+        assert_bitwise(res, ref)
+
+    def test_out_of_range_index_raises_instead_of_landing_next_door(self):
+        src = np.ones((3, 8))
+        for bad in ([0, 4, 1], [0, -1, 1]):
+            with pytest.raises(IndexError):
+                K.scatter_addk(None, src, np.array(bad), 4)
+
+
+class TestPrecisionHooksBypassEveryRoute:
+    """With a ``matmul_input_cast`` / ``matmul_precision`` hook set, einsum
+    and matmul compute what they computed before any route existed."""
+
+    @pytest.mark.parametrize("hook", ["matmul_input_cast", "matmul_precision"])
+    def test_einsum_and_matmul(self, hook, monkeypatch):
+        def to_f32(arr):
+            return arr.astype(np.float32).astype(np.float64)
+
+        def forbidden(*args, **kw):
+            raise AssertionError("a fast route ran under a precision hook")
+
+        rng = np.random.default_rng(20)
+        x, y = rng.normal(size=(140, 4, 3)), rng.normal(size=(140, 4, 3))
+        w3, w2 = rng.normal(size=(3, 3, 5)), rng.normal(size=(3, 9))
+        cases = [
+            ("zua,zub,abc->zuc", [x, y, w3]),
+            ("abc,za,zb->zc", [w3, x[:, 0], y[:, 0]]),
+            ("znl,ld->znd", [x, w2]),
+            ("zu,zum->zum", [x[..., 0], y]),
+            ("zum,zum->zu", [x, y]),
+        ]
+        monkeypatch.setattr(K, "_batched_contract", forbidden)
+        monkeypatch.setattr(K, "_blocked_matmul", forbidden)
+        setattr(ad.config, hook, to_f32)
+        try:
+            got = [K.einsumk(None, *ops, spec=spec) for spec, ops in cases]
+            mm = K.matmulk(None, x[:, 0], w2)
+        finally:
+            setattr(ad.config, hook, None)
+        for (spec, ops), res in zip(cases, got):
+            if hook == "matmul_input_cast":
+                ref = np.einsum(spec, *[to_f32(o) for o in ops])
+            else:
+                ref = to_f32(np.einsum(spec, *ops))
+            assert_bitwise(res, ref)
+        a, b = x[:, 0], w2
+        ref = to_f32(a) @ to_f32(b) if hook == "matmul_input_cast" else to_f32(a @ b)
+        assert_bitwise(mm, ref)
+
+
+class TestClonedPlansOnTwoThreads:
+    """No route keeps scratch between calls: clones of one plan, replayed
+    at the same time on two threads, agree bitwise with a serial replay
+    (the PR 14 race — shared matmul tail scratch — must not come back)."""
+
+    def test_concurrent_replays_agree_bitwise(self):
+        import threading
+
+        from repro.data import perturbed_water_frames
+
+        model = small_allegro()
+        system = perturbed_water_frames(1, seed=3, sigma=0.05, n_grid=3)[0]
+        nl = model.prepare_neighbors(system)
+        cm = model.compile()
+        cm.energy_and_forces(system, nl)
+        plan = cm.plan
+        used = {row["spec"] or row["op"] for row in plan.profile_steps(1)}
+        for needed in ("zua,zub,abc->zuc", "abc,za,zb->zc", "zu,zum->zum", "zum,zum->zu",
+                       "matmul", "sum", "scatter_add", "gather", "sigmoid"):
+            assert needed in used, needed
+        serial = [o.copy() for o in plan.execute()]
+        clones = [plan.clone(), plan.clone()]
+        results, errors = {}, []
+        barrier = threading.Barrier(2)
+
+        def work(k):
+            try:
+                barrier.wait()
+                for _ in range(6):
+                    outs = [o.copy() for o in clones[k].execute()]
+                    results.setdefault(k, []).append(outs)
+            except Exception as exc:  # pragma: no cover - reported below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert not errors
+        for k in range(2):
+            for outs in results[k]:
+                for got, ref in zip(outs, serial):
+                    assert got.tobytes() == ref.tobytes()
+
+
+def small_allegro():
+    from repro.models import AllegroConfig, AllegroModel
+
+    return AllegroModel(
+        AllegroConfig(
+            n_species=4, lmax=2, n_tensor=4, n_layers=2, latent_dim=24,
+            two_body_hidden=(24,), latent_hidden=(32,), edge_energy_hidden=(16,),
+            r_cut=3.5, avg_num_neighbors=14.0, seed=0,
+        )
+    )
+
+
+class SlowRouteWatch:
+    """Wraps the three places slow work would show up, for one model run.
 
     ``np.einsum`` is reached only as the fallback of ``einsumk``; what is
-    left there must be small (the ℓ ≤ 2 spherical-harmonic recursion and
-    the per-channel scalings, < 10⁵ multiply-adds on one 81-atom frame).
-    ``_blocked_matmul`` pads its last row block to 128 rows; a call whose
-    operand has fewer than 64 rows altogether is a weight gradient (layer
-    width × edges) that should have been a ``contract_rows``.
+    left there must be small — judged by rows, not multiply-adds: no operand
+    may have an edge-length leading axis (2.7 ms of c_einsum once hid under a
+    10⁵ multiply-add limit).  ``_blocked_matmul`` with an edge-length
+    *contraction* axis is a weight gradient (layer width × edges) that should
+    have been a ``contract_rows``.
     """
 
-    def test_no_large_fallback_einsum_and_no_small_padded_matmul(self, monkeypatch):
-        from repro.data import label_frames, perturbed_water_frames
-        from repro.models import AllegroConfig, AllegroModel
-        from repro.nn import TrainConfig, Trainer
-
-        frames = label_frames(perturbed_water_frames(1, seed=5, sigma=0.05, n_grid=3))
-        model = AllegroModel(
-            AllegroConfig(
-                n_species=4, lmax=2, n_tensor=4, n_layers=2, latent_dim=24,
-                two_body_hidden=(24,), latent_hidden=(32,), edge_energy_hidden=(16,),
-                r_cut=3.5, avg_num_neighbors=14.0, seed=0,
-            )
-        )
-        trainer = Trainer(model, frames, config=TrainConfig(lr=5e-3, batch_size=1, seed=0))
-
-        fallbacks, small_tails, routed = [], [], []
+    def __init__(self, monkeypatch, n_edges):
+        self.fallbacks, self.long_contractions, self.routed = [], [], []
         real_einsum, real_blocked, real_contract = (
             np.einsum, K._blocked_matmul, K._batched_contract)
 
         def einsum(spec, *ops, **kw):
-            sizes = {}
-            for sub, op in zip(spec.split("->")[0].split(","), ops):
-                sizes.update(zip(sub, np.shape(op)))
-            fallbacks.append((spec, math.prod(sizes.values())))
+            rows = max((np.shape(o)[0] for o in ops if np.ndim(o)), default=0)
+            self.fallbacks.append((spec, rows))
             return real_einsum(spec, *ops, **kw)
 
         def blocked(a, b, out):
-            if a.shape[0] < K._MM_BLOCK // 2:
-                small_tails.append((a.shape, b.shape))
+            if a.shape[1] >= n_edges:
+                self.long_contractions.append((a.shape, b.shape))
             return real_blocked(a, b, out)
 
         def contract(spec, operands, out):
             res = real_contract(spec, operands, out)
             if res is not None:
-                routed.append(spec)
+                self.routed.append(spec)
             return res
 
+        self.n_edges = n_edges
         monkeypatch.setattr(np, "einsum", einsum)
         monkeypatch.setattr(K, "_blocked_matmul", blocked)
         monkeypatch.setattr(K, "_batched_contract", contract)
+
+    def check(self):
+        edge_length = sorted({f for f in self.fallbacks if f[1] >= self.n_edges})
+        assert edge_length == [], edge_length
+        assert self.long_contractions == []
+
+
+class TestTrainingStepStaysOffTheSlowRoutes:
+    """Sentinel: one Allegro ℓmax=2 training step and one compiled force
+    call (capture + one replay), slow routes counted — see SlowRouteWatch."""
+
+    def test_no_large_fallback_einsum_and_no_small_padded_matmul(self, monkeypatch):
+        from repro.data import label_frames, perturbed_water_frames
+        from repro.nn import TrainConfig, Trainer
+
+        frames = label_frames(perturbed_water_frames(1, seed=5, sigma=0.05, n_grid=3))
+        model = small_allegro()
+        trainer = Trainer(model, frames, config=TrainConfig(lr=5e-3, batch_size=1, seed=0))
+        n_edges = model.prepare_neighbors(frames[0].system).n_edges
+        assert n_edges > 1000
+
+        watch = SlowRouteWatch(monkeypatch, n_edges)
         trainer.fit(epochs=1)
         monkeypatch.undo()
 
-        assert fallbacks, "the wrapper saw no einsum: the sentinel is not wired in"
-        assert max(n for _, n in fallbacks) <= 10**5, sorted(set(fallbacks))
-        assert small_tails == []
+        assert watch.fallbacks, "the wrapper saw no einsum: the sentinel is not wired in"
+        watch.check()
         # ... because the work went where it was meant to go
-        for spec in ("zuc,zua,zub->abc", "zua,zuc,zub->abc", "zub,zuc,zua->abc"):
-            assert spec in routed
+        for spec in ("zuc,zua,zub->abc", "zua,zuc,zub->abc", "zub,zuc,zua->abc",
+                     "abc,za,zb->zc", "zu,zum->zum", "zum,zum->zu"):
+            assert spec in watch.routed
         assert np.isfinite(trainer.history[-1].train_loss)
+
+    def test_compiled_water_force_call(self, monkeypatch):
+        from repro.data import perturbed_water_frames
+
+        model = small_allegro()
+        system = perturbed_water_frames(1, seed=13, sigma=0.05, n_grid=3)[0]
+        nl = model.prepare_neighbors(system)
+        cm = model.compile(padding=0.10)
+
+        watch = SlowRouteWatch(monkeypatch, nl.n_edges)
+        cm.energy_and_forces(system, nl)  # capture
+        n_capture = len(watch.routed)
+        e, f = cm.energy_and_forces(system, nl)  # one replay
+        monkeypatch.undo()
+
+        assert cm.n_captures == 1 and cm.n_replays >= 1
+        watch.check()
+        replayed = watch.routed[n_capture:]
+        for spec in ("zua,zub,abc->zuc", "zuc,zub,abc->zua", "zuc,zua,abc->zub",
+                     "abc,za,zb->zc", "zc,abc,za->zb", "zc,abc,zb->za",
+                     "znl,ld->znd", "zu,zum->zum", "zum,zum->zu"):
+            assert spec in replayed, spec
+        # what a replay leaves to c_einsum has no edge-length operand at all
+        assert [s for s, rows in watch.fallbacks[-len(replayed):] if rows >= nl.n_edges] == []
+        e_ref, f_ref = model.energy_and_forces(system, nl)
+        assert e == e_ref and np.array_equal(f, f_ref)

@@ -302,6 +302,59 @@ class TestObservabilityCli:
         gauges = json.loads(stats_path.read_text())["gauges"]
         assert gauges["engine.kernel_seconds{class=scatter_put}"] > 0.0
 
+    def test_profile_top_prints_the_most_expensive_steps(self, tmp_path, capsys):
+        """``--top N``: per-step rows under the per-class table."""
+        cfg = json.loads(json.dumps(EXAMPLE_CONFIG))
+        cfg["system"] = {"kind": "water", "n_grid": 3, "seed": 1}
+        cfg["potential"] = {"kind": "allegro", "config": {"n_species": 4, "lmax": 1}}
+        cfg["md"].update({"steps": 2, "dt": 0.1, "engine": "compiled"})
+        cfg_path = tmp_path / "c.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["profile", str(cfg_path), "--top", "4"]) == 0
+        out = capsys.readouterr().out
+        head, _, table = out.partition("most expensive of")
+        assert "by kernel class" in head and head.rstrip().endswith("the 4")
+        rows = [line.split() for line in table.splitlines()[2:] if line.strip()]
+        assert len(rows) == 4
+        assert "einsum" in {r[1] for r in rows}  # a contraction, with its spec
+        assert any("->" in r[2] for r in rows if r[1] == "einsum")
+        # the time column sits left of the share column ("12.3%")
+        micros = [float(r[[t.endswith("%") for t in r].index(True) - 1]) for r in rows]
+        assert micros == sorted(micros, reverse=True) and micros[-1] > 0.0
+        # without the flag the per-step table is not printed
+        assert main(["profile", str(cfg_path)]) == 0
+        assert "most expensive" not in capsys.readouterr().out
+
+    def test_profile_steps_rows_add_up_to_the_class_table(self):
+        import repro.autodiff as ad
+        from repro.engine import capture
+        from repro.engine.plan import KERNEL_CLASSES
+
+        x = np.arange(24.0).reshape(4, 2, 3)
+        w = np.linspace(-1.0, 1.0, 15).reshape(3, 5)
+
+        def build():
+            h = ad.einsum("zul,ld->zud", ad.Tensor(x), ad.Tensor(w))
+            return (ad.sigmoid(h) * 2.0).sum(axis=1)
+
+        _, plan = capture(build, inputs=[x])
+        rows = plan.profile_steps(repeats=3)
+        assert [r["step"] for r in rows] == list(range(plan.n_steps))
+        assert [r["op"] for r in rows] == ["einsum", "sigmoid", "mul", "sum"]
+        first = rows[0]
+        assert first["spec"] == "zul,ld->zud" and first["class"] == "einsum"
+        assert first["out_shape"] == (4, 2, 5)
+        assert first["arg_shapes"] == ((4, 2, 3), (3, 5))
+        assert rows[1]["spec"] == "" and rows[1]["class"] == "activation"
+        assert all(r["seconds"] > 0.0 for r in rows)
+        table = plan.profile(repeats=1)
+        assert tuple(table) == KERNEL_CLASSES
+        for cls in KERNEL_CLASSES:
+            if cls != "alias_folded":
+                assert table[cls]["steps"] == sum(r["class"] == cls for r in rows)
+        with pytest.raises(ValueError):
+            plan.profile_steps(0)
+
     def test_profile_writes_trace_and_stats(self, tmp_path, capsys):
         cfg_path = self._write_config(tmp_path, steps=3)
         trace_path = tmp_path / "trace.json"

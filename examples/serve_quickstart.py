@@ -61,24 +61,28 @@ def main() -> None:
     print("1. serving a 48-request mixed-size stream (10-19 atoms) ...")
     with ForceServer(registry, n_workers=2, max_batch=8) as server:
         client = Client(server, model="lj")
+        morse = Client(server, model="morse")
         client.evaluate_many(systems)  # warmup: capture + bucket discovery
-        server.evaluate(systems[0], model="morse")
-        server.metrics = obs.Registry()  # report steady-state numbers only
+        morse.evaluate(systems[0])
+        warm = server.metrics.snapshot()  # report steady-state counts only
         t0 = time.perf_counter()
         results = client.evaluate_many(systems)
         elapsed = time.perf_counter() - t0
+        counts = obs.Registry.delta_since(warm, server.metrics.snapshot())
 
         print("2. routing a request to a second registered model ...")
-        e_morse, _ = server.evaluate(systems[0], model="morse")
+        e_morse, _ = morse.evaluate(systems[0])
 
         stats = server.stats()
 
+    replays = counts.get("plan_replays", 0)
+    evaluated = replays + counts.get("plan_captures", 0)
     print(f"   {len(systems) / elapsed:.0f} requests/s warm "
-          f"(batch occupancy {stats['batcher']['mean_occupancy']:.1f}, "
-          f"plan replay rate {stats['replay_rate']:.1%})")
+          f"({counts.get('batches', 0)} batches, "
+          f"plan replay rate {replays / max(evaluated, 1):.1%})")
     latency = stats["histograms"]["latency_s"]
-    print(f"   latency p50 {latency['p50'] * 1e3:.2f} ms, "
-          f"p99 {latency['p99'] * 1e3:.2f} ms")
+    print(f"   latency over all {latency['count']} requests: "
+          f"p50 {latency['p50'] * 1e3:.2f} ms, p99 {latency['p99'] * 1e3:.2f} ms")
     print(f"   morse energy for request 0: {e_morse:.6f} eV")
 
     print("3. verifying served results are bitwise eager ...")

@@ -243,12 +243,11 @@ def _metrics_consistency(obs: dict) -> List[str]:
         resolved = (
             m.get("requests_served", 0)
             + m.get("requests_failed", 0)
-            + m.get("requests_timeout", 0)
             + m.get("requests_expired", 0)
         )
         if admitted != resolved:
             out.append(
-                f"admitted ({admitted}) != served+failed+timeout+expired "
+                f"admitted ({admitted}) != served+failed+expired "
                 f"({resolved})"
             )
         # The overload variant sheds some submissions at the door, so the

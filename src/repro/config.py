@@ -175,7 +175,6 @@ class ServeConfig:
     batch_wait: float = 2e-3  # coalescing window, s
     adaptive: bool = True  # shrink the window when the queue is idle
     engine: str = "compiled"  # "compiled" | "eager"
-    timeout: Optional[float] = None  # default per-request timeout, s
     plan_floor: int = 16  # smallest atom size class of the plan ladder
     plan_growth: float = 1.5  # geometric growth of the ladder's classes
     #: QoS policy mapping (see :func:`repro.serve.qos_from_config`), with
@@ -430,7 +429,6 @@ def build_server(serve: ServeConfig, potential, **runtime) -> ForceServer:
         adaptive=serve.adaptive,
         plan_cache_opts=serve.plan_cache_opts(),
         engine=serve.engine,
-        default_timeout=serve.timeout,
         qos=qos,
         health=health,
         **runtime,

@@ -15,9 +15,10 @@ inference for deep equivariant potentials):
 * :class:`MicroBatcher` — coalesces single-structure requests into padded
   batches under an adaptive time window; batching is bitwise-exact
   because structure graphs stay disjoint.
-* :class:`ForceServer` / :class:`Client` — worker pool, bounded admission
-  with shed-on-overload, per-request timeouts, graceful drain, and a
-  :class:`repro.obs.Registry` (counters, latency/queue/occupancy
+* :class:`ForceServer` / :class:`Client` — three stages (``Admission`` →
+  ``MicroBatcher`` → ``Executor``) behind a worker pool: bounded
+  admission with shed-on-overload, per-request deadlines, graceful drain,
+  and a :class:`repro.obs.Registry` (counters, latency/queue/occupancy
   histograms, capture-vs-replay rates, JSON export).
 * :class:`QoSPolicy` / :class:`~repro.health.HealthMonitor` — graceful
   degradation under overload: per-request deadlines
@@ -50,21 +51,19 @@ from .qos import (
     priority_level,
     qos_from_config,
 )
-from .registry import EAGER_FALLBACK, ModelEntry, ModelRegistry, UnknownModelError
-from .server import (
+from .errors import (
     CircuitOpen,
-    Client,
     DeadlineExceeded,
     DrainTimeout,
-    ForceServer,
     LoadShed,
     ModelFailure,
-    RequestTimeout,
     ServeError,
     ServerOverloaded,
     ServerStopped,
     WorkerCrash,
 )
+from .registry import EAGER_FALLBACK, ModelEntry, ModelRegistry, UnknownModelError
+from .server import Client, ForceServer
 
 __all__ = [
     "CircuitOpen",
@@ -86,7 +85,6 @@ __all__ = [
     "PRIORITIES",
     "PlanCache",
     "QoSPolicy",
-    "RequestTimeout",
     "ServeError",
     "ServeResult",
     "ServerOverloaded",

@@ -37,10 +37,10 @@ class ForceRequest:
     """One queued energy/force evaluation for a single structure.
 
     ``deadline`` is an *absolute* end-to-end deadline (monotonic-clock
-    seconds): past it the request is shed before batch assembly with a
-    typed ``DeadlineExceeded``.  ``timeout_at`` is the legacy queue-wait
-    budget checked at batch pickup (``RequestTimeout``).  ``priority``
-    names the QoS class the batcher queues and schedules by.
+    seconds), the request's only time budget: past it (or too close to it
+    for one batch evaluation) the request is shed before any force call
+    with a typed ``DeadlineExceeded``.  ``priority`` names the QoS class
+    the batcher queues and schedules by.
     """
 
     system: object
@@ -51,7 +51,6 @@ class ForceRequest:
     deadline: Optional[float] = None
     meta: dict = field(default_factory=dict)
     priority: str = DEFAULT_PRIORITY
-    timeout_at: Optional[float] = None
 
     @property
     def n_atoms(self) -> int:

@@ -245,7 +245,7 @@ class BatchWindowController(HysteresisController):
         self._lat_mark = (0.0, 0)
 
     def read_signal(self) -> Optional[float]:
-        batcher = self.server._batcher
+        batcher = self.server.batcher
         batches = batcher.n_batches
         coalesced = batcher.n_coalesced
         d_batches = batches - self._last_batches
@@ -257,16 +257,16 @@ class BatchWindowController(HysteresisController):
         return d_requests / d_batches
 
     def current(self) -> float:
-        return self.server._batcher.max_wait
+        return self.server.batcher.max_wait
 
     def apply_value(self, value: float) -> None:
-        self.server._batcher.max_wait = float(value)
+        self.server.batcher.max_wait = float(value)
 
     def propose(self, ewma: float) -> Optional[float]:
         cur = self.current()
         if ewma < self.low_occ:
             return cur * (1.0 - self.rel_step)
-        if ewma > self.high_occ * self.server._batcher.max_batch:
+        if ewma > self.high_occ * self.server.batcher.max_batch:
             return cur * (1.0 + self.rel_step)
         return None
 

@@ -595,7 +595,7 @@ def measure_serve(
     n_requests = len(systems)
     # Throughput of the batching/plan knobs alone: no admission policy.
     server = build_server(
-        replace(cfg.serve, qos=None, timeout=None, **params),
+        replace(cfg.serve, qos=None, **params),
         build_potential(cfg.potential),
     )
     rates = []

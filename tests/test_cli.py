@@ -106,9 +106,9 @@ class TestServeConfig:
         assert stats["counters"]["requests_served"] == 8
         assert stats["requests_per_second"] > 0
         assert stats["engine"] == "compiled"
-        # Everything completed: nothing shed, nothing timed out.
+        # Everything completed: nothing shed, nothing expired.
         assert stats["counters"].get("requests_shed", 0) == 0
-        assert stats["counters"].get("requests_timeout", 0) == 0
+        assert stats["counters"].get("requests_expired", 0) == 0
 
     def test_serve_eager_engine(self):
         stats = serve_config(self._config(engine="eager"), quiet=True)

@@ -50,7 +50,7 @@ INSTANCES = [
     ),
     rc.MDConfig(steps=7, thermostat="berendsen", padding=None, checkpoint_dir="c"),
     rc.OutputConfig(trajectory="run.rtrj", every=3),
-    rc.ServeConfig(max_batch=4, timeout=1.5, qos={"queue_bounds": {"background": 9}}),
+    rc.ServeConfig(max_batch=4, batch_wait=1.5e-3, qos={"queue_bounds": {"background": 9}}),
     rc.WorkloadConfig(
         n_requests=5,
         priority="batch",
@@ -110,6 +110,12 @@ class TestStrictLoading:
     def test_unknown_key_rejected_in_every_section(self, section):
         with pytest.raises(ValueError, match=f"unknown {section} config keys"):
             rc.load_config({section: {"kind": "water", "no_such_key": 1}})
+
+    def test_serve_timeout_key_rejected(self):
+        # `deadline` is a request's only time budget: the per-server
+        # queue-wait timeout is gone, and a config still naming it fails.
+        with pytest.raises(ValueError, match="unknown serve config keys"):
+            rc.load_config({"serve": {"timeout": 1.0}})
 
     def test_unknown_top_level_key_rejected_but_tuning_stamp_accepted(self):
         with pytest.raises(ValueError, match="unknown top-level config keys"):
@@ -323,7 +329,6 @@ class TestBuildersMatchTheOldTranslation:
             adaptive=bool(serve.get("adaptive", True)),
             plan_cache_opts=None,
             engine=serve.get("engine", "compiled"),
-            default_timeout=serve.get("timeout"),
             qos=qos_from_config(serve["qos"]),
             health=health_from_config(serve["qos"]["health"]),
             start=False,
@@ -334,20 +339,20 @@ class TestBuildersMatchTheOldTranslation:
 
         def view(server):
             ladders = PlanCache(potential, **server.registry._cache_opts)
+            stats = server.stats()
             return {
-                "engine": server.engine,
+                "engine": stats["engine"],
+                "qos_stats": stats["qos"],
+                "batcher": stats["batcher"],
+                "health_stats": stats["health"],
                 "max_queue": server.max_queue,
-                "default_timeout": server.default_timeout,
-                "n_workers": server._n_workers,
-                "max_batch": server._batcher.max_batch,
-                "max_wait": server._batcher.max_wait,
-                "adaptive": server._batcher.adaptive,
+                "n_workers": server.n_workers,
+                "max_batch": server.batcher.max_batch,
+                "adaptive": server.batcher.adaptive,
                 "qos": server.qos,
-                "enforce_qos": server._enforce_qos,
-                "class_bounds": server._class_bounds,
                 "thresholds": server.health.thresholds,
                 "dwell": (server.health.dwell_up, server.health.dwell_down),
-                "stall_time": server.stall_time,
+                "stall_time": server.executor.stall_time,
                 "drain_timeout": server.drain_timeout,
                 "atom_ladder": (ladders.atom_classes.floor, ladders.atom_classes.growth),
                 "pair_ladder": (ladders.pair_classes.floor, ladders.pair_classes.growth),

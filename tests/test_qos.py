@@ -213,7 +213,7 @@ class TestPriorityAdmission:
                 victims[2].result(timeout=1.0)
             assert not victims[0].done() and not victims[1].done()
             assert not fut.done()
-            by_class = server._batcher.pending_by_class()
+            by_class = server.batcher.pending_by_class()
             assert by_class["interactive"] == 1 and by_class["background"] == 2
             m = server.metrics.snapshot()["counters"]
             assert m["requests_failed"] == 1 and m["errors_shed"] == 1
@@ -324,7 +324,7 @@ class TestDeadlines:
         try:
             # Pretend one batch evaluation takes 100 s: a 5 s deadline is
             # infeasible even though it has not passed yet.
-            server._eval_ewma = 100.0
+            server.executor.eval_ewma = 100.0
             fut = server.submit(make_system(), deadline=5.0)
             server.start()
             with pytest.raises(DeadlineExceeded, match="unmeetable"):
@@ -426,7 +426,7 @@ class TestDegradedServing:
         server.start()
         try:
             assert server.health.state == "DEGRADED"
-            res = server.evaluate(make_system(), priority="interactive")
+            res = Client(server).evaluate(make_system(), priority="interactive")
             assert isinstance(res, ServeResult)
             assert res.degraded and res.model == "cheap:v1"
             assert res.priority == "interactive"
@@ -444,7 +444,7 @@ class TestDegradedServing:
         )
         server.registry.set_fallback("default", EAGER_FALLBACK)
         try:
-            res = server.evaluate(make_system())
+            res = Client(server).evaluate(make_system())
             assert res.degraded and res.model == "default:v1"
             # Eager and compiled are bitwise-identical here, so the
             # exactness contract survives degradation.
@@ -461,7 +461,7 @@ class TestDegradedServing:
         server.registry.register("cheap", make_lj())
         server.registry.set_fallback("default", "cheap")
         try:
-            res = server.evaluate(make_system())
+            res = Client(server).evaluate(make_system())
             assert not res.degraded and res.model == "default:v1"
         finally:
             server.stop(drain=True)
@@ -521,7 +521,7 @@ class TestAdmissionProperties:
         n_shed = 0
         try:
             for k, priority in enumerate(seq):
-                before = dict(server._batcher.pending_by_class())
+                before = dict(server.batcher.pending_by_class())
                 try:
                     server.submit(make_system(seed=k % 4), priority=priority)
                 except (LoadShed, ServerOverloaded):
@@ -534,7 +534,7 @@ class TestAdmissionProperties:
                     ]
                     assert all(before.get(p, 0) == 0 for p in weaker)
             m = server.metrics.snapshot()["counters"]
-            pending = server._batcher.pending()
+            pending = server.batcher.pending()
             evicted = m.get("requests_failed", 0)
             # Nothing ran (no workers): every admitted request is either
             # still pending or was evicted; every rejected one counted.

@@ -6,11 +6,12 @@ evaluation of each structure — batching, padding, plan reuse and thread
 hand-offs change throughput, never physics.  Around that core, these tests
 pin down the operational behaviours a service needs: registry versioning
 and LRU eviction of compiled state, bucket-cache hit/miss accounting,
-micro-batch coalescing, shed-with-error backpressure, queue-wait timeouts,
-and graceful drain.
+micro-batch coalescing, shed-with-error backpressure, deadlines, and
+graceful drain.
 """
 
 import json
+import sys
 import threading
 import time
 
@@ -27,12 +28,12 @@ from repro.resilience.faults import POTENTIAL_CORRUPT, WORKER_CRASH, WORKER_STAL
 from repro.serve import (
     CircuitOpen,
     Client,
+    DeadlineExceeded,
     ForceServer,
     MicroBatcher,
     ModelFailure,
     ModelRegistry,
     PlanCache,
-    RequestTimeout,
     ServeError,
     ServerOverloaded,
     SizeClasses,
@@ -398,7 +399,7 @@ class TestServedExactness:
         pot = make_morse()
         systems = [make_system(n=10 + k, seed=k) for k in range(8)]
         with ForceServer(pot, n_workers=2, max_batch=4) as server:
-            results = server.evaluate_many(systems)
+            results = Client(server).evaluate_many(systems)
         for system, (e, f) in zip(systems, results):
             e0, f0 = direct_eager(pot, system)
             assert e == e0
@@ -414,7 +415,7 @@ class TestServedExactness:
         )
         dense = make_system(n=10, seed=3)
         with ForceServer(pot, n_workers=1, max_batch=4) as server:
-            (e_s, f_s), (e_d, f_d) = server.evaluate_many([sparse, dense])
+            (e_s, f_s), (e_d, f_d) = Client(server).evaluate_many([sparse, dense])
         e0, f0 = direct_eager(pot, sparse)
         assert e_s == e0 and e_s != 0.0  # the self-energy survived serving
         np.testing.assert_array_equal(f_s, f0)
@@ -466,7 +467,7 @@ class TestServedExactness:
             stats = server.stats()
             assert stats["counters"]["batches"] == 1
             assert stats["histograms"]["batch_occupancy"]["max"] == len(systems)
-            single = [server.evaluate(s, nl=nl) for s, nl in zip(systems, nls)]
+            single = [Client(server).evaluate(s, nl=nl) for s, nl in zip(systems, nls)]
             assert server.stats()["counters"]["batches"] == 1 + len(systems)
         for system, nl, (e, f), (e1, f1) in zip(systems, nls, batched, single):
             assert e == e1
@@ -487,7 +488,7 @@ class TestServedExactness:
         obs.enable()
         try:
             with ForceServer(make_lj(), n_workers=1, max_batch=4) as server:
-                server.evaluate_many([make_system(n=10 + k, seed=k) for k in range(8)])
+                Client(server).evaluate_many([make_system(n=10 + k, seed=k) for k in range(8)])
                 stats = server.stats()
         finally:
             obs.disable()
@@ -527,7 +528,7 @@ class TestServedExactness:
         nl = neighbor_list(system, pot.cutoff)
         e0, f0 = pot.energy_and_forces(system, nl)
         with ForceServer(pot, n_workers=1) as server:
-            e, f = server.evaluate(system, nl=nl)
+            e, f = Client(server).evaluate(system, nl=nl)
         assert e == e0
         np.testing.assert_array_equal(f, f0)
 
@@ -538,8 +539,8 @@ class TestServedExactness:
         reg.register("morse", morse)
         system = make_system(n=12, seed=7)
         with ForceServer(reg, n_workers=2) as server:
-            e_lj, _ = server.evaluate(system, model="lj")
-            e_m, _ = server.evaluate(system, model="morse")
+            e_lj, _ = Client(server, model="lj").evaluate(system)
+            e_m, _ = Client(server, model="morse").evaluate(system)
         assert e_lj == direct_eager(lj, system)[0]
         assert e_m == direct_eager(morse, system)[0]
         assert e_lj != e_m
@@ -572,7 +573,7 @@ class TestReplayRate:
         pot = make_lj()
         systems = [make_system(n=12, seed=k) for k in range(12)]
         with ForceServer(pot, n_workers=1, max_batch=1) as server:
-            server.evaluate_many(systems)
+            Client(server).evaluate_many(systems)
             stats = server.stats()
         model_stats = stats["registry"]["models"]["default:v1"]
         assert model_stats["n_plans"] <= 2  # edge counts may straddle a class
@@ -581,7 +582,7 @@ class TestReplayRate:
 
 
 # ---------------------------------------------------------------------------
-# the server: backpressure, timeouts, lifecycle
+# the server: backpressure, deadlines, lifecycle
 # ---------------------------------------------------------------------------
 
 
@@ -617,29 +618,31 @@ class TestBackpressure:
             except ServerOverloaded:
                 pass
             server.drain(timeout=10.0)
-            e, _ = server.evaluate(system, model="fast")
+            e, _ = Client(server, model="fast").evaluate(system)
             assert e == direct_eager(pot, system)[0]
 
 
-class TestTimeouts:
-    def test_stale_request_fails_with_timeout(self):
+class TestDeadlineBudget:
+    def test_stale_request_fails_with_deadline_exceeded(self):
         reg = ModelRegistry()
         reg.register("slow", SlowLJ(0.25, epsilon=0.8, sigma=1.1, cutoff=3.0, n_species=2))
         reg.register("fast", make_lj())
         system = make_system(n=6, seed=0)
         with ForceServer(reg, n_workers=1, max_batch=1) as server:
             blocker = server.submit(system, model="slow")
-            stale = server.submit(system, model="fast", timeout=0.05)
-            with pytest.raises(RequestTimeout):
+            stale = server.submit(system, model="fast", deadline=0.05)
+            with pytest.raises(DeadlineExceeded):
                 stale.result(timeout=10.0)
             blocker.result(timeout=10.0)
-            assert server.metrics.counter("requests_timeout").value == 1
+            stats = server.stats()
+            assert stats["counters"]["requests_expired"] == 1
+            assert stats["errors"]["deadline"] == 1
 
-    def test_generous_timeout_succeeds(self):
+    def test_generous_deadline_succeeds(self):
         pot = make_lj()
         system = make_system(n=10, seed=2)
-        with ForceServer(pot, n_workers=1, default_timeout=30.0) as server:
-            e, _ = server.evaluate(system)
+        with ForceServer(pot, n_workers=1) as server:
+            e, _ = Client(server, deadline=30.0).evaluate(system)
         assert e == direct_eager(pot, system)[0]
 
 
@@ -686,7 +689,7 @@ class TestLifecycle:
 
     def test_stats_shape(self):
         with ForceServer(make_lj(), n_workers=1) as server:
-            server.evaluate(make_system(n=10, seed=0))
+            Client(server).evaluate(make_system(n=10, seed=0))
             stats = server.stats()
         assert stats["engine"] == "compiled"
         assert 0.0 <= stats["replay_rate"] <= 1.0
@@ -709,7 +712,7 @@ class TestConcurrentClients:
         with ForceServer(pot, n_workers=3, max_batch=4, max_queue=64) as server:
             def submit_range(lo, hi):
                 for k in range(lo, hi):
-                    results[k] = server.evaluate(systems[k])
+                    results[k] = Client(server).evaluate(systems[k])
 
             threads = [
                 threading.Thread(target=submit_range, args=(lo, lo + 8))
@@ -722,6 +725,35 @@ class TestConcurrentClients:
         for (e, f), (e0, f0) in zip(results, expected):
             assert e == e0
             np.testing.assert_array_equal(f, f0)
+
+    def test_unresolved_set_survives_contention(self):
+        """Four workers and four submitters (more threads than cores) on a
+        shortened switch interval: every admitted request leaves the
+        server's set of unresolved requests exactly once, so drain()
+        returns and the counts add up."""
+        systems = [make_system(n=6 + (k % 5), seed=k) for k in range(16)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ForceServer(
+                make_lj(), n_workers=4, max_batch=2, max_queue=256, engine="eager"
+            ) as server:
+                client = Client(server)
+                threads = [
+                    threading.Thread(target=client.evaluate_many, args=(systems,))
+                    for _ in range(4)
+                ]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60.0)
+                assert not any(t.is_alive() for t in threads)
+                assert server.drain(timeout=10.0)
+                counters = server.stats()["counters"]
+        finally:
+            sys.setswitchinterval(interval)
+        assert counters["requests_admitted"] == 4 * len(systems)
+        assert counters["requests_served"] == 4 * len(systems)
 
 
 # ---------------------------------------------------------------------------
@@ -901,14 +933,14 @@ class TestFaultInjectionServing:
 
 
 class TestErrorBreakdown:
-    def test_timeout_and_overload_classes_counted(self):
+    def test_deadline_and_overload_classes_counted(self):
         pot = SlowLJ(delay=0.08, epsilon=0.8, sigma=1.1, cutoff=3.0, n_species=2)
         server = ForceServer(
             pot, n_workers=1, max_batch=1, batch_wait=0.0, max_queue=2,
             engine="eager",
         )
         f1 = server.submit(make_system(n=8, seed=0))
-        f2 = server.submit(make_system(n=8, seed=1), timeout=0.005)
+        f2 = server.submit(make_system(n=8, seed=1), deadline=0.005)
         shed = 0
         for k in range(10):
             try:
@@ -918,15 +950,16 @@ class TestErrorBreakdown:
         assert shed >= 1
         server.stop(drain=True)
         assert f1.exception() is None
-        assert isinstance(f2.exception(), RequestTimeout)
+        assert isinstance(f2.exception(), DeadlineExceeded)
         errors = server.stats()["errors"]
-        assert errors["timeout"] >= 1
+        assert errors["deadline"] == 1
+        assert server.stats()["counters"]["requests_expired"] == 1
         assert errors["overload"] >= 1
-        assert errors["total"] >= errors["timeout"] + errors["overload"]
+        assert errors["total"] >= errors["deadline"] + errors["overload"]
 
     def test_errors_block_present_in_snapshot_json(self):
         with ForceServer(make_lj(), n_workers=1) as server:
-            server.evaluate(make_system(n=10, seed=0))
+            Client(server).evaluate(make_system(n=10, seed=0))
             stats = server.stats()
         assert stats["errors"]["total"] == 0
         json.dumps(stats, default=float)
@@ -959,7 +992,7 @@ class TestDrainDeadline:
         resolved = (
             counters.get("requests_served", 0)
             + counters.get("requests_failed", 0)
-            + counters.get("requests_timeout", 0)
+            + counters.get("requests_expired", 0)
         )
         # Accounting survives the abort: every admitted request resolved
         # exactly once, even the one a stalled worker still held.
@@ -984,8 +1017,39 @@ class TestDrainDeadline:
         assert (
             counters.get("requests_served", 0)
             + counters.get("requests_failed", 0)
-            + counters.get("requests_timeout", 0)
+            + counters.get("requests_expired", 0)
         ) == 1
+
+    @pytest.mark.parametrize("drain", [True, False], ids=["drain", "no_drain"])
+    def test_held_and_queued_requests_resolve_exactly_once(self, drain):
+        """One batch held by a stalled worker, three queued: stop() fails
+        all four once, and the worker waking afterwards neither resolves
+        nor counts anything again, nor evaluates the queued ones."""
+        from repro.serve import DrainTimeout
+
+        pot = SlowLJ(delay=0.4, epsilon=0.8, sigma=1.1, cutoff=3.0, n_species=2)
+        server = ForceServer(
+            pot, n_workers=1, max_batch=1, batch_wait=0.0, engine="eager"
+        )
+        futures = [server.submit(make_system(n=10, seed=k)) for k in range(4)]
+        t0 = time.monotonic()
+        while server.stats()["batcher"]["pending"] > 3 and time.monotonic() - t0 < 5:
+            time.sleep(0.005)  # until the worker holds the first batch
+        server.stop(drain=drain, timeout=0.1)
+        for fut in futures:
+            assert fut.done()
+            assert isinstance(fut.exception(), DrainTimeout if drain else ServeError)
+        time.sleep(0.6)  # the stalled worker wakes and finishes its batch
+        stats = server.stats()
+        counters = stats["counters"]
+        assert counters["requests_admitted"] == len(futures)
+        assert (
+            counters.get("requests_served", 0)
+            + counters.get("requests_failed", 0)
+            + counters.get("requests_expired", 0)
+        ) == len(futures)
+        assert stats["errors"]["drain_timeout" if drain else "shutdown"] == len(futures)
+        assert counters["batches"] == 1
 
     def test_deadline_unlimited_when_none(self):
         pot = SlowLJ(delay=0.05, epsilon=0.8, sigma=1.1, cutoff=3.0, n_species=2)

@@ -135,7 +135,7 @@ class FakeBatcher:
 
 class FakeServer:
     def __init__(self):
-        self._batcher = FakeBatcher()
+        self.batcher = FakeBatcher()
         self.max_queue = 64
         self.metrics = Registry()
 
@@ -145,28 +145,28 @@ class TestBatchWindowController:
         server = FakeServer()
         c = BatchWindowController(server, dwell=1).bind(server.metrics)
         for _ in range(6):
-            server._batcher.n_batches += 4
-            server._batcher.n_coalesced += 4  # occupancy 1.0 < low_occ
+            server.batcher.n_batches += 4
+            server.batcher.n_coalesced += 4  # occupancy 1.0 < low_occ
             c.tick()
-        assert server._batcher.max_wait < 2e-3
+        assert server.batcher.max_wait < 2e-3
 
     def test_grows_on_full_batches(self):
         server = FakeServer()
         c = BatchWindowController(server, dwell=1).bind(server.metrics)
         for _ in range(6):
-            server._batcher.n_batches += 4
-            server._batcher.n_coalesced += 4 * 8  # occupancy = max_batch
+            server.batcher.n_batches += 4
+            server.batcher.n_coalesced += 4 * 8  # occupancy = max_batch
             c.tick()
-        assert server._batcher.max_wait > 2e-3
+        assert server.batcher.max_wait > 2e-3
 
     def test_holds_in_the_healthy_band(self):
         server = FakeServer()
         c = BatchWindowController(server, dwell=1).bind(server.metrics)
         for _ in range(6):
-            server._batcher.n_batches += 4
-            server._batcher.n_coalesced += 4 * 4  # mid occupancy
+            server.batcher.n_batches += 4
+            server.batcher.n_coalesced += 4 * 4  # mid occupancy
             assert c.tick() is False
-        assert server._batcher.max_wait == 2e-3
+        assert server.batcher.max_wait == 2e-3
 
 
 class TestAdmissionController:

@@ -16,7 +16,7 @@ package is one module per subcommand group over those config objects
         request stream                                           (.serve)
     train CONFIG [--resume]    force matching on a synthetic labeled
         dataset, resumable bitwise                               (.train)
-    tune --target {md,engine,serve,parallel} [CONFIG] --out PROFILE
+    tune --target {md,serve,parallel} [CONFIG] --out PROFILE
         deterministic measured search; ``--profile PROFILE`` on
         run/resume/serve applies the result                      (.tune)
     chaos {run,soak,replay}    composed-fault scenarios          (.chaos)

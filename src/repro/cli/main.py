@@ -146,7 +146,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--target",
         required=True,
-        choices=["md", "serve", "engine", "parallel"],
+        choices=["md", "serve", "parallel"],
         help="which subsystem to tune",
     )
     _flag(
@@ -163,15 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
         "write the TuningProfile JSON here (byte-deterministic per seed)",
     )
     _flag(p, "--seed", int, default=0)
-    _flag(
-        p,
-        "--repeats",
-        int,
-        "measured repeats per configuration (median is kept)",
-        default=1,
-    )
-    _flag(p, "--warmup", int, "discarded warmup runs per config", default=0)
-    _flag(p, "--steps", int, "MD steps per trial (md/engine targets only)")
+    _flag(p, "--steps", int, "MD steps per trial (md target only)")
     _quiet_flag(p)
 
     chaos = sub.add_parser(
@@ -271,8 +263,6 @@ def main(argv: Optional[list] = None) -> int:
             args.target,
             out=args.out,
             seed=args.seed,
-            repeats=args.repeats,
-            warmup=args.warmup,
             steps=args.steps,
             quiet=args.quiet,
         )

@@ -14,8 +14,6 @@ def tune_config(
     target: str,
     out=None,
     seed: int = 0,
-    repeats: int = 1,
-    warmup: int = 0,
     steps: Optional[int] = None,
     quiet: bool = False,
 ):
@@ -23,20 +21,17 @@ def tune_config(
 
     The search objective is fully deterministic (counter-derived modeled
     costs; see :mod:`repro.tune.targets`), so for a given config + seed
-    the emitted profile is byte-identical across runs.  Wall-clock
-    metrics gathered along the way are printed but never persisted.
+    the emitted profile is byte-identical across runs.
     """
     log = logger(quiet)
-    kwargs = {"seed": seed, "repeats": repeats, "warmup": warmup}
-    if steps is not None and target in ("md", "engine"):
+    kwargs = {"seed": seed}
+    if steps is not None and target == "md":
         kwargs["steps"] = steps
     report = run_target(target, config, **kwargs)
     profile = TuningProfile.from_reports(
         [report],
         provenance={
             "seed": seed,
-            "warmup": warmup,
-            "repeats": repeats,
             "objective": "modeled",
             "targets": [target],
         },

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Optional, Tuple
+from typing import Tuple
 
 __all__ = ["SizeClasses", "PlanCache", "PlanEntry"]
 
@@ -173,16 +173,3 @@ class PlanCache:
         with self._lock:
             self.n_evictions += len(self._entries)
             self._entries.clear()
-
-
-def padded_overhead(cache: Optional[PlanCache], n_atoms: int, n_pairs: int) -> float:
-    """Fractional padding waste the bucket ladder adds for a request size.
-
-    Diagnostic helper for capacity planning: 0.0 means an exact fit,
-    0.5 means half the padded rows are dead weight.
-    """
-    if cache is None:
-        return 0.0
-    cap_a, cap_p = cache.bucket_key(n_atoms, n_pairs)
-    real = n_atoms + max(n_pairs, 1)
-    return 1.0 - real / float(cap_a + cap_p)

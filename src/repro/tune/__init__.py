@@ -9,8 +9,9 @@ Three layers:
 
 * **offline tuner** (:mod:`~repro.tune.targets`): deterministic seeded
   coordinate-descent searches over declared
-  :class:`~repro.tune.space.ParamSpace` candidates for four targets —
-  ``md``, ``engine``, ``serve``, ``parallel``;
+  :class:`~repro.tune.space.ParamSpace` candidates for three targets —
+  ``md``, ``serve``, ``parallel`` — each scored on counters of a real run
+  of the code it tunes;
 * **profiles** (:mod:`~repro.tune.profile`): the
   :class:`TuningProfile` JSON artifact (byte-deterministic for a given
   seed) plus :func:`apply_profile`, the one entry point that folds tuned
@@ -33,7 +34,6 @@ from .controllers import (
 from .profile import PROFILE_KIND, TuningProfile, apply_profile
 from .search import (
     TIE_TOL,
-    MeasurementProtocol,
     SearchResult,
     Trial,
     coordinate_descent,
@@ -41,13 +41,10 @@ from .search import (
 from .space import Param, ParamSpace
 from .targets import (
     COST,
-    ENGINE_SPACE,
     MD_SPACE,
     SERVE_SPACE,
     TARGETS,
-    measure_serve,
     run_target,
-    tune_engine,
     tune_md,
     tune_parallel,
     tune_serve,
@@ -58,20 +55,16 @@ __all__ = [
     "ParamSpace",
     "Trial",
     "SearchResult",
-    "MeasurementProtocol",
     "coordinate_descent",
     "TIE_TOL",
     "COST",
     "TARGETS",
     "MD_SPACE",
     "SERVE_SPACE",
-    "ENGINE_SPACE",
     "tune_md",
     "tune_serve",
-    "tune_engine",
     "tune_parallel",
     "run_target",
-    "measure_serve",
     "TuningProfile",
     "apply_profile",
     "PROFILE_KIND",

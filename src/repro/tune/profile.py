@@ -3,13 +3,9 @@
 A profile is deterministic JSON (via :mod:`repro.obs.jsonio`: sorted keys,
 stable float formatting, schema_version) holding, per tuning target, the
 best configuration, its deterministic metrics, and the full tried table.
-Measurement provenance (seed, warmup/repeats, objective kind) rides along
-so a profile can be traced back to how it was produced.
-
-Wall-clock metrics (keys prefixed ``wall_``) are *stripped* before
-persisting: they are reported to the operator at tune time but would break
-the byte-identity guarantee across same-seed runs, so only counter-derived
-modeled metrics are written.
+Provenance (seed, objective kind) rides along so a profile can be traced
+back to how it was produced.  A profile names only targets this build
+tunes: loading one that names another fails instead of applying nothing.
 
 :func:`apply_profile` is the single entry point that folds a profile into
 a CLI-style config dict; ``Simulation``, ``compile()``, ``ForceServer``
@@ -27,33 +23,19 @@ from typing import Dict, Iterable, List, Optional, get_type_hints
 from ..config import RunConfig
 from ..obs import write_json
 from ..obs.jsonio import SCHEMA_VERSION, to_json
-from .targets import ENGINE_SPACE, MD_SPACE, SERVE_SPACE
+from .targets import MD_SPACE, SERVE_SPACE, TARGETS
 
 __all__ = ["TuningProfile", "apply_profile", "PROFILE_KIND"]
 
 PROFILE_KIND = "tuning_profile"
 
-#: Fixed application order: later targets override earlier ones on shared
-#: keys (``md`` refines the engine padding with MD-workload context).
-APPLY_ORDER = ("engine", "md", "serve", "parallel")
 
-
-def _strip_wall(metrics: dict) -> dict:
-    return {k: v for k, v in metrics.items() if not k.startswith("wall_")}
-
-
-def _strip_report(report: dict) -> dict:
-    out = dict(report)
-    out["metrics"] = _strip_wall(dict(report.get("metrics", {})))
-    out["trials"] = [
-        {
-            "params": dict(t.get("params", {})),
-            "score": t.get("score"),
-            "metrics": _strip_wall(dict(t.get("metrics", {}))),
-        }
-        for t in report.get("trials", [])
-    ]
-    return out
+def _check_targets(names: Iterable[str]) -> None:
+    unknown = sorted(set(names) - set(TARGETS))
+    if unknown:
+        raise ValueError(
+            f"unknown profile targets: {unknown} (expected some of {sorted(TARGETS)})"
+        )
 
 
 class TuningProfile:
@@ -82,15 +64,12 @@ class TuningProfile:
         return dict(self.targets[target]["best"])
 
     def to_payload(self) -> dict:
-        """JSON-able payload with ``wall_*`` metrics stripped."""
+        """The JSON-able document :meth:`save` writes."""
         return {
             "schema_version": SCHEMA_VERSION,
             "kind": PROFILE_KIND,
             "provenance": dict(self.provenance),
-            "targets": {
-                name: _strip_report(report)
-                for name, report in sorted(self.targets.items())
-            },
+            "targets": dict(self.targets),
         }
 
     def to_json(self) -> str:
@@ -112,7 +91,9 @@ class TuningProfile:
                 f"unsupported tuning-profile schema_version {version!r} "
                 f"(this build reads version {SCHEMA_VERSION})"
             )
-        return cls(payload.get("targets", {}), payload.get("provenance", {}))
+        targets = payload.get("targets", {})
+        _check_targets(targets)
+        return cls(targets, payload.get("provenance", {}))
 
     @classmethod
     def load(cls, path: str) -> "TuningProfile":
@@ -126,7 +107,6 @@ class TuningProfile:
 #: target -> (config section its winners are written to, the space naming
 #: the keys).  ``parallel`` writes its one key, ``parallel.grid``, itself.
 _WRITES = {
-    "engine": ("md", ENGINE_SPACE),
     "md": ("md", MD_SPACE),
     "serve": ("serve", SERVE_SPACE),
 }
@@ -162,20 +142,16 @@ def apply_profile(
     Returns a deep copy of ``config`` with the tuned values written under
     the keys the builders read (``md.skin``, ``serve.max_batch``,
     ``parallel.grid``, ...).  ``targets`` restricts application to a
-    subset; by default every target present in the profile is applied, in
-    :data:`APPLY_ORDER`.  The input config always wins nothing — profile
-    values overwrite — so pass ``targets`` to keep hand-set sections.
+    subset; by default every target present in the profile is applied.
+    No two targets write the same key.  The input config always wins
+    nothing — profile values overwrite — so pass ``targets`` to keep
+    hand-set sections.
     """
-    if targets is None:
-        wanted = set(profile.targets)
-    else:
-        wanted = set(targets)
-        unknown = wanted - set(APPLY_ORDER)
-        if unknown:
-            raise ValueError(f"unknown profile targets: {sorted(unknown)}")
+    wanted = set(profile.targets if targets is None else targets)
+    _check_targets(wanted)
     out = copy.deepcopy(config)
     applied: List[str] = []
-    for name in APPLY_ORDER:
+    for name in TARGETS:
         if name in wanted and name in profile.targets:
             applied.extend(_apply(out, name, profile.best(name)))
     out.setdefault("_tuning", {})["applied"] = applied

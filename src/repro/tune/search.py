@@ -1,4 +1,4 @@
-"""Deterministic measured search: coordinate descent + warmup/repeat/median.
+"""Deterministic search: coordinate descent over declared candidates.
 
 The driver is intentionally boring: coordinate descent over the declared
 candidate lists, sweeping parameters in declaration order and moving only
@@ -7,24 +7,16 @@ the whole search a pure function of (space, objective, start point) — the
 property the profile byte-identity guarantee rests on.  Ties keep the
 current value, so knobs the objective is indifferent to stay at the
 stack's defaults instead of drifting on last-bit noise.
-
-:class:`MeasurementProtocol` wraps a trial function with the classic
-benchmarking discipline — ``warmup`` discarded runs, ``repeats`` measured
-runs, per-metric medians — so wall-clock metrics a target reports (keys
-prefixed ``wall_``) are stabilized the same way the benchmark suite
-stabilizes its numbers.  Deterministic counter-derived metrics are
-unaffected by the median (every repeat returns the same value).
 """
 
 from __future__ import annotations
 
-import statistics
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .space import ParamSpace
 
-__all__ = ["Trial", "SearchResult", "MeasurementProtocol", "coordinate_descent"]
+__all__ = ["Trial", "SearchResult", "coordinate_descent"]
 
 #: Relative score improvement below which a move is treated as a tie.
 TIE_TOL = 1e-9
@@ -49,48 +41,6 @@ class SearchResult:
     trials: List[Trial]
     n_evaluations: int
     n_sweeps: int
-
-
-class MeasurementProtocol:
-    """warmup/repeat/median wrapper around an objective function.
-
-    ``objective(params)`` returns ``(score, metrics)``.  The protocol runs
-    it ``warmup`` times discarding the result, then ``repeats`` times,
-    and reports the median score and the per-key median of every numeric
-    metric (non-numeric metrics keep the last observed value).
-    """
-
-    def __init__(
-        self,
-        objective: Callable[[dict], Tuple[float, dict]],
-        warmup: int = 0,
-        repeats: int = 1,
-    ) -> None:
-        if warmup < 0 or repeats < 1:
-            raise ValueError("warmup must be >= 0 and repeats >= 1")
-        self.objective = objective
-        self.warmup = int(warmup)
-        self.repeats = int(repeats)
-
-    def __call__(self, params: dict) -> Tuple[float, dict]:
-        for _ in range(self.warmup):
-            self.objective(params)
-        scores: List[float] = []
-        metric_series: Dict[str, list] = {}
-        metrics_last: dict = {}
-        for _ in range(self.repeats):
-            score, metrics = self.objective(params)
-            scores.append(float(score))
-            for key, value in metrics.items():
-                metrics_last[key] = value
-                if isinstance(value, bool):
-                    continue
-                if isinstance(value, (int, float)):
-                    metric_series.setdefault(key, []).append(value)
-        merged = dict(metrics_last)
-        for key, series in metric_series.items():
-            merged[key] = statistics.median(series)
-        return statistics.median(scores), merged
 
 
 def _key(params: dict) -> tuple:

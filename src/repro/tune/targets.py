@@ -1,48 +1,28 @@
-"""The four tuning targets: MD step, engine replay, serve, parallel grid.
+"""The three tuning targets: MD step, serve, parallel grid.
 
 Determinism contract
 --------------------
 ``repro tune`` must emit byte-identical profiles across two runs with the
 same seed, yet wall clocks are noisy.  Every objective here therefore
-ranks configurations by **deterministic signals**: counters and histograms
-an injected :class:`repro.obs.Registry` recorded (neighbor rebuilds, plan
-captures, padded capacities, pair counts, simulated batch latencies)
-combined through a fixed cost model (:data:`COST`).  Wall-clock numbers
-are still measured — under the warmup/repeat/median protocol — but are
-reported under ``wall_*`` metric keys, which
-:class:`~repro.tune.profile.TuningProfile` strips before persisting.
+runs the real code path and ranks configurations by what the run
+**recorded**: counters and gauges of an injected
+:class:`repro.obs.Registry` and the server's plan-cache lookups (neighbor
+rebuilds, plan captures, padded capacities, pair counts), combined
+through a fixed cost model (:data:`COST`).  No wall clock enters a score
+or a profile, so one run per configuration is the whole measurement.
 
 The cost model's constants are order-of-magnitude calibrations of this
 numpy stack on a dev box; only their *ratios* matter (a capture costs
 thousands of replayed pair-rows, a rebuild costs a few force calls'
 worth of pair work), the same way the fig. 5 allocator simulation uses
-order-of-magnitude CUDA costs.
-
-Serve simulation
-----------------
-The serve objective drives the *real* :class:`MicroBatcher` (via its
-injectable clock) and the *real* :class:`SizeClasses` ladders through a
-single-threaded discrete-event simulation of the serving pipeline:
-seeded arrival trace → coalescing windows → LRU plan buckets → modeled
-batch service times on an n-worker pool.  Batches are assigned greedily
-to the earliest-free worker (the real pool picks up only when a worker
-frees; the greedy variant models the batcher policy itself, which is
-what is being tuned).  Worker-count scaling is modeled as fully serial
-(GIL serial fraction 1): per-batch service inflates by ``n_workers``, so
-aggregate capacity is worker-count independent and the model favors few
-workers (same throughput, lower in-flight latency).  Real CPython
-scaling for these numpy kernels is workload-dependent — the wall
-measurements :func:`measure_serve` reports (and the gain benchmark
-verifies) are the ground truth the modeled choice is checked against.
+order-of-magnitude CUDA costs.  ``benchmarks/test_tune_gain.py`` checks
+the serve target's pick against wall-clock throughput of real servers.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import statistics
-import time
-from collections import OrderedDict
 from dataclasses import asdict, replace
 from typing import List, Optional, Tuple
 
@@ -59,30 +39,23 @@ from ..config import (
     load_config,
     request_stream,
 )
-from ..md.neighborlist import neighbor_list
 from ..models.base import Potential
-from ..obs import LATENCY_BUCKETS, OCCUPANCY_BUCKETS, Registry
+from ..obs import Registry
 from ..parallel.driver import ParallelForceEvaluator
 from ..parallel.perfmodel import ClusterSpec, PerfModel
 from ..parallel.topology import ProcessGrid, _factor_triplets
-from ..perf.allocator import PaddingPolicy
-from ..serve import Client
-from ..serve.batching import ForceRequest, MicroBatcher
-from ..serve.plancache import SizeClasses
-from .search import MeasurementProtocol, SearchResult, Trial, coordinate_descent
+from .search import SearchResult, Trial, coordinate_descent
 from .space import Param, ParamSpace
 
 __all__ = [
     "COST",
     "tune_md",
     "tune_serve",
-    "tune_engine",
     "tune_parallel",
     "run_target",
     "TARGETS",
     "MD_SPACE",
     "SERVE_SPACE",
-    "ENGINE_SPACE",
 ]
 
 #: Fixed cost-model constants (seconds).  Ratios, not absolutes, drive the
@@ -107,28 +80,17 @@ COST = {
     "comm_byte": 1.0 / 4.5e10,  # per halo byte (ClusterSpec bandwidth)
 }
 
-#: Weight of the simulated p99 latency in the serve score (seconds of
-#: makespan one second of tail latency is worth).  Deliberately well
-#: below 1: throughput (makespan) leads, the tail only breaks ties —
-#: a weight that rivals the makespan would chase tiny low-latency
-#: batches and give the throughput back.
-SERVE_LATENCY_WEIGHT = 0.5
-
 #: Score assigned to configurations that cannot run at all (e.g. a skin
 #: candidate pushing cutoff + skin past the minimum-image bound of a
 #: small box).  Finite so profiles stay strict JSON; large enough that
 #: no feasible configuration ever loses to an infeasible one.
 INFEASIBLE_SCORE = 1e30
 
-#: How many times the configured request stream is cycled through the
-#: serve simulation.  1 tunes for the declared workload as-is (cold plan
-#: caches included — captures weigh what they actually cost a fresh
-#: server); raise it to tune for a long-lived service where captures
-#: amortize away and steady-state padding waste dominates instead.
-SERVE_SIM_CYCLES = 1
-
 # Every knob is a field of the config section its profile is applied to
 # (``md`` / ``serve``), and starts the search from that field's default.
+# Serve knobs are the ones an inline run observes; the worker count and
+# the batch window stay hand-set (``BatchWindowController`` adapts the
+# window online).
 MD_SPACE = ParamSpace(
     [
         Param("skin", (0.1, 0.2, 0.4, 0.7, 1.0), MDConfig.skin),
@@ -140,16 +102,9 @@ MD_SPACE = ParamSpace(
 SERVE_SPACE = ParamSpace(
     [
         Param("max_batch", (4, 8, 16, 32), ServeConfig.max_batch),
-        Param("batch_wait", (0.0005, 0.001, 0.002, 0.004), ServeConfig.batch_wait),
-        Param("adaptive", (True, False), ServeConfig.adaptive),
-        Param("n_workers", (1, 2, 4), ServeConfig.n_workers),
         Param("plan_floor", (16, 32, 64), ServeConfig.plan_floor),
         Param("plan_growth", (1.2, 1.5, 2.0), ServeConfig.plan_growth),
     ]
-)
-
-ENGINE_SPACE = ParamSpace(
-    [Param("padding", (0.0, 0.02, 0.05, 0.1, 0.2, 0.3), MDConfig.padding)]
 )
 
 
@@ -199,7 +154,7 @@ def _default_md_config(seed: int) -> dict:
 
 
 def _md_workload(raw: dict, n_steps: int, md: MDConfig) -> dict:
-    """The workload a ``md``/``engine`` report describes (specs as written)."""
+    """The workload an ``md`` report describes (specs as written)."""
     return {
         "system": raw["system"],
         "potential": raw["potential"],
@@ -212,8 +167,6 @@ def tune_md(
     config: Optional[dict] = None,
     seed: int = 0,
     steps: Optional[int] = None,
-    warmup: int = 0,
-    repeats: int = 1,
     max_sweeps: int = 3,
 ) -> dict:
     """Tune neighbor ``skin``, rebuild cadence, and engine ``padding``.
@@ -247,13 +200,11 @@ def tune_md(
         )
         system = sim.system
         system.seed_velocities(md.temperature, np.random.default_rng(md.seed))
-        t0 = time.perf_counter()
         try:
             sim.run(n_steps)
         except ValueError as exc:
             # e.g. cutoff + skin beyond the minimum-image bound of this box
             return INFEASIBLE_SCORE, {"infeasible": str(exc)}
-        wall = time.perf_counter() - t0
 
         snap = registry.snapshot()
         counters = snap["counters"]
@@ -280,334 +231,109 @@ def tune_md(
             "rebuild_rate": rebuild_rate,
             "capture_rate": capture_rate,
             "capacity_pairs": cap_pairs,
-            "wall_steps_per_s": n_steps / wall if wall > 0 else 0.0,
         }
         return cost, metrics
 
-    protocol = MeasurementProtocol(objective, warmup=warmup, repeats=repeats)
-    result = coordinate_descent(MD_SPACE, protocol, max_sweeps=max_sweeps)
+    result = coordinate_descent(MD_SPACE, objective, max_sweeps=max_sweeps)
     return _report("md", result, MD_SPACE.describe(), _md_workload(raw, n_steps, md))
-
-
-# -- engine replay target ------------------------------------------------------
-
-
-def tune_engine(
-    config: Optional[dict] = None,
-    seed: int = 0,
-    steps: Optional[int] = None,
-    warmup: int = 0,
-    repeats: int = 1,
-    max_sweeps: int = 2,
-) -> dict:
-    """Map the padding-vs-recapture frontier on a measured pair trace.
-
-    One short seeded MD run produces the per-step neighbor-pair trace
-    (the same input the fig. 5 allocator simulation uses); each padding
-    candidate then replays that trace through a
-    :class:`~repro.perf.allocator.PaddingPolicy`, counting recaptures and
-    padded dead rows.  The tried table *is* the frontier — every padding
-    with its recapture rate and waste — and the best point minimizes the
-    modeled per-step cost.
-    """
-    raw = config if config is not None else _default_md_config(seed)
-    cfg = load_config(raw)
-    md = cfg.md
-    n_steps = int(steps if steps is not None else min(md.steps, 120))
-
-    sim = build_simulation(replace(cfg, md=replace(md, engine="eager")))
-    sim.system.seed_velocities(md.temperature, np.random.default_rng(md.seed))
-    t0 = time.perf_counter()
-    md_result = sim.run(n_steps, record_every=1)
-    trace_wall = time.perf_counter() - t0
-    trace = [int(p) for p in md_result.pair_counts]
-    if not trace:
-        raise ValueError("engine tuning needs a non-empty pair-count trace")
-
-    def objective(params: dict) -> Tuple[float, dict]:
-        policy = PaddingPolicy(fraction=params["padding"])
-        n_captures = 0
-        total_cap = 0
-        total_pairs = 0
-        total = 0.0
-        for pairs in trace:
-            if pairs > policy._capacity:
-                n_captures += 1
-                cap = policy.padded_size(pairs)
-                total += COST["capture_base"] + cap * COST["capture_pair"]
-            else:
-                cap = policy._capacity
-            total += cap * COST["pair_pad"]
-            total_cap += cap
-            total_pairs += pairs
-        n = len(trace)
-        waste = total_cap / max(total_pairs, 1) - 1.0
-        metrics = {
-            "modeled_s_per_step": total / n,
-            "recapture_rate": max(0, n_captures - 1) / n,
-            "n_captures": n_captures,
-            "padded_waste": waste,
-            "trace_steps": n,
-            "wall_trace_steps_per_s": n_steps / trace_wall if trace_wall else 0.0,
-        }
-        return total / n, metrics
-
-    protocol = MeasurementProtocol(objective, warmup=warmup, repeats=repeats)
-    result = coordinate_descent(ENGINE_SPACE, protocol, max_sweeps=max_sweeps)
-    return _report(
-        "engine", result, ENGINE_SPACE.describe(), _md_workload(raw, n_steps, md)
-    )
 
 
 # -- serve target --------------------------------------------------------------
 
 
-class _FakeClock:
-    """Deterministic monotonic clock driven by the serve simulation."""
-
-    def __init__(self) -> None:
-        self.t = 0.0
-
-    def now(self) -> float:
-        return self.t
-
-    def advance(self, dt: float) -> None:
-        self.t += dt
-
-
-class _SizedSystem:
-    """A stand-in structure carrying only the atom count."""
-
-    __slots__ = ("n_atoms",)
-
-    def __init__(self, n_atoms: int) -> None:
-        self.n_atoms = int(n_atoms)
-
-
-def _workload_sizes(raw: dict) -> Tuple[List[Tuple[int, int]], dict]:
-    """Real (n_atoms, n_pairs) sizes for the configured request stream."""
-    cfg = load_config(raw)
-    workload = cfg.workload
-    cutoff = build_potential(cfg.potential).cutoff
-    sizes = [
-        (system.n_atoms, neighbor_list(system, cutoff).n_edges)
-        for system in request_stream(workload)
-    ]
-    described = {
-        # As written; a config that leaves the stream to the default
-        # describes the default's full spec.
-        "systems": raw.get("workload", {}).get("systems")
-        or [asdict(spec) for spec in workload.systems],
-        "n_requests": workload.n_requests,
-        "seed": workload.seed,
-        "potential": raw["potential"],
-    }
-    return sizes, described
-
-
-def _simulate_serve(
-    params: dict,
-    sizes: List[Tuple[int, int]],
-    gaps: List[float],
-    registry: Registry,
-    max_plans: int = 8,
-) -> dict:
-    """One deterministic pass of the pipeline; records into ``registry``."""
-    ladders = ServeConfig(**params).plan_cache_opts()
-    clock = _FakeClock()
-    batcher = MicroBatcher(
-        max_batch=params["max_batch"],
-        max_wait=params["batch_wait"],
-        adaptive=params["adaptive"],
-        clock=clock.now,
-    )
-    atom_ladder = SizeClasses(ladders["atom_floor"], ladders["growth"])
-    pair_ladder = SizeClasses(ladders["pair_floor"], ladders["growth"])
-    buckets: "OrderedDict[Tuple[int, int], bool]" = OrderedDict()
-    n_workers = int(params["n_workers"])
-    free_at = [0.0] * n_workers
-
-    lat_hist = registry.histogram("tune.serve.latency_s", LATENCY_BUCKETS)
-    occ_hist = registry.histogram("tune.serve.batch_occupancy", OCCUPANCY_BUCKETS)
-    c_captures = registry.counter("tune.serve.plan_captures")
-    c_replays = registry.counter("tune.serve.plan_replays")
-    c_batches = registry.counter("tune.serve.batches")
-    c_evictions = registry.counter("tune.serve.plan_evictions")
-
-    pad_rows_total = 0
-    real_rows_total = 0
-
-    def handle(batch) -> None:
-        nonlocal pad_rows_total, real_rows_total
-        n_atoms = sum(r.n_atoms for r in batch)
-        n_pairs = sum(r.meta["n_pairs"] for r in batch)
-        key = (
-            atom_ladder.round_up(n_atoms + 1),
-            pair_ladder.round_up(max(n_pairs, 1)),
-        )
-        if key in buckets:
-            buckets.move_to_end(key)
-            fresh = False
-        else:
-            buckets[key] = True
-            fresh = True
-            while len(buckets) > max_plans:
-                buckets.popitem(last=False)
-                c_evictions.inc()
-        cap_pairs = key[1]
-        service = (
-            COST["batch_dispatch"]
-            + len(batch) * COST["request"]
-            + cap_pairs * COST["pair_pad"]
-        )
-        if fresh:
-            # Tracing cost scales with the rows actually recorded, not the
-            # padded capacity — a coarse ladder makes captures *rarer*
-            # without making each one proportionally dearer.
-            service += COST["capture_base"] + n_pairs * COST["batch_capture_pair"]
-            c_captures.inc()
-        else:
-            c_replays.inc()
-        # GIL-neutral worker model: the serial fraction is 1, so service
-        # inflates by the worker count and aggregate capacity is constant.
-        service *= n_workers
-        worker = min(range(n_workers), key=lambda i: free_at[i])
-        start = max(clock.now(), free_at[worker])
-        finish = start + service
-        free_at[worker] = finish
-        for req in batch:
-            lat_hist.observe(finish - req.t_enqueue)
-        c_batches.inc()
-        occ_hist.observe(len(batch))
-        pad_rows_total += cap_pairs - n_pairs
-        real_rows_total += n_pairs
-
-    def drain() -> None:
-        while True:
-            batch = batcher.get_batch(timeout=0.0)
-            if batch is None:
-                return
-            handle(batch)
-
-    for gap, (n_atoms, n_pairs) in zip(gaps, sizes):
-        clock.advance(gap)
-        batcher.put(
-            ForceRequest(
-                system=_SizedSystem(n_atoms),
-                model="default",
-                future=None,
-                meta={"n_pairs": n_pairs},
-            )
-        )
-        drain()
-    guard = 0
-    while batcher.pending() and guard < 100000:
-        clock.advance(max(params["batch_wait"], 1e-4))
-        drain()
-        guard += 1
-
-    makespan = max(max(free_at), clock.now()) if free_at else clock.now()
-    n_requests = len(sizes)
-    batches = c_batches.value
-    return {
-        "makespan": makespan,
-        "p99": lat_hist.percentile(0.99),
-        "p50": lat_hist.percentile(0.50),
-        "n_requests": n_requests,
-        "n_batches": batches,
-        "mean_occupancy": n_requests / batches if batches else 0.0,
-        "captures": c_captures.value,
-        "replays": c_replays.value,
-        "evictions": c_evictions.value,
-        "padded_waste": (
-            pad_rows_total / real_rows_total if real_rows_total else 0.0
-        ),
-    }
-
-
 def tune_serve(
-    config: Optional[dict] = None,
-    seed: int = 0,
-    warmup: int = 0,
-    repeats: int = 1,
-    max_sweeps: int = 3,
-    mean_gap: float = 2.0e-5,
-    cycles: Optional[int] = None,
+    config: Optional[dict] = None, seed: int = 0, max_sweeps: int = 3
 ) -> dict:
-    """Tune the serving pipeline on a simulated version of the workload.
+    """Tune the batch size and the plan ladder on the real server stages.
 
-    The request sizes come from the *real* configured workload systems
-    (actual neighbor-list pair counts); arrivals follow a seeded
-    exponential trace around ``mean_gap``.  The default is the burst
-    cadence of ``evaluate_many`` — tens of microseconds per enqueue, far
-    inside any coalescing window, so batches fill to ``max_batch`` the
-    way a real burst does; raise it to tune for a trickle of independent
-    clients instead.  The stream cycles ``cycles`` times (default
-    :data:`SERVE_SIM_CYCLES` — the declared workload as-is, cold caches
-    included).  The score is the simulated makespan plus a weighted p99
-    latency read back from the injected registry's histogram.
+    Each trial builds a cold :class:`~repro.serve.ForceServer` for the
+    candidate, admits the whole configured request stream without
+    starting a worker, closes the batcher and pumps
+    ``batcher.get_batch`` → ``executor.run`` inline until the queue is
+    empty.  One closed queue releases FIFO chunks of ``max_batch``, so the
+    run — batches, plan captures, bucket choices — needs no clock and is
+    the same on every repeat.  The score is :data:`COST` applied to what
+    the run recorded: the server's ``batches`` and ``plan_captures``
+    counters, and the real and padded pair rows of every plan-cache
+    lookup.  ``seed`` seeds the built-in workload when ``config`` is None.
     """
-    sizes, workload = _workload_sizes(
-        config if config is not None else EXAMPLE_SERVE_CONFIG
-    )
-    n_sim = len(sizes) * max(1, int(cycles if cycles is not None else SERVE_SIM_CYCLES))
-    sim_sizes = [sizes[k % len(sizes)] for k in range(n_sim)]
-    rng = np.random.default_rng(seed)
-    gaps = [float(g) for g in rng.exponential(mean_gap, size=n_sim)]
+    raw = config if config is not None else {
+        **EXAMPLE_SERVE_CONFIG,
+        "workload": {**EXAMPLE_SERVE_CONFIG["workload"], "seed": seed},
+    }
+    cfg = load_config(raw)
+    potential = build_potential(cfg.potential)
+    stream = request_stream(cfg.workload)
 
     def objective(params: dict) -> Tuple[float, dict]:
         registry = Registry()
-        sim = _simulate_serve(params, sim_sizes, gaps, registry)
-        score = sim["makespan"] + SERVE_LATENCY_WEIGHT * sim["p99"]
-        total = sim["captures"] + sim["replays"]
+        # Throughput of the batching/plan knobs alone: no admission policy,
+        # and room for the whole stream in the queue.
+        server = build_server(
+            replace(cfg.serve, qos=None, max_queue=len(stream), **params),
+            potential,
+            metrics=registry,
+            start=False,
+        )
+        cache = server.registry.get().ensure_cache()
+        lookups = []  # (pair rows, padded pair capacity) per plan lookup
+        acquire = cache.acquire
+
+        def recording_acquire(n_atoms: int, n_pairs: int):
+            entry = acquire(n_atoms, n_pairs)
+            lookups.append((n_pairs, entry.key[1]))
+            return entry
+
+        cache.acquire = recording_acquire
+        server.start(workers=False)
+        futures = [server.submit(system) for system in stream]
+        server.batcher.close()
+        captures = registry.counter("plan_captures")
+        capture_rows = 0
+        while (batch := server.batcher.get_batch(timeout=0)) is not None:
+            before = captures.value
+            server.executor.run(batch)
+            if captures.value > before:
+                # Tracing cost scales with the rows actually recorded, not
+                # the padded capacity: a coarse ladder makes captures rarer
+                # without making each one proportionally dearer.
+                capture_rows += lookups[-1][0]
+        server.stop()
+        for future in futures:
+            future.result()  # a request the run failed fails the trial
+
+        batches = registry.counter("batches").value
+        rows = sum(n for n, _ in lookups)
+        padded = sum(cap for _, cap in lookups)
+        cost = (
+            batches * COST["batch_dispatch"]
+            + len(stream) * COST["request"]
+            + padded * COST["pair_pad"]
+            + captures.value * COST["capture_base"]
+            + capture_rows * COST["batch_capture_pair"]
+        )
         metrics = {
-            "modeled_requests_per_s": (
-                sim["n_requests"] / sim["makespan"] if sim["makespan"] else 0.0
-            ),
-            "modeled_p50_ms": sim["p50"] * 1e3,
-            "modeled_p99_ms": sim["p99"] * 1e3,
-            "mean_occupancy": sim["mean_occupancy"],
-            "replay_rate": sim["replays"] / total if total else 0.0,
-            "captures": sim["captures"],
-            "evictions": sim["evictions"],
-            "padded_waste": sim["padded_waste"],
+            "modeled_requests_per_s": len(stream) / cost,
+            "batches": batches,
+            "mean_occupancy": len(stream) / batches if batches else 0.0,
+            "captures": captures.value,
+            "replays": registry.counter("plan_replays").value,
+            "evictions": cache.n_evictions,
+            "padded_waste": (padded - rows) / rows if rows else 0.0,
         }
-        return score, metrics
+        return cost, metrics
 
-    protocol = MeasurementProtocol(objective, warmup=warmup, repeats=repeats)
-    result = coordinate_descent(SERVE_SPACE, protocol, max_sweeps=max_sweeps)
-    workload["simulated_requests"] = n_sim
-    workload["mean_gap_s"] = mean_gap
+    result = coordinate_descent(SERVE_SPACE, objective, max_sweeps=max_sweeps)
+    workload = {
+        # As written; a config that leaves the stream to the default
+        # describes the default's full spec.
+        "systems": raw.get("workload", {}).get("systems")
+        or [asdict(spec) for spec in cfg.workload.systems],
+        "n_requests": cfg.workload.n_requests,
+        "seed": cfg.workload.seed,
+        "potential": raw["potential"],
+    }
     return _report("serve", result, SERVE_SPACE.describe(), workload)
-
-
-def measure_serve(
-    config: dict, params: dict, repeats: int = 1, warmup: int = 1
-) -> float:
-    """Wall-clock requests/s of a real :class:`ForceServer` under ``params``.
-
-    The measured counterpart of :func:`tune_serve` — used by the CLI to
-    report the tuned configuration's actual throughput and by the gain
-    benchmark.  Never feeds the persisted profile (wall clocks are noisy).
-    """
-    cfg = load_config(config)
-    systems = request_stream(cfg.workload)
-    n_requests = len(systems)
-    # Throughput of the batching/plan knobs alone: no admission policy.
-    server = build_server(
-        replace(cfg.serve, qos=None, **params),
-        build_potential(cfg.potential),
-    )
-    rates = []
-    with server:
-        client = Client(server)
-        for _ in range(warmup):
-            client.evaluate_many(systems)
-        for _ in range(max(repeats, 1)):
-            t0 = time.perf_counter()
-            client.evaluate_many(systems)
-            rates.append(n_requests / (time.perf_counter() - t0))
-    return float(statistics.median(rates))
 
 
 # -- parallel decomposition target ---------------------------------------------
@@ -618,8 +344,6 @@ def tune_parallel(
     seed: int = 0,
     n_steps: int = 3,
     top_k: int = 3,
-    warmup: int = 0,
-    repeats: int = 1,
 ) -> dict:
     """Pick the process-grid factorization for a rank count.
 
@@ -672,13 +396,11 @@ def tune_parallel(
             engine="eager",
             registry=registry,
         )
-        t0 = time.perf_counter()
         work = None
         for _ in range(max(n_steps, 1)):
             bytes_before = evaluator.cluster.stats.total_bytes()
             _, _, work = evaluator.compute(system)
             halo_bytes = evaluator.cluster.stats.total_bytes() - bytes_before
-        wall = (time.perf_counter() - t0) / max(n_steps, 1)
         edges = np.asarray(work.n_edges, dtype=np.float64)
         max_edges = float(edges.max())
         mean_edges = float(edges.mean()) if edges.size else 0.0
@@ -693,18 +415,15 @@ def tune_parallel(
             "load_imbalance": imbalance,
             "max_rank_edges": max_edges,
             "modeled_s_per_step": score,
-            "wall_s_per_step": wall,
         }
         return score, metrics
 
-    protocol = MeasurementProtocol(measure, warmup=warmup, repeats=repeats)
     trials: List[Trial] = []
     best: Optional[Trial] = None
     for rank, dims in enumerate(ranked):
         params = {"grid": list(dims)}
         if rank < max(top_k, 1):
-            score, metrics = protocol(dims)
-            metrics = dict(metrics)
+            score, metrics = measure(dims)
             metrics["verified"] = True
             metrics["model_s_per_step"] = model_score(dims)
             trial = Trial(params, float(score), metrics)
@@ -741,7 +460,6 @@ def tune_parallel(
 TARGETS = {
     "md": tune_md,
     "serve": tune_serve,
-    "engine": tune_engine,
     "parallel": tune_parallel,
 }
 

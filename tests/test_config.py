@@ -26,7 +26,6 @@ from repro.health import health_from_config
 from repro.serve import ForceServer, qos_from_config
 from repro.serve.plancache import PlanCache
 from repro.tune import (
-    ENGINE_SPACE,
     MD_SPACE,
     SERVE_SPACE,
     TuningProfile,
@@ -215,7 +214,7 @@ class TestDocumentsLoad:
 
 class TestOneDefaultPerKey:
     def test_md_steps_has_one_fallback(self):
-        # run/resume used 100, profile 50, tune_md 30, tune_engine 60.
+        # run/resume used 100, profile 50, tune_md 30.
         assert rc.load_config({}).md.steps == rc.MDConfig.steps == 100
 
     def test_train_defaults_are_the_trainers(self):
@@ -239,7 +238,6 @@ class TestProfilesWriteConfigKeys:
         "space, section",
         [
             (MD_SPACE, rc.MDConfig),
-            (ENGINE_SPACE, rc.MDConfig),
             (SERVE_SPACE, rc.ServeConfig),
         ],
     )
@@ -249,7 +247,6 @@ class TestProfilesWriteConfigKeys:
     def test_applied_profile_loads_strictly(self):
         profile = TuningProfile(
             {
-                "engine": {"best": ENGINE_SPACE.defaults()},
                 "md": {"best": MD_SPACE.defaults()},
                 "serve": {"best": SERVE_SPACE.defaults()},
                 "parallel": {"best": {"grid": [2, 2, 1]}},
@@ -257,8 +254,7 @@ class TestProfilesWriteConfigKeys:
         )
         tuned = apply_profile(rc.EXAMPLE_SERVE_CONFIG, profile)
         assert tuned["_tuning"]["applied"] == (
-            ["md.padding"]
-            + [f"md.{n}" for n in MD_SPACE.names]
+            [f"md.{n}" for n in MD_SPACE.names]
             + [f"serve.{n}" for n in SERVE_SPACE.names]
             + ["parallel.grid"]
         )

@@ -1,10 +1,10 @@
 """Property tests for the serving primitives the tuner searches over.
 
-The offline serve tuner (``repro.tune``) drives the real
-:class:`SizeClasses` ladders and the real :class:`MicroBatcher` through a
-simulated pipeline, so its determinism and its modeled bucket counts rest
-on algebraic properties of those primitives — pinned here with hypothesis
-rather than example tables.
+The offline serve tuner (``repro.tune``) runs the real server stages
+inline, so the plan buckets and batches a trial records — and so its
+determinism — rest on algebraic properties of the :class:`SizeClasses`
+ladders and the :class:`MicroBatcher`, pinned here with hypothesis rather
+than example tables.
 """
 
 from hypothesis import given, settings

@@ -1,6 +1,7 @@
 """Tests for the offline autotuner: space, search, targets, profiles, CLI."""
 
 import json
+import threading
 
 import numpy as np
 import pytest
@@ -8,23 +9,28 @@ import pytest
 from repro.cli import main
 from repro.cli.common import apply_profile_path
 from repro.cli.tune import tune_config
-from repro.config import EXAMPLE_CONFIG, EXAMPLE_SERVE_CONFIG, build_simulation
+from repro.config import (
+    EXAMPLE_CONFIG,
+    EXAMPLE_SERVE_CONFIG,
+    build_potential,
+    build_server,
+    build_simulation,
+)
 from repro.obs.jsonio import SCHEMA_VERSION
+from repro.serve import ForceServer
 from repro.tune import (
-    ENGINE_SPACE,
     MD_SPACE,
     SERVE_SPACE,
-    MeasurementProtocol,
     Param,
     ParamSpace,
     TuningProfile,
     apply_profile,
     coordinate_descent,
     run_target,
-    tune_engine,
     tune_md,
     tune_serve,
 )
+from repro.tune import targets
 from repro.tune.targets import INFEASIBLE_SCORE
 
 TINY_SERVE_CONFIG = {
@@ -62,7 +68,7 @@ class TestParamSpace:
             Param("x", (1, 2), 3)
 
     def test_declared_spaces_are_valid(self):
-        for space in (MD_SPACE, SERVE_SPACE, ENGINE_SPACE):
+        for space in (MD_SPACE, SERVE_SPACE):
             space.validate(space.defaults())
 
 
@@ -109,35 +115,6 @@ class TestCoordinateDescent:
         assert result.best == {"x": 3, "y": 2}  # flat objective: no move
 
 
-class TestMeasurementProtocol:
-    def test_median_of_scores_and_metrics(self):
-        series = iter([5.0, 1.0, 3.0])
-
-        def objective(params):
-            s = next(series)
-            return s, {"wall_rate": s * 10, "fixed": 7, "flag": True}
-
-        protocol = MeasurementProtocol(objective, warmup=0, repeats=3)
-        score, metrics = protocol({})
-        assert score == 3.0
-        assert metrics["wall_rate"] == 30.0
-        assert metrics["fixed"] == 7
-        assert metrics["flag"] is True  # bools are not averaged
-
-    def test_warmup_discarded(self):
-        seen = []
-
-        def objective(params):
-            seen.append(1)
-            return float(len(seen)), {}
-
-        protocol = MeasurementProtocol(objective, warmup=2, repeats=1)
-        score, _ = protocol({})
-        assert score == 3.0  # two warmups ran first
-        with pytest.raises(ValueError):
-            MeasurementProtocol(objective, repeats=0)
-
-
 class TestTargets:
     def test_serve_report_shape(self):
         rep = tune_serve(TINY_SERVE_CONFIG, seed=0, max_sweeps=1)
@@ -157,30 +134,6 @@ class TestTargets:
             ).to_json()
 
         assert one() == one()
-
-    def test_engine_frontier(self):
-        cfg = {
-            "system": {"kind": "water", "n_grid": 2, "seed": 0},
-            "potential": {
-                "kind": "lennard_jones",
-                "epsilon": 0.8,
-                "sigma": 1.1,
-                # cutoff + default skin must stay under L/2 of the small box
-                "cutoff": 2.5,
-            },
-            "md": {"steps": 20, "dt": 0.5, "seed": 0},
-        }
-        rep = tune_engine(cfg, seed=0, steps=20)
-        # The tried table is the padding-vs-recapture frontier: every
-        # candidate padding appears, with recapture rate non-increasing
-        # and waste non-decreasing as padding grows.
-        by_pad = {t["params"]["padding"]: t["metrics"] for t in rep["trials"]}
-        pads = sorted(by_pad)
-        assert pads == sorted(ENGINE_SPACE.param("padding").values)
-        rates = [by_pad[p]["recapture_rate"] for p in pads]
-        wastes = [by_pad[p]["padded_waste"] for p in pads]
-        assert all(a >= b - 1e-12 for a, b in zip(rates, rates[1:]))
-        assert all(a <= b + 1e-12 for a, b in zip(wastes, wastes[1:]))
 
     def test_md_target_with_uncompilable_potential_runs_eager(self):
         # The quickstart EXAMPLE_CONFIG uses the reference potential, which
@@ -205,6 +158,73 @@ class TestTargets:
             run_target("gpu", None)
 
 
+class TestServeTrial:
+    """A serve trial is one inline run of the real server stages."""
+
+    @pytest.fixture
+    def trials(self, monkeypatch):
+        """Each trial's server and the (system, future) pairs it was given."""
+        built = []
+
+        def recording_build_server(*args, **kwargs):
+            server = build_server(*args, **kwargs)
+            submitted = []
+
+            def submit(system, **kw):
+                future = ForceServer.submit(server, system, **kw)
+                submitted.append((system, future))
+                return future
+
+            server.submit = submit
+            built.append((server, submitted))
+            return server
+
+        monkeypatch.setattr(targets, "build_server", recording_build_server)
+        return built
+
+    def test_every_request_resolves_bitwise_eager(self, trials):
+        report = tune_serve(TINY_SERVE_CONFIG, max_sweeps=1)
+        assert len(trials) == report["n_evaluations"]
+        pot = build_potential(TINY_SERVE_CONFIG["potential"])
+        for _, submitted in trials:
+            assert len(submitted) == TINY_SERVE_CONFIG["workload"]["n_requests"]
+            for system, future in submitted:
+                e, f = future.result(timeout=0)
+                e0, f0 = pot.energy_and_forces(system, pot.prepare_neighbors(system))
+                assert e == e0
+                np.testing.assert_array_equal(f, f0)
+
+    def test_trial_metrics_are_the_servers_counters(self, trials):
+        report = tune_serve(TINY_SERVE_CONFIG, max_sweeps=1)
+        counted = {}
+        for server, _ in trials:
+            ladder = server.registry.get().plan_cache.atom_classes
+            counters = server.stats()["counters"]
+            counted[(server.batcher.max_batch, ladder.floor, ladder.growth)] = (
+                counters["plan_captures"],
+                counters["batches"],
+            )
+        for trial in report["trials"]:
+            p, m = trial["params"], trial["metrics"]
+            key = (p["max_batch"], p["plan_floor"], p["plan_growth"])
+            assert (m["captures"], m["batches"]) == counted[key]
+            assert m["captures"] >= 1
+
+    def test_no_thread_is_spawned(self, monkeypatch):
+        before = threading.active_count()
+        started = []
+        start = threading.Thread.start
+
+        def recording_start(thread):
+            started.append(thread.name)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", recording_start)
+        tune_serve(TINY_SERVE_CONFIG, max_sweeps=1)
+        assert started == []
+        assert threading.active_count() == before
+
+
 class TestProfile:
     def _profile(self):
         rep = tune_serve(TINY_SERVE_CONFIG, seed=0, max_sweeps=1)
@@ -220,30 +240,6 @@ class TestProfile:
         assert loaded.best("serve") == profile.best("serve")
         assert loaded.to_json() == profile.to_json()
 
-    def test_wall_metrics_stripped(self):
-        profile = TuningProfile.from_reports(
-            [
-                {
-                    "target": "md",
-                    "best": {"skin": 0.4},
-                    "score": 1.0,
-                    "metrics": {"modeled_s_per_step": 1.0, "wall_steps_per_s": 9.9},
-                    "trials": [
-                        {
-                            "params": {"skin": 0.4},
-                            "score": 1.0,
-                            "metrics": {"wall_steps_per_s": 9.9, "ok": 1},
-                        }
-                    ],
-                }
-            ]
-        )
-        payload = profile.to_payload()
-        report = payload["targets"]["md"]
-        assert "wall_steps_per_s" not in report["metrics"]
-        assert "wall_steps_per_s" not in report["trials"][0]["metrics"]
-        assert report["trials"][0]["metrics"]["ok"] == 1
-
     def test_rejects_wrong_kind_and_version(self, tmp_path):
         with pytest.raises(ValueError, match="not a tuning profile"):
             TuningProfile.from_payload({"kind": "trace", "schema_version": 1})
@@ -256,7 +252,7 @@ class TestProfile:
         profile = self._profile()
         cfg = apply_profile({"serve": {"engine": "compiled"}}, profile)
         best = profile.best("serve")
-        for key in ("max_batch", "batch_wait", "n_workers"):
+        for key in ("max_batch", "plan_floor", "plan_growth"):
             assert cfg["serve"][key] == best[key]
         assert cfg["serve"]["engine"] == "compiled"  # untouched keys survive
         assert "serve.max_batch" in cfg["_tuning"]["applied"]
@@ -273,18 +269,37 @@ class TestProfile:
         assert cfg["parallel"]["grid"] == [2, 2, 1]
 
     def test_apply_profile_unknown_target_rejected(self):
+        profile = self._profile()
         with pytest.raises(ValueError, match="unknown profile targets"):
-            apply_profile({}, self._profile(), targets=["serve", "gpu"])
+            apply_profile({}, profile, targets=["serve", "gpu"])
+        # A saved profile naming a target this build does not tune (a typo,
+        # or the retired ``engine`` target) fails to load instead of
+        # silently applying nothing.
+        for name in ("engine", "gpu"):
+            payload = profile.to_payload()
+            payload["targets"][name] = {"best": {"padding": 0.2}}
+            with pytest.raises(
+                ValueError, match=rf"unknown profile targets: \['{name}'\]"
+            ):
+                TuningProfile.from_payload(payload)
 
     def test_apply_order_md_overrides_engine_padding(self):
-        profile = TuningProfile(
+        # The compiled engine's padding is the md.padding key, and only the
+        # md target writes it: a profile's md padding replaces the config's,
+        # and a profile still carrying an ``engine`` padding is refused
+        # rather than contending for the key.
+        profile = TuningProfile({"md": {"best": {"skin": 0.2, "padding": 0.05}}})
+        cfg = apply_profile({"md": {"padding": 0.3}}, profile)
+        assert cfg["md"]["padding"] == 0.05
+        assert cfg["_tuning"]["applied"].count("md.padding") == 1
+        stale = TuningProfile(
             {
                 "engine": {"best": {"padding": 0.3}},
                 "md": {"best": {"skin": 0.2, "padding": 0.05}},
             }
         )
-        cfg = apply_profile({}, profile)
-        assert cfg["md"]["padding"] == 0.05
+        with pytest.raises(ValueError, match=r"unknown profile targets: \['engine'\]"):
+            apply_profile({}, stale)
 
 
 class TestCLI:
@@ -311,11 +326,11 @@ class TestCLI:
         assert payload["provenance"]["targets"] == ["serve"]
 
     def test_tune_config_defaults_to_example(self, tmp_path):
-        profile = tune_config(
-            None, "engine", out=tmp_path / "p.json", steps=10, quiet=True
-        )
-        assert (tmp_path / "p.json").exists()
-        assert "padding" in profile.best("engine")
+        out1, out2 = tmp_path / "p1.json", tmp_path / "p2.json"
+        for out in (out1, out2):
+            profile = tune_config(None, "md", out=out, steps=10, quiet=True)
+        MD_SPACE.validate(profile.best("md"))
+        assert out1.read_bytes() == out2.read_bytes()
 
     def test_run_with_profile_flag(self, tmp_path, capsys):
         profile = TuningProfile(

@@ -6,15 +6,18 @@ allocator into large free/alloc cycles; padding all inputs by 5% (fake
 atoms) gives smooth, stable performance from the start.
 
 Reproduction: a real (reduced) water MD run provides the measured per-step
-neighbor-pair counts — the shape driver (the count changes exactly at
-Verlet-list rebuilds, like LAMMPS reneighboring).  The trace is rescaled
-to a realistic 20k-atoms-per-GPU workload (√N noise scaling, see
-``scale_pair_trace``), then the caching-allocator simulator produces
-per-step throughput with and without the 5% padding.
+neighbor-pair counts — the shape driver.  The count is that of the pairs
+inside the cutoff, the ones the force call evaluates: like the list
+pair_allegro keeps from LAMMPS's skinned one, it changes every step, not
+only at Verlet-list rebuilds.  The trace is rescaled to a realistic
+20k-atoms-per-GPU workload (√N noise scaling, see ``scale_pair_trace``),
+then the caching-allocator simulator produces per-step throughput with and
+without the 5% padding.
 
 Shape claims: padded throughput is flat from step 0; unpadded throughput
-dips during the equilibration drift (when new tensor shapes keep
-appearing) and recovers once the system equilibrates.
+pays whenever the count moves through sizes the cache does not hold, so
+its penalty is not confined to warmup — it persists in every window and is
+worst in the window whose count spans the widest range.
 """
 
 import numpy as np
@@ -94,13 +97,14 @@ def test_fig5_padding_stabilizes_throughput(pair_count_trace, reporter, benchmar
     assert padded.std() < 0.08 * pad_all
     # 2. Unpadded pays a real penalty while shapes drift.
     assert min(win_means_unpadded) < 0.97 * pad_all
-    # 3. The worst unpadded window is during the equilibration drift
-    #    (first 400 steps), and performance recovers afterwards.
-    worst = int(np.argmin(win_means_unpadded))
-    assert worst <= 1, "instability must be a warmup phenomenon"
-    dip = pad_all - min(win_means_unpadded)
-    recovered = win_means_unpadded[-1] - min(win_means_unpadded)
-    assert recovered > 0.3 * dip, "unpadded must converge toward padded"
+    # 3. A per-step count keeps producing new shapes after warmup: every
+    #    window pays unpadded, and the worst is the one whose count spans
+    #    the widest range (the most size classes cycling through the cache).
+    assert all(
+        unpadded[lo:hi].mean() < padded[lo:hi].mean() for lo, hi in windows
+    ), "the unpadded penalty must persist past warmup"
+    spans = [np.ptp(pairs[lo:hi]) for lo, hi in windows]
+    assert int(np.argmin(win_means_unpadded)) == int(np.argmax(spans))
 
     benchmark(lambda: simulate_md_allocation(pairs[:200], padding=0.05, **kwargs))
 
@@ -113,8 +117,9 @@ def test_fig5_real_engine_recaptures(reporter):
     compiled engine with 5% padding vs exact-fit buffers (``padding=None``)
     shows the paper's fix directly: padded capacities absorb every
     pair-count fluctuation after warmup (zero recaptures), while exact-fit
-    buffers see a new shape — and re-capture — at almost every neighbor
-    list rebuild, exactly like the unpadded TorchScript deployment.
+    buffers see a new shape — and re-capture — at almost every step, as
+    the in-cutoff pair count the force call sees changes every step,
+    exactly like the unpadded TorchScript deployment.
     """
     from repro.md import Cell, System
     from repro.models import LennardJones
@@ -185,7 +190,7 @@ def test_fig5_real_engine_recaptures(reporter):
     assert padded["pair_min"] < padded["pair_max"]
     # The acceptance property: 5% headroom ⇒ zero recaptures once warm.
     assert padded["post_warmup_recaptures"] == 0
-    # Exact-fit buffers re-capture at (nearly) every neighbor-list rebuild.
+    # Exact-fit buffers re-capture at (nearly) every step.
     assert unpadded["post_warmup_recaptures"] >= 10
     # ... which costs real throughput.
     assert padded["steps_per_s"] > unpadded["steps_per_s"]

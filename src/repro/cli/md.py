@@ -175,7 +175,10 @@ def profile_config(
     log("")
     log(tracer.format_phases("md."))
     log("")
-    log(_arena_line(sim.stats()["tape_arena"]))
+    stats = sim.stats()
+    c = stats["counters"]
+    log(f"neighbor pairs: {c['md.pairs']} evaluated of {c['md.candidate_pairs']} skinned")
+    log(_arena_line(stats["tape_arena"]))
     engine_stats = sim.engine_stats()
     if engine_stats is not None:
         log("")

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .neighborlist import VerletList
+from .neighborlist import VerletList, model_cutoff
 from .system import System
 
 
@@ -45,7 +45,7 @@ def minimize(
     """
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
-    verlet = VerletList(potential.cutoff, skin=skin)
+    verlet = VerletList(model_cutoff(potential), skin=skin)
     step = float(initial_step)
     energies = []
     e, forces = potential.energy_and_forces(system, verlet.get(system))

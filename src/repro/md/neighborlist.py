@@ -4,12 +4,14 @@ Allegro is linear-scaling in the number of *ordered* neighbor pairs, so the
 neighbor list is the contract between geometry and model: ``edge_index[0]``
 is the center atom i, ``edge_index[1]`` the neighbor j, and ``shifts`` the
 cartesian lattice offset such that ``r_ij = pos[j] + shift - pos[i]``.
-Every ordered pair within the cutoff appears exactly once.
+Every ordered pair within the cutoff appears exactly once — also in MD,
+whose skinned :class:`VerletList` is cut to the cutoff every step, as
+pair_allegro cuts LAMMPS's: the skin buys rebuild cadence, not force work.
 
 §V-B4 of the paper prunes pairs with per-*ordered*-species-pair cutoffs
 (H→C at 1.25 Å while C→H keeps 4.0 Å), cutting ordered pairs ~3× in water;
-:func:`filter_by_pair_cutoffs` implements that pruning and the ablation
-benchmark measures the reduction.
+:func:`filter_by_pair_cutoffs` implements that pruning on lists built at
+the exact cutoff and the ablation benchmark measures the reduction.
 """
 
 from __future__ import annotations
@@ -330,17 +332,36 @@ def filter_by_pair_cutoffs(
     return NeighborList(nl.edge_index[:, keep], nl.shifts[keep])
 
 
-def pruning_cutoffs(potential, skin: float) -> Optional[np.ndarray]:
-    """Matrix to prune a skinned list with, or None for a uniform cutoff.
+def model_cutoff(potential):
+    """The cutoff MD prunes to: the ordered-pair matrix, if the model has one."""
+    return potential.cutoff if potential.pair_cutoffs is None else potential.pair_cutoffs
 
-    The model envelope zeroes anything between r_c(pair) and the skin, so
-    MD drivers prune against the model's own matrix widened by the skin —
-    decided once per driver, not per step.
+
+def prune_to_cutoff(
+    nl: NeighborList, positions: np.ndarray, species: np.ndarray, cutoff
+) -> NeighborList:
+    """The edges of ``nl`` inside ``cutoff`` (scalar or ordered-pair matrix).
+
+    Drops an edge only if d² ≥ r_c²·(1 + 1e-9): envelopes are exact zero
+    from r_c on, so the margin keeps this exact however a model rounds
+    |r_ij|, and a NaN d² is kept to fail fast.  It runs every MD step, so:
+    gathers in the model's ``x_j + shift − x_i`` order, no sqrt or mask.
     """
-    pair_cutoffs = potential.pair_cutoffs
-    if pair_cutoffs is None or np.allclose(pair_cutoffs, potential.cutoff):
-        return None
-    return np.asarray(pair_cutoffs) + skin
+    i, j = nl.edge_index
+    disp = np.take(positions, j, axis=0)
+    disp += nl.shifts
+    disp -= np.take(positions, i, axis=0)
+    disp *= disp
+    d2 = disp[:, 0] + disp[:, 1] + disp[:, 2]
+    bound = np.square(cutoff) * (1.0 + 1e-9)
+    if bound.ndim:
+        bound = bound[np.take(species, i), np.take(species, j)]
+    keep = np.flatnonzero(~(d2 >= bound))
+    if len(keep) == nl.n_edges:
+        return nl
+    return NeighborList(
+        np.take(nl.edge_index, keep, axis=1), np.take(nl.shifts, keep, axis=0)
+    )
 
 
 def merged_neighbor_list(
@@ -442,10 +463,11 @@ def ordered_pair_counts(
 class VerletList:
     """Skin-buffered neighbor list: rebuild only after atoms move enough.
 
-    Built at ``cutoff + skin``; reused until some atom has moved more than
-    skin/2 since the last build (the classic safety criterion), then
-    rebuilt.  This is the same strategy LAMMPS uses between reneighboring
-    steps.
+    ``cutoff`` is the model's: a scalar or an ordered-species-pair matrix.
+    The list is built at its maximum + ``skin`` and reused until some atom
+    has moved more than skin/2 since the last build (the classic safety
+    criterion, as LAMMPS reneighbors).  That skinned list is private state;
+    :meth:`get` returns its pairs inside ``cutoff`` at the current positions.
 
     ``check_every`` thins the displacement *check* itself (LAMMPS
     ``neigh_modify every N``): the max-displacement scan is O(n_atoms)
@@ -456,12 +478,12 @@ class VerletList:
     searches over.
     """
 
-    def __init__(self, cutoff: float, skin: float = 0.5, check_every: int = 1):
+    def __init__(self, cutoff, skin: float = 0.5, check_every: int = 1):
         if skin < 0:
             raise ValueError("skin must be non-negative")
         if check_every < 1:
             raise ValueError("check_every must be >= 1")
-        self.cutoff = float(cutoff)
+        self.cutoff = cutoff
         self.skin = float(skin)
         self.check_every = int(check_every)
         self._nl: Optional[NeighborList] = None
@@ -469,34 +491,38 @@ class VerletList:
         self.n_builds = 0
         self._since_check = 0
 
+    @property
+    def n_candidates(self) -> int:
+        """Edges of the skinned list the last :meth:`get` pruned."""
+        return 0 if self._nl is None else self._nl.n_edges
+
     def get(self, system: System) -> NeighborList:
-        if self._nl is not None and self.check_every > 1:
-            self._since_check += 1
-            if self._since_check < self.check_every:
-                # Structural changes must never be skipped past.
-                if (
-                    self._ref_positions is not None
-                    and len(self._ref_positions) == system.n_atoms
-                ):
-                    return self._nl
-            self._since_check = 0
+        """The pairs inside the cutoff at ``system``'s current positions."""
         if self._needs_rebuild(system):
             # Wrapping must coincide with rebuilding: stored shift vectors
             # are only valid for the positions they were computed against,
             # so positions are folded into the box exactly here (the same
             # reason LAMMPS remaps atoms at reneighboring time).
             system.wrap()
-            self._nl = neighbor_list(system, self.cutoff + self.skin)
+            self._nl = neighbor_list(system, float(np.max(self.cutoff)) + self.skin)
             self._ref_positions = system.positions.copy()
             self.n_builds += 1
             self._since_check = 0
-        return self._nl
+        return prune_to_cutoff(
+            self._nl, system.positions, system.species, self.cutoff
+        )
 
     def _needs_rebuild(self, system: System) -> bool:
         if self._nl is None or self._ref_positions is None:
             return True
+        # Structural changes must never be skipped past.
         if len(self._ref_positions) != system.n_atoms:
             return True
+        if self.check_every > 1:
+            self._since_check += 1
+            if self._since_check < self.check_every:
+                return False
+            self._since_check = 0
         disp = system.positions - self._ref_positions
         if system.cell is not None:
             disp = system.cell.minimum_image(disp)

@@ -2,10 +2,11 @@
 
 Sequence per step (velocity Verlet): half kick → drift → neighbor
 check/rebuild (Verlet skin; positions are wrapped exactly at rebuilds so
-stored shift vectors stay valid) → force call → half kick → thermostat →
-barostat.  The driver records energies, temperatures, per-step pair counts
-(which feed the fig. 5 allocator simulation) and wall-time throughput in
-timesteps/s — the paper's primary performance metric.
+stored shift vectors stay valid) → prune to the pairs inside the model's
+cutoff → force call → half kick → thermostat → barostat.  The driver
+records energies, temperatures, per-step evaluated pair counts (which feed
+the fig. 5 allocator simulation) and wall-time throughput in timesteps/s —
+the paper's primary performance metric.
 
 Resilience (paper §VII-B: 2.5M-step runs on failure-prone hardware):
 
@@ -43,12 +44,7 @@ from ..obs import Registry, get_tracer, span
 from ..resilience.checkpoint import resolve_checkpoint_sink
 from ..resilience.guards import NumericalInstabilityError, validate_energy_forces
 from .integrators import VelocityVerlet
-from .neighborlist import (
-    NeighborList,
-    VerletList,
-    filter_by_pair_cutoffs,
-    pruning_cutoffs,
-)
+from .neighborlist import NeighborList, VerletList, model_cutoff
 from .system import System
 
 #: Default snapshot interval when checkpointing is enabled without an
@@ -184,9 +180,8 @@ class Simulation:
             raise ValueError(f"unknown engine {engine!r} (use 'eager' or 'compiled')")
         self.engine = engine
         self.verlet = VerletList(
-            self.potential.cutoff, skin=skin, check_every=neighbor_every
+            model_cutoff(self.potential), skin=skin, check_every=neighbor_every
         )
-        self._prune_cutoffs = pruning_cutoffs(self.potential, skin)
         self._c_rebuilds = self.obs.counter("md.neighbor_rebuilds")
         self._h_force = self.obs.histogram("md.force_seconds")
 
@@ -224,7 +219,8 @@ class Simulation:
         self._c_steps = self.obs.counter("md.steps")
         self._c_recoveries = self.obs.counter("md.recoveries")
         self._c_checkpoints = self.obs.counter("md.checkpoints")
-        self._c_pairs = self.obs.counter("md.pairs")
+        self._c_pairs = self.obs.counter("md.pairs")  # evaluated, in range
+        self._c_candidates = self.obs.counter("md.candidate_pairs")  # skinned
 
     def engine_stats(self) -> Optional[dict]:
         """Capture/replay counters when running compiled; None when eager."""
@@ -283,18 +279,14 @@ class Simulation:
         with span("md.neighbor") as sp:
             builds_before = self.verlet.n_builds
             nl = self.verlet.get(self.system)
-            if self._prune_cutoffs is not None:
-                nl = filter_by_pair_cutoffs(
-                    nl,
-                    self.system.positions,
-                    self.system.species,
-                    self._prune_cutoffs,
-                )
             rebuilt = self.verlet.n_builds - builds_before
             if rebuilt:
                 self._c_rebuilds.inc(rebuilt)
                 sp.add("rebuilds", rebuilt)
+            candidates = self.verlet.n_candidates
+            sp.add("candidates", candidates)
             sp.add("pairs", nl.n_edges)
+        self._c_candidates.inc(candidates)
         self._c_pairs.inc(nl.n_edges)
         with span("md.force"):
             t0 = time.perf_counter()

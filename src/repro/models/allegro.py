@@ -52,7 +52,6 @@ from ..md.neighborlist import (
     filter_by_pair_cutoffs,
     merged_neighbor_list,
     neighbor_list,
-    pruning_cutoffs,
 )
 from ..md.system import System
 from ..nn.mlp import MLP, Linear
@@ -131,8 +130,8 @@ class AllegroModel(Potential):
         S = cfg.n_species
         self.n_species = S
         cut_mat = cfg.cutoff_matrix()
-        self.pair_cutoffs = cut_mat
         self.cutoff = float(cut_mat.max())
+        self.pair_cutoffs = None if np.allclose(cut_mat, self.cutoff) else cut_mat
 
         # -- two-body embedding ------------------------------------------------
         self.radial_basis = PerPairBesselBasis(cut_mat, num_basis=cfg.num_bessel)
@@ -202,17 +201,16 @@ class AllegroModel(Potential):
     def prepare_neighbors(self, system: System) -> NeighborList:
         """Neighbor list at the max cutoff, pruned per ordered species pair."""
         nl = neighbor_list(system, self.cutoff)
-        pair_cutoffs = pruning_cutoffs(self, 0.0)
-        if pair_cutoffs is not None:
+        if self.pair_cutoffs is not None:
             nl = filter_by_pair_cutoffs(
-                nl, system.positions, system.species, pair_cutoffs
+                nl, system.positions, system.species, self.pair_cutoffs
             )
         return nl
 
     def prepare_batch(self, systems, nls=None):
         """The merged list at the max cutoff, pruned the same way."""
         return merged_neighbor_list(
-            systems, self.cutoff, nls, self.prepare_neighbors, pruning_cutoffs(self, 0.0)
+            systems, self.cutoff, nls, self.prepare_neighbors, self.pair_cutoffs
         )
 
     # -- forward ------------------------------------------------------------------

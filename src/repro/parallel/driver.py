@@ -6,7 +6,8 @@ thermostat, records, dumps, checkpoints, callbacks, ``md.*`` spans and
 counters) is the serial one, unchanged; per force call the evaluator does
 
 1. forward halo exchange of positions,
-2. every rank evaluates the potential on its owned-center edges,
+2. every rank prunes its skinned owned-center list to the cutoff and
+   evaluates the potential on it,
 3. reverse halo exchange adds ghost force contributions back to owners.
 
 Reneighboring (triggered by the Verlet-skin criterion on the global
@@ -39,7 +40,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from ..autodiff import arena
-from ..md.neighborlist import filter_by_pair_cutoffs, pruning_cutoffs
+from ..md.neighborlist import model_cutoff, prune_to_cutoff
 from ..md.simulation import Simulation, _copy_or_none
 from ..md.system import System
 from ..obs import LATENCY_BUCKETS, MONOTONIC, Registry, get_tracer, span
@@ -62,11 +63,12 @@ class RankWorkStats:
 
     n_owned: np.ndarray
     n_ghost: np.ndarray
-    n_edges: np.ndarray
+    n_edges: np.ndarray  # evaluated: inside the cutoff
+    n_candidates: np.ndarray  # in the skinned lists they were pruned from
 
     @property
     def load_imbalance(self) -> float:
-        """max/mean of per-rank edge counts (1.0 = perfect balance)."""
+        """max/mean of per-rank evaluated edge counts (1.0 = perfect balance)."""
         mean = self.n_edges.mean()
         return float(self.n_edges.max() / mean) if mean > 0 else 1.0
 
@@ -109,7 +111,7 @@ class ParallelForceEvaluator:
         self.decomp = DomainDecomposition(
             grid, potential.cutoff + self.skin, self.cluster
         )
-        self._prune_cutoffs = pruning_cutoffs(potential, self.skin)
+        self._cutoff = model_cutoff(potential)
         self._shards: Optional[List[RankShard]] = None
         self._ref_positions: Optional[np.ndarray] = None
 
@@ -170,14 +172,9 @@ class ParallelForceEvaluator:
                 system.wrap()
                 self._shards = self.decomp.build(system)
                 for shard in self._shards:
-                    nl = self.decomp.local_neighbor_list(
+                    shard.nl = self.decomp.local_neighbor_list(
                         shard, self.potential.cutoff + self.skin
                     )
-                    if self._prune_cutoffs is not None:
-                        nl = filter_by_pair_cutoffs(
-                            nl, shard.positions, shard.species, self._prune_cutoffs
-                        )
-                    shard.nl = nl
                 self._ref_positions = system.positions.copy()
         else:
             with span("parallel.exchange"):
@@ -252,6 +249,7 @@ class ParallelForceEvaluator:
         n_owned = np.zeros(self.grid.n_ranks, dtype=int)
         n_ghost = np.zeros(self.grid.n_ranks, dtype=int)
         n_edges = np.zeros(self.grid.n_ranks, dtype=int)
+        n_candidates = np.zeros(self.grid.n_ranks, dtype=int)
         # Per-rank wall times feed load-imbalance histograms, but only when
         # tracing is on — the clock calls are not free in the hot path.
         timed = get_tracer().enabled
@@ -260,10 +258,14 @@ class ParallelForceEvaluator:
             for shard in shards:
                 n_owned[shard.rank] = shard.n_owned
                 n_ghost[shard.rank] = shard.n_ghost
-                n_edges[shard.rank] = shard.nl.n_edges if shard.nl is not None else 0
                 if shard.n_owned == 0:
                     ghost_blocks.append(np.zeros((shard.n_ghost, 3)))
                     continue
+                nl = prune_to_cutoff(
+                    shard.nl, shard.positions, shard.species, self._cutoff
+                )
+                n_candidates[shard.rank] = shard.nl.n_edges
+                n_edges[shard.rank] = nl.n_edges
                 t_rank = MONOTONIC() if timed else 0.0
                 evaluator = self.potential
                 if self.engine == "compiled":
@@ -280,7 +282,7 @@ class ParallelForceEvaluator:
                 # rows; gradients on ghost rows are exactly the halo force
                 # contributions.
                 e_atoms, local_f = evaluator.evaluate(
-                    shard.positions, shard.species, shard.nl, n_active=shard.n_owned
+                    shard.positions, shard.species, nl, n_active=shard.n_owned
                 )
                 energy += float(np.sum(e_atoms[: shard.n_owned]))
                 if timed:
@@ -293,12 +295,13 @@ class ParallelForceEvaluator:
             ghost_corr = self.decomp.reverse_force_exchange(shards, ghost_blocks)
         sp.add("halo_bytes", self.cluster.stats.total_bytes() - bytes_before)
         sp.add("edges", int(n_edges.sum()))
+        sp.add("candidates", int(n_candidates.sum()))
         if len(ghost_corr) < n:
             ghost_corr = np.concatenate(
                 [ghost_corr, np.zeros((n - len(ghost_corr), 3))], axis=0
             )
         forces += ghost_corr[:n]
-        return energy, forces, RankWorkStats(n_owned, n_ghost, n_edges)
+        return energy, forces, RankWorkStats(n_owned, n_ghost, n_edges, n_candidates)
 
 
 class ParallelSimulation(Simulation):
@@ -367,6 +370,7 @@ class ParallelSimulation(Simulation):
             energy, forces, self.last_stats = self.evaluator.compute(self.system)
         n_pairs = int(self.last_stats.n_edges.sum())
         self._c_pairs.inc(n_pairs)
+        self._c_candidates.inc(int(self.last_stats.n_candidates.sum()))
         return energy, forces, n_pairs
 
     def engine_stats(self) -> Optional[dict]:

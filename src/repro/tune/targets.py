@@ -63,10 +63,11 @@ __all__ = [
 #: rebuild ≈ a few force calls of pair work; per-batch dispatch ≈ hundreds
 #: of per-pair evaluations.
 COST = {
-    "pair_eval": 4.0e-7,  # eager force-pass cost per (skinned) neighbor pair
+    "pair_eval": 4.0e-7,  # force-pass cost per evaluated (in-cutoff) pair
     "pair_pad": 3.5e-7,  # replayed padded pair-row (compiled plan replay)
     "rebuild_base": 5.0e-4,  # fixed neighbor-rebuild cost (binning, wrap)
-    "rebuild_pair": 1.5e-7,  # per-pair cost during a rebuild
+    "rebuild_pair": 1.5e-7,  # per skinned-list pair during a rebuild
+    "prune_pair": 3.0e-8,  # per skinned-list pair, pruned to the cutoff every step
     "capture_base": 1.2e-3,  # fixed plan-capture cost (tape record, arena)
     "capture_pair": 1.6e-6,  # per pair-row while capturing a single system
     # Per pair-row while capturing a *batch* plan: the serve path hands the
@@ -173,9 +174,10 @@ def tune_md(
 
     Each trial runs a short seeded compiled-engine MD segment with a fresh
     injected registry; the score is the modeled seconds/step implied by
-    the recorded counters (pairs per force call, rebuild rate, capture
-    rate, padded capacity).  Trajectories are bitwise-deterministic per
-    configuration, so the counters — and the profile — are too.
+    the recorded counters (evaluated and skinned-list pairs per force
+    call, rebuild rate, capture rate, padded capacity).  Trajectories are
+    bitwise-deterministic per configuration, so the counters — and the
+    profile — are too.
     """
     raw = config if config is not None else _default_md_config(seed)
     cfg = load_config(raw)
@@ -210,6 +212,7 @@ def tune_md(
         counters = snap["counters"]
         force_calls = max(snap["histograms"]["md.force_seconds"]["count"], 1)
         pairs_per_call = counters.get("md.pairs", 0) / force_calls
+        candidates_per_call = counters.get("md.candidate_pairs", 0) / force_calls
         rebuild_rate = counters.get("md.neighbor_rebuilds", 0) / force_calls
         capture_rate = counters.get("engine.captures", 0) / force_calls
         cap_pairs = snap["gauges"].get("engine.capacity_pairs", 0.0)
@@ -219,8 +222,9 @@ def tune_md(
         cost = (
             pairs_per_call * COST["pair_eval"]
             + pad_rows * COST["pair_pad"]
+            + candidates_per_call * COST["prune_pair"]
             + rebuild_rate
-            * (COST["rebuild_base"] + pairs_per_call * COST["rebuild_pair"])
+            * (COST["rebuild_base"] + candidates_per_call * COST["rebuild_pair"])
             + capture_rate
             * (COST["capture_base"] + cap_pairs * COST["capture_pair"])
             + check_rate * system.n_atoms * COST["check_atom"]
@@ -228,6 +232,7 @@ def tune_md(
         metrics = {
             "modeled_s_per_step": cost,
             "pairs_per_call": pairs_per_call,
+            "candidates_per_call": candidates_per_call,
             "rebuild_rate": rebuild_rate,
             "capture_rate": capture_rate,
             "capacity_pairs": cap_pairs,

@@ -19,7 +19,8 @@ import repro.autodiff as ad
 from repro.autodiff.kernels import matmulk
 from repro.engine import BufferArena, CompiledPotential, capture
 from repro.engine.plan import KERNEL_CLASSES
-from repro.md import Cell, System, neighbor_list
+from repro.md import Cell, LangevinThermostat, System, neighbor_list
+from repro.md.neighborlist import model_cutoff, prune_to_cutoff
 from repro.md.simulation import Simulation
 from repro.models import (
     AllegroConfig,
@@ -204,25 +205,29 @@ class TestCapacityOverflow:
 
 
 class TestWarmMDZeroRecaptures:
-    def test_fluctuating_pair_md_never_recaptures_after_warmup(self, rng):
+    def test_fluctuating_pair_md_never_recaptures_after_warmup(self):
         """The §V-C acceptance property: warm compiled MD does 0 recaptures.
 
-        Uses a jittered lattice (an equilibrated-condensed-phase stand-in):
-        pair counts fluctuate step to step but stay within the 5% headroom,
-        exactly the regime Fig. 5's padded allocator targets.
+        The force call sees the pairs inside the cutoff, whose count
+        changes every step, so the system must be stationary: the
+        supercritical LJ gas (kT > ε) of Fig. 5's real-engine run, whose
+        density does not drift.  The warmup samples the count's tail; after
+        it the 5% headroom absorbs every fluctuation.
         """
-        pot = make_potential("lj")
-        grid = np.stack(
-            np.meshgrid(*[np.arange(4) * 1.8 + 0.4] * 3, indexing="ij"), axis=-1
-        ).reshape(-1, 3)
-        n = len(grid)
-        pos = grid + rng.normal(scale=0.05, size=(n, 3))
-        system = System(pos, rng.integers(0, 2, n), Cell.cubic(7.2))
-        system.velocities = rng.normal(scale=0.015, size=(n, 3))
-        sim = Simulation(system, pot, dt=0.5, skin=0.3, engine="compiled")
-        sim.run(5)  # warmup: capture + capacity discovery
+        rng = np.random.default_rng(51)
+        n = 64
+        system = System(
+            rng.uniform(0, 7.2, (n, 3)), rng.integers(0, 2, n), Cell.cubic(7.2)
+        )
+        system.seed_velocities(300.0, rng)
+        pot = LennardJones(epsilon=0.02, sigma=1.0, cutoff=3.0, n_species=2)
+        sim = Simulation(
+            system, pot, dt=0.5, skin=0.3, engine="compiled",
+            thermostat=LangevinThermostat(300.0, friction=0.05, seed=7),
+        )
+        sim.run(300)  # warmup: capture + capacity discovery
         warm_captures = sim.engine_stats()["n_captures"]
-        result = sim.run(40)
+        result = sim.run(500)
         assert len(set(result.pair_counts.tolist())) > 1  # pairs fluctuated
         assert sim.engine_stats()["n_captures"] == warm_captures
 
@@ -302,6 +307,148 @@ class TestParallelEngineMode:
         r_c = ps.run(10)
         np.testing.assert_array_equal(r_c.potential_energies, r_e.potential_energies)
         assert ps.evaluator.engine_stats()["n_replays"] > 0
+
+
+def per_pair_allegro():
+    """Allegro with an ordered per-species-pair cutoff matrix (§V-B4)."""
+    return AllegroModel(
+        AllegroConfig(
+            n_species=2,
+            n_tensor=4,
+            latent_dim=16,
+            two_body_hidden=(16,),
+            latent_hidden=(16,),
+            edge_energy_hidden=(8,),
+            r_cut=3.5,
+            per_pair_cutoffs=np.array([[3.5, 2.2], [2.8, 3.1]]),
+            avg_num_neighbors=10.0,
+        )
+    )
+
+
+def oracle_potential(name):
+    return per_pair_allegro() if name == "allegro_pair_cutoffs" else make_potential(name)
+
+
+class TestPruneExactness:
+    """MD hands the model only the pairs of its skinned list inside the
+    cutoff, and that is exact: a pair beyond r_c contributes exact zeros
+    through every model's envelope (strict locality), so the skinned and
+    the pruned list give the same bits — eager, compiled and N-rank."""
+
+    SKIN = 0.8
+
+    @pytest.mark.parametrize("name", ALL_MODELS + ["allegro_pair_cutoffs"])
+    def test_pruned_list_is_bitwise_the_skinned_one(self, name, rng):
+        pot = oracle_potential(name)
+        system = make_system(rng, n=60, box=10.0)
+        skinned = neighbor_list(system, pot.cutoff + self.SKIN)
+        pruned = prune_to_cutoff(
+            skinned, system.positions, system.species, model_cutoff(pot)
+        )
+        assert 0 < pruned.n_edges < skinned.n_edges
+        for evaluator in (pot, pot.compile()):
+            e_s, f_s = evaluator.energy_and_forces(system, skinned)
+            e_p, f_p = evaluator.energy_and_forces(system, pruned)
+            assert e_p == e_s, name
+            np.testing.assert_array_equal(f_p, f_s, err_msg=name)
+
+    @pytest.mark.parametrize("name", ["lj", "allegro_pair_cutoffs"])
+    def test_pairs_at_the_cutoff_are_never_dropped_while_counted_inside(self, name):
+        """Pairs within 1e-12 Å of r_c, on both sides: the model may count
+        them inside, so the prune keeps every one; a pair past the margin
+        is dropped, and the model gave it nothing."""
+        pot = oracle_potential(name)
+        cutoff = model_cutoff(pot)
+        rng = np.random.default_rng(3)
+        direction = np.array([1.0, 2.0, 3.0]) / np.sqrt(14.0)
+        for si, sj in ((0, 0), (0, 1), (1, 0), (1, 1)):
+            rc = cutoff[si, sj] if np.ndim(cutoff) else cutoff
+            for delta in np.concatenate([np.linspace(-1e-12, 1e-12, 21), [1e-8]]):
+                origin = rng.uniform(4.0, 6.0, 3)
+                system = System(
+                    np.stack([origin, origin + (rc + delta) * direction]),
+                    np.array([si, sj]),
+                    Cell.cubic(20.0),
+                )
+                skinned = neighbor_list(system, pot.cutoff + self.SKIN)
+                pruned = prune_to_cutoff(
+                    skinned, system.positions, system.species, cutoff
+                )
+                i_to_j = (skinned.edge_index[0] == 0).nonzero()[0]
+                kept = (pruned.edge_index[0] == 0).any()
+                assert kept == (delta < 1e-9), (si, sj, delta)
+                assert len(i_to_j) == 1
+                e_s, f_s = pot.energy_and_forces(system, skinned)
+                e_p, f_p = pot.energy_and_forces(system, pruned)
+                assert e_p == e_s, (si, sj, delta)
+                np.testing.assert_array_equal(f_p, f_s)
+
+    @pytest.mark.parametrize("name", ["lj", "allegro_pair_cutoffs"])
+    def test_four_rank_forces_follow_the_per_step_prune(self, name):
+        """Every step, between rebuilds too, the shards evaluate their
+        pruned lists and the assembled forces match serial."""
+        pot = oracle_potential(name)
+        rng = np.random.default_rng(17)
+        grid = np.stack(
+            np.meshgrid(*[np.arange(5) * 2.0] * 3, indexing="ij"), axis=-1
+        ).reshape(-1, 3)
+        system = System(
+            grid + rng.normal(scale=0.05, size=grid.shape),
+            rng.integers(0, 2, len(grid)),
+            Cell.cubic(10.0),
+        )
+        system.seed_velocities(300.0, rng)
+        sim = ParallelSimulation(system, pot, n_ranks=4, dt=0.5, skin=0.4)
+        worst, shard_lists = [], set()
+
+        def check(step, s):
+            _, f_serial = pot.energy_and_forces(s.system)
+            worst.append(np.abs(s._forces - f_serial).max())
+            work = s.last_stats
+            assert (work.n_edges <= work.n_candidates).all()
+            assert work.n_edges.sum() < work.n_candidates.sum()
+            shard_lists.add(id(s.evaluator._shards))
+
+        sim.add_callback(check)
+        sim.run(8)
+        assert max(worst) <= 1e-10
+        assert len(shard_lists) < 8  # steps without a rebuild were checked
+        counters = sim.stats()["counters"]
+        assert counters["md.candidate_pairs"] > counters["md.pairs"]
+
+    def test_counters_and_span_carry_both_sizes(self, rng):
+        """``md.pairs`` counts evaluated pairs, ``md.candidate_pairs`` and
+        the ``md.neighbor`` span's ``candidates`` the skinned list."""
+        from repro import obs
+        from repro.obs import Tracer
+
+        pot = make_potential("lj")
+        system = make_system(rng, n=40, box=9.0)
+        tracer = Tracer(enabled=True, max_traces=64)
+        old = obs.set_tracer(tracer)
+        try:
+            sim = Simulation(system, pot, dt=0.5, skin=0.4)
+            res = sim.run(5)
+        finally:
+            obs.set_tracer(old)
+        counters = sim.stats()["counters"]
+        assert counters["md.pairs"] < counters["md.candidate_pairs"]
+        # The seeding force call's span is a root, each step's a child.
+        roots = tracer.export()["traces"]
+        seed = [r["counters"] for r in roots if r["name"] == "md.neighbor"]
+        steps = [
+            c["counters"]
+            for r in roots
+            if r["name"] == "md.step"
+            for c in r["children"]
+            if c["name"] == "md.neighbor"
+        ]
+        assert len(seed) == 1 and len(steps) == 5
+        assert [c["pairs"] for c in steps] == res.pair_counts.tolist()
+        neighbor = seed + steps
+        assert sum(c["pairs"] for c in neighbor) == counters["md.pairs"]
+        assert sum(c["candidates"] for c in neighbor) == counters["md.candidate_pairs"]
 
 
 class TestConcurrentCapture:

@@ -13,7 +13,7 @@ from repro.md import (
     neighbor_list,
     ordered_pair_counts,
 )
-from repro.md.neighborlist import NeighborList, triplet_list
+from repro.md.neighborlist import NeighborList, prune_to_cutoff, triplet_list
 
 
 @pytest.fixture
@@ -224,6 +224,41 @@ class TestVerletList:
     def test_rejects_negative_skin(self):
         with pytest.raises(ValueError):
             VerletList(2.0, skin=-0.1)
+
+    def test_get_returns_the_pairs_inside_the_cutoff(self, rng):
+        """Built at cutoff + skin, handed out pruned: between rebuilds the
+        list equals a fresh build at the exact cutoff."""
+        s = System(rng.uniform(0, 10, (100, 3)), np.zeros(100, int), Cell.cubic(10.0))
+        v = VerletList(2.5, skin=0.5)
+        for _ in range(4):
+            nl = v.get(s)
+            exact = neighbor_list(s, 2.5)
+            assert nl.n_edges == exact.n_edges < v.n_candidates
+            np.testing.assert_allclose(
+                np.sort(nl.distances(s.positions)),
+                np.sort(exact.distances(s.positions)),
+                rtol=1e-12,
+            )
+            s.positions += rng.normal(scale=0.03, size=s.positions.shape)
+        assert v.n_builds == 1
+
+    def test_ordered_pair_matrix_cutoff(self, rng):
+        """A matrix cutoff builds at its max + skin and prunes per ordered
+        species pair — the same edges as filtering an exact-max list."""
+        s = System(
+            rng.uniform(0, 10, (150, 3)), rng.integers(0, 2, 150), Cell.cubic(10.0)
+        )
+        cut = np.array([[3.0, 1.2], [2.4, 3.0]])
+        v = VerletList(cut, skin=0.4)
+        nl = v.get(s)
+        ref = filter_by_pair_cutoffs(neighbor_list(s, 3.0), s.positions, s.species, cut)
+        assert _canon(nl) == _canon(ref)
+        assert v.n_candidates == neighbor_list(s, 3.4).n_edges
+
+    def test_unchanged_list_is_returned_as_is(self, rng):
+        s = System(rng.uniform(0, 10, (60, 3)), np.zeros(60, int), Cell.cubic(10.0))
+        nl = neighbor_list(s, 2.5)
+        assert prune_to_cutoff(nl, s.positions, s.species, 2.5) is nl
 
 
 class TestTripletList:

@@ -34,7 +34,7 @@ serve
 health
     The serving health state machine (``HEALTHY → DEGRADED → SHEDDING →
     DRAINING``) with hysteresis thresholds and dwell times, driven by
-    obs signals and honored by serve admission and the tune controllers.
+    obs signals and honored by serve admission and the fallback path.
 obs
     Unified observability: the metrics registry (counters, gauges,
     histograms, labeled series), hierarchical span tracing with bounded
@@ -43,8 +43,8 @@ obs
 tune
     Measured autotuning over the stack's performance knobs: deterministic
     offline searches (skin, padding, batching, plan ladders, process
-    grids), persisted ``TuningProfile`` artifacts, and off-by-default
-    online hysteresis controllers driven by the obs registry.
+    grids) scored on real runs, and the persisted ``TuningProfile``
+    artifacts that set those knobs once, in config.
 traj
     The trajectory data plane: binary chunked store with per-chunk CRCs,
     delta+zlib compression and a footer index; asynchronous off-hot-path

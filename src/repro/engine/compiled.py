@@ -230,22 +230,6 @@ class CompiledPotential(PotentialWrapper):
             self._template = None
             self._pool.clear()
 
-    def set_padding(self, fraction: float) -> None:
-        """Retarget the padding fraction for *future* captures.
-
-        The online :class:`~repro.tune.controllers.RepadController` calls
-        this when recapture counters spike.  The current plan (and its
-        capacities) stays live — only the next capture pads wider — so
-        widening never forces the recapture it is meant to prevent.
-        An exact-fit engine (``padding=None``) becomes a padded one.
-        """
-        if fraction < 0:
-            raise ValueError("padding fraction must be >= 0")
-        with self._capture_lock:
-            self.exact_fit = False
-            self.atom_policy.fraction = float(fraction)
-            self.pair_policy.fraction = float(fraction)
-
     def stats(self) -> dict:
         """Capture/replay counters and arena statistics.
 

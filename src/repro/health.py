@@ -1,16 +1,15 @@
 """Server health state machine with hysteresis and dwell times.
 
 ``HealthMonitor`` condenses the observability signals the serving stack
-already exports — queue depth, p99 latency, circuit-breaker state,
-watchdog recoveries — into one four-state machine::
+already exports — queue depth, p99 latency, circuit-breaker state — into
+one four-state machine::
 
     HEALTHY ──▶ DEGRADED ──▶ SHEDDING ──▶ DRAINING
        ◀──────    ◀──────       (drain is terminal)
 
 * ``HEALTHY``  — normal serving.
 * ``DEGRADED`` — pressure building: the server switches models to their
-  registered fallback chain (compiled→eager or a cheaper model) and the
-  tune controllers freeze (no knob experiments while stressed).
+  registered fallback chain (compiled→eager or a cheaper model).
 * ``SHEDDING`` — overload: only the strongest priority class is
   admitted; everything else sheds with a typed ``LoadShed``.
 * ``DRAINING`` — shutdown in progress: no admission at all.
@@ -90,9 +89,9 @@ class HealthThresholds:
         """Severity level the raw signals ask for, thresholds scaled.
 
         ``scale=1.0`` gives entry thresholds; ``scale=hysteresis`` gives
-        the (lower) exit thresholds.  A tripped circuit breaker or a
-        fresh watchdog recovery floors the level at DEGRADED: the server
-        is demonstrably struggling even if the queue looks fine.
+        the (lower) exit thresholds.  A tripped circuit breaker floors the
+        level at DEGRADED: the server is demonstrably struggling even if
+        the queue looks fine.
         """
         level = 0
         q = float(signals.get("queue_frac", 0.0))
@@ -107,7 +106,7 @@ class HealthThresholds:
                     level = max(level, 2)
                 elif p99 >= self.p99_degraded_s * scale:
                     level = max(level, 1)
-        if signals.get("breaker_open") or signals.get("recoveries"):
+        if signals.get("breaker_open"):
             level = max(level, 1)
         return level
 
@@ -146,13 +145,9 @@ class HealthMonitor:
         self._up_streak = 0
         self._down_streak = 0
         self._draining = False
-        self._recoveries_pending = 0
         self._history: List[Tuple[int, str, str]] = []
         self._registry = None
         self._source: Optional[Callable[[], Mapping]] = None
-        #: Optional callback ``(old_state, new_state)`` fired outside the
-        #: monitor lock after every transition.
-        self.on_transition: Optional[Callable[[str, str], None]] = None
 
     # -- wiring ---------------------------------------------------------------
     def bind(self, registry) -> "HealthMonitor":
@@ -166,11 +161,6 @@ class HealthMonitor:
         """Signal source polled when :meth:`tick` is called without one."""
         self._source = source
         return self
-
-    def notify_recovery(self) -> None:
-        """Record a watchdog recovery; floors the next tick at DEGRADED."""
-        with self._lock:
-            self._recoveries_pending += 1
 
     # -- state ----------------------------------------------------------------
     @property
@@ -196,20 +186,13 @@ class HealthMonitor:
         """Advance the machine one observation; returns the new state.
 
         ``signals`` maps ``queue_frac`` (pending / max_queue), optional
-        ``p99_s``, ``breaker_open`` (bool) and ``recoveries`` (count
-        since last tick).  When omitted, the attached source is polled.
+        ``p99_s`` and ``breaker_open`` (bool).  When omitted, the attached
+        source is polled.
         """
         if signals is None:
             signals = self._source() if self._source is not None else {}
-        callbacks: List[Tuple[str, str]] = []
         with self._lock:
             self._ticks += 1
-            if self._recoveries_pending:
-                signals = dict(signals)
-                signals["recoveries"] = (
-                    signals.get("recoveries", 0) + self._recoveries_pending
-                )
-                self._recoveries_pending = 0
             if self._draining:
                 new_level = self._level  # terminal; begin_drain() moved us
             else:
@@ -220,13 +203,13 @@ class HealthMonitor:
                     self._up_streak += 1
                     self._down_streak = 0
                     if self._up_streak >= self.dwell_up:
-                        self._record(self._level + 1, callbacks)
+                        self._record(self._level + 1)
                         self._up_streak = 0
                 elif stay < self._level:
                     self._down_streak += 1
                     self._up_streak = 0
                     if self._down_streak >= self.dwell_down:
-                        self._record(self._level - 1, callbacks)
+                        self._record(self._level - 1)
                         self._down_streak = 0
                 else:
                     # Hysteresis band: the signal neither clears the next
@@ -234,26 +217,21 @@ class HealthMonitor:
                     self._up_streak = 0
                     self._down_streak = 0
                 new_level = self._level
-            state = HEALTH_STATES[new_level]
-        self._fire(callbacks)
-        return state
+            return HEALTH_STATES[new_level]
 
     def begin_drain(self) -> str:
         """Force the machine to DRAINING, stepping through every
         intermediate state (each adjacent transition is recorded)."""
-        callbacks: List[Tuple[str, str]] = []
         with self._lock:
             self._draining = True
             while self._level < _STATE_LEVELS["DRAINING"]:
-                self._record(self._level + 1, callbacks)
-        self._fire(callbacks)
+                self._record(self._level + 1)
         return self.state
 
-    def _record(self, new_level: int, callbacks: List[Tuple[str, str]]) -> None:
-        """Move to an *adjacent* level, appending history/metrics/callbacks.
+    def _record(self, new_level: int) -> None:
+        """Move to an *adjacent* level, appending history and metrics.
 
-        Callers hold the lock; callbacks collected here are fired by the
-        caller after release.
+        Callers hold the lock.
         """
         if abs(new_level - self._level) != 1:
             raise AssertionError("health transitions must be adjacent")
@@ -269,13 +247,6 @@ class HealthMonitor:
             self._registry.counter(
                 "health.transitions", {"from": old, "to": new}
             ).inc()
-        callbacks.append((old, new))
-
-    def _fire(self, callbacks: List[Tuple[str, str]]) -> None:
-        if self.on_transition is None:
-            return
-        for old, new in callbacks:
-            self.on_transition(old, new)
 
     def stats(self) -> dict:
         """State, level, tick count and recent transitions."""

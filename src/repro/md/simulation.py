@@ -134,10 +134,6 @@ class Simulation:
         Engine capture headroom (paper §V-C) when ``engine="compiled"``;
         forwarded to ``potential.compile(padding=...)``.  Ignored for
         eager runs and pre-compiled evaluators.
-    controllers:
-        Optional :class:`~repro.tune.ControllerSet` (off by default).
-        Bound to this simulation's registry and ticked once per step;
-        frozen automatically whenever the watchdog recover policy fires.
     """
 
     def __init__(
@@ -153,13 +149,10 @@ class Simulation:
         registry: Optional[Registry] = None,
         neighbor_every: int = 1,
         padding: Optional[float] = 0.05,
-        controllers=None,
     ) -> None:
         from ..engine import CompiledPotential
 
-        self._init_loop(
-            system, dt, thermostat, barostat, watchdog, registry, controllers
-        )
+        self._init_loop(system, dt, thermostat, barostat, watchdog, registry)
         if isinstance(potential, CompiledPotential):
             # Accept a pre-compiled evaluator directly; keep the raw model
             # for cutoff / pair-cutoff bookkeeping.
@@ -193,7 +186,6 @@ class Simulation:
         barostat=None,
         watchdog=None,
         registry: Optional[Registry] = None,
-        controllers=None,
     ) -> None:
         """State the step loop reads, whatever computes the forces.
 
@@ -209,9 +201,6 @@ class Simulation:
         self.thermostat = thermostat
         self.barostat = barostat
         self.watchdog = watchdog
-        self.controllers = controllers
-        if controllers is not None:
-            controllers.bind(self.obs)
         self.step_count = 0
         self._forces: Optional[np.ndarray] = None
         self._pe: float = 0.0
@@ -262,8 +251,6 @@ class Simulation:
         snap["phases"] = get_tracer().phase_totals("md.")
         # The calling thread's tape arena (eager force calls run on it).
         snap["tape_arena"] = arena.stats()
-        if self.controllers is not None:
-            snap["controllers"] = self.controllers.stats()
         return snap
 
     def add_callback(self, fn: Callable[[int, "Simulation"], None]) -> None:
@@ -357,17 +344,13 @@ class Simulation:
         self._pe = float(state["pe"])
         self._forces = _copy_or_none(state["forces"])
         _restore_coupling_state(self.thermostat, state["thermostat"])
-        # Parallel checkpoints written before the loops merged have no
-        # barostat entry.
-        _restore_coupling_state(self.barostat, state.get("barostat"))
+        _restore_coupling_state(self.barostat, state["barostat"])
         self._set_backend_state(state)
 
     def _set_backend_state(self, state: dict) -> None:
         verlet_state = state["verlet"]
         self.verlet.n_builds = int(verlet_state["n_builds"])
-        # Older checkpoints predate the check-cadence counter; 0 restores
-        # the legacy check-every-step schedule for them.
-        self.verlet._since_check = int(verlet_state.get("since_check", 0))
+        self.verlet._since_check = int(verlet_state["since_check"])
         self.verlet._ref_positions = _copy_or_none(verlet_state["ref_positions"])
         if verlet_state["nl"] is None:
             self.verlet._nl = None
@@ -397,10 +380,6 @@ class Simulation:
         self.watchdog.reset_history()
         self.watchdog.on_recovered()
         self._c_recoveries.inc()
-        if self.controllers is not None:
-            # The tuner must not mistake the recovery transient for the
-            # effect of its own last move: freeze every controller.
-            self.controllers.notify_recovery()
         return False
 
     def run(
@@ -554,8 +533,6 @@ class Simulation:
                     writer.record(self.step_count, t_now, self.system, pe=self._pe)
                 for cb in self._callbacks:
                     cb(self.step_count, self)
-                if self.controllers is not None:
-                    self.controllers.tick()
                 if (
                     manager is not None
                     and (self.step_count - start) % checkpoint_every == 0

@@ -68,8 +68,8 @@ class Executor:
             self._c_captures = m.counter("plan_captures")
             self._c_replays = m.counter("plan_replays")
 
-    def run(self, batch: List[ForceRequest]) -> bool:
-        """Resolve every request of ``batch``; False if none was evaluated."""
+    def run(self, batch: List[ForceRequest]) -> None:
+        """Resolve every request of ``batch``."""
         now = time.monotonic()
         # A request stop() already failed while it was queued is skipped.
         batch = [req for req in batch if not req.future.done()]
@@ -77,13 +77,12 @@ class Executor:
             self._h_queue_wait.observe(now - req.t_enqueue)
         live = self.expire(batch, now)
         if not live:
-            return False
+            return
         self._c_batches.inc()
         self._h_occupancy.observe(len(live))
         with span("serve.batch") as sp:
             sp.add("requests", len(live))
             self._evaluate(live)
-        return True
 
     def expire(
         self, reqs: List[ForceRequest], now: Optional[float] = None

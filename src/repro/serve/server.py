@@ -25,9 +25,8 @@ shutdown (``DrainTimeout`` once the drain deadline passes, so a stalled
 worker cannot hang ``stop``).  With a :class:`~repro.serve.qos.QoSPolicy`
 (or an explicit :class:`~repro.health.HealthMonitor`) the health state
 machine (``HEALTHY → DEGRADED → SHEDDING → DRAINING``) gates admission,
-reroutes ``DEGRADED`` batches through fallback models (results carry
-``degraded=True``) and freezes the tune controllers; without one it only
-observes.
+and reroutes ``DEGRADED`` batches through fallback models (results carry
+``degraded=True``); without one it only observes.
 """
 
 from __future__ import annotations
@@ -93,10 +92,8 @@ class ForceServer:
         ``stop(drain=True)`` in seconds (past it, pending requests fail
         with :class:`DrainTimeout`; ``None`` waits without bound); whether
         the constructor starts the server.
-    metrics, controllers:
-        The :class:`~repro.obs.Registry` every stage counts into, and an
-        optional :class:`~repro.tune.ControllerSet`, ticked after each
-        evaluated batch and frozen whenever the server is not ``HEALTHY``.
+    metrics:
+        The :class:`~repro.obs.Registry` every stage counts into.
     """
 
     def __init__(
@@ -115,7 +112,6 @@ class ForceServer:
         start: bool = True,
         adaptive: bool = True,
         plan_cache_opts: Optional[dict] = None,
-        controllers=None,
         qos: Optional[QoSPolicy] = None,
         health: Optional[HealthMonitor] = None,
     ) -> None:
@@ -135,13 +131,9 @@ class ForceServer:
         self.drain_timeout = None if drain_timeout is None else float(drain_timeout)
         self.metrics = metrics or Registry()
         self.qos = qos
-        self.controllers = controllers
-        if controllers is not None:
-            controllers.bind(self.metrics)
         self.health = health if health is not None else HealthMonitor()
         self.health.attach(self._health_signals)
         self.health.bind(self.metrics)
-        self.health.on_transition = self._on_health_transition
         # QoS enforcement is opt-in: passing a policy (or an explicit
         # monitor) turns on priority shedding, health-gated admission and
         # degraded fallbacks.  Without either, the monitor still observes
@@ -173,12 +165,8 @@ class ForceServer:
 
     @property
     def max_queue(self) -> int:
-        """The admission bound (the tune ``AdmissionController`` moves it)."""
+        """The admission bound: pending requests beyond it shed."""
         return self.admission.max_queue
-
-    @max_queue.setter
-    def max_queue(self, value: int) -> None:
-        self.admission.max_queue = int(value)
 
     # -- lifecycle ------------------------------------------------------------
     def start(self, workers: bool = True) -> "ForceServer":
@@ -302,16 +290,12 @@ class ForceServer:
                     return
                 continue
             try:
-                evaluated = self.executor.run(batch)
+                self.executor.run(batch)
             except Exception as exc:  # defensive: a bug must not kill the pool
                 for req in batch:
                     self._ledger.fail(req, exc, "requests_failed", "model_failure")
                 continue
-            self._health_tick()
-            if evaluated and self.controllers is not None:
-                # Per-batch cadence; ControllerSet.tick() is try-lock
-                # guarded, so concurrent workers never queue on it.
-                self.controllers.tick()
+            self.health.tick()
 
     # -- health ---------------------------------------------------------------
     def _health_signals(self) -> dict:
@@ -321,17 +305,6 @@ class ForceServer:
             "p99_s": self._h_latency.percentile(0.99),
             "breaker_open": self.registry.any_breaker_open(),
         }
-
-    def _on_health_transition(self, old: str, new: str) -> None:
-        if self.controllers is not None:
-            self.controllers.notify_health(new)
-
-    def _health_tick(self) -> None:
-        """Advance the health monitor and keep controllers frozen while
-        the server is not HEALTHY (repeated calls extend the freeze)."""
-        state = self.health.tick()
-        if self.controllers is not None:
-            self.controllers.notify_health(state)
 
     # -- observability --------------------------------------------------------
     def stats(self) -> dict:
@@ -355,8 +328,6 @@ class ForceServer:
             "class_bounds": dict(self.admission.class_bounds),
             "pending_by_class": self.batcher.pending_by_class(),
         }
-        if self.controllers is not None:
-            snap["controllers"] = self.controllers.stats()
         return snap
 
 

@@ -5,7 +5,7 @@ padding (§V-C), plan-ladder growth, batching windows, neighbor skins,
 process grids.  This package closes the loop the ``repro.obs`` registry
 opened: it *measures* those knobs.
 
-Three layers:
+Two layers:
 
 * **offline tuner** (:mod:`~repro.tune.targets`): deterministic seeded
   coordinate-descent searches over declared
@@ -15,22 +15,14 @@ Three layers:
 * **profiles** (:mod:`~repro.tune.profile`): the
   :class:`TuningProfile` JSON artifact (byte-deterministic for a given
   seed) plus :func:`apply_profile`, the one entry point that folds tuned
-  values into a run/serve config;
-* **online controllers** (:mod:`~repro.tune.controllers`): off-by-default
-  guardrailed hysteresis controllers that adapt the serve batch window,
-  admission cap, and engine padding at runtime.
+  values into a run/serve config.
+
+A tuned value is set once, in config, and stays put for the run.
 
 CLI: ``repro tune --target serve --out profile.json`` then
 ``repro serve --profile profile.json``.
 """
 
-from .controllers import (
-    AdmissionController,
-    BatchWindowController,
-    ControllerSet,
-    HysteresisController,
-    RepadController,
-)
 from .profile import PROFILE_KIND, TuningProfile, apply_profile
 from .search import (
     TIE_TOL,
@@ -68,9 +60,4 @@ __all__ = [
     "TuningProfile",
     "apply_profile",
     "PROFILE_KIND",
-    "HysteresisController",
-    "BatchWindowController",
-    "AdmissionController",
-    "RepadController",
-    "ControllerSet",
 ]

@@ -90,8 +90,8 @@ INFEASIBLE_SCORE = 1e30
 # Every knob is a field of the config section its profile is applied to
 # (``md`` / ``serve``), and starts the search from that field's default.
 # Serve knobs are the ones an inline run observes; the worker count and
-# the batch window stay hand-set (``BatchWindowController`` adapts the
-# window online).
+# the batch window, which only a threaded run with a clock can score,
+# stay hand-set in config.
 MD_SPACE = ParamSpace(
     [
         Param("skin", (0.1, 0.2, 0.4, 0.7, 1.0), MDConfig.skin),
@@ -359,7 +359,9 @@ def tune_parallel(
     :class:`~repro.parallel.ParallelForceEvaluator` runs a few force
     evaluations per candidate and the deterministic comm-byte and
     load-imbalance counters decide the winner.  Unverified candidates
-    keep their model scores in the tried table (``verified: false``).
+    keep their model scores in the tried table (``verified: false``); a
+    candidate whose bricks are thinner than cutoff + skin scores
+    :data:`INFEASIBLE_SCORE` and is never picked.
     """
     # The built-in workload's system and potential stand in for whichever
     # of the two the given config leaves out.
@@ -394,13 +396,17 @@ def tune_parallel(
     def measure(dims: Tuple[int, int, int]) -> Tuple[float, dict]:
         registry = Registry()
         system = build_system(cfg.system)
-        evaluator = ParallelForceEvaluator(
-            potential,
-            ProcessGrid(dims, system.cell),
-            skin=0.3,
-            engine="eager",
-            registry=registry,
-        )
+        try:
+            evaluator = ParallelForceEvaluator(
+                potential,
+                ProcessGrid(dims, system.cell),
+                skin=0.3,
+                engine="eager",
+                registry=registry,
+            )
+        except ValueError as exc:
+            # A brick thinner than cutoff + skin along some axis.
+            return INFEASIBLE_SCORE, {"infeasible": str(exc)}
         work = None
         for _ in range(max(n_steps, 1)):
             bytes_before = evaluator.cluster.stats.total_bytes()

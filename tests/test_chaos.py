@@ -387,98 +387,3 @@ class TestChaosCLI:
         clean["bug"] = None
         write_json(good, clean)
         assert main(["chaos", "replay", str(good), "--quiet"]) == 0
-
-
-def _greedy_knob():
-    """A controller that wants to double its knob every ``dwell`` ticks."""
-    from repro.tune import HysteresisController
-
-    class Greedy(HysteresisController):
-        def __init__(self):
-            super().__init__(
-                "greedy", lo=0.0, hi=100.0, dwell=4, min_abs_step=0.5
-            )
-            self.value = 1.0
-            self.adapt_ticks = []
-            self.recovery_ticks = []
-
-        def read_signal(self):
-            return 5.0
-
-        def current(self):
-            return self.value
-
-        def apply_value(self, value):
-            self.value = value
-            self.adapt_ticks.append(self._ticks)
-
-        def propose(self, ewma):
-            return self.value * 2.0
-
-        def notify_recovery(self):
-            self.recovery_ticks.append(self._ticks)
-            super().notify_recovery()
-
-    return Greedy()
-
-
-class TestControllersFrozenThroughChaos:
-    def test_tune_controllers_stand_down_through_watchdog_recovery(
-        self, tmp_path
-    ):
-        """e2e: chaos-injected corruption -> watchdog rollback -> the tune
-        controllers freeze and make no adaptation for the rest of the run."""
-        from repro.md import Cell, NoseHooverThermostat, Simulation, System
-        from repro.models import LennardJones
-        from repro.obs import Registry
-        from repro.resilience import (
-            CheckpointManager,
-            FaultPlan,
-            FaultyPotential,
-            ForceWatchdog,
-        )
-        from repro.tune import ControllerSet
-
-        rng = np.random.default_rng(7)
-        g = (
-            np.stack(
-                np.meshgrid(*[np.arange(4)] * 3, indexing="ij"), -1
-            ).reshape(-1, 3)
-            * 1.7
-        )
-        system = System(
-            g + rng.normal(scale=0.02, size=g.shape),
-            np.zeros(len(g), int),
-            Cell.cubic(4 * 1.7),
-        )
-        system.seed_velocities(30.0, np.random.default_rng(8))
-        lj = LennardJones(epsilon=0.05, sigma=1.5, cutoff=3.0)
-
-        plan = FaultPlan(seed=0, at={POTENTIAL_CORRUPT: [20]})
-        controller = _greedy_knob()
-        registry = Registry()
-        sim = Simulation(
-            system,
-            FaultyPotential(lj, plan, mode="nan"),
-            dt=0.2,
-            thermostat=NoseHooverThermostat(30.0, tau=25.0),
-            watchdog=ForceWatchdog(
-                policy="recover", spike_factor=None, max_recoveries=8
-            ),
-            registry=registry,
-            controllers=ControllerSet([controller]),
-        )
-        manager = CheckpointManager(tmp_path / "ckpt", keep_last=4)
-        sim.run(24, checkpoint_every=6, checkpoint_manager=manager)
-
-        n_recoveries = sim.stats()["n_recoveries"]
-        assert n_recoveries >= 1
-        assert controller.recovery_ticks, "recovery must reach the controllers"
-        # The controller was live before the fault...
-        first_recovery = min(controller.recovery_ticks)
-        assert any(t < first_recovery for t in controller.adapt_ticks)
-        # ...and adapted exactly zero times after the watchdog fired.
-        assert all(t <= first_recovery for t in controller.adapt_ticks)
-        assert controller.stats()["frozen"] is True
-        snap = registry.snapshot()["counters"]
-        assert snap.get("md.recoveries", 0) == n_recoveries

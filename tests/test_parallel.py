@@ -4,16 +4,12 @@ The load-bearing assertion: parallel energies/forces equal serial ones for
 every rank count — the correctness half of the paper's scalability claim.
 """
 
-import copy
-import pickle
-
 import numpy as np
 import pytest
 
 from repro.data import water_unit_cell
 from repro.md import (
     Cell,
-    LangevinThermostat,
     Simulation,
     System,
     energy_drift_per_atom,
@@ -267,44 +263,3 @@ class TestOneStepLoop:
         sim = ParallelSimulation(system, lj, n_ranks=4, dt=0.2)
         sim.run(6, dump_every=2, dump_path=tmp_path / "par.rtrj")
         assert sim.stats()["counters"]["traj.frames_recorded"] == 3
-
-    def test_parent_layout_checkpoint_restores_bitwise(self, rng):
-        """A checkpoint in the pre-merge key layout (no ``barostat`` entry)
-        still loads, and the restored run continues bitwise."""
-        base, lj = _lj_system(rng, n_side=5)
-        base.seed_velocities(30.0, rng)
-
-        def make():
-            return ParallelSimulation(
-                base.copy(), lj, n_ranks=4, dt=0.2,
-                thermostat=LangevinThermostat(30.0, friction=0.05, seed=3),
-            )
-
-        ref = make()
-        ref.run(12)
-
-        sim1 = make()
-        sim1.run(5)
-        ev = sim1.evaluator
-        state = {
-            "format": 1,
-            "parallel": True,
-            "step_count": sim1.step_count,
-            "positions": sim1.system.positions.copy(),
-            "velocities": sim1.system.velocities.copy(),
-            "cell_lengths": sim1.system.cell.lengths.copy(),
-            "pe": float(sim1._pe),
-            "forces": sim1._forces.copy(),
-            "thermostat": {"rng": sim1.thermostat.rng.bit_generator.state},
-            "shards": copy.deepcopy(ev._shards),
-            "ref_positions": ev._ref_positions.copy(),
-            "prev_owner": ev.decomp._prev_owner.copy(),
-        }
-        assert set(state) <= set(sim1.get_state())
-
-        sim2 = make()
-        sim2.set_state(pickle.loads(pickle.dumps(state)))
-        sim2.run(7)
-        assert sim2.step_count == 12
-        np.testing.assert_array_equal(sim2.system.positions, ref.system.positions)
-        np.testing.assert_array_equal(sim2.system.velocities, ref.system.velocities)

@@ -665,6 +665,7 @@ class TestTornWrites:
         res = sim.run(24, checkpoint_every=6, checkpoint_manager=manager)
 
         assert sim.stats()["n_recoveries"] >= 1
+        assert sim.obs.snapshot()["counters"]["md.recoveries"] == sim.stats()["n_recoveries"]
         assert manager.n_torn == 1
         assert sim.obs.snapshot()["counters"]["checkpoint.skipped_corrupt"] >= 1
         np.testing.assert_array_equal(

@@ -15,8 +15,10 @@ from repro.config import (
     build_potential,
     build_server,
     build_simulation,
+    build_system,
 )
 from repro.obs.jsonio import SCHEMA_VERSION
+from repro.parallel.topology import ProcessGrid
 from repro.serve import ForceServer
 from repro.tune import (
     MD_SPACE,
@@ -156,6 +158,25 @@ class TestTargets:
     def test_unknown_target_rejected(self):
         with pytest.raises(ValueError, match="unknown tuning target"):
             run_target("gpu", None)
+
+    def test_parallel_default_pick_is_feasible(self):
+        # The built-in 81-atom box (L ≈ 9.3 Å) on 8 ranks: one model-ranked
+        # grid has 2.33 Å bricks, below cutoff + skin.  It is scored, not
+        # raised, and never picked.
+        report = run_target("parallel")
+        raw = targets._default_md_config(0)
+        cell = build_system(raw["system"]).cell
+        cutoff = build_potential(raw["potential"]).cutoff
+        dims = tuple(report["best"]["grid"])
+        ProcessGrid(dims, cell).validate_cutoff(cutoff + 0.3)
+        assert report["score"] < INFEASIBLE_SCORE
+        infeasible = [
+            t for t in report["trials"] if "infeasible" in t["metrics"]
+        ]
+        assert infeasible, "the default workload has an infeasible top-k grid"
+        for trial in infeasible:
+            assert trial["score"] == INFEASIBLE_SCORE
+            assert "below the cutoff" in trial["metrics"]["infeasible"]
 
 
 class TestServeTrial:
@@ -331,6 +352,14 @@ class TestCLI:
             profile = tune_config(None, "md", out=out, steps=10, quiet=True)
         MD_SPACE.validate(profile.best("md"))
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_tune_parallel_cli_without_config(self, tmp_path):
+        out1, out2 = tmp_path / "p1.json", tmp_path / "p2.json"
+        for out in (out1, out2):
+            rc = main(["tune", "--target", "parallel", "--out", str(out), "--quiet"])
+            assert rc == 0
+        assert out1.read_bytes() == out2.read_bytes()
+        assert json.loads(out1.read_text())["provenance"]["targets"] == ["parallel"]
 
     def test_run_with_profile_flag(self, tmp_path, capsys):
         profile = TuningProfile(

@@ -532,7 +532,7 @@ def _blocked_matmul(a, b, out):
     rem = M - full
     if rem:
         # Private to this call: plans with equal layer widths replay
-        # concurrently (serve workers, the lock-free _EvalState pool).
+        # concurrently (serve workers on distinct plan-cache buckets).
         tail_a = np.empty((_MM_BLOCK, K), res.dtype)
         tail_a[:rem] = a[full:]
         tail_a[rem:] = 0.0

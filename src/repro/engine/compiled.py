@@ -38,18 +38,14 @@ __all__ = ["CompiledPotential"]
 
 
 class _EvalState:
-    """One private, bindable copy of the captured plan.
+    """The captured plan and the padded input buffers it reads.
 
-    All mutable evaluation state — the padded input buffers and the plan's
-    compute buffers — lives here, so two states can bind and execute
-    concurrently without sharing a single array.  States are checked out of
-    a pool with ``list.pop()`` and returned with ``list.append()`` (both
-    atomic under the GIL), which is what keeps replays lock-free.
+    :meth:`CompiledPotential._bind` overwrites the buffers in place before
+    every replay; the plan's compute buffers are its own arena.
     """
 
     __slots__ = (
         "plan",
-        "epoch",
         "cap_atoms",
         "cap_pairs",
         "pos_buf",
@@ -57,12 +53,7 @@ class _EvalState:
         "mask_buf",
         "input_bufs",
         "pad_shift",
-        "n_replays",
     )
-
-    def __init__(self) -> None:
-        self.plan: Optional[ExecutionPlan] = None
-        self.n_replays = 0
 
 
 class PotentialWrapper:
@@ -117,6 +108,10 @@ class CompiledPotential(PotentialWrapper):
     The captured plan bakes in the *current* parameter values (including
     pre-fused tensor-product weights).  After a training update, call
     :meth:`invalidate` (or build a fresh compiled potential) to re-capture.
+
+    One plan, one caller at a time, as in pair_allegro's one model per
+    rank: capture, bind, replay and the replay-failure chain all run under
+    one lock, so concurrent callers are correct and served in turn.
     """
 
     def __init__(
@@ -149,8 +144,8 @@ class CompiledPotential(PotentialWrapper):
         # Event counters live in an obs.Registry (private by default, or a
         # shared tree with e.g. per-rank labels), so ``stats()`` is a view
         # over the same registry model as every other layer.  The replay
-        # counter stays per-_EvalState (summed in ``n_replays``) because the
-        # replay fast path must not take the registry lock.
+        # counter is a plain int under the evaluation lock, so a replay
+        # takes no second lock.
         self.obs = registry if registry is not None else Registry()
         self._obs_labels = dict(labels) if labels else None
         self._c_captures = self.obs.counter("engine.captures", self._obs_labels)
@@ -174,21 +169,10 @@ class CompiledPotential(PotentialWrapper):
             "engine.arena_buffers", self._obs_labels
         )
         self.fault_hook = None
-        # Concurrency model: capture (allocate + record) is guarded by
-        # ``_capture_lock`` so a burst of concurrent cold-start or overflow
-        # callers performs exactly one capture.  Replays are lock-free:
-        # each caller checks a private _EvalState out of ``_pool`` (atomic
-        # ``list.pop``), and pool misses clone the published ``_template``
-        # — cloning reads only shapes and immutable constants, so it is
-        # safe even while another thread executes the template.  ``_epoch``
-        # retires every outstanding state when a capture or ``invalidate``
-        # supersedes it.
-        self._capture_lock = threading.Lock()
-        self._template: Optional[_EvalState] = None
-        self._pool: list = []
-        self._states: list = []  # every state ever built (counter aggregation)
-        self._n_templates = 0
-        self._epoch = 0
+        self._lock = threading.Lock()
+        self._state: Optional[_EvalState] = None
+        #: Successful plan executions, the one after each capture included.
+        self.n_replays = 0
 
     # -- counter views (registry-backed; see __init__) ------------------------
     @property
@@ -196,53 +180,40 @@ class CompiledPotential(PotentialWrapper):
         return self._c_captures.value
 
     @property
-    def n_replays(self) -> int:
-        """Total replays across all evaluation states.
-
-        Each state's counter is touched only by its checkout owner, so the
-        sum is exact whenever no evaluation is in flight.
-        """
-        return sum(s.n_replays for s in list(self._states))
-
-    @property
     def capacity_atoms(self) -> int:
-        t = self._template
-        return 0 if t is None else t.cap_atoms
+        state = self._state
+        return 0 if state is None else state.cap_atoms
 
     @property
     def capacity_pairs(self) -> int:
-        t = self._template
-        return 0 if t is None else t.cap_pairs
+        state = self._state
+        return 0 if state is None else state.cap_pairs
 
     @property
     def plan(self) -> Optional[ExecutionPlan]:
-        t = self._template
-        return None if t is None else t.plan
+        state = self._state
+        return None if state is None else state.plan
 
     def invalidate(self) -> None:
         """Drop the captured plan (call after parameter updates).
 
-        Not safe to call concurrently with :meth:`evaluate` — invalidate
-        between evaluations, as after a training step.
+        Safe during :meth:`evaluate`: it waits for the call in flight, and
+        the next call recaptures.
         """
-        with self._capture_lock:
-            self._epoch += 1  # retires every outstanding state
-            self._template = None
-            self._pool.clear()
+        with self._lock:
+            self._state = None
 
     def stats(self) -> dict:
         """Capture/replay counters and arena statistics.
 
-        A view over the instance's ``obs`` registry (plus the per-state
-        replay accumulators and the live plan's arena numbers).
+        A view over the instance's ``obs`` registry (plus the replay
+        counter and the live plan's arena numbers).
         """
         out = {
             "n_captures": self.n_captures,
             # Captures beyond the initial one (the Fig. 5 counter).
             "recaptures": max(0, self.n_captures - 1),
             "n_replays": self.n_replays,
-            # Evaluation states cloned for concurrent callers (not captures).
-            "n_clones": len(self._states) - self._n_templates,
             "capacity_atoms": self.capacity_atoms,
             "capacity_pairs": self.capacity_pairs,
             "n_replay_failures": self._c_replay_failures.value,
@@ -262,17 +233,17 @@ class CompiledPotential(PotentialWrapper):
     def kernel_profile(self, repeats: int = 10) -> dict:
         """Per-kernel-class time of one replay of the live plan.
 
-        Runs :meth:`ExecutionPlan.profile` on the template plan (on the
-        inputs bound to it last) and publishes the result as
+        Runs :meth:`ExecutionPlan.profile` on the live plan (on the inputs
+        bound to it last) and publishes the result as
         ``engine.kernel_seconds{class=}`` gauges on the registry.  Returns
         the table; empty before the first capture.  Attribution is paid
-        here, on demand — the replay loop itself has no timer.  Not safe
-        concurrently with :meth:`evaluate`.
+        here, on demand — the replay loop itself has no timer.
         """
-        plan = self.plan
-        if plan is None:
-            return {}
-        table = plan.profile(repeats)
+        with self._lock:
+            plan = self.plan
+            if plan is None:
+                return {}
+            table = plan.profile(repeats)
         for cls, row in table.items():
             labels = {**(self._obs_labels or {}), "class": cls}
             self.obs.gauge("engine.kernel_seconds", labels).set(row["seconds"])
@@ -281,11 +252,12 @@ class CompiledPotential(PotentialWrapper):
     def step_profile(self, repeats: int = 10) -> list:
         """Per-step time of one replay of the live plan, in execution order.
 
-        :meth:`ExecutionPlan.profile_steps` on the template plan; empty
-        before the first capture.  Same caveats as :meth:`kernel_profile`.
+        :meth:`ExecutionPlan.profile_steps` on the live plan; empty before
+        the first capture.
         """
-        plan = self.plan
-        return [] if plan is None else plan.profile_steps(repeats)
+        with self._lock:
+            plan = self.plan
+            return [] if plan is None else plan.profile_steps(repeats)
 
     # -- evaluation -----------------------------------------------------------
     def evaluate(self, positions, species, nl, n_active: Optional[int] = None):
@@ -295,9 +267,8 @@ class CompiledPotential(PotentialWrapper):
         owners in the parallel driver); defaults to all atoms.  Returns
         ``(e_atoms, forces)``; both are caller-owned arrays.
 
-        Safe for concurrent callers: replays run on per-caller evaluation
-        states (lock-free pool), captures are serialized so a burst of
-        overflow callers re-captures exactly once.
+        Concurrent callers take turns on the one plan: a burst of cold-start
+        or overflow callers captures once, and the rest replay it.
         """
         positions = np.asarray(positions, dtype=np.float64)
         species = np.asarray(species)
@@ -310,89 +281,43 @@ class CompiledPotential(PotentialWrapper):
 
         inputs = self.potential.graph_inputs(species, nl)
         n_edges = int(nl.n_edges)
-        state = self._checkout(n, n_edges, positions, species, inputs, n_act)
-        try:
-            with span("engine.replay"):
-                self._bind(state, positions, species, inputs, n_edges, n_act)
-                if self.fault_hook is not None:
-                    self.fault_hook("replay")
-                e_buf, g_buf = state.plan.execute()
-        except Exception:
-            # A failed replay leaves the state's buffers in an unknown
-            # condition: discard it (never pool it) and degrade.
-            self._c_replay_failures.inc()
-            return self._evaluate_degraded(
-                n, n_edges, positions, species, nl, inputs, n_act
-            )
-        state.n_replays += 1
-        # Copy the energy slice: the state goes back to the pool below
-        # and another caller may overwrite its buffers.  Forces are
-        # already a fresh array (the negation allocates).
-        result = (e_buf[:n].copy(), -g_buf[:n])
-        self._pool.append(state)
-        return result
-
-    def _evaluate_degraded(
-        self, n, n_edges, positions, species, nl, inputs, n_act
-    ):
-        """Fallback chain after a replay failure: recapture once, then eager.
-
-        The corrupt template (if any) is dropped and a fresh plan captured
-        under the capture lock; if the recaptured plan also fails, this
-        evaluation completes on the eager autodiff tape so a broken plan
-        degrades throughput, never correctness.
-        """
-        try:
-            with self._capture_lock:
-                state = self._capture(n, n_edges, positions, species, inputs, n_act)
-                if self.fault_hook is not None:
-                    self.fault_hook("recapture")
-                e_buf, g_buf = state.plan.execute()
-            state.n_replays += 1
-            self._c_failure_recaptures.inc()
-            result = (e_buf[:n].copy(), -g_buf[:n])
-            self._pool.append(state)
-            return result
-        except Exception:
-            # Invalidate so later calls do not keep replaying a bad plan.
-            self.invalidate()
-            self._c_eager_fallbacks.inc()
-            return self.potential.evaluate(positions, species, nl, n_act)
-
-    def _checkout(self, n, n_edges, positions, species, inputs, n_act) -> _EvalState:
-        """Acquire a private evaluation state fitting (n, n_edges).
-
-        Fast path: pop a pooled state (atomic, lock-free), discarding any
-        retired by a newer epoch or too small.  Pool miss: clone the
-        published template without locking — cloning reads only shapes and
-        shared constants.  Only when no usable template exists does the
-        caller take the capture lock, and exactly one of a concurrent
-        burst records the plan.
-        """
-        while True:
-            try:
-                state = self._pool.pop()
-            except IndexError:
-                break
-            if self._state_fits(state, n, n_edges):
-                return state
-            # Stale epoch or insufficient capacity: drop it for the GC.
-        template = self._template
-        if template is not None and self._state_fits(template, n, n_edges):
-            return self._clone(template)
-        with self._capture_lock:
-            template = self._template
-            if template is None or not self._state_fits(template, n, n_edges):
+        with self._lock:
+            state = self._state
+            if state is None or not self._fits(state, n, n_edges):
                 if self.exact_fit:
                     self.atom_policy._capacity = 0
                     self.pair_policy._capacity = 0
-                return self._capture(n, n_edges, positions, species, inputs, n_act)
-        # Lost the race to a capturing winner: its fresh template fits.
-        return self._clone(template)
+                state = self._capture(n, n_edges, positions, species, inputs, n_act)
+            try:
+                with span("engine.replay"):
+                    self._bind(state, positions, species, inputs, n_edges, n_act)
+                    if self.fault_hook is not None:
+                        self.fault_hook("replay")
+                    e_buf, g_buf = state.plan.execute()
+            except Exception:
+                # A failed replay leaves the buffers in an unknown condition:
+                # recapture once, and if that plan fails too, finish on the
+                # eager tape — a broken plan costs throughput, never
+                # correctness.
+                self._c_replay_failures.inc()
+                try:
+                    state = self._capture(
+                        n, n_edges, positions, species, inputs, n_act
+                    )
+                    if self.fault_hook is not None:
+                        self.fault_hook("recapture")
+                    e_buf, g_buf = state.plan.execute()
+                except Exception:
+                    self._state = None  # do not keep replaying a bad plan
+                    self._c_eager_fallbacks.inc()
+                    return self.potential.evaluate(positions, species, nl, n_act)
+                self._c_failure_recaptures.inc()
+            self.n_replays += 1
+            # The next call overwrites the plan's buffers: copy the energy
+            # slice (the force negation already allocates).
+            return e_buf[:n].copy(), -g_buf[:n]
 
-    def _state_fits(self, state: _EvalState, n: int, n_edges: int) -> bool:
-        if state.epoch != self._epoch:
-            return False
+    def _fits(self, state: _EvalState, n: int, n_edges: int) -> bool:
         if self.exact_fit:
             # Unpadded baseline: buffer shapes equal the inputs, so any size
             # change is a new "shape" and re-captures (Fig. 5, no padding).
@@ -445,7 +370,7 @@ class CompiledPotential(PotentialWrapper):
     def _capture(
         self, n, n_edges, positions, species, inputs, n_act
     ) -> _EvalState:
-        """Record a fresh template plan (capture lock held by the caller)."""
+        """Record a fresh plan (the caller holds the evaluation lock)."""
         pot = self.potential
         with span("engine.capture") as sp:
             state = self._allocate_state(n, n_edges, species, inputs)
@@ -464,53 +389,17 @@ class CompiledPotential(PotentialWrapper):
                     )
                     e_masked = (e_atoms * mask_t).sum()
                     (gpos,) = ad.grad(e_masked, [pos_t])
-                state.plan = ExecutionPlan(
-                    rec, [e_atoms, gpos], self._input_arrays(state)
-                )
+                rebound = [  # the arrays _bind overwrites before every replay
+                    state.pos_buf, state.species_buf, state.mask_buf,
+                    *state.input_bufs.values(),
+                ]
+                state.plan = ExecutionPlan(rec, [e_atoms, gpos], rebound)
             sp.add("capacity_atoms", state.cap_atoms)
             sp.add("capacity_pairs", state.cap_pairs)
-        self._epoch += 1  # retires every pre-capture state, pooled or in flight
-        state.epoch = self._epoch
         self._c_captures.inc()
         self._g_cap_atoms.set(state.cap_atoms)
         self._g_cap_pairs.set(state.cap_pairs)
         self._g_arena_bytes.set(state.plan.arena.total_bytes)
         self._g_arena_buffers.set(state.plan.arena.n_buffers)
-        self._n_templates += 1
-        self._states.append(state)
-        self._template = state
-        return state
-
-    @staticmethod
-    def _input_arrays(state: _EvalState) -> list:
-        """The arrays :meth:`_bind` overwrites before every replay."""
-        return [
-            state.pos_buf, state.species_buf, state.mask_buf,
-            *state.input_bufs.values(),
-        ]
-
-    def _clone(self, template: _EvalState) -> _EvalState:
-        """A private copy of the template for one more concurrent caller.
-
-        Reads only array shapes/dtypes and shared immutable constants, so
-        it is safe even while another thread is executing the template.
-        """
-        state = _EvalState()
-        state.epoch = template.epoch
-        state.cap_atoms, state.cap_pairs = template.cap_atoms, template.cap_pairs
-        state.pos_buf = np.empty_like(template.pos_buf)
-        state.species_buf = np.empty_like(template.species_buf)
-        state.mask_buf = np.empty_like(template.mask_buf)
-        state.input_bufs = {
-            key: np.empty_like(buf) for key, buf in template.input_bufs.items()
-        }
-        state.pad_shift = template.pad_shift
-        remap = {
-            id(old): new
-            for old, new in zip(
-                self._input_arrays(template), self._input_arrays(state)
-            )
-        }
-        state.plan = template.plan.clone(remap)
-        self._states.append(state)
+        self._state = state
         return state

@@ -81,14 +81,6 @@ def _static_arrays(value):
             yield from _static_arrays(v)
 
 
-def _remap_static(value, remap: Dict[int, np.ndarray]):
-    if isinstance(value, np.ndarray):
-        return remap.get(id(value), value)
-    if isinstance(value, tuple):
-        return tuple(_remap_static(v, remap) for v in value)
-    return value
-
-
 class BufferArena:
     """Pool of preallocated arrays keyed by (shape, dtype).
 
@@ -213,13 +205,15 @@ class ExecutionPlan:
         # the step that last reads any slot rooted in it, and a node's
         # buffer is acquired *before* the buffers dying at that node are
         # released (see BufferArena) — except that an elementwise kernel
-        # takes over the buffer of an operand it is the last to read.
+        # takes over the buffer of an operand it is the last to read.  Every
+        # executed step gets its buffer and argument arrays in a tuple.
         arena = BufferArena()
         vals: Dict[int, np.ndarray] = dict(fixed)
         root: Dict[int, int] = {s: s for s in fixed}
         n_rooted: Dict[int, int] = {}
         buffers: Dict[int, np.ndarray] = {}
         self._program: List[tuple] = []
+        steps: List[tuple] = []
         for pos, out, op, pslots, static, out_slot in nodes:
             fn = KERNELS[op]
             buf = None
@@ -252,6 +246,8 @@ class ExecutionPlan:
             r = root[out_slot]
             n_rooted[r] = n_rooted.get(r, 0) + 1
             self._program.append((fn, op, buf, out_slot, pslots, static))
+            if buf is not None:
+                steps.append((fn, buf, tuple(vals[p] for p in pslots), static))
             for slot in dying.get(pos, ()):
                 r = root[slot]
                 if r in buffers:
@@ -260,27 +256,9 @@ class ExecutionPlan:
                         arena.release(buffers.pop(r))
 
         self.arena = arena
-        self.n_folded = len(order) - len(nodes)
-        self._fixed = fixed
-        self._out_slots = out_slots
-        self._bind()
-
-    def _bind(self) -> None:
-        """Resolve ``_program`` against ``_fixed`` into the replay loop.
-
-        Hoisted views are (re)created on this plan's own storage; every
-        executed step gets its argument arrays in a tuple.
-        """
-        vals = dict(self._fixed)
-        steps: List[tuple] = []
-        for fn, _, buf, out_slot, pslots, static in self._program:
-            if buf is None:
-                vals[out_slot] = fn(None, vals[pslots[0]], **static)
-            else:
-                vals[out_slot] = buf
-                steps.append((fn, buf, tuple(vals[p] for p in pslots), static))
         self._steps = steps
-        self._outputs = [vals[s] for s in self._out_slots]
+        self._outputs = [vals[s] for s in out_slots]
+        self.n_folded = len(order) - len(nodes)
         #: Steps one replay executes (folded and hoisted ones are not steps).
         self.n_steps = len(steps)
         self.n_hoisted = len(self._program) - len(steps)
@@ -351,55 +329,6 @@ class ExecutionPlan:
                 zip(executed, self._steps, self._time_steps(repeats))
             )
         ]
-
-    def clone(self, remap: Optional[Dict[int, np.ndarray]] = None) -> "ExecutionPlan":
-        """A plan replaying the same kernel sequence on private buffers.
-
-        ``remap`` maps ``id(old_input_array) -> new_array`` for the input
-        buffers the caller rebinds per clone (they appear both as leaf
-        values and inside kernel ``static`` kwargs — e.g. gather/scatter
-        index arrays).  Fixed values not in the map are shared with the
-        source plan: parameters and folded constants are only ever read
-        during :meth:`execute`.  Compute buffers are freshly allocated, not
-        copied — every compute slot is written by its kernel before any
-        step reads it, which is also why the arena hands out ``np.empty``
-        — and the clone's steps and hoisted views are bound to them.  The
-        clone can replay concurrently with the source plan as long as each
-        plan has a single caller at a time.
-        """
-        remap = remap or {}
-        fresh: Dict[int, np.ndarray] = {}
-
-        def dup_buffer(buf: Optional[np.ndarray]) -> Optional[np.ndarray]:
-            # Keyed by id so arena buffer *sharing* between steps (a freed
-            # buffer reused by a later step) is reproduced in the clone —
-            # the liveness schedule depends on that aliasing pattern.
-            if buf is None:
-                return None
-            out = fresh.get(id(buf))
-            if out is None:
-                out = np.empty_like(buf)
-                fresh[id(buf)] = out
-            return out
-
-        new = object.__new__(ExecutionPlan)
-        new._program = [
-            (
-                fn,
-                op,
-                dup_buffer(buf),
-                out_slot,
-                pslots,
-                {k: _remap_static(v, remap) for k, v in static.items()},
-            )
-            for fn, op, buf, out_slot, pslots, static in self._program
-        ]
-        new.arena = self.arena  # capture-time stats; clone buffers are private
-        new.n_folded = self.n_folded
-        new._fixed = {s: remap.get(id(a), a) for s, a in self._fixed.items()}
-        new._out_slots = self._out_slots
-        new._bind()
-        return new
 
 
 def capture(

@@ -46,7 +46,7 @@ from ..md.system import System
 from ..obs import Registry, get_tracer, span
 from ..resilience.checkpoint import CheckpointManager, resolve_checkpoint_sink
 from ..resilience.faults import TRAIN_STEP_FAILURE, InjectedFault
-from ..resilience.guards import NumericalInstabilityError
+from ..resilience.guards import NumericalInstabilityError, validate_loss_grads
 from .loss import mae, rmse
 from .optim import Adam, ExponentialMovingAverage
 
@@ -353,19 +353,10 @@ class Trainer:
 
         value = float(loss.data)
         grads = [p.grad.data for p in self.optimizer.params if p.grad is not None]
-        if self.watchdog is not None:
-            if not self.watchdog.check(value, grads, step=epoch):
-                raise _RollbackNeeded(self.watchdog.last_error)
-        else:
-            if not np.isfinite(value):
-                raise NumericalInstabilityError(
-                    f"non-finite training loss {value!r} in epoch {epoch}"
-                )
-            for g in grads:
-                if not np.isfinite(g).all():
-                    raise NumericalInstabilityError(
-                        f"non-finite gradient in epoch {epoch}"
-                    )
+        if self.watchdog is None:
+            validate_loss_grads(value, grads, context=f"epoch {epoch}")
+        elif not self.watchdog.check(value, grads, step=epoch):
+            raise _RollbackNeeded(self.watchdog.last_error)
 
         if cfg.grad_clip_norm is not None:
             total_norm = float(np.sqrt(sum(float((g * g).sum()) for g in grads)))

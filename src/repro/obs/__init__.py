@@ -66,16 +66,6 @@ from .trace import (
     span,
 )
 
-#: Process-global default registry: layers that are not handed an explicit
-#: registry record here, so ad-hoc runs still produce one merged tree.
-_REGISTRY = Registry()
-
-
-def get_registry() -> Registry:
-    """The process-global default :class:`Registry`."""
-    return _REGISTRY
-
-
 __all__ = [
     "SCHEMA_VERSION",
     "MONOTONIC",
@@ -91,7 +81,6 @@ __all__ = [
     "disable",
     "enable",
     "enabled",
-    "get_registry",
     "get_tracer",
     "labeled_name",
     "set_tracer",

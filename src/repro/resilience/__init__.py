@@ -20,8 +20,9 @@ whole stack, wired through four layers:
   detection with abort-vs-recover policy), its training sibling
   :class:`TrainingWatchdog` (non-finite loss/gradients, robust loss-spike
   detection, checkpoint rollback with LR backoff), and
-  :func:`validate_energy_forces` (the fail-fast form used by default in
-  the MD drivers and the serve layer).
+  :func:`validate_energy_forces` / :func:`validate_loss_grads` (the
+  fail-fast forms used by default in the MD drivers and the serve layer,
+  and by the trainer without a watchdog).
 * **Degradation primitives** — :class:`RetryPolicy` (bounded retries,
   exponential backoff, seeded jitter) and :class:`CircuitBreaker`
   (open after N consecutive failures, half-open probe), used by
@@ -52,6 +53,7 @@ from .guards import (
     NumericalInstabilityError,
     TrainingWatchdog,
     validate_energy_forces,
+    validate_loss_grads,
 )
 from .retry import CircuitBreaker, CircuitOpenError, RetryPolicy
 
@@ -69,6 +71,7 @@ __all__ = [
     "RetryPolicy",
     "TrainingWatchdog",
     "validate_energy_forces",
+    "validate_loss_grads",
     "COMM_DELAY",
     "COMM_DROP",
     "POTENTIAL_CORRUPT",

@@ -18,6 +18,7 @@ import numpy as np
 __all__ = [
     "NumericalInstabilityError",
     "validate_energy_forces",
+    "validate_loss_grads",
     "ForceWatchdog",
     "TrainingWatchdog",
 ]
@@ -38,12 +39,33 @@ def _nonfinite_energy_forces(energy, forces) -> Optional[str]:
     return None
 
 
-def validate_energy_forces(energy, forces, context: str = "") -> None:
-    """Raise :class:`NumericalInstabilityError` on any non-finite output."""
-    problem = _nonfinite_energy_forces(energy, forces)
+def _nonfinite_loss_grads(loss, grads) -> Optional[str]:
+    """What is non-finite in a training loss and its gradients, or None."""
+    loss = float(loss)
+    if not np.isfinite(loss):
+        return f"non-finite training loss {loss!r}"
+    for k, g in enumerate(grads):
+        if not np.isfinite(g).all():
+            bad = int(np.count_nonzero(~np.isfinite(g)))
+            return f"non-finite gradient ({bad} component(s) in grad #{k})"
+    return None
+
+
+def _raise_if(problem: Optional[str], context: str) -> None:
     if problem is not None:
         where = f" ({context})" if context else ""
         raise NumericalInstabilityError(f"{problem}{where}")
+
+
+def validate_energy_forces(energy, forces, context: str = "") -> None:
+    """Raise :class:`NumericalInstabilityError` on any non-finite output."""
+    _raise_if(_nonfinite_energy_forces(energy, forces), context)
+
+
+def validate_loss_grads(loss, grads, context: str = "") -> None:
+    """Raise :class:`NumericalInstabilityError` on a non-finite training
+    loss or gradient (before the optimizer sees them)."""
+    _raise_if(_nonfinite_loss_grads(loss, grads), context)
 
 
 class _SpikeWatchdog:
@@ -236,16 +258,7 @@ class TrainingWatchdog(_SpikeWatchdog):
             policy, spike_factor, min_history, window, abs_floor, max_rollbacks
         )
 
-    @staticmethod
-    def _nonfinite(loss, grads) -> Optional[str]:
-        loss = float(loss)
-        if not np.isfinite(loss):
-            return f"non-finite training loss {loss!r}"
-        for k, g in enumerate(grads):
-            if not np.isfinite(g).all():
-                bad = int(np.count_nonzero(~np.isfinite(g)))
-                return f"non-finite gradient ({bad} component(s) in grad #{k})"
-        return None
+    _nonfinite = staticmethod(_nonfinite_loss_grads)
 
     def on_rollback(self) -> None:
         """Record one checkpoint rollback (recover policy)."""

@@ -210,11 +210,9 @@ class Executor:
                     cache = entry.ensure_cache()
                     pentry = cache.acquire(len(species), nl.n_edges)
                     with pentry.lock:
-                        # evaluate() is safe for concurrent callers (private
-                        # per-caller states); the lock makes the capture
-                        # counter delta attributable to THIS batch, and
-                        # funnels same-bucket batches through one state
-                        # instead of growing the clone pool per worker.
+                        # The compiled potential serializes its own callers;
+                        # this lock makes the capture counter delta
+                        # attributable to THIS batch.
                         captures_before = pentry.compiled.n_captures
                         e_atoms, forces = pentry.compiled.evaluate(
                             positions, species, nl

@@ -18,9 +18,9 @@ overhead (pad rows are exact zeros, so only throughput, never physics, is
 affected).
 
 Buckets are LRU-bounded (``max_plans``); each entry carries its own lock
-so workers can attribute capture/replay counter deltas to a single batch
-and funnel same-bucket batches through one evaluation state (the compiled
-potential itself is safe for concurrent callers).
+so a worker can attribute the bucket's capture/replay counter delta to a
+single batch.  Distinct buckets are distinct compiled potentials, so two
+workers on two buckets replay in parallel.
 """
 
 from __future__ import annotations
@@ -65,8 +65,9 @@ class PlanEntry:
     def __init__(self, key: Tuple[int, int], compiled) -> None:
         self.key = key
         self.compiled = compiled
-        # A plan binds inputs into shared buffers before replaying, so one
-        # evaluation at a time per bucket; distinct buckets run in parallel.
+        # Held across one batch's evaluation, so the capture counter delta
+        # read around it belongs to that batch; distinct buckets run in
+        # parallel.
         self.lock = threading.Lock()
 
 

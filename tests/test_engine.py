@@ -454,12 +454,11 @@ class TestPruneExactness:
 class TestConcurrentCapture:
     """Recapture-on-overflow under concurrent callers (the serving regime).
 
-    The contract: capture (allocate + record) is guarded by a lock with a
-    double-checked capacity test, so a burst of concurrent cold-start or
-    overflow callers performs *exactly one* capture; replays never take the
-    lock — each caller checks a private evaluation state out of an atomic
-    pool (pool misses clone the captured template), so concurrent replays
-    share no buffers and every caller's result is bitwise eager.
+    The contract: capture, bind and replay run under one lock per compiled
+    potential, and the capacity test is made under it, so a burst of
+    concurrent cold-start or overflow callers performs *exactly one*
+    capture, the rest replay that plan in turn, and every caller's result
+    is bitwise eager.
     """
 
     N_THREADS = 8
@@ -509,7 +508,8 @@ class TestConcurrentCapture:
         e0, f0 = pot.energy_and_forces(big, nl_big)
         results = self._burst(cm, big, nl_big)
         # The overflow burst recaptured exactly once, and every caller in
-        # the burst (winner, cloners, pool reusers) got the eager answer.
+        # the burst (the capturer and those replaying after it) got the
+        # eager answer.
         assert cm.n_captures == 2
         for e, f in results:
             assert e == e0
@@ -554,11 +554,62 @@ class TestConcurrentCapture:
         for t in threads:
             t.join()
         assert not failures
-        # The warm capacity served every thread; extra concurrency showed
-        # up as cloned evaluation states, not recaptures.
+        # The warm capacity served every thread; concurrency showed up as
+        # callers taking turns on the one plan, not as recaptures.
         assert cm.n_captures == warm_captures
         assert cm.n_replays == warm_replays + 10 * len(cases)
 
+    def test_invalidate_during_concurrent_evaluate(self, rng):
+        """``invalidate()`` may race evaluations: it waits for the call in
+        flight, and whoever comes next recaptures."""
+        pot = make_potential("lj")
+        cm = pot.compile()
+        system = make_system(rng, n=20, box=8.0)
+        nl = build_nl(pot, system)
+        e0, f0 = pot.energy_and_forces(system, nl)
+        barrier = threading.Barrier(self.N_THREADS + 1)
+        done = threading.Event()
+        results, errors = [], []
+
+        def work():
+            try:
+                barrier.wait()
+                for _ in range(5):
+                    results.append(cm.energy_and_forces(system, nl))
+            except Exception as exc:  # pragma: no cover - failure reporting
+                errors.append(exc)
+
+        def invalidate():
+            barrier.wait()
+            while not done.is_set():
+                cm.invalidate()
+
+        workers = [threading.Thread(target=work) for _ in range(self.N_THREADS)]
+        invalidator = threading.Thread(target=invalidate)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads inside evaluate()
+        try:
+            for t in workers + [invalidator]:
+                t.start()
+            for t in workers:
+                t.join(timeout=120)
+        finally:
+            done.set()
+            invalidator.join(timeout=120)
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in workers + [invalidator])
+        assert not errors
+        assert len(results) == 5 * self.N_THREADS
+        assert cm.n_replays == 5 * self.N_THREADS  # no lost update
+        for e, f in results:
+            assert e == e0
+            np.testing.assert_array_equal(f, f0)
+        cm.invalidate()
+        captures = cm.n_captures
+        e, f = cm.energy_and_forces(system, nl)
+        assert cm.n_captures == captures + 1
+        assert e == e0
+        np.testing.assert_array_equal(f, f0)
 
     def test_blocked_matmul_tail_scratch_is_not_shared(self):
         """Concurrent matmuls with equal layer widths never cross-talk.
@@ -624,31 +675,6 @@ class TestPlanAndArena:
         outputs, plan = capture(build)
         (total,) = plan.execute()
         assert float(total) == float((a * b + a).sum())
-
-    def test_plan_clone_is_independent(self):
-        """clone() remaps leaf value buffers AND static index arrays."""
-        x_buf = np.arange(6.0)
-        idx_buf = np.array([0, 2, 2, 5], dtype=np.int64)
-
-        def build():
-            picked = ad.gather(ad.Tensor(x_buf), idx_buf)
-            return ad.scatter_add(picked * 2.0, idx_buf, 6).sum()
-
-        _, plan = capture(build)
-        (r0,) = plan.execute()
-        expected0 = float(2.0 * x_buf[idx_buf].sum())
-        assert float(r0) == expected0
-
-        x2 = np.empty_like(x_buf)
-        i2 = np.empty_like(idx_buf)
-        clone = plan.clone({id(x_buf): x2, id(idx_buf): i2})
-        x2[:] = np.arange(6.0)[::-1]
-        i2[:] = [1, 1, 3, 4]
-        (rc,) = clone.execute()
-        assert float(rc) == float(2.0 * x2[i2].sum())
-        # The original plan still reads its own buffers, untouched.
-        (r1,) = plan.execute()
-        assert float(r1) == expected0
 
     def test_arena_reuses_buffers_across_shapes(self):
         arena = BufferArena()
@@ -815,22 +841,6 @@ class TestPlanBinding:
             assert e_c == e_eager, f"{name}: energy drift on trial {trial}"
             np.testing.assert_array_equal(f_c, f_eager)
         assert cm.n_captures == 1
-
-    def test_clone_shares_no_compute_buffer(self, rng):
-        pot = make_potential("allegro")
-        cm = pot.compile()
-        system = make_system(rng)
-        cm.energy_and_forces(system, build_nl(pot, system))
-        plan = cm.plan
-        clone = plan.clone()
-        assert clone.n_steps == plan.n_steps
-        own = [buf for _, buf, _, _ in plan._steps]
-        for (_, buf, args, _), (_, src_buf, _, _) in zip(clone._steps, plan._steps):
-            assert buf.shape == src_buf.shape
-            assert not any(np.shares_memory(buf, o) for o in own if o.shape == buf.shape)
-        for out, src_out in zip(clone.execute(), plan.execute()):
-            assert not np.shares_memory(out, src_out)
-            np.testing.assert_array_equal(out, src_out)
 
     def test_profile_accounts_for_every_step(self, rng):
         pot = make_potential("allegro")

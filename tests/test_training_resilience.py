@@ -25,7 +25,9 @@ from repro.resilience import (
     InjectedFault,
     NumericalInstabilityError,
     TrainingWatchdog,
+    validate_loss_grads,
 )
+from repro import autodiff as ad
 
 
 @pytest.fixture(scope="module")
@@ -184,6 +186,45 @@ class TestTrainingWatchdog:
     def test_rejects_bad_policy(self):
         with pytest.raises(ValueError):
             TrainingWatchdog(policy="pray")
+
+    def test_validate_loss_grads_is_the_watchdog_diagnosis(self):
+        validate_loss_grads(0.5, [np.zeros(3)])
+        with pytest.raises(NumericalInstabilityError, match=r"grad #1\) \(epoch 4\)"):
+            validate_loss_grads(0.5, [np.zeros(3), np.array([np.nan])], "epoch 4")
+
+
+class TestUnguardedTrainer:
+    """Without a watchdog a non-finite loss or gradient raises before
+    ``optimizer.step()``: the parameters never see it."""
+
+    @pytest.mark.parametrize(
+        "poison, message",
+        [("loss", "non-finite training loss"), ("grad", "non-finite gradient")],
+    )
+    def test_nonfinite_step_raises_before_the_update(
+        self, frames, monkeypatch, poison, message
+    ):
+        tr = Trainer(tiny_classical(), frames[:8], config=_train_cfg())
+        before = {k: v.copy() for k, v in tr.model.state_dict().items()}
+        real = tr._batch_loss
+        param = tr.optimizer.params[0]
+
+        def poisoned(batch):
+            loss = real(batch)
+            if poison == "loss":
+                return loss * float("nan")
+            # Finite value (sqrt(0) = 0), infinite slope into ``param``.
+            return loss + ad.sqrt(param * 0.0).sum()
+
+        monkeypatch.setattr(tr, "_batch_loss", poisoned)
+        # The poison is deliberate: only the guard's error may report it.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            with pytest.raises(NumericalInstabilityError, match=message):
+                tr.fit(1)
+        assert tr.optimizer.t == 0
+        after = tr.model.state_dict()
+        for key, value in before.items():
+            np.testing.assert_array_equal(after[key], value)
 
 
 class TestRollbackIntegration:

@@ -47,9 +47,9 @@ tune
     artifacts that set those knobs once, in config.
 traj
     The trajectory data plane: binary chunked store with per-chunk CRCs,
-    delta+zlib compression and a footer index; asynchronous off-hot-path
-    writer with checkpoint-pinned chunk boundaries (bitwise kill-and-
-    resume); single-pass streaming analysis (MSD/VACF/RDF/thermo).
+    delta+zlib compression and a footer index; one synchronous writer
+    with checkpoint-pinned chunk boundaries (bitwise kill-and-resume);
+    single-pass streaming analysis (MSD/VACF/RDF/thermo).
 """
 
 __version__ = "0.1.0"

@@ -10,7 +10,7 @@ package is one module per subcommand group over those config objects
 
     run CONFIG | resume CKPT_DIR | profile CONFIG    MD; ``md.checkpoint_dir``
         makes a run resumable bitwise, ``output.trajectory`` dumps ``.rtrj``
-        (binary, async writer) or extended XYZ; profile prints where the
+        (binary, synchronous writer) or extended XYZ; profile prints where the
         step time goes                                           (.md)
     serve CONFIG      the batched force server under a synthetic mixed-size
         request stream                                           (.serve)

@@ -158,7 +158,7 @@ class OutputConfig:
     """``output``: the trajectory dump."""
 
     #: Dump path; None, no file.  The run always dumps the binary ``.rtrj``
-    #: store (:mod:`repro.traj`: asynchronous, crash-atomic, appended on
+    #: store (:mod:`repro.traj`: synchronous, crash-atomic, appended on
     #: resume); any other suffix names the extended-XYZ conversion of the
     #: sibling ``.rtrj``, written when the run or the resume completes.
     trajectory: Optional[str] = None

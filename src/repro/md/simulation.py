@@ -407,10 +407,11 @@ class Simulation:
             is written before the first step if the sink is empty, so the
             recover policy always has a floor to roll back to.
         dump_every / dump_path / dump_writer:
-            Binary trajectory dump (``repro.traj``): a frame is snapshotted
-            off the hot path whenever the *absolute* step count is a
-            multiple of ``dump_every`` (defaults to ``DEFAULT_DUMP_EVERY``
-            when a sink is given).  ``dump_path`` creates an async
+            Binary trajectory dump (``repro.traj``): a frame is written
+            synchronously, on this thread, whenever the *absolute* step
+            count is a multiple of ``dump_every`` (defaults to
+            ``DEFAULT_DUMP_EVERY`` when a sink is given), and the writer is
+            barriered before every checkpoint.  ``dump_path`` creates a
             :class:`~repro.traj.TrajectoryWriter` owned by this call
             (closed with a footer on success, aborted crash-shaped on
             error); a resumed simulation (``step_count > 0``) appends to an
@@ -426,6 +427,10 @@ class Simulation:
             checkpoint_every, checkpoint_dir, checkpoint_manager,
             DEFAULT_CHECKPOINT_EVERY,
         )
+        if dump_every is not None and dump_every < 1:
+            raise ValueError("dump_every must be >= 1")
+        if dump_every is not None and dump_writer is None and dump_path is None:
+            raise ValueError("dump_every needs a dump_path or dump_writer")
         writer = dump_writer
         owns_writer = False
         if writer is None and dump_path is not None:
@@ -443,10 +448,6 @@ class Simulation:
             owns_writer = True
         if writer is not None and dump_every is None:
             dump_every = DEFAULT_DUMP_EVERY
-        if dump_every is not None and dump_every < 1:
-            raise ValueError("dump_every must be >= 1")
-        if dump_every is not None and writer is None:
-            raise ValueError("dump_every needs a dump_path or dump_writer")
 
         try:
             result = self._run_loop(
@@ -454,7 +455,7 @@ class Simulation:
                 dump_every, writer,
             )
         except BaseException:
-            # Crash-shaped teardown: drop in-flight frames, no footer —
+            # Crash-shaped teardown: drop uncommitted frames, no footer —
             # exactly what a killed process leaves behind.
             if owns_writer:
                 writer.abort()

@@ -3,9 +3,9 @@
 This is the *text* format — human-readable, interoperable, and lossy only
 up to its fixed decimal precision.  The MD driver never writes it: the step
 loop dumps the binary data plane (:mod:`repro.traj` — chunked, checksummed,
-async, appended on resume) and XYZ is a conversion of a finished ``.rtrj``
-(``repro traj convert``; ``repro run`` does it for an ``output.trajectory``
-that is not ``.rtrj``).
+synchronous, appended on resume) and XYZ is a conversion of a finished
+``.rtrj`` (``repro traj convert``; ``repro run`` does it for an
+``output.trajectory`` that is not ``.rtrj``).
 """
 
 from __future__ import annotations

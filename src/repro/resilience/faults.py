@@ -30,7 +30,7 @@ Channels used by the built-in injection sites:
   consults once per :meth:`~repro.resilience.CheckpointManager.save` (a
   firing simulates a process killed mid-write on a non-atomic filesystem:
   a truncated, unverifiable file lands at the target path).
-* ``traj.torn_chunk`` — :class:`repro.traj.TrajectoryStore` consults once
+* ``traj.torn_chunk`` — :class:`repro.traj.TrajectoryWriter` consults once
   per chunk commit (a firing writes the chunk header plus only half the
   payload: a process killed mid-append; the reader must quarantine the
   chunk on its CRC, never return corrupt frames).

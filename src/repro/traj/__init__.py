@@ -1,11 +1,11 @@
-"""repro.traj — binary chunked trajectory store with async writer.
+"""repro.traj — binary chunked trajectory format, writer, reader, folds.
 
 The trajectory data plane: a crash-atomic binary on-disk format
-(:mod:`repro.traj.format` / :mod:`repro.traj.store`), an asynchronous
-double-buffered writer that keeps dumps off the MD hot path
-(:mod:`repro.traj.writer`), and single-pass streaming analysis folds
-(:mod:`repro.traj.stream`).  See README §"Trajectory data plane" and
-DESIGN §16 for the format layout and the determinism contract.
+(:mod:`repro.traj.format`), one synchronous writer that dumps on the
+caller's thread and a self-repairing reader (:mod:`repro.traj.store`),
+and single-pass streaming analysis folds (:mod:`repro.traj.stream`).
+See README §"Trajectory data plane" and DESIGN §16 for the format layout
+and the determinism contract.
 """
 
 from .format import (
@@ -20,7 +20,7 @@ from .store import (
     TRAJ_TORN_CHUNK,
     FrameQuarantinedError,
     TrajectoryReader,
-    TrajectoryStore,
+    TrajectoryWriter,
     sidecar_path,
 )
 from .stream import (
@@ -30,7 +30,6 @@ from .stream import (
     StreamingVACF,
     analyze_stream,
 )
-from .writer import DEFAULT_QUEUE_SIZE, TrajectoryWriter
 
 __all__ = [
     "Frame",
@@ -38,7 +37,6 @@ __all__ = [
     "TrajError",
     "TrajFormatError",
     "FrameQuarantinedError",
-    "TrajectoryStore",
     "TrajectoryReader",
     "TrajectoryWriter",
     "StreamingMSD",
@@ -49,6 +47,5 @@ __all__ = [
     "frame_nbytes",
     "sidecar_path",
     "DEFAULT_FRAMES_PER_CHUNK",
-    "DEFAULT_QUEUE_SIZE",
     "TRAJ_TORN_CHUNK",
 ]

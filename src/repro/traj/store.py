@@ -1,4 +1,9 @@
-"""Crash-atomic chunk commits and the lazy, self-repairing reader.
+"""The one trajectory writer (crash-atomic chunk commits) and the reader.
+
+:class:`TrajectoryWriter` is synchronous: it runs on the caller's thread,
+as a LAMMPS dump does at its dump step.  A dump is a few hundred bytes of
+memcpy per frame and one encode + fsync per chunk, a fraction of a percent
+of an MD step, so there is nothing to hide behind a thread.
 
 Writer discipline (mirrors :class:`repro.resilience.CheckpointManager`):
 
@@ -55,8 +60,8 @@ from .format import (
 __all__ = [
     "DEFAULT_FRAMES_PER_CHUNK",
     "FrameQuarantinedError",
-    "TrajectoryStore",
     "TrajectoryReader",
+    "TrajectoryWriter",
     "sidecar_path",
 ]
 
@@ -232,8 +237,18 @@ def _header_from_system(
     )
 
 
-class TrajectoryStore:
-    """Synchronous chunked writer with crash-atomic commits.
+class TrajectoryWriter:
+    """Chunked trajectory writer with crash-atomic commits.
+
+    Determinism contract (the kill-and-resume guarantee): the MD driver
+    dumps on an absolute-step schedule and calls :meth:`barrier`
+    immediately before every checkpoint save, which pins chunk boundaries
+    to the checkpoint schedule.  A run resumed from a checkpoint
+    (``append_from=``) therefore appends exactly the missing frames and the
+    file ends up byte-identical to an uninterrupted run.  :meth:`abort` is
+    the crash-shaped close: every frame past the last committed chunk is
+    lost, exactly what a kill at that call leaves behind.  :meth:`rollback`
+    drops past-the-restore frames when the watchdog recovers in-process.
 
     Parameters
     ----------
@@ -269,17 +284,19 @@ class TrajectoryStore:
         self.fault_plan = fault_plan
         self._buffer: List[Frame] = []
         self._entries: List[IndexEntry] = []
+        self.frames_recorded = 0
         self.frames_durable = 0  # frames the writer committed (torn included)
         self.n_torn = 0
         self.closed = False
-        self._registry = registry
         if registry is not None:
+            self._c_recorded = registry.counter("traj.frames_recorded")
             self._c_frames = registry.counter("traj.frames_written")
             self._c_chunks = registry.counter("traj.chunks_committed")
             self._c_bytes = registry.counter("traj.bytes_written")
             self._c_torn = registry.counter("traj.torn_chunks")
         else:
-            self._c_frames = self._c_chunks = self._c_bytes = self._c_torn = None
+            self._c_recorded = self._c_frames = self._c_chunks = None
+            self._c_bytes = self._c_torn = None
 
         if append_from is not None and self.path.exists():
             self._open_append(append_from)
@@ -341,15 +358,51 @@ class TrajectoryStore:
         return decode_payload(ch, payload, self.header.n_atoms)
 
     # -- the write path -------------------------------------------------------
+    def record(
+        self,
+        step: int,
+        time_fs: float,
+        system,
+        pe: float = float("nan"),
+    ) -> None:
+        """Snapshot positions, velocities and cell into a frame; append it."""
+        with span("md.dump"):
+            frame = Frame(
+                step=int(step),
+                time_fs=float(time_fs),
+                pe=float(pe),
+                cell_lengths=(
+                    None
+                    if system.cell is None
+                    else np.array(system.cell.lengths, dtype=np.float64)
+                ),
+                positions=np.array(system.positions, dtype=np.float64),
+                velocities=np.array(system.velocities, dtype=np.float64),
+            )
+        self.append(frame)
+        self.frames_recorded += 1
+        if self._c_recorded is not None:
+            self._c_recorded.inc()
+
     def append(self, frame: Frame) -> None:
+        """Buffer one frame; commit the chunk when it fills."""
         if self.closed:
-            raise TrajError("trajectory store is closed")
+            raise TrajError("trajectory writer is closed")
+        shape = (self.header.n_atoms, 3)
+        for name in ("positions", "velocities"):
+            got = np.shape(getattr(frame, name))
+            if got != shape:
+                raise TrajError(
+                    f"frame at step {frame.step}: {name} has shape {got}, but "
+                    f"the trajectory holds {self.header.n_atoms} atoms "
+                    f"(expected {shape})"
+                )
         self._buffer.append(frame)
         if len(self._buffer) >= self.header.frames_per_chunk:
-            self.commit()
+            self.barrier()
 
-    def commit(self) -> None:
-        """Flush the open buffer as one chunk (no-op when empty)."""
+    def barrier(self) -> None:
+        """Commit the open buffer as one chunk (no-op when empty)."""
         if not self._buffer:
             return
         frames = self._buffer
@@ -392,7 +445,7 @@ class TrajectoryStore:
             self._c_bytes.inc(len(blob))
         _write_sidecar(self.path, self._entries, self.frames_durable)
 
-    def truncate(self, max_step: int) -> None:
+    def rollback(self, max_step: int) -> None:
         """Drop every frame (buffered or committed) with ``step > max_step``.
 
         The rollback half of watchdog recovery: after the simulation
@@ -402,6 +455,8 @@ class TrajectoryStore:
         re-buffered; an undecodable (torn) straddling chunk is dropped
         whole — its surviving frames are re-dumped by the replay anyway.
         """
+        if self.closed:
+            raise TrajError("trajectory writer is closed")
         self._buffer = [f for f in self._buffer if f.step <= max_step]
         changed = False
         while self._entries and self._entries[-1].first_step > max_step:
@@ -428,7 +483,7 @@ class TrajectoryStore:
         """Commit the open buffer, embed the footer index, fsync, close."""
         if self.closed:
             return
-        self.commit()
+        self.barrier()
         self._fh.seek(self._data_end)
         self._fh.write(encode_footer(self._entries, self.frames_durable))
         self._fh.flush()
@@ -457,7 +512,19 @@ class TrajectoryStore:
             "chunks_committed": len(self._entries),
             "torn_chunks": self.n_torn,
             "bytes": self._data_end,
+            "frames_recorded": self.frames_recorded,
+            # Nothing is ever dropped; the key stays for existing readers.
+            "frames_dropped": 0,
         }
+
+    def __enter__(self) -> "TrajectoryWriter":
+        return self
+
+    def __exit__(self, exc_type, *exc) -> None:
+        if exc_type is not None:
+            self.abort()
+        else:
+            self.close()
 
 
 class TrajectoryReader:

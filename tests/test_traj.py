@@ -1,4 +1,4 @@
-"""repro.traj tests: binary format, store, async writer, streaming folds.
+"""repro.traj tests: binary format, writer, reader, streaming folds.
 
 The load-bearing property mirrors the checkpoint suite: **dump → kill →
 resume produces a trajectory file byte-identical to an uninterrupted
@@ -10,7 +10,7 @@ counterparts.
 """
 
 import os
-import threading
+import time
 
 import numpy as np
 import pytest
@@ -27,8 +27,8 @@ from repro.traj import (
     StreamingThermo,
     StreamingVACF,
     TrajectoryReader,
-    TrajectoryStore,
     TrajectoryWriter,
+    TrajError,
     TrajFormatError,
     analyze_stream,
     sidecar_path,
@@ -84,7 +84,7 @@ def _frames(system, n, seed=3):
 
 
 def _write(path, system, frames, frames_per_chunk=4, **kw):
-    store = TrajectoryStore(
+    store = TrajectoryWriter(
         path, system=system, frames_per_chunk=frames_per_chunk, **kw
     )
     for f in frames:
@@ -195,10 +195,10 @@ class TestStoreReader:
         system = _system(n_side=2)
         frames = _frames(system, 8)
         path = tmp_path / "t.rtrj"
-        store = TrajectoryStore(path, system=system, frames_per_chunk=4)
+        store = TrajectoryWriter(path, system=system, frames_per_chunk=4)
         for f in frames:
             store.append(f)
-        store.commit()
+        store.barrier()
         store.abort()  # crash-shaped: no footer written
         with TrajectoryReader(path) as reader:
             assert reader.index_source == "sidecar"
@@ -266,11 +266,11 @@ class TestStoreReader:
 
 
 # ---------------------------------------------------------------------------
-# Async writer
+# Writer
 # ---------------------------------------------------------------------------
 class TestWriter:
     def test_writer_matches_store(self, tmp_path):
-        """The async path produces the same bytes as direct appends."""
+        """record() produces the same bytes as direct appends."""
         system = _system(n_side=2)
         frames = _frames(system, 9)
         direct = tmp_path / "direct.rtrj"
@@ -286,41 +286,22 @@ class TestWriter:
         w.close()
         assert direct.read_bytes() == via_writer.read_bytes()
 
-    def test_drop_policy_counts(self, tmp_path):
-        system = _system(n_side=2)
-        path = tmp_path / "t.rtrj"
-        w = TrajectoryWriter(
-            path, system=system, queue_size=1, policy="drop"
-        )
-        # stall the worker so the queue stays full
-        gate = threading.Event()
-        orig = w._store.append
+    def test_worker_error_surfaces_on_producer(self, tmp_path, monkeypatch):
+        """A write error raises from the call that hit it, unwrapped."""
+        import repro.traj.store as store_mod
 
-        def slow(frame):
-            gate.wait(5.0)
-            orig(frame)
-
-        w._store.append = slow
-        for k in range(50):
-            w.record(k, 0.5 * k, system)
-        gate.set()
-        w.close()
-        assert w.frames_dropped > 0
-        assert w.frames_recorded + w.frames_dropped == 50
-        with TrajectoryReader(path) as reader:
-            assert len(reader) == w.frames_recorded
-
-    def test_worker_error_surfaces_on_producer(self, tmp_path):
         system = _system(n_side=2)
         w = TrajectoryWriter(tmp_path / "t.rtrj", system=system)
+        w.record(0, 0.0, system)
 
-        def boom(frame):
+        def boom(fd):
             raise OSError("disk gone")
 
-        w._store.append = boom
-        w.record(0, 0.0, system)
-        with pytest.raises(Exception, match="disk gone"):
+        monkeypatch.setattr(store_mod.os, "fsync", boom)
+        with pytest.raises(OSError, match="disk gone"):
             w.barrier()
+        assert w.frames_durable == 0
+        w.abort()
 
     def test_abort_drops_uncommitted(self, tmp_path):
         system = _system(n_side=2)
@@ -335,20 +316,69 @@ class TestWriter:
         with TrajectoryReader(path) as reader:
             assert [f.step for f in reader.frames()] == list(range(10))
 
+    @pytest.mark.parametrize("pause_s", [0.0, 1e-3])
+    def test_abort_is_a_deterministic_kill(self, tmp_path, pause_s):
+        """What survives abort() depends only on the call sequence.
+
+        The barrier commits steps 0–9 (chunks 0–3, 4–7, 8–9), steps 10–13
+        fill a chunk that commits on its own, and the open chunk holding
+        14 and 15 is lost — with or without time between the records.
+        """
+        system = _system(n_side=2)
+        path = tmp_path / "t.rtrj"
+        w = TrajectoryWriter(path, system=system, frames_per_chunk=4)
+        for k in range(10):
+            w.record(k, 0.5 * k, system)
+            time.sleep(pause_s)
+        w.barrier()
+        for k in range(10, 16):
+            w.record(k, 0.5 * k, system)
+            time.sleep(pause_s)
+        w.abort()
+        with TrajectoryReader(path) as reader:
+            assert reader.index_source == "sidecar"  # no footer
+            assert [f.step for f in reader.frames()] == list(range(14))
+
     def test_rollback_then_rewrite_is_bitwise(self, tmp_path):
         system = _system(n_side=2)
         frames = _frames(system, 10)
         clean = tmp_path / "clean.rtrj"
         _write(clean, system, frames)
         rolled = tmp_path / "rolled.rtrj"
-        store = TrajectoryStore(rolled, system=system, frames_per_chunk=4)
+        store = TrajectoryWriter(rolled, system=system, frames_per_chunk=4)
         for f in frames:
             store.append(f)
-        store.truncate(6)
+        store.rollback(6)
         for f in frames[7:]:
             store.append(f)
         store.close()
         assert clean.read_bytes() == rolled.read_bytes()
+
+    def test_convert_mixed_atom_counts_raises_typed(self, tmp_path):
+        """An XYZ whose frames hold 4, 4 and 5 atoms fails at the bad frame."""
+        from argparse import Namespace
+
+        from repro.cli.traj import _traj_convert
+        from repro.md import write_xyz_frame
+
+        src = tmp_path / "mixed.xyz"
+        with open(src, "w") as fh:
+            for n in (4, 4, 5):
+                pos = np.arange(3.0 * n).reshape(n, 3)
+                write_xyz_frame(fh, System(pos, np.zeros(n, int), Cell.cubic(9.0)))
+        args = Namespace(src=str(src), dst=str(tmp_path / "mixed.rtrj"))
+        with pytest.raises(
+            TrajError,
+            match=r"step 2: positions has shape \(5, 3\), but the trajectory holds 4 atoms",
+        ):
+            _traj_convert(args, log=lambda msg: None)
+
+    def test_rollback_on_closed_writer_raises(self, tmp_path):
+        system = _system(n_side=2)
+        w = TrajectoryWriter(tmp_path / "t.rtrj", system=system)
+        w.close()
+        with pytest.raises(TrajError, match="closed"):
+            w.rollback(0)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 
 from repro.md.system import Cell, System
 from repro.md.trajectory import read_xyz, write_xyz_frame
-from repro.traj import Frame, TrajectoryReader, TrajectoryStore
+from repro.traj import Frame, TrajectoryReader, TrajectoryWriter
 
 
 def _frames(n_frames, n_atoms, seed):
@@ -56,7 +56,7 @@ def _system(n_atoms, seed):
 
 def _write(path, frames, n_atoms, frames_per_chunk, compression):
     system = _system(n_atoms, seed=0)
-    store = TrajectoryStore(
+    store = TrajectoryWriter(
         path,
         system=system,
         frames_per_chunk=frames_per_chunk,

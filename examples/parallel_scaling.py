@@ -43,6 +43,7 @@ def main() -> None:
             f"max |ΔF| = {err:.1e}, ghosts/rank = {stats.n_ghost.mean():.0f}, "
             f"comm = {comm:.0f} kB"
         )
+        evaluator.close()  # ranks 1..R-1 run on worker processes
 
     print("\n2. strong scaling projection (calibrated A100 model, fig. 6)")
     pm = PerfModel()

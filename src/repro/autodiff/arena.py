@@ -150,6 +150,13 @@ def scope() -> Arena:
     return arena
 
 
+def reset() -> None:
+    """Give the calling thread a new, empty arena (a forked process starts
+    its own counters instead of carrying on its parent's)."""
+    state.arena = Arena()
+    state.open = None
+
+
 def stats() -> dict:
     """The calling thread's arena: what it holds and what it has served."""
     arena = scope()

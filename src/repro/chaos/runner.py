@@ -1,9 +1,12 @@
 """The soak runner: execute scenarios, check invariants, shrink failures.
 
-``run_scenario`` executes one :class:`ScenarioSpec` in a watchdog thread
-(the liveness invariant is enforced here: a workload that hangs past its
-deadline is a violation, not a stuck harness) and evaluates every
-registered invariant against the observations.
+``run_scenario`` executes one :class:`ScenarioSpec` on the calling (main)
+thread under a ``SIGALRM`` deadline (the liveness invariant is enforced
+here: a workload that hangs past its deadline is interrupted and is a
+violation, not a stuck harness) and evaluates every registered invariant
+against the observations.  No second thread runs beside the workload, so
+the parallel workload forks its rank processes from a single-threaded
+process.
 
 ``soak`` samples N seeded scenarios — rotating through all four workload
 families — under a wall-clock budget.  Any violation triggers the
@@ -21,8 +24,8 @@ from __future__ import annotations
 
 import json
 import shutil
+import signal
 import tempfile
-import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -67,29 +70,41 @@ class ScenarioOutcome:
         }
 
 
+class _Deadline(BaseException):
+    """Raised into a workload that runs past its deadline."""
+
+
 def run_scenario(spec: ScenarioSpec, bug: Optional[str] = None) -> ScenarioOutcome:
     """Execute one scenario and evaluate every applicable invariant.
 
-    The workload runs in a daemon thread joined against the spec's
-    deadline; checkpoints live in a private temp directory cleaned up
+    The workload runs on the calling thread, which must be the main one:
+    from the spec's deadline on, a ``SIGALRM`` every 0.1 s interrupts it
+    (one that lands in a finalizer is swallowed there; the next one is
+    not).  Checkpoints live in a private temp directory cleaned up
     afterwards (kept alive only as long as the invariants need it).
     """
     workdir = Path(tempfile.mkdtemp(prefix="repro-chaos-"))
     obs: Dict = {"workload": spec.workload, "error": None, "timed_out": False}
-    done = threading.Event()
+    expired: List[bool] = []
 
-    def target() -> None:
+    def on_deadline(signum, frame) -> None:
+        expired.append(True)
+        raise _Deadline()
+
+    previous = signal.signal(signal.SIGALRM, on_deadline)
+    try:
+        signal.setitimer(signal.ITIMER_REAL, spec.deadline_s, 0.1)
         try:
             obs.update(run_workload(spec, workdir, bug=bug))
-        except Exception as exc:
-            obs["error"] = f"{type(exc).__name__}: {exc}"
         finally:
-            done.set()
-
-    thread = threading.Thread(target=target, name="chaos-workload", daemon=True)
-    thread.start()
-    if not done.wait(timeout=spec.deadline_s):
-        obs["timed_out"] = True
+            signal.setitimer(signal.ITIMER_REAL, 0)
+    except _Deadline:
+        pass
+    except Exception as exc:
+        obs["error"] = f"{type(exc).__name__}: {exc}"
+    finally:
+        signal.signal(signal.SIGALRM, previous)
+    obs["timed_out"] = bool(expired)
     violations = check_all(obs)
     shutil.rmtree(workdir, ignore_errors=True)
     return ScenarioOutcome(spec=spec, violations=violations, obs=obs)

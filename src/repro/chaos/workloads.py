@@ -278,6 +278,8 @@ def run_parallel(spec: ScenarioSpec, workdir: Path, bug: Optional[str] = None) -
             dump_writer.close()
     cluster = sim.evaluator.cluster
     resilience = sim.evaluator.resilience_stats()
+    clean.close()
+    sim.close()
 
     return {
         "plan": plan,

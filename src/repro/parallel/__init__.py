@@ -17,6 +17,8 @@ implements the same parallelization the paper relies on:
   order).
 * :mod:`driver` — the multi-rank MD loop (forward position exchange per
   step, reverse force exchange, migration at reneighboring).
+* :mod:`workers` — ranks 1…R−1 on persistent forked processes over shared
+  memory, evaluating at the same time as rank 0 in the driver.
 * :mod:`perfmodel` — the calibrated analytic performance model of an
   A100-GPU cluster used to regenerate the paper-scale scaling curves
   (fig. 6, fig. 7, Table III) from measured work statistics.
@@ -26,7 +28,8 @@ from .topology import ProcessGrid
 from .loadbalance import BalancedProcessGrid
 from .comm import VirtualCluster, CommStats, CommError
 from .decomposition import DomainDecomposition, RankShard
-from .driver import ParallelForceEvaluator, ParallelSimulation, RankFailure
+from .driver import ParallelForceEvaluator, ParallelSimulation
+from .workers import RankFailure
 from .perfmodel import (
     ClusterSpec,
     PerfModel,

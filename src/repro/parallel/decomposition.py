@@ -159,12 +159,14 @@ class DomainDecomposition:
     def update_ghost_positions(
         self, shards: List[RankShard], system: System
     ) -> None:
-        """Forward halo exchange: refresh every ghost from its owner."""
+        """Forward halo exchange: refresh every shard's owned atoms, and
+        every ghost from its owner (in place: a worker rank's positions are
+        its shared block)."""
         pos = system.positions
         for shard in shards:
+            shard.positions[: shard.n_owned] = pos[shard.owned_ids]
             if shard.n_ghost == 0:
                 continue
-            shard.positions[: shard.n_owned] = pos[shard.owned_ids]
             shard.positions[shard.n_owned :] = pos[shard.ghost_ids] + shard.ghost_shifts
             for src in np.unique(shard.ghost_owner):
                 if src == shard.rank:

@@ -7,8 +7,11 @@ counters) is the serial one, unchanged; per force call the evaluator does
 
 1. forward halo exchange of positions,
 2. every rank prunes its skinned owned-center list to the cutoff and
-   evaluates the potential on it,
-3. reverse halo exchange adds ghost force contributions back to owners.
+   evaluates the potential on it — rank 0 in this process, ranks 1…R−1 at
+   the same time on their own worker processes (:mod:`.workers`),
+3. energies, owned forces and ghost blocks are accumulated in rank order,
+   and the reverse halo exchange adds ghost force contributions back to
+   owners.
 
 Reneighboring (triggered by the Verlet-skin criterion on the global
 system) rebuilds the partition, migrating atoms between ranks and
@@ -21,14 +24,16 @@ spatial decomposition semantically invisible.
 
 Fault tolerance: dropped/delayed exchanges are retransmitted inside
 :class:`~repro.parallel.comm.VirtualCluster`; when retransmission is
-exhausted (:class:`~repro.parallel.comm.CommError`) or a rank failure is
-injected (:class:`RankFailure`), the evaluator purges in-flight traffic,
+exhausted (:class:`~repro.parallel.comm.CommError`) or a rank is lost
+(:class:`RankFailure`: injected, or a worker process that died), the
+evaluator purges in-flight traffic, replaces the lost rank's process,
 rebuilds the decomposition — reassigning the failed rank's atoms exactly
 as a restarted replacement node would repartition — and retries the step,
-bounded by ``max_retries``.  Because all authoritative state (positions,
-velocities) lives in the global :class:`System`, recovery is a pure
-recompute: the retried step produces the same forces as an undisturbed
-one.
+bounded by ``max_retries``.  Every fault-plan draw happens in this
+process, in rank order, whichever process evaluated a rank.  Because all
+authoritative state (positions, velocities) lives in the global
+:class:`System`, recovery is a pure recompute: the retried step produces
+the same forces as an undisturbed one.
 """
 
 from __future__ import annotations
@@ -40,21 +45,15 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from ..autodiff import arena
-from ..md.neighborlist import model_cutoff, prune_to_cutoff
+from ..md.neighborlist import model_cutoff
 from ..md.simulation import Simulation, _copy_or_none
 from ..md.system import System
-from ..obs import LATENCY_BUCKETS, MONOTONIC, Registry, get_tracer, span
+from ..obs import LATENCY_BUCKETS, Registry, get_tracer, span
+from ..resilience.faults import FaultyPotential
 from .comm import CommError, VirtualCluster
 from .decomposition import DomainDecomposition, RankShard
 from .topology import ProcessGrid
-
-
-class RankFailure(RuntimeError):
-    """A (simulated) rank loss during a force evaluation."""
-
-    def __init__(self, rank: int) -> None:
-        super().__init__(f"rank {rank} failed")
-        self.rank = rank
+from .workers import RankFailure, RankWorkers, evaluate_shard
 
 
 @dataclass
@@ -74,7 +73,12 @@ class RankWorkStats:
 
 
 class ParallelForceEvaluator:
-    """Evaluates a strictly-local potential across a process grid."""
+    """Evaluates a strictly-local potential across a process grid.
+
+    Rank 0 runs in the calling process; ranks 1…R−1 run on worker
+    processes forked when they first get a shard.  :meth:`close` (or
+    garbage collection) stops them.
+    """
 
     def __init__(
         self,
@@ -104,31 +108,51 @@ class ParallelForceEvaluator:
         self._rank_force_hist: dict = {}
         self.skin = float(skin)
         self.engine = engine
-        # One compiled evaluator per rank: each rank captures at its own
-        # shard capacity (atoms + edges fluctuate independently per domain),
-        # so a migration on one rank never forces recapture on another.
-        self._compiled: dict = {}
+        # A corrupting wrapper draws here, in rank order, on results every
+        # rank computes with the clean model.
+        self._corrupt = None
+        model = potential
+        if isinstance(potential, FaultyPotential):
+            self._corrupt, model = potential.corrupt, potential.potential
+        self._model = model
+        # Rank 0's compiled evaluator; each worker owns its rank's.  Each
+        # captures at its own shard capacity (atoms + edges fluctuate
+        # independently per domain), so a migration on one rank never
+        # forces recapture on another.
+        self._compiled = None
         self.decomp = DomainDecomposition(
             grid, potential.cutoff + self.skin, self.cluster
         )
         self._cutoff = model_cutoff(potential)
+        self._workers = RankWorkers(
+            model, engine, self.obs, (self.decomp.cutoff, self._cutoff)
+        )
         self._shards: Optional[List[RankShard]] = None
+        self._dispatched: Optional[List[RankShard]] = None
         self._ref_positions: Optional[np.ndarray] = None
+
+    def close(self) -> None:
+        """Stop the worker processes and free their shared memory."""
+        self._workers.close()
 
     def stats(self) -> dict:
         """Unified observability view: one registry tree + phase times.
 
         The snapshot carries the comm traffic (``comm.*``), per-rank engine
-        counters (``engine.*{rank=...}``), and failure/recovery totals
-        (``parallel.*``); ``phases`` holds span timings for
-        decompose/exchange/force/halo when tracing is enabled;
-        ``tape_arena`` is :func:`repro.autodiff.arena.stats`.
+        counters (``engine.*{rank=...}``, mirrored from the workers), and
+        failure/recovery totals (``parallel.*``); ``phases`` holds span
+        timings for decompose/exchange/force/halo when tracing is enabled;
+        ``tape_arena`` is :func:`repro.autodiff.arena.stats` summed over
+        this process and the workers.
         """
         out = self.obs.snapshot()
         out["resilience"] = self.resilience_stats()
         out["engine"] = self.engine_stats()
-        # Ranks are evaluated on the calling thread: its arena is theirs.
-        out["tape_arena"] = arena.stats()
+        tape = dict(arena.stats())
+        for worker in self._workers.tape_arena.values():
+            for key, value in worker.items():
+                tape[key] += value
+        out["tape_arena"] = tape
         out["phases"] = get_tracer().phase_totals("parallel.")
         return out
 
@@ -146,7 +170,10 @@ class ParallelForceEvaluator:
         """Aggregated per-rank capture/replay counters (None when eager)."""
         if self.engine != "compiled":
             return None
-        per_rank = {rank: cp.stats() for rank, cp in sorted(self._compiled.items())}
+        per_rank = dict(self._workers.engine)
+        if self._compiled is not None:
+            per_rank[0] = self._compiled.stats()
+        per_rank = dict(sorted(per_rank.items()))
         return {
             "n_captures": sum(s["n_captures"] for s in per_rank.values()),
             "n_replays": sum(s["n_replays"] for s in per_rank.values()),
@@ -171,23 +198,54 @@ class ParallelForceEvaluator:
             with span("parallel.decompose"):
                 system.wrap()
                 self._shards = self.decomp.build(system)
-                for shard in self._shards:
-                    shard.nl = self.decomp.local_neighbor_list(
-                        shard, self.potential.cutoff + self.skin
-                    )
+                self._dispatch(self._shards)
                 self._ref_positions = system.positions.copy()
-        else:
-            with span("parallel.exchange"):
-                self.decomp.update_ghost_positions(self._shards, system)
+            return self._shards
+        if self._dispatched is not self._shards:  # restored from a checkpoint
+            self._dispatch(self._shards)
+        with span("parallel.exchange"):
+            self.decomp.update_ghost_positions(self._shards, system)
         return self._shards
+
+    def _dispatch(self, shards: List[RankShard]) -> None:
+        """Hand ranks 1…R−1 their shards; a shard without a list gets one
+        from its own rank (rank 0's is built here meanwhile)."""
+        self._dispatched = None
+        self._workers.post_shards(shards[1:])
+
+        def rank0():
+            if shards[0].nl is None:
+                shards[0].nl = self.decomp.local_neighbor_list(
+                    shards[0], self.decomp.cutoff
+                )
+
+        _, lists = self._alongside([s.rank for s in shards[1:]], rank0)
+        for shard, nl in zip(shards[1:], lists):
+            if shard.nl is None:
+                shard.nl = nl
+        self._dispatched = shards
+
+    def _alongside(self, ranks: List[int], rank0):
+        """``rank0()`` here while the posted ``ranks`` work, then their
+        replies.  Every reply is gathered before anything is raised, and
+        failures surface in rank order."""
+        try:
+            local = rank0()
+        finally:
+            replies = self._workers.gather(ranks)
+        for reply in replies:
+            if isinstance(reply, BaseException):
+                raise reply
+        return local, replies
 
     # -- evaluation ----------------------------------------------------------------
     def compute(self, system: System) -> Tuple[float, np.ndarray, RankWorkStats]:
         """(total energy, assembled forces, per-rank work stats).
 
         Retries on :class:`~repro.parallel.comm.CommError` (retransmission
-        exhausted) and :class:`RankFailure` (injected rank loss): in-flight
-        traffic is purged, the decomposition is rebuilt from the global
+        exhausted) and :class:`RankFailure` (injected rank loss, or a worker
+        process that died): in-flight traffic is purged, the lost rank's
+        process is replaced, the decomposition is rebuilt from the global
         system — reassigning the lost rank's shard — and the evaluation
         reruns, up to ``max_retries`` times.
         """
@@ -197,10 +255,12 @@ class ParallelForceEvaluator:
                 return self._compute_once(system)
             except (CommError, RankFailure) as exc:
                 self._c_failures.inc()
+                # Reset even when giving up: a dead worker is replaced, so
+                # the next call can succeed.
+                self._recover(exc)
                 attempts += 1
                 if attempts > self.max_retries:
                     raise
-                self._recover(exc)
                 self._c_recoveries.inc()
 
     def _recover(self, exc: BaseException) -> None:
@@ -209,9 +269,12 @@ class ParallelForceEvaluator:
         self._shards = None
         self._ref_positions = None
         if isinstance(exc, RankFailure):
-            # The replacement node arrives empty: its compiled capture
-            # state is gone and gets rebuilt on first use.
-            self._compiled.pop(exc.rank, None)
+            # The replacement node arrives empty: its process, compiled
+            # capture state and arena are new.
+            if exc.rank == 0:
+                self._compiled = None
+            else:
+                self._workers.replace(exc.rank)
 
     def _rank_hist(self, rank: int):
         hist = self._rank_force_hist.get(rank)
@@ -230,6 +293,38 @@ class ParallelForceEvaluator:
         with span("parallel.step") as sp:
             out = self._compute_body(system, sp)
         return out
+
+    def _rank0_evaluator(self):
+        if self.engine != "compiled":
+            return self._model
+        if self._compiled is None:
+            from ..engine import CompiledPotential
+
+            self._compiled = CompiledPotential(
+                self._model, registry=self.obs, labels={"rank": "0"}
+            )
+        return self._compiled
+
+    def _evaluate_ranks(self, shards: List[RankShard]) -> list:
+        """``(energy, local forces, edges, seconds)`` per rank (None for a
+        rank that owns no atoms): rank 0 here while the workers run."""
+        remote = [s.rank for s in shards[1:] if s.n_owned]
+        for rank in remote:
+            self._workers.post(rank, "step")
+
+        def rank0():
+            if shards[0].n_owned:
+                return evaluate_shard(
+                    self._rank0_evaluator(), shards[0], self._cutoff
+                )
+            return None
+
+        results: list = [None] * len(shards)
+        results[0], replies = self._alongside(remote, rank0)
+        for rank, (energy, n_edges, seconds, report) in zip(remote, replies):
+            self._workers.absorb(rank, report)
+            results[rank] = (energy, self._workers.forces[rank], n_edges, seconds)
+        return results
 
     def _compute_body(
         self, system: System, sp
@@ -250,43 +345,27 @@ class ParallelForceEvaluator:
         n_ghost = np.zeros(self.grid.n_ranks, dtype=int)
         n_edges = np.zeros(self.grid.n_ranks, dtype=int)
         n_candidates = np.zeros(self.grid.n_ranks, dtype=int)
-        # Per-rank wall times feed load-imbalance histograms, but only when
-        # tracing is on — the clock calls are not free in the hot path.
+        # Per-rank force-call times feed load-imbalance histograms, but only
+        # when tracing is on.
         timed = get_tracer().enabled
 
         with span("parallel.force"):
-            for shard in shards:
+            results = self._evaluate_ranks(shards)
+            # Rank-order accumulation: the sums do not depend on which
+            # process ran which rank, or when it finished.
+            for shard, result in zip(shards, results):
                 n_owned[shard.rank] = shard.n_owned
                 n_ghost[shard.rank] = shard.n_ghost
-                if shard.n_owned == 0:
+                if result is None:
                     ghost_blocks.append(np.zeros((shard.n_ghost, 3)))
                     continue
-                nl = prune_to_cutoff(
-                    shard.nl, shard.positions, shard.species, self._cutoff
-                )
+                e_rank, local_f, n_edges[shard.rank], seconds = result
                 n_candidates[shard.rank] = shard.nl.n_edges
-                n_edges[shard.rank] = nl.n_edges
-                t_rank = MONOTONIC() if timed else 0.0
-                evaluator = self.potential
-                if self.engine == "compiled":
-                    evaluator = self._compiled.get(shard.rank)
-                    if evaluator is None:
-                        from ..engine import CompiledPotential
-
-                        evaluator = self._compiled[shard.rank] = CompiledPotential(
-                            self.potential,
-                            registry=self.obs,
-                            labels={"rank": str(shard.rank)},
-                        )
-                # n_active restricts the differentiated energy to owned-center
-                # rows; gradients on ghost rows are exactly the halo force
-                # contributions.
-                e_atoms, local_f = evaluator.evaluate(
-                    shard.positions, shard.species, nl, n_active=shard.n_owned
-                )
-                energy += float(np.sum(e_atoms[: shard.n_owned]))
+                if self._corrupt is not None:
+                    e_rank, local_f = self._corrupt(e_rank, local_f)
+                energy += e_rank
                 if timed:
-                    self._rank_hist(shard.rank).observe(MONOTONIC() - t_rank)
+                    self._rank_hist(shard.rank).observe(seconds)
                 forces[shard.owned_ids] += local_f[: shard.n_owned]
                 ghost_blocks.append(local_f[shard.n_owned :])
 
@@ -377,6 +456,11 @@ class ParallelSimulation(Simulation):
         """Aggregated per-rank capture/replay counters (None when eager)."""
         return self.evaluator.engine_stats()
 
+    def close(self) -> None:
+        """Stop the evaluator's worker processes (see
+        :meth:`ParallelForceEvaluator.close`)."""
+        self.evaluator.close()
+
     def kernel_profile(self, repeats: int = 10) -> None:
         """Every rank owns its own plan; there is no single one to profile."""
         return None
@@ -407,6 +491,8 @@ class ParallelSimulation(Simulation):
         super().set_state(state)
 
     def _set_backend_state(self, state: dict) -> None:
+        # The next force call hands the restored shards, lists included, to
+        # their ranks without rebuilding them.
         ev = self.evaluator
         ev._shards = copy.deepcopy(state["shards"])
         ev._ref_positions = _copy_or_none(state["ref_positions"])

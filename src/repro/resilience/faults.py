@@ -207,11 +207,13 @@ class FaultyPotential(PotentialWrapper):
     def evaluate(self, positions, species, nl, n_active=None):
         """The eager force call of the parallel and serve paths, corrupted
         on the same schedule (``"inf"`` poisons every per-atom energy)."""
-        return self._corrupt(
+        return self.corrupt(
             *self.potential.evaluate(positions, species, nl, n_active)
         )
 
-    def _corrupt(self, energy, forces):
+    def corrupt(self, energy, forces):
+        """One draw on the plan: ``(energy, forces)``, poisoned if it fires
+        (the parallel driver calls this per rank, in rank order)."""
         if self.plan.fires(self.channel):
             if self.mode == "nan":
                 forces = np.array(forces, copy=True)

@@ -408,10 +408,13 @@ def tune_parallel(
             # A brick thinner than cutoff + skin along some axis.
             return INFEASIBLE_SCORE, {"infeasible": str(exc)}
         work = None
-        for _ in range(max(n_steps, 1)):
-            bytes_before = evaluator.cluster.stats.total_bytes()
-            _, _, work = evaluator.compute(system)
-            halo_bytes = evaluator.cluster.stats.total_bytes() - bytes_before
+        try:
+            for _ in range(max(n_steps, 1)):
+                bytes_before = evaluator.cluster.stats.total_bytes()
+                _, _, work = evaluator.compute(system)
+                halo_bytes = evaluator.cluster.stats.total_bytes() - bytes_before
+        finally:
+            evaluator.close()  # trials do not pile up rank processes
         edges = np.asarray(work.n_edges, dtype=np.float64)
         max_edges = float(edges.max())
         mean_edges = float(edges.mean()) if edges.size else 0.0

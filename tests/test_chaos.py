@@ -174,6 +174,23 @@ class TestScenarioExecution:
         fired = sum(plan.fired(ch) for ch in spec.channels())
         assert fired > 0, "a chaos scenario must actually inject faults"
 
+    def test_a_workload_past_its_deadline_is_interrupted(self):
+        """The parallel workload runs on this thread (its rank processes
+        fork from a single-threaded process); the deadline still holds."""
+        import dataclasses
+        import gc
+        import multiprocessing as mp
+        import signal
+
+        spec = sample_scenario(SOAK_SEED * _SEED_STRIDE + 1, workload="parallel")
+        outcome = run_scenario(dataclasses.replace(spec, deadline_s=0.05))
+        assert outcome.obs["timed_out"]
+        assert "liveness" in [v.invariant for v in outcome.violations]
+        assert signal.getsignal(signal.SIGALRM) is signal.SIG_DFL
+        assert signal.getitimer(signal.ITIMER_REAL) == (0.0, 0.0)
+        gc.collect()
+        assert mp.active_children() == []
+
 
 #: A hand-traced overload spec: 16 mixed-priority requests against a
 #: 6-slot queue with QoS enforced admits 9 (evicting 3 weaker-class

@@ -4,6 +4,8 @@ The load-bearing assertion: parallel energies/forces equal serial ones for
 every rank count — the correctness half of the paper's scalability claim.
 """
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -263,3 +265,190 @@ class TestOneStepLoop:
         sim = ParallelSimulation(system, lj, n_ranks=4, dt=0.2)
         sim.run(6, dump_every=2, dump_path=tmp_path / "par.rtrj")
         assert sim.stats()["counters"]["traj.frames_recorded"] == 3
+
+
+def _our_segments(ev):
+    return [block.name for pair in ev._workers._blocks.values() for block in pair]
+
+
+def _segment_exists(name):
+    return Path("/dev/shm", name.lstrip("/")).exists()
+
+
+class TestStalePositions:
+    def test_owned_positions_refresh_on_a_rank_without_ghosts(self):
+        """A cluster deep inside one brick has no ghosts on either rank; a
+        move below skin/2 must still reach its owner's shard."""
+        g = np.stack(np.meshgrid(*[np.arange(3)] * 3, indexing="ij"), -1).reshape(-1, 3)
+        system = System(5.0 + 1.7 * g, np.zeros(27, int), Cell.cubic(40.0))
+        lj = LennardJones(epsilon=0.05, sigma=1.5, cutoff=3.0)
+        ev = ParallelForceEvaluator(lj, ProcessGrid.create(2, system.cell), skin=0.4)
+        _, _, work = ev.compute(system)
+        assert list(work.n_ghost) == [0, 0]
+        system.positions[0] += 0.1  # below skin/2: no rebuild
+        e_par, f_par, _ = ev.compute(system)
+        e_ser, f_ser = lj.energy_and_forces(system)
+        assert np.abs(f_par - f_ser).max() < 1e-12
+        assert e_par == pytest.approx(e_ser, rel=1e-12)
+        ev.close()
+
+
+class TestWorkerRanks:
+    """Ranks 1…R−1 on forked worker processes, rank 0 in the driver."""
+
+    @pytest.mark.parametrize("model", ["lj", "allegro"])
+    def test_worker_rank_is_bitwise_the_in_process_call(self, model, rng):
+        from repro.md.neighborlist import model_cutoff
+        from repro.parallel.workers import evaluate_shard
+
+        if model == "lj":
+            system, pot = _lj_system(rng)
+        else:
+            system = water_unit_cell()
+            pot = AllegroModel(AllegroConfig(
+                n_species=4, n_tensor=2, latent_dim=8, two_body_hidden=(8,),
+                latent_hidden=(8,), edge_energy_hidden=(4,), r_cut=3.5,
+                avg_num_neighbors=30,
+            ))
+        ev = ParallelForceEvaluator(pot, ProcessGrid.create(4, system.cell))
+        ev.compute(system)
+        for shard in ev._shards[1:]:
+            ev._workers.post(shard.rank, "step")
+            energy, n_edges, _, _ = ev._workers.gather([shard.rank])[0]
+            e_ref, f_ref, n_ref, _ = evaluate_shard(pot, shard, model_cutoff(pot))
+            assert energy == e_ref and n_edges == n_ref > 0
+            np.testing.assert_array_equal(ev._workers.forces[shard.rank], f_ref)
+        ev.close()
+
+    def test_one_rank_forks_nothing(self, rng):
+        system, lj = _lj_system(rng)
+        ev = ParallelForceEvaluator(lj, ProcessGrid.create(1, system.cell))
+        e, f, _ = ev.compute(system)
+        assert ev._workers._procs == {} and _our_segments(ev) == []
+        e_ser, f_ser = lj.energy_and_forces(system)
+        assert e == pytest.approx(e_ser, rel=1e-12)
+        assert np.abs(f - f_ser).max() < 1e-12
+
+    def test_sigkilled_worker_is_a_rank_failure_and_is_reforked(self, rng):
+        import os
+        import signal
+
+        from repro.parallel import RankFailure
+
+        system, lj = _lj_system(rng)
+        grid = ProcessGrid.create(4, system.cell)
+        ref = ParallelForceEvaluator(lj, grid, skin=0.4)
+        ref.compute(system)
+        e_ref, f_ref, _ = ref.compute(system)
+        ev = ParallelForceEvaluator(lj, grid, skin=0.4, max_retries=0)
+        ev.compute(system)
+        proc = ev._workers._procs[2][0]
+        pid = proc.pid
+        os.kill(pid, signal.SIGKILL)
+        proc.join(timeout=10)
+        assert not proc.is_alive()
+        with pytest.raises(RankFailure) as info:
+            ev.compute(system)
+        assert info.value.rank == 2
+        e, f, _ = ev.compute(system)  # a fresh worker for rank 2
+        assert ev._workers._procs[2][0].pid != pid
+        assert e == e_ref
+        np.testing.assert_array_equal(f, f_ref)
+        assert ev.resilience_stats()["n_failures"] == 1
+        ref.close()
+        ev.close()
+
+    def test_killed_worker_mid_run_matches_an_injected_rank_loss(self, rng):
+        """A worker that dies is recovered exactly as an injected rank loss
+        at the same step: same retry, same rebuild, same trajectory."""
+        import os
+        import signal
+
+        from repro.resilience import FaultPlan
+        from repro.resilience.faults import RANK_FAIL
+
+        system, lj = _lj_system(rng, n_side=5)
+        system.seed_velocities(30.0, np.random.default_rng(3))
+        injected = ParallelSimulation(
+            system.copy(), lj, n_ranks=4, dt=0.2,
+            fault_plan=FaultPlan(at={RANK_FAIL: [6]}),
+        )
+        injected.run(10)
+        killed = ParallelSimulation(system.copy(), lj, n_ranks=4, dt=0.2)
+
+        def kill(step, sim):
+            if step == 5:
+                proc = sim.evaluator._workers._procs[1][0]
+                os.kill(proc.pid, signal.SIGKILL)
+                proc.join(timeout=10)
+                assert not proc.is_alive()
+
+        killed.add_callback(kill)
+        killed.run(10)
+        for sim in (injected, killed):
+            stats = sim.evaluator.resilience_stats()
+            assert stats["n_failures"] == stats["n_recoveries"] == 1
+        np.testing.assert_array_equal(killed.system.positions, injected.system.positions)
+        np.testing.assert_array_equal(killed.system.velocities, injected.system.velocities)
+        injected.close()
+        killed.close()
+
+    def test_close_and_collection_leave_no_process_or_segment(self, rng):
+        import gc
+        import multiprocessing as mp
+
+        gc.collect()
+        assert mp.active_children() == []
+        system, lj = _lj_system(rng)
+        sim = ParallelSimulation(system, lj, n_ranks=4, dt=0.2)
+        sim.run(2)
+        assert len(mp.active_children()) == 3
+        names = _our_segments(sim.evaluator)
+        assert len(names) == 6 and all(_segment_exists(n) for n in names)
+        state = sim.get_state()
+        sim.close()
+        assert mp.active_children() == []
+        assert not any(_segment_exists(n) for n in names)
+        # what the evaluator holds after close is its own memory
+        assert state["shards"][1].positions.base is None
+        assert all(s.positions.base is None for s in sim.evaluator._shards[1:])
+        with pytest.raises(RuntimeError, match="closed"):
+            sim.run(1)
+
+        ev = ParallelForceEvaluator(lj, ProcessGrid.create(4, system.cell))
+        ev.compute(system)
+        names = _our_segments(ev)
+        assert len(mp.active_children()) == 3
+        del ev
+        gc.collect()
+        assert mp.active_children() == []
+        assert not any(_segment_exists(n) for n in names)
+
+    def test_compiled_counters_and_arena_match_the_in_process_loop(self):
+        """Mirrored worker counters read as the in-process rank loop's did
+        (the values below are what that loop gave for this run)."""
+        from repro.autodiff import arena
+
+        for engine, captures, scopes in (("compiled", [2, 1, 1, 2], 0), ("eager", None, 84)):
+            system, lj = _lj_system(np.random.default_rng(7), n_side=6)
+            system.seed_velocities(60.0, np.random.default_rng(8))
+            before = arena.stats()["scopes"]
+            sim = ParallelSimulation(system, lj, n_ranks=4, dt=0.5, skin=0.4, engine=engine)
+            sim.run(20)
+            stats = sim.stats()
+            assert stats["tape_arena"]["scopes"] - before == scopes
+            if captures is None:
+                assert sim.engine_stats() is None
+            else:
+                es = sim.engine_stats()
+                assert (es["n_captures"], es["n_replays"], es["recaptures"]) == (6, 84, 2)
+                assert sorted(es["per_rank"]) == [0, 1, 2, 3]
+                assert [
+                    stats["counters"][f"engine.captures{{rank={r}}}"] for r in range(4)
+                ] == captures
+                assert [es["per_rank"][r]["n_captures"] for r in range(4)] == captures
+                for r in range(4):
+                    assert stats["gauges"][f"engine.capacity_pairs{{rank={r}}}"] == (
+                        es["per_rank"][r]["capacity_pairs"]
+                    )
+            sim.close()

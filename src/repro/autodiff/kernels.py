@@ -201,21 +201,25 @@ def astype(out, a, dtype):
 
 
 # -- reductions ---------------------------------------------------------------
-# Longest middle axis ``sumk`` reduces with strided adds; beyond it the
-# dispatch of ``u - 1`` ufuncs stops beating one ``add.reduce``.
+# Most terms ``sumk`` reduces with whole-slice adds: beyond 8 the dispatch of
+# ``u - 1`` ufuncs stops beating one ``add.reduce``, and from 8 on a reduced
+# inner-loop axis is summed pairwise (see ``_slice_sum_axis``).
 _SUM_MAX_TERMS = 8
 
 
-def _short_middle_axis(a, axis):
-    """``axis`` as a non-negative int when it names one short middle axis.
+def _slice_sum_axis(a, axis):
+    """``axis`` as a non-negative int when ``add.reduce`` sums along it in
+    the order of one whole-slice add per term, ``((0 + a0) + a1) + ...``.
 
-    "Middle" is what fixes the order ``add.reduce`` sums in: on a
-    C-contiguous array with more than one element behind the reduced axis it
-    walks that axis as an outer loop, one slice at a time.  (A reduced *last*
-    axis — or a middle one followed only by length-1 axes — becomes the inner
-    loop of a pairwise sum, a different association.)
+    On a C-contiguous float array that holds for a short axis past the first:
+    - with more than one element behind it, ``add.reduce`` walks the axis as
+      an outer loop, one slice at a time (up to ``_SUM_MAX_TERMS`` terms);
+    - as the last axis (or followed only by length-1 axes) it is the inner
+      loop of numpy's pairwise sum, which below 8 terms is that same running
+      sum from 0; from 8 terms it unrolls into partial sums, a different
+      association, so those stay with ``add.reduce``.
     """
-    if a.ndim < 3:
+    if a.ndim < 2:
         return None
     if isinstance(axis, tuple):
         if len(axis) != 1:
@@ -224,22 +228,22 @@ def _short_middle_axis(a, axis):
     if axis is None or a.dtype.kind != "f" or not a.flags.c_contiguous:
         return None
     ax = axis % a.ndim
-    if not 0 < ax < a.ndim - 1:
-        return None
-    if not 2 <= a.shape[ax] <= _SUM_MAX_TERMS or math.prod(a.shape[ax + 1 :]) < 2:
+    inner = math.prod(a.shape[ax + 1 :]) < 2
+    if ax == 0 or not 2 <= a.shape[ax] <= _SUM_MAX_TERMS - inner:
         return None
     return ax
 
 
 @_kernel("sum")
 def sumk(out, a, axis, keepdims):
-    ax = _short_middle_axis(a, axis)
+    ax = _slice_sum_axis(a, axis)
     if ax is None:
         return a.sum(axis=axis, keepdims=keepdims, out=out)
-    # [Z, u, d] -> [Z, 1, d]: the additions ``add.reduce`` performs, in its
-    # order (((0 + a0) + a1) + a2 ...), as whole-slice adds — bitwise the
-    # same sums, several times faster than its strided iterator.  (The
-    # leading ``0 +`` is what makes a sum of -0.0 terms come out +0.0.)
+    # [Z, u, d] -> [Z, 1, d], [E, 3] -> [E, 1]: the additions ``add.reduce``
+    # performs, in its order (((0 + a0) + a1) + a2 ...), as whole-slice adds
+    # — bitwise the same sums, several times faster than its strided
+    # iterator.  (The leading ``0 +`` is what makes a sum of -0.0 terms come
+    # out +0.0.)
     lead = (slice(None),) * ax
     if out is None:
         shape = a.shape[:ax] + ((1,) if keepdims else ()) + a.shape[ax + 1 :]

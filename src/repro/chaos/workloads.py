@@ -24,6 +24,7 @@ chaos suite's own falsifiability check.
 from __future__ import annotations
 
 import pickle
+from contextlib import ExitStack, closing
 from pathlib import Path
 from typing import Dict, Optional
 
@@ -256,30 +257,34 @@ def run_parallel(spec: ScenarioSpec, workdir: Path, bug: Optional[str] = None) -
             fault_plan=fault_plan, registry=registry,
         )
 
-    clean = build()
-    clean_traj = workdir / "clean.rtrj"
-    clean.run(steps, dump_every=3, dump_path=clean_traj)
+    # Both simulations are closed on every way out, a deadline interrupt
+    # included: their rank processes must not wait for garbage collection,
+    # which a traceback still holding these frames can put off.
+    with ExitStack() as simulations:
+        clean = simulations.enter_context(closing(build()))
+        clean_traj = workdir / "clean.rtrj"
+        clean.run(steps, dump_every=3, dump_path=clean_traj)
 
-    plan = spec.fault_plan()
-    registry = Registry()
-    sim = build(fault_plan=plan, registry=registry)
-    # Rank-0 gathered dump under the same fault plan: traj.torn_chunk
-    # draws land on the writer's chunk commits.
-    from ..traj import TrajectoryWriter
+        plan = spec.fault_plan()
+        registry = Registry()
+        sim = simulations.enter_context(
+            closing(build(fault_plan=plan, registry=registry))
+        )
+        # Rank-0 gathered dump under the same fault plan: traj.torn_chunk
+        # draws land on the writer's chunk commits.
+        from ..traj import TrajectoryWriter
 
-    faulted_traj = workdir / "faulted.rtrj"
-    dump_writer = TrajectoryWriter(
-        faulted_traj, system=sim.system, registry=registry, fault_plan=plan
-    )
-    try:
-        sim.run(steps, dump_every=3, dump_writer=dump_writer)
-    finally:
-        if not dump_writer.closed:
-            dump_writer.close()
-    cluster = sim.evaluator.cluster
-    resilience = sim.evaluator.resilience_stats()
-    clean.close()
-    sim.close()
+        faulted_traj = workdir / "faulted.rtrj"
+        dump_writer = TrajectoryWriter(
+            faulted_traj, system=sim.system, registry=registry, fault_plan=plan
+        )
+        try:
+            sim.run(steps, dump_every=3, dump_writer=dump_writer)
+        finally:
+            if not dump_writer.closed:
+                dump_writer.close()
+        cluster = sim.evaluator.cluster
+        resilience = sim.evaluator.resilience_stats()
 
     return {
         "plan": plan,

@@ -214,7 +214,14 @@ def _brute_force(
 def _cell_list(
     pos: np.ndarray, cell: Optional[Cell], cutoff: float, n_centers: int
 ) -> NeighborList:
-    """O(N) binned neighbor search, fully vectorized (no Python per-atom loop)."""
+    """O(N) binned neighbor search, fully vectorized (no Python per-atom loop).
+
+    Edges come bin offset by offset, center by center, candidates in bin
+    order.  Candidates are gathered from bin-sorted position columns, d² is
+    formed by column adds (bitwise ``np.sum(disp**2, axis=1)``), an image
+    shift is added only along axes where the offset wraps, and only kept
+    candidates are mapped back to atom ids.
+    """
     if cell is not None:
         orig = pos
         pos = cell.wrap(pos)
@@ -238,78 +245,84 @@ def _cell_list(
     bin_size = lengths / nbins
     coords = np.minimum((pos / bin_size).astype(int), nbins - 1)
     flat = (coords[:, 0] * nbins[1] + coords[:, 1]) * nbins[2] + coords[:, 2]
-    total_bins = int(np.prod(nbins))
 
     order = np.argsort(flat, kind="stable")
-    sorted_flat = flat[order]
-    counts = np.bincount(sorted_flat, minlength=total_bins)
+    counts = np.bincount(flat, minlength=int(np.prod(nbins)))
     offsets = np.concatenate([[0], np.cumsum(counts)])
-    # Centers, as positions in bin order, and the bin each sits in.
-    centers = np.nonzero(order < n_centers)[0]
-    center_bins = sorted_flat[centers]
+    # Centers, as positions in bin order; their atom ids and bin coordinates.
+    centers = np.flatnonzero(order < n_centers)
+    center_ids = np.take(order, centers)
+    center_coords = np.take(coords, center_ids, axis=0)
+    cols = np.take(pos, order, axis=0).T.copy()  # [3, N] bin-sorted columns
+    center_cols = np.take(cols, centers, axis=1)
 
-    # Precompute per-bin 3D coordinates once.
-    bx, by, bz = np.meshgrid(
-        np.arange(nbins[0]), np.arange(nbins[1]), np.arange(nbins[2]), indexing="ij"
-    )
-    bin_coords = np.stack([bx.ravel(), by.ravel(), bz.ravel()], axis=1)  # [B, 3]
+    # Per axis and bin step d: each center's neighbor-bin coordinate, and
+    # its cartesian image shift (periodic axes; None when no center wraps)
+    # or whether the bin exists (open axes; None when every one does).
+    steps = [{}, {}, {}]
+    for ax in range(3):
+        for d in (-1, 0, 1):
+            c = center_coords[:, ax] + d
+            over, under = c >= nbins[ax], c < 0
+            outside = over.any() or under.any()
+            if pbc[ax]:
+                shift = lengths[ax] * over - lengths[ax] * under if outside else None
+                steps[ax][d] = (c - nbins[ax] * over + nbins[ax] * under, shift, None)
+            else:
+                valid = ~(over | under) if outside else None
+                steps[ax][d] = (np.where(over | under, 0, c), None, valid)
 
     cut2 = cutoff * cutoff
     all_i, all_j, all_s = [], [], []
     for dx in (-1, 0, 1):
         for dy in (-1, 0, 1):
             for dz in (-1, 0, 1):
-                d = np.array([dx, dy, dz])
-                ncoords = bin_coords + d
-                wrap_shift = np.zeros((total_bins, 3))
-                valid = np.ones(total_bins, dtype=bool)
-                for ax in range(3):
-                    over = ncoords[:, ax] >= nbins[ax]
-                    under = ncoords[:, ax] < 0
-                    if pbc[ax]:
-                        # Neighbor bin wraps; record the cartesian image shift.
-                        wrap_shift[over, ax] = lengths[ax]
-                        wrap_shift[under, ax] = -lengths[ax]
-                        ncoords[over, ax] -= nbins[ax]
-                        ncoords[under, ax] += nbins[ax]
-                    else:
-                        valid &= ~(over | under)
-                nflat = (ncoords[:, 0] * nbins[1] + ncoords[:, 1]) * nbins[2] + ncoords[:, 2]
-                nflat = np.where(valid, nflat, 0)
-
-                # For every center i: candidates are atoms in bin nflat[bin(i)].
-                nb_of_atom = nflat[center_bins]
-                cand_count = np.where(valid[center_bins], counts[nb_of_atom], 0)
-                total = int(cand_count.sum())
-                if total == 0:
+                (cx, sx, vx), (cy, sy, vy), (cz, sz, vz) = (
+                    steps[0][dx], steps[1][dy], steps[2][dz]
+                )
+                nb = (cx * nbins[1] + cy) * nbins[2] + cz
+                cand_count = np.take(counts, nb)
+                for v in (vx, vy, vz):
+                    if v is not None:
+                        cand_count = cand_count * v
+                if not cand_count.any():
                     continue
-                i_rep_sorted = np.repeat(centers, cand_count)
-                j_sorted_idx = _ragged_arange(offsets[nb_of_atom], cand_count)
+                ci = np.repeat(np.arange(len(centers)), cand_count)
+                jj = _ragged_arange(np.take(offsets, nb), cand_count)
 
-                i_atoms = order[i_rep_sorted]
-                j_atoms = order[j_sorted_idx]
-                shift = (wrap_shift[sorted_flat])[i_rep_sorted]
-
-                disp = pos[j_atoms] + shift - pos[i_atoms]
-                d2 = np.sum(disp * disp, axis=1)
+                # r_ij = (x_j + shift) - x_i, one column at a time.
+                d2 = None
+                for ax, shift in enumerate((sx, sy, sz)):
+                    col = np.take(cols[ax], jj)
+                    if shift is not None:
+                        col += np.repeat(shift, cand_count)
+                    col -= np.take(center_cols[ax], ci)
+                    col *= col
+                    d2 = col if d2 is None else np.add(d2, col, out=d2)
                 keep = d2 < cut2
                 if dx == 0 and dy == 0 and dz == 0:
-                    keep &= i_atoms != j_atoms
-                i_k, j_k = i_atoms[keep], j_atoms[keep]
-                s_k = shift[keep]
-                if wrap_offset is not None:
-                    s_k = s_k + wrap_offset[j_k] - wrap_offset[i_k]
+                    keep &= jj != np.take(centers, ci)
+                keep = np.flatnonzero(keep)
+                ck = np.take(ci, keep)
+                i_k = np.take(center_ids, ck)
+                j_k = np.take(order, np.take(jj, keep))
                 all_i.append(i_k)
                 all_j.append(j_k)
-                all_s.append(s_k)
+                if wrap_offset is not None:
+                    s_k = np.zeros((len(keep), 3))
+                    for ax, shift in enumerate((sx, sy, sz)):
+                        if shift is not None:
+                            s_k[:, ax] = np.take(shift, ck)
+                    s_k += np.take(wrap_offset, j_k, axis=0)
+                    s_k -= np.take(wrap_offset, i_k, axis=0)
+                    all_s.append(s_k)
 
     if not all_i:
         return _empty_list()
-    edge_index = np.stack(
-        [np.concatenate(all_i).astype(np.int64), np.concatenate(all_j).astype(np.int64)]
-    )
-    shifts = np.concatenate(all_s, axis=0)
-    return NeighborList(edge_index, shifts)
+    edge_index = np.stack([np.concatenate(all_i), np.concatenate(all_j)])
+    if wrap_offset is None:
+        return NeighborList(edge_index, np.zeros((edge_index.shape[1], 3)))
+    return NeighborList(edge_index, np.concatenate(all_s, axis=0))
 
 
 def filter_by_pair_cutoffs(

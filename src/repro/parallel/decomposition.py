@@ -22,7 +22,6 @@ from typing import List, Optional
 
 import numpy as np
 
-from ..md.cell import Cell
 from ..md.neighborlist import NeighborList, neighbor_list
 from ..md.system import System
 from .comm import VirtualCluster
@@ -74,6 +73,8 @@ class DomainDecomposition:
         self.cutoff = float(cutoff)
         self.cluster = cluster or VirtualCluster(grid.n_ranks)
         self._prev_owner: Optional[np.ndarray] = None
+        self._messages_for: Optional[List[RankShard]] = None
+        self._message_table: List[list] = []
 
     # -- construction -----------------------------------------------------------
     def build(self, system: System) -> List[RankShard]:
@@ -92,26 +93,43 @@ class DomainDecomposition:
                 self.cluster.stats.record("migrate", count * (2 * _POS_BYTES + 16))
         self._prev_owner = owner.copy()
 
+        # Ghost selection, per axis: whether each atom's image at shift k
+        # (in box lengths) is in a brick's cutoff-expanded [lo, hi) along it,
+        # once per slab; a rank's image (kx, ky, kz) is its three slabs' AND.
+        lengths, cut = system.cell.lengths, self.cutoff
+        images = [(-1, 0, 1) if system.cell.pbc[ax] else (0,) for ax in range(3)]
+        shifted = [{k: pos[:, ax] + k * lengths[ax] for k in images[ax]} for ax in range(3)]
+        slabs: dict = {}
+
+        def slab(ax, k, lo, hi):
+            key = (ax, k, lo, hi)
+            if key not in slabs:
+                p = shifted[ax][k]
+                slabs[key] = (p >= lo - cut) & (p < hi + cut)
+            return slabs[key]
+
         shards: List[RankShard] = []
-        image_shifts = self._image_shifts(system.cell)
         for rank in range(self.grid.n_ranks):
             lo, hi = self.grid.domain_bounds(rank)
-            owned = np.nonzero(owner == rank)[0]
+            x, y, z = (
+                {k: slab(ax, k, lo[ax], hi[ax]) for k in images[ax]} for ax in range(3)
+            )
+            owned = np.flatnonzero(owner == rank)
 
             ghost_ids, ghost_shift_rows = [], []
-            for shift in image_shifts:
-                shifted = pos + shift
-                inside = np.all(
-                    (shifted >= lo - self.cutoff) & (shifted < hi + self.cutoff),
-                    axis=1,
-                )
-                if shift.any():
-                    cand = np.nonzero(inside)[0]
-                else:
-                    cand = np.nonzero(inside & (owner != rank))[0]
-                if len(cand):
-                    ghost_ids.append(cand)
-                    ghost_shift_rows.append(np.broadcast_to(shift, (len(cand), 3)))
+            for kx in images[0]:
+                for ky in images[1]:
+                    inside_xy = x[kx] & y[ky]
+                    for kz in images[2]:
+                        inside = inside_xy & z[kz]
+                        if kx or ky or kz:
+                            cand = np.flatnonzero(inside)
+                        else:
+                            cand = np.flatnonzero(inside & (owner != rank))
+                        if len(cand):
+                            shift = np.array([kx, ky, kz]) * lengths
+                            ghost_ids.append(cand)
+                            ghost_shift_rows.append(np.broadcast_to(shift, (len(cand), 3)))
             if ghost_ids:
                 gids = np.concatenate(ghost_ids)
                 gshifts = np.concatenate(ghost_shift_rows, axis=0)
@@ -119,14 +137,6 @@ class DomainDecomposition:
                 gids = np.zeros(0, dtype=np.int64)
                 gshifts = np.zeros((0, 3))
             gowner = owner[gids]
-
-            # Halo-build traffic: each owner rank sends its ghost atoms'
-            # positions + species + ids to this rank.
-            for src in np.unique(gowner):
-                if src == rank:
-                    continue
-                count = int((gowner == src).sum())
-                self.cluster.stats.record("halo_build", count * (_POS_BYTES + 16))
 
             local_pos = np.concatenate([pos[owned], pos[gids] + gshifts], axis=0)
             local_spec = np.concatenate([system.species[owned], system.species[gids]])
@@ -141,19 +151,29 @@ class DomainDecomposition:
                     species=local_spec,
                 )
             )
+        # Halo-build traffic: each owner rank sends its ghost atoms'
+        # positions + species + ids to this rank.
+        for messages in self._messages(shards):
+            for _, (block,) in messages:
+                self.cluster.stats.record("halo_build", len(block) * (_POS_BYTES + 16))
         return shards
 
-    def _image_shifts(self, cell: Cell) -> List[np.ndarray]:
-        """Cartesian shifts of the periodic images that can reach a halo."""
-        ranges = []
-        for ax in range(3):
-            ranges.append((-1, 0, 1) if cell.pbc[ax] else (0,))
-        shifts = []
-        for sx in ranges[0]:
-            for sy in ranges[1]:
-                for sz in ranges[2]:
-                    shifts.append(np.array([sx, sy, sz]) * cell.lengths)
-        return shifts
+    def _messages(self, shards: List[RankShard]) -> List[list]:
+        """Per shard, ``(peer, payload)`` of each halo message between it and
+        the ranks owning its ghosts (peers ascending, itself excluded): the
+        payload is one ``[count, 3]`` block.  Built once per shard list, so
+        once per rebuild, and reused by every exchange until the next."""
+        if self._messages_for is not shards:
+            self._message_table = [
+                [
+                    (int(peer), (np.empty((int(count), 3)),))
+                    for peer, count in zip(*np.unique(s.ghost_owner, return_counts=True))
+                    if peer != s.rank
+                ]
+                for s in shards
+            ]
+            self._messages_for = shards
+        return self._message_table
 
     # -- per-step communication -------------------------------------------------
     def update_ghost_positions(
@@ -163,22 +183,14 @@ class DomainDecomposition:
         every ghost from its owner (in place: a worker rank's positions are
         its shared block)."""
         pos = system.positions
-        for shard in shards:
+        for shard, messages in zip(shards, self._messages(shards)):
             shard.positions[: shard.n_owned] = pos[shard.owned_ids]
             if shard.n_ghost == 0:
                 continue
             shard.positions[shard.n_owned :] = pos[shard.ghost_ids] + shard.ghost_shifts
-            for src in np.unique(shard.ghost_owner):
-                if src == shard.rank:
-                    continue
-                count = int((shard.ghost_owner == src).sum())
-                self.cluster.send(
-                    int(src),
-                    shard.rank,
-                    "halo_forward",
-                    (np.empty((count, 3)),),
-                )
-                self.cluster.recv(shard.rank, int(src), "halo_forward")
+            for src, payload in messages:
+                self.cluster.send(src, shard.rank, "halo_forward", payload)
+                self.cluster.recv(shard.rank, src, "halo_forward")
 
     def reverse_force_exchange(
         self, shards: List[RankShard], ghost_forces: List[np.ndarray]
@@ -186,7 +198,10 @@ class DomainDecomposition:
         """Reverse halo: send ghost force contributions back to owners.
 
         ``ghost_forces[r]`` is rank r's [n_ghost, 3] contribution block;
-        returns the assembled [N, 3] global correction array.
+        returns the assembled [N, 3] global correction array: per column,
+        one ``np.bincount`` over the blocks concatenated in rank order —
+        the same additions, in the same order, as adding each rank's block
+        row by row, rank after rank.
         """
         n_total = max(
             (int(s.owned_ids.max()) + 1 if s.n_owned else 0) for s in shards
@@ -195,20 +210,24 @@ class DomainDecomposition:
             n_total,
             max((int(s.ghost_ids.max()) + 1 if s.n_ghost else 0) for s in shards),
         )
-        out = np.zeros((n_total, 3))
-        for shard, gf in zip(shards, ghost_forces):
+        ids, blocks = [], []
+        for shard, gf, messages in zip(shards, ghost_forces, self._messages(shards)):
             if shard.n_ghost == 0:
                 continue
             if gf.shape != (shard.n_ghost, 3):
                 raise ValueError("ghost force block has wrong shape")
-            np.add.at(out, shard.ghost_ids, gf)
-            for dst in np.unique(shard.ghost_owner):
-                if dst == shard.rank:
-                    continue
-                count = int((shard.ghost_owner == dst).sum())
-                self.cluster.send(shard.rank, int(dst), "halo_reverse", (np.empty((count, 3)),))
-                self.cluster.recv(int(dst), shard.rank, "halo_reverse")
-        return out
+            ids.append(shard.ghost_ids)
+            blocks.append(gf)
+            for dst, payload in messages:
+                self.cluster.send(shard.rank, dst, "halo_reverse", payload)
+                self.cluster.recv(dst, shard.rank, "halo_reverse")
+        if not ids:
+            return np.zeros((n_total, 3))
+        ids, blocks = np.concatenate(ids), np.concatenate(blocks)
+        return np.stack(
+            [np.bincount(ids, blocks[:, ax], minlength=n_total) for ax in range(3)],
+            axis=1,
+        )
 
     # -- local neighbor lists ----------------------------------------------------
     @staticmethod

@@ -11,7 +11,8 @@ the unpadded tape.  The contractions *over* the batch (the gradient of the
 Clebsch-Gordan tensor, the weight gradient of a matmul) have no pad rows to
 ignore; they are pinned to ``np.einsum`` / ``a.T @ g`` within a dtype
 tolerance.  The routes of DESIGN §22 — the stacked block matmul, the static
-tensor in any einsum slot, the channel-wise specs, the middle-axis sum — each
+tensor in any einsum slot, the channel-wise specs, the middle- and short
+last-axis sums — each
 get (i) equality with what they replaced, (ii) pad-invariance, (iii) the
 non-contiguous case; two threads replay two plans of one model; the precision
 hooks bypass every route; and a sentinel at the end checks that neither a
@@ -848,21 +849,21 @@ class TestMiddleAxisSum:
 
     def test_the_strided_route_is_the_one_taken(self):
         a = np.random.default_rng(19).normal(size=(50, 4, 9))
-        assert K._short_middle_axis(a, (1,)) == 1
-        assert K._short_middle_axis(a, -2) == 1
+        assert K._slice_sum_axis(a, (1,)) == 1
+        assert K._slice_sum_axis(a, -2) == 1
         four_d = a.reshape(10, 5, 4, 9)
-        assert K._short_middle_axis(four_d, 2) == 2
+        assert K._slice_sum_axis(four_d, 2) == 2
         assert_bitwise(K.sumk(None, four_d, 2, True), four_d.sum(axis=2, keepdims=True))
         # ... and where add.reduce sums in another order, it is left alone
         for arr, axis in (
-            (a, -1), (a, 0), (a, (0, 1)), (a, None),  # last, first, two axes, all
-            (a[:, :, :1].copy(), 1),  # one element behind the axis: a pairwise sum
+            (a, -1), (a, 0), (a, (0, 1)), (a, None),  # 9-term last, first, two axes, all
+            (np.zeros((5, 8, 1)), 1),  # 8 terms, one element behind: a pairwise sum
             (a.transpose(0, 2, 1), 1),  # not C-contiguous
             (np.zeros((5, 9, 3)), 1),  # longer than _SUM_MAX_TERMS
             (np.zeros((5, 1, 3)), 1),  # nothing to add
             (np.zeros((5, 4, 3), np.int64), 1),
         ):
-            assert K._short_middle_axis(arr, axis) is None
+            assert K._slice_sum_axis(arr, axis) is None
             assert_bitwise(
                 np.asarray(K.sumk(None, arr, axis, True), dtype=np.float64),
                 np.asarray(arr.sum(axis=axis, keepdims=True), dtype=np.float64),
@@ -875,6 +876,63 @@ class TestMiddleAxisSum:
         a = rng.normal(size=(z, 4, 9))
         padded = np.concatenate([a, rng.normal(size=(n_pad, 4, 9))])
         assert_bitwise(K.sumk(None, padded, (1,), True)[:z], K.sumk(None, a, (1,), True))
+
+
+class TestLastAxisSum:
+    """``[E, k] -> [E, 1]`` for k = 2…7 as ``k - 1`` whole-column adds: below 8
+    terms numpy's pairwise sum of an inner-loop axis is the same running sum
+    from 0; from 8 terms it is not, and those stay with ``add.reduce``."""
+
+    inf_nan = st.one_of(values, st.sampled_from([np.inf, -np.inf, np.nan]))
+
+    @given(st.integers(0, 40), st.integers(2, 7), st.booleans(), st.booleans(),
+           st.sampled_from([1, -1, (1,)]), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_bitwise_equals_add_reduce(self, e, k, keepdims, with_out, axis, data):
+        flat = data.draw(st.lists(self.inf_nan, min_size=e * k, max_size=e * k))
+        a = np.array(flat, dtype=np.float64).reshape(e, k)
+        assert K._slice_sum_axis(a, axis) == 1
+        with np.errstate(invalid="ignore"):
+            ref = np.add.reduce(a, axis=axis, keepdims=keepdims)
+            out = np.full(ref.shape, np.nan) if with_out else None
+            res = K.sumk(out, a, axis, keepdims)
+        assert out is None or res is out
+        assert_bitwise(res, ref)
+
+    @pytest.mark.parametrize("k", range(2, 8))
+    def test_signed_zeros_and_infinities(self, k):
+        a = np.array([[-0.0] * k, [0.0] + [-0.0] * (k - 1), [np.inf] + [-np.inf] * (k - 1),
+                      [np.nan] + [1.0] * (k - 1), [1e308] * k])
+        with np.errstate(invalid="ignore", over="ignore"):
+            assert_bitwise(K.sumk(None, a, -1, True), np.add.reduce(a, axis=-1, keepdims=True))
+            assert_bitwise(K.sumk(None, a, -1, False), np.add.reduce(a, axis=-1))
+
+    def test_a_trailing_length_one_axis_is_still_the_inner_loop(self):
+        a = np.random.default_rng(20).normal(size=(30, 5, 1, 1))
+        assert K._slice_sum_axis(a, 1) == 1
+        assert_bitwise(K.sumk(None, a, 1, True), a.sum(axis=1, keepdims=True))
+
+    def test_eight_terms_and_strided_inputs_fall_through(self):
+        rng = np.random.default_rng(21)
+        wide = rng.normal(size=(40, 9))
+        for arr in (
+            rng.normal(size=(40, 8)),  # the pairwise unroll starts
+            wide[:, :3],  # a column slice of a wider block
+            rng.normal(size=(3, 40)).T,  # a transpose
+            rng.normal(size=(40, 1)),  # nothing to add
+            rng.normal(size=4),  # one axis
+        ):
+            assert K._slice_sum_axis(arr, -1) is None
+            assert_bitwise(K.sumk(None, arr, -1, True), arr.sum(axis=-1, keepdims=True))
+        assert K._slice_sum_axis(np.zeros((40, 8, 2)), 1) == 1  # a middle axis may take 8
+
+    @given(st.integers(1, 30), st.integers(1, 20), st.integers(2, 7))
+    @settings(max_examples=30, deadline=None)
+    def test_pad_rows_never_reach_real_rows(self, e, n_pad, k):
+        rng = np.random.default_rng(e * 31 + n_pad * 7 + k)
+        a = rng.normal(size=(e, k))
+        padded = np.concatenate([a, rng.normal(size=(n_pad, k))])
+        assert_bitwise(K.sumk(None, padded, -1, True)[:e], K.sumk(None, a, -1, True))
 
 
 class TestGatherIntoABuffer:

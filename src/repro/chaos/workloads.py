@@ -228,8 +228,8 @@ def run_md(spec: ScenarioSpec, workdir: Path, bug: Optional[str] = None) -> Dict
 def run_parallel(spec: ScenarioSpec, workdir: Path, bug: Optional[str] = None) -> Dict:
     """4-rank MD under comm drop/delay + rank failure.
 
-    Extra keys: ``final``/``reference`` positions, ``comm`` (fault_stats +
-    pending), ``n_failures``/``n_recoveries``.
+    Extra keys: ``final``/``reference`` positions, ``comm`` (the cluster's
+    fault_stats), ``n_failures``/``n_recoveries``.
     """
     from ..parallel import ParallelSimulation
 
@@ -292,7 +292,7 @@ def run_parallel(spec: ScenarioSpec, workdir: Path, bug: Optional[str] = None) -
         "final": {"positions": np.array(sim.system.positions)},
         "reference": {"positions": np.array(clean.system.positions)},
         "box_length": 5 * 1.9,
-        "comm": {**cluster.fault_stats(), "pending": cluster.pending()},
+        "comm": cluster.fault_stats(),
         "n_failures": resilience["n_failures"],
         "n_recoveries": resilience["n_recoveries"],
         "traj": {

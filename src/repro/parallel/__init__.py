@@ -5,9 +5,10 @@ implements the same parallelization the paper relies on:
 
 * :mod:`topology` — a LAMMPS-style 3D process grid (surface-minimizing
   factorization of the rank count over the box).
-* :mod:`comm` — an in-process virtual communicator that routes numpy
-  payloads between ranks and accounts every message and byte, so
-  communication volume is measured, not guessed.
+* :mod:`comm` — the virtual communicator: a ledger that records every
+  halo, reverse-force and migration message with its bytes (and any
+  injected drop or delay), so communication volume is measured, not
+  guessed.
 * :mod:`decomposition` — ghost-atom (halo) exchange via the standard
   6-direction staged protocol, atom migration, and per-rank neighbor
   lists.  Because Allegro is strictly local with per-*center* ordered
@@ -26,7 +27,7 @@ implements the same parallelization the paper relies on:
 
 from .topology import ProcessGrid
 from .loadbalance import BalancedProcessGrid
-from .comm import VirtualCluster, CommStats, CommError
+from .comm import VirtualCluster, CommStats
 from .decomposition import DomainDecomposition, RankShard
 from .driver import ParallelForceEvaluator, ParallelSimulation
 from .workers import RankFailure
@@ -42,7 +43,6 @@ __all__ = [
     "BalancedProcessGrid",
     "VirtualCluster",
     "CommStats",
-    "CommError",
     "DomainDecomposition",
     "RankShard",
     "ParallelForceEvaluator",

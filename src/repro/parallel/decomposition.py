@@ -154,19 +154,19 @@ class DomainDecomposition:
         # Halo-build traffic: each owner rank sends its ghost atoms'
         # positions + species + ids to this rank.
         for messages in self._messages(shards):
-            for _, (block,) in messages:
-                self.cluster.stats.record("halo_build", len(block) * (_POS_BYTES + 16))
+            for _, count in messages:
+                self.cluster.stats.record("halo_build", count * (_POS_BYTES + 16))
         return shards
 
     def _messages(self, shards: List[RankShard]) -> List[list]:
-        """Per shard, ``(peer, payload)`` of each halo message between it and
-        the ranks owning its ghosts (peers ascending, itself excluded): the
-        payload is one ``[count, 3]`` block.  Built once per shard list, so
+        """Per shard, ``(peer, count)`` of each halo message between it and
+        the ranks owning its ghosts (peers ascending, itself excluded):
+        ``count`` atoms' worth of 3-vectors.  Built once per shard list, so
         once per rebuild, and reused by every exchange until the next."""
         if self._messages_for is not shards:
             self._message_table = [
                 [
-                    (int(peer), (np.empty((int(count), 3)),))
+                    (int(peer), int(count))
                     for peer, count in zip(*np.unique(s.ghost_owner, return_counts=True))
                     if peer != s.rank
                 ]
@@ -188,28 +188,20 @@ class DomainDecomposition:
             if shard.n_ghost == 0:
                 continue
             shard.positions[shard.n_owned :] = pos[shard.ghost_ids] + shard.ghost_shifts
-            for src, payload in messages:
-                self.cluster.send(src, shard.rank, "halo_forward", payload)
-                self.cluster.recv(shard.rank, src, "halo_forward")
+            for src, count in messages:
+                self.cluster.transfer(src, shard.rank, "halo_forward", count * _POS_BYTES)
 
     def reverse_force_exchange(
-        self, shards: List[RankShard], ghost_forces: List[np.ndarray]
+        self, shards: List[RankShard], ghost_forces: List[np.ndarray], n_atoms: int
     ) -> np.ndarray:
         """Reverse halo: send ghost force contributions back to owners.
 
         ``ghost_forces[r]`` is rank r's [n_ghost, 3] contribution block;
-        returns the assembled [N, 3] global correction array: per column,
-        one ``np.bincount`` over the blocks concatenated in rank order —
-        the same additions, in the same order, as adding each rank's block
-        row by row, rank after rank.
+        returns the assembled [n_atoms, 3] global correction array: per
+        column, one ``np.bincount`` over the blocks concatenated in rank
+        order — the same additions, in the same order, as adding each rank's
+        block row by row, rank after rank.
         """
-        n_total = max(
-            (int(s.owned_ids.max()) + 1 if s.n_owned else 0) for s in shards
-        )
-        n_total = max(
-            n_total,
-            max((int(s.ghost_ids.max()) + 1 if s.n_ghost else 0) for s in shards),
-        )
         ids, blocks = [], []
         for shard, gf, messages in zip(shards, ghost_forces, self._messages(shards)):
             if shard.n_ghost == 0:
@@ -218,14 +210,13 @@ class DomainDecomposition:
                 raise ValueError("ghost force block has wrong shape")
             ids.append(shard.ghost_ids)
             blocks.append(gf)
-            for dst, payload in messages:
-                self.cluster.send(shard.rank, dst, "halo_reverse", payload)
-                self.cluster.recv(dst, shard.rank, "halo_reverse")
+            for dst, count in messages:
+                self.cluster.transfer(shard.rank, dst, "halo_reverse", count * _POS_BYTES)
         if not ids:
-            return np.zeros((n_total, 3))
+            return np.zeros((n_atoms, 3))
         ids, blocks = np.concatenate(ids), np.concatenate(blocks)
         return np.stack(
-            [np.bincount(ids, blocks[:, ax], minlength=n_total) for ax in range(3)],
+            [np.bincount(ids, blocks[:, ax], minlength=n_atoms) for ax in range(3)],
             axis=1,
         )
 

@@ -22,15 +22,15 @@ driver's up to floating-point summation order (asserted in tests), which
 is the reproduction of the paper's claim that strict locality makes
 spatial decomposition semantically invisible.
 
-Fault tolerance: dropped/delayed exchanges are retransmitted inside
-:class:`~repro.parallel.comm.VirtualCluster`; when retransmission is
-exhausted (:class:`~repro.parallel.comm.CommError`) or a rank is lost
-(:class:`RankFailure`: injected, or a worker process that died), the
-evaluator purges in-flight traffic, replaces the lost rank's process,
-rebuilds the decomposition — reassigning the failed rank's atoms exactly
-as a restarted replacement node would repartition — and retries the step,
-bounded by ``max_retries``.  Every fault-plan draw happens in this
-process, in rank order, whichever process evaluated a rank.  Because all
+Fault tolerance: a dropped or delayed halo message is retransmitted and
+counted in the :class:`~repro.parallel.comm.VirtualCluster` ledger; it
+never reaches the driver.  When a rank is lost (:class:`RankFailure`:
+injected, or a worker process that died), the evaluator replaces the lost
+rank's process, rebuilds the decomposition — reassigning the failed rank's
+atoms exactly as a restarted replacement node would repartition — and
+retries the step, bounded by ``max_retries``.  Every fault-plan draw
+happens in this process, in rank order, whichever process evaluated a
+rank.  Because all
 authoritative state (positions, velocities) lives in the global
 :class:`System`, recovery is a pure recompute: the retried step produces
 the same forces as an undisturbed one.
@@ -50,7 +50,7 @@ from ..md.simulation import Simulation, _copy_or_none
 from ..md.system import System
 from ..obs import LATENCY_BUCKETS, Registry, get_tracer, span
 from ..resilience.faults import FaultyPotential
-from .comm import CommError, VirtualCluster
+from .comm import VirtualCluster
 from .decomposition import DomainDecomposition, RankShard
 from .topology import ProcessGrid
 from .workers import RankFailure, RankWorkers, evaluate_shard
@@ -242,18 +242,17 @@ class ParallelForceEvaluator:
     def compute(self, system: System) -> Tuple[float, np.ndarray, RankWorkStats]:
         """(total energy, assembled forces, per-rank work stats).
 
-        Retries on :class:`~repro.parallel.comm.CommError` (retransmission
-        exhausted) and :class:`RankFailure` (injected rank loss, or a worker
-        process that died): in-flight traffic is purged, the lost rank's
-        process is replaced, the decomposition is rebuilt from the global
-        system — reassigning the lost rank's shard — and the evaluation
-        reruns, up to ``max_retries`` times.
+        Retries on :class:`RankFailure` (injected rank loss, or a worker
+        process that died): the lost rank's process is replaced, the
+        decomposition is rebuilt from the global system — reassigning the
+        lost rank's shard — and the evaluation reruns, up to
+        ``max_retries`` times.
         """
         attempts = 0
         while True:
             try:
                 return self._compute_once(system)
-            except (CommError, RankFailure) as exc:
+            except RankFailure as exc:
                 self._c_failures.inc()
                 # Reset even when giving up: a dead worker is replaced, so
                 # the next call can succeed.
@@ -263,18 +262,17 @@ class ParallelForceEvaluator:
                     raise
                 self._c_recoveries.inc()
 
-    def _recover(self, exc: BaseException) -> None:
-        """Reset comm + decomposition state so the next attempt is clean."""
-        self.cluster.purge()
+    def _recover(self, exc: RankFailure) -> None:
+        """Reset the decomposition and replace the lost rank so the next
+        attempt is clean."""
         self._shards = None
         self._ref_positions = None
-        if isinstance(exc, RankFailure):
-            # The replacement node arrives empty: its process, compiled
-            # capture state and arena are new.
-            if exc.rank == 0:
-                self._compiled = None
-            else:
-                self._workers.replace(exc.rank)
+        # The replacement node arrives empty: its process, compiled capture
+        # state and arena are new.
+        if exc.rank == 0:
+            self._compiled = None
+        else:
+            self._workers.replace(exc.rank)
 
     def _rank_hist(self, rank: int):
         hist = self._rank_force_hist.get(rank)
@@ -371,15 +369,11 @@ class ParallelForceEvaluator:
 
         bytes_before = self.cluster.stats.total_bytes()
         with span("parallel.halo"):
-            ghost_corr = self.decomp.reverse_force_exchange(shards, ghost_blocks)
+            ghost_corr = self.decomp.reverse_force_exchange(shards, ghost_blocks, n)
         sp.add("halo_bytes", self.cluster.stats.total_bytes() - bytes_before)
         sp.add("edges", int(n_edges.sum()))
         sp.add("candidates", int(n_candidates.sum()))
-        if len(ghost_corr) < n:
-            ghost_corr = np.concatenate(
-                [ghost_corr, np.zeros((n - len(ghost_corr), 3))], axis=0
-            )
-        forces += ghost_corr[:n]
+        forces += ghost_corr
         return energy, forces, RankWorkStats(n_owned, n_ghost, n_edges, n_candidates)
 
 
@@ -429,19 +423,16 @@ class ParallelSimulation(Simulation):
             self.grid = ProcessGrid(dims, system.cell)
         else:
             self.grid = ProcessGrid.create(n_ranks, system.cell)
-        self.cluster = VirtualCluster(
-            n_ranks, fault_plan=fault_plan, registry=self.obs
-        )
         self.evaluator = ParallelForceEvaluator(
             potential,
             self.grid,
-            self.cluster,
             skin=skin,
             engine=engine,
             fault_plan=fault_plan,
             max_retries=max_retries,
             registry=self.obs,
         )
+        self.cluster = self.evaluator.cluster
         self.last_stats: Optional[RankWorkStats] = None
 
     def _compute_forces(self) -> Tuple[float, np.ndarray, int]:

@@ -11,7 +11,9 @@ replayed against the same workload injects the same faults.
 Channels used by the built-in injection sites:
 
 * ``comm.drop`` / ``comm.delay`` — :class:`repro.parallel.comm.VirtualCluster`
-  consults these per message send.
+  consults these per non-local message it records (``comm.delay`` only
+  when the message was not dropped); a dropped message is counted as
+  retransmitted, a delayed one as late, and both are delivered.
 * ``parallel.rank_fail`` — :class:`repro.parallel.driver.ParallelForceEvaluator`
   consults once per force evaluation (a firing simulates losing a rank).
 * ``serve.worker_crash`` / ``serve.worker_stall`` — the

@@ -1,9 +1,9 @@
 """Tests for communication statistics and accounting helpers."""
 
-import numpy as np
 import pytest
 
 from repro.parallel import CommStats, VirtualCluster
+from repro.resilience import COMM_DELAY, COMM_DROP, FaultPlan
 
 
 class TestCommStats:
@@ -24,39 +24,20 @@ class TestCommStats:
         assert s.total_bytes() == 0
         assert s.total_messages() == 0
 
-    def test_summary_lists_categories(self):
-        s = CommStats()
-        s.record("forward", 1_000_000)
-        s.record("reverse", 500)
-        text = s.summary()
-        assert "forward" in text and "reverse" in text
-        assert "1.000 MB" in text
-
-    def test_empty_summary(self):
-        assert "no traffic" in CommStats().summary()
-
 
 class TestVirtualClusterOrdering:
-    def test_fifo_per_channel(self):
-        c = VirtualCluster(2)
-        c.send(0, 1, "t", (np.array([1.0]),))
-        c.send(0, 1, "t", (np.array([2.0]),))
-        (a,) = c.recv(1, 0, "t")
-        (b,) = c.recv(1, 0, "t")
-        assert a[0] == 1.0 and b[0] == 2.0
-
-    def test_tags_are_independent_channels(self):
-        c = VirtualCluster(2)
-        c.send(0, 1, "t", (np.array([1.0]),), tag=7)
-        c.send(0, 1, "t", (np.array([2.0]),), tag=9)
-        (b,) = c.recv(1, 0, "t", tag=9)
-        (a,) = c.recv(1, 0, "t", tag=7)
-        assert a[0] == 1.0 and b[0] == 2.0
-
-    def test_multiple_payload_arrays_counted(self):
-        c = VirtualCluster(2)
-        c.send(0, 1, "t", (np.zeros(4), np.zeros((2, 3))))
-        assert c.stats.bytes["t"] == 4 * 8 + 6 * 8
+    def test_fault_draws_follow_transfer_order(self):
+        """The n-th non-local transfer takes the n-th ``comm.drop`` draw,
+        whatever its category or peers; self-transfers take none."""
+        plan = FaultPlan(at={COMM_DROP: [1, 3]})
+        c = VirtualCluster(3, fault_plan=plan)
+        for src, dst, cat in [(0, 1, "a"), (1, 1, "a"), (2, 0, "b"),
+                              (1, 2, "a"), (0, 0, "b"), (2, 1, "b")]:
+            c.transfer(src, dst, cat, 8)
+        assert plan.draws(COMM_DROP) == 4
+        assert plan.draws(COMM_DELAY) == 2  # the two undropped messages
+        assert c.fault_stats()["n_dropped"] == 2
+        assert c.stats.messages == {"a": 2, "b": 2, "retransmit": 2}
 
     def test_needs_at_least_one_rank(self):
         with pytest.raises(ValueError):

@@ -24,6 +24,7 @@ from repro.parallel import (
     ProcessGrid,
     VirtualCluster,
 )
+from repro.resilience import COMM_DELAY, COMM_DROP, FaultPlan
 
 
 @pytest.fixture
@@ -85,35 +86,47 @@ class TestProcessGrid:
 
 
 class TestVirtualCluster:
-    def test_send_recv_roundtrip(self, rng):
-        c = VirtualCluster(2)
-        payload = (rng.normal(size=(3, 3)),)
-        c.send(0, 1, "test", payload)
-        (out,) = c.recv(1, 0, "test")
-        assert np.allclose(out, payload[0])
-        assert c.pending() == 0
-
-    def test_accounting(self, rng):
-        c = VirtualCluster(2)
-        c.send(0, 1, "halo", (np.zeros(10),))
-        assert c.stats.messages["halo"] == 1
-        assert c.stats.bytes["halo"] == 80
+    def test_accounting(self):
+        c = VirtualCluster(3)
+        c.transfer(0, 1, "halo", 80)
+        c.transfer(2, 1, "halo", 40)
+        c.transfer(1, 0, "migrate", 16)
+        assert c.stats.messages == {"halo": 2, "migrate": 1}
+        assert c.stats.bytes == {"halo": 120, "migrate": 16}
+        counters = c.obs.snapshot()["counters"]
+        assert counters["comm.bytes{category=halo}"] == 120
+        assert counters["comm.messages{category=migrate}"] == 1
 
     def test_self_send_free(self):
-        c = VirtualCluster(2)
-        c.send(0, 0, "halo", (np.zeros(10),))
-        assert c.stats.total_bytes() == 0
-        c.recv(0, 0, "halo")
+        """A self-transfer records nothing and draws nothing."""
+        plan = FaultPlan(rates={COMM_DROP: 1.0, COMM_DELAY: 1.0})
+        c = VirtualCluster(2, fault_plan=plan)
+        c.transfer(1, 1, "halo", 80)
+        assert c.stats.total_messages() == 0 and c.stats.total_bytes() == 0
+        assert plan.draws(COMM_DROP) == plan.draws(COMM_DELAY) == 0
 
-    def test_missing_message_raises(self):
-        c = VirtualCluster(2)
-        with pytest.raises(RuntimeError):
-            c.recv(1, 0, "nothing")
+    def test_drop_costs_a_retransmit_and_skips_the_delay_draw(self):
+        plan = FaultPlan(at={COMM_DROP: [0]})
+        c = VirtualCluster(2, fault_plan=plan)
+        c.transfer(0, 1, "halo", 80)
+        assert plan.draws(COMM_DROP) == 1 and plan.draws(COMM_DELAY) == 0
+        assert c.stats.bytes == {"halo": 80, "retransmit": 80}
+        assert c.fault_stats() == {"n_dropped": 1, "n_delayed": 0, "n_retransmits": 1}
+
+    def test_delay_costs_no_bytes(self):
+        plan = FaultPlan(at={COMM_DELAY: [0]})
+        c = VirtualCluster(2, fault_plan=plan)
+        c.transfer(0, 1, "halo", 80)
+        assert plan.draws(COMM_DROP) == plan.draws(COMM_DELAY) == 1
+        assert c.stats.bytes == {"halo": 80}
+        assert c.fault_stats() == {"n_dropped": 0, "n_delayed": 1, "n_retransmits": 0}
 
     def test_rank_bounds(self):
         c = VirtualCluster(2)
-        with pytest.raises(ValueError):
-            c.send(0, 5, "x", (np.zeros(1),))
+        for src, dst in ((0, 5), (-1, 0), (2, 2)):
+            with pytest.raises(ValueError, match="out of range"):
+                c.transfer(src, dst, "x", 8)
+        assert c.stats.total_messages() == 0
 
 
 class TestDecompositionExactness:
@@ -364,7 +377,6 @@ class TestWorkerRanks:
         import os
         import signal
 
-        from repro.resilience import FaultPlan
         from repro.resilience.faults import RANK_FAIL
 
         system, lj = _lj_system(rng, n_side=5)

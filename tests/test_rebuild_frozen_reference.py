@@ -4,11 +4,13 @@ A parallel rebuild runs ``DomainDecomposition.build`` (ghost selection per
 axis instead of 27 shifted copies per rank) and one ``_cell_list`` per shard
 (gathers from bin-sorted columns, column-add d², shifts only where a bin
 wraps); every step runs the halo exchanges (message tables per rebuild, one
-``np.bincount`` per column instead of ``np.add.at`` per rank).  Bitwise
-trajectories rest on each of them giving what the straightforward version
-gave: the same edges in the same order with the same shift bits, the same
-shard arrays, the same comm traffic and fault draws.  The references here
-are frozen copies of those straightforward versions.
+``np.bincount`` per column instead of ``np.add.at`` per rank), and each
+halo message is one ``VirtualCluster.transfer`` in a ledger instead of a
+mailbox ``send`` + ``recv`` pair.  Bitwise trajectories rest on each of them
+giving what the straightforward version gave: the same edges in the same
+order with the same shift bits, the same shard arrays, the same comm
+traffic, fault counters and fault draws.  The references here are frozen
+copies of those straightforward versions.
 """
 
 import numpy as np
@@ -19,7 +21,7 @@ from hypothesis import strategies as st
 from repro.md import Cell, System
 from repro.md.neighborlist import NeighborList, _cell_list
 from repro.parallel import BalancedProcessGrid, ProcessGrid
-from repro.parallel.comm import CommError, VirtualCluster
+from repro.parallel.comm import CommStats, VirtualCluster
 from repro.parallel.decomposition import DomainDecomposition
 from repro.resilience import FaultPlan
 
@@ -126,10 +128,86 @@ def frozen_cell_list(pos, cell, cutoff, n_centers):
     return NeighborList(edge_index, np.concatenate(all_s, axis=0))
 
 
+class FrozenCommError(RuntimeError):
+    pass
+
+
+class FrozenVirtualCluster:
+    """The mailbox ``VirtualCluster`` before the ledger, kept as the
+    reference: ``send`` records and draws, ``recv`` pops the mailbox and
+    redelivers a delayed or (retransmitting it) a dropped payload."""
+
+    def __init__(self, n_ranks, fault_plan=None, max_retries=3):
+        self.n_ranks = n_ranks
+        self.stats = CommStats()
+        self.fault_plan = fault_plan
+        self.max_retries = max_retries
+        self.n_dropped = self.n_delayed = self.n_retransmits = 0
+        self._mailboxes, self._lost, self._delayed = {}, {}, {}
+
+    def send(self, src, dst, category, payload, tag=0):
+        self._check(src)
+        self._check(dst)
+        key = (src, dst, category, tag)
+        if src != dst:
+            self.stats.record(category, sum(np.asarray(a).nbytes for a in payload))
+            if self.fault_plan is not None:
+                if self.fault_plan.fires("comm.drop"):
+                    self.n_dropped += 1
+                    self._lost.setdefault(key, []).append(payload)
+                    return
+                if self.fault_plan.fires("comm.delay"):
+                    self.n_delayed += 1
+                    self._delayed.setdefault(key, []).append(payload)
+                    return
+        self._mailboxes.setdefault(key, []).append(payload)
+
+    def recv(self, dst, src, category, tag=0):
+        key = (src, dst, category, tag)
+        for _ in range(self.max_retries + 1):
+            box = self._mailboxes.get(key)
+            if box:
+                return box.pop(0)
+            if not self._redeliver(key):
+                break
+        raise FrozenCommError(f"no message from rank {src} to {dst} in {category!r}")
+
+    def _redeliver(self, key):
+        delayed = self._delayed.get(key)
+        if delayed:
+            self._mailboxes.setdefault(key, []).append(delayed.pop(0))
+            return True
+        lost = self._lost.get(key)
+        if lost:
+            payload = lost.pop(0)
+            self.n_retransmits += 1
+            self.stats.record("retransmit", sum(np.asarray(a).nbytes for a in payload))
+            self._mailboxes.setdefault(key, []).append(payload)
+            return True
+        return False
+
+    def pending(self):
+        return sum(
+            len(v) for boxes in (self._mailboxes, self._lost, self._delayed)
+            for v in boxes.values()
+        )
+
+    def fault_stats(self):
+        return {
+            "n_dropped": self.n_dropped,
+            "n_delayed": self.n_delayed,
+            "n_retransmits": self.n_retransmits,
+        }
+
+    def _check(self, rank):
+        if not 0 <= rank < self.n_ranks:
+            raise ValueError(f"rank {rank} out of range [0, {self.n_ranks})")
+
+
 class FrozenDecomposition(DomainDecomposition):
     """``build`` and the two halo exchanges before the per-axis ghost
-    selection, the per-rebuild message tables and the bincount reverse sum,
-    kept as the reference."""
+    selection, the per-rebuild message tables, the bincount reverse sum and
+    the ledger, kept as the reference (on a :class:`FrozenVirtualCluster`)."""
 
     def build(self, system):
         pos = system.cell.wrap(system.positions)
@@ -199,7 +277,7 @@ class FrozenDecomposition(DomainDecomposition):
                 self.cluster.send(int(src), shard.rank, "halo_forward", (np.empty((count, 3)),))
                 self.cluster.recv(shard.rank, int(src), "halo_forward")
 
-    def reverse_force_exchange(self, shards, ghost_forces):
+    def reverse_force_exchange(self, shards, ghost_forces, n_atoms):
         n_total = max((int(s.owned_ids.max()) + 1 if s.n_owned else 0) for s in shards)
         n_total = max(
             n_total,
@@ -243,11 +321,16 @@ def assert_same_list(got: NeighborList, want: NeighborList):
 
 
 def comm_state(cluster):
+    """Messages and bytes per category, fault counters and fault-plan
+    draws; a frozen cluster must also have delivered everything."""
+    if isinstance(cluster, FrozenVirtualCluster):
+        assert cluster.pending() == 0
+    plan = cluster.fault_plan
     return (
         dict(cluster.stats.messages),
         dict(cluster.stats.bytes),
         cluster.fault_stats(),
-        cluster.pending(),
+        None if plan is None else plan.stats(),
     )
 
 
@@ -305,16 +388,17 @@ GRIDS = {
 
 
 def decompositions(grid, cutoff, seed=0, fault_rate=0.0):
-    """One decomposition of each kind, on independent clusters drawing
-    from identical fault plans."""
-    pair = []
-    for cls in (DomainDecomposition, FrozenDecomposition):
-        plan = None
-        if fault_rate:
-            plan = FaultPlan(seed, rates={"comm.drop": fault_rate, "comm.delay": fault_rate})
-        cluster = VirtualCluster(grid.n_ranks, fault_plan=plan, max_retries=1)
-        pair.append(cls(grid, cutoff, cluster))
-    return pair
+    """One decomposition of each kind — the ledger and the frozen mailbox
+    cluster with the smallest retry budget that delivers everything — on
+    independent clusters drawing from identical fault plans."""
+    rates = {"comm.drop": fault_rate, "comm.delay": fault_rate}
+    plans = [FaultPlan(seed, rates=rates) if fault_rate else None for _ in range(2)]
+    return [
+        DomainDecomposition(grid, cutoff, VirtualCluster(grid.n_ranks, plans[0])),
+        FrozenDecomposition(
+            grid, cutoff, FrozenVirtualCluster(grid.n_ranks, plans[1], max_retries=1)
+        ),
+    ]
 
 
 def box_of_atoms(n, length, seed):
@@ -383,8 +467,8 @@ class TestDecompositionAgainstTheFrozenCopy:
             for block in blocks:  # signed zeros must add up the same way
                 block[rng.random(block.shape) < 0.2] = -0.0
             assert_bitwise(
-                new.reverse_force_exchange(got, blocks),
-                frozen.reverse_force_exchange(want, blocks),
+                new.reverse_force_exchange(got, blocks, system.n_atoms),
+                frozen.reverse_force_exchange(want, blocks, system.n_atoms),
             )
             assert comm_state(new.cluster) == comm_state(frozen.cluster)
             system = moved
@@ -392,22 +476,41 @@ class TestDecompositionAgainstTheFrozenCopy:
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=30, deadline=None)
     def test_fault_draws_and_failures_line_up(self, seed):
-        """Under dropped and delayed messages every send draws in the same
-        order, so the same exchange fails, at the same message."""
-        rng, system, (new, frozen) = random_decomposition(seed, fault_rate=0.15)
+        """Same draws, same counters: under dropped and delayed messages
+        every transfer draws what the mailbox send drew, in the same order,
+        and the ledger counts what its redelivery counted."""
+        rng, system, (new, frozen) = random_decomposition(seed, fault_rate=0.4)
         got, want = new.build(system), frozen.build(system)
         for _ in range(3):
-            outcomes = []
             for decomp, shards in ((new, got), (frozen, want)):
-                try:
-                    decomp.update_ghost_positions(shards, system)
-                    blocks = [np.ones((s.n_ghost, 3)) for s in shards]
-                    outcomes.append(decomp.reverse_force_exchange(shards, blocks).tobytes())
-                except CommError as exc:
-                    outcomes.append(str(exc))
-                    decomp.cluster.purge()
-            assert outcomes[0] == outcomes[1]
+                decomp.update_ghost_positions(shards, system)
+            blocks = [np.ones((s.n_ghost, 3)) for s in got]
+            assert_bitwise(
+                new.reverse_force_exchange(got, blocks, system.n_atoms),
+                frozen.reverse_force_exchange(want, blocks, system.n_atoms),
+            )
             assert comm_state(new.cluster) == comm_state(frozen.cluster)
+
+    def test_every_fault_branch_fires_the_same_way(self):
+        """Dropped, delayed and clean messages all occur, and the ledger
+        counts each as the mailbox did."""
+        system = box_of_atoms(300, 12.0, seed=0)
+        new, frozen = decompositions(
+            ProcessGrid((2, 2, 1), system.cell), 3.0, seed=4, fault_rate=0.4
+        )
+        for decomp in (new, frozen):
+            shards = decomp.build(system)
+            for _ in range(3):
+                decomp.update_ghost_positions(shards, system)
+                decomp.reverse_force_exchange(
+                    shards, [np.ones((s.n_ghost, 3)) for s in shards], system.n_atoms
+                )
+        assert comm_state(new.cluster) == comm_state(frozen.cluster)
+        faults = new.cluster.fault_stats()
+        halo = sum(new.cluster.stats.messages[k] for k in ("halo_forward", "halo_reverse"))
+        assert faults["n_dropped"] > 0 and faults["n_delayed"] > 0
+        assert halo > faults["n_dropped"] + faults["n_delayed"]
+        assert new.cluster.stats.messages["retransmit"] == faults["n_dropped"]
 
     def test_a_wrong_ghost_block_is_refused_after_the_same_messages(self):
         system = box_of_atoms(300, 12.0, seed=0)
@@ -417,7 +520,7 @@ class TestDecompositionAgainstTheFrozenCopy:
             blocks = [np.zeros((s.n_ghost, 3)) for s in shards]
             blocks[2] = np.zeros((shards[2].n_ghost + 1, 3))
             with pytest.raises(ValueError, match="wrong shape"):
-                decomp.reverse_force_exchange(shards, blocks)
+                decomp.reverse_force_exchange(shards, blocks, system.n_atoms)
         assert comm_state(new.cluster) == comm_state(frozen.cluster)
 
     def test_message_tables_follow_the_shard_list(self):

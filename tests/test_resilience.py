@@ -21,7 +21,6 @@ from repro.md import (
 )
 from repro.models import LennardJones
 from repro.parallel import (
-    CommError,
     ParallelForceEvaluator,
     ParallelSimulation,
     ProcessGrid,
@@ -496,7 +495,7 @@ class TestParallelFaults:
         s, lj = _parallel_system()
         e_ref, f_ref = lj.energy_and_forces(s)
         plan = FaultPlan(seed=5, rates={COMM_DROP: 0.1})
-        cluster = VirtualCluster(8, fault_plan=plan, max_retries=3)
+        cluster = VirtualCluster(8, fault_plan=plan)
         grid = ProcessGrid.create(8, s.cell)
         ev = ParallelForceEvaluator(lj, grid, cluster)
         e, f, _ = ev.compute(s)
@@ -507,14 +506,29 @@ class TestParallelFaults:
         np.testing.assert_allclose(e, e_ref, rtol=1e-10)
         np.testing.assert_allclose(f, f_ref, atol=1e-9)
 
-    def test_retry_budget_exhaustion_raises_commerror(self):
+    def test_every_message_dropped_is_still_delivered(self):
+        """Comm faults never reach the driver: with every halo message
+        dropped and no rank retries, each one is retransmitted once."""
         s, lj = _parallel_system()
+        e_ref, f_ref = lj.energy_and_forces(s)
         plan = FaultPlan(at={COMM_DROP: range(2000)})  # drop everything
-        cluster = VirtualCluster(8, fault_plan=plan, max_retries=0)
         grid = ProcessGrid.create(8, s.cell)
-        ev = ParallelForceEvaluator(lj, grid, cluster, max_retries=0)
-        with pytest.raises(CommError):
-            ev.compute(s)
+        ev = ParallelForceEvaluator(lj, grid, fault_plan=plan, max_retries=0)
+        e, f, _ = ev.compute(s)
+        ev.close()
+        stats = ev.resilience_stats()
+        halo = sum(ev.cluster.stats.messages[k] for k in ("halo_forward", "halo_reverse"))
+        assert halo > 0 and stats["n_dropped"] == stats["n_retransmits"] == halo
+        assert stats["n_failures"] == 0
+        np.testing.assert_allclose(e, e_ref, rtol=1e-10)
+        np.testing.assert_allclose(f, f_ref, atol=1e-9)
+
+    def test_resilience_stats_report_the_rank_retry_budget(self):
+        s, lj = _parallel_system()
+        grid = ProcessGrid.create(4, s.cell)
+        for budget in (0, 5):
+            ev = ParallelForceEvaluator(lj, grid, max_retries=budget)
+            assert ev.resilience_stats()["max_retries"] == budget
 
     def test_rank_failure_recovers_and_matches_serial(self):
         s, lj = _parallel_system()

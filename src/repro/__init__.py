@@ -30,11 +30,11 @@ serve
     Batched force-evaluation service over the compiled engine: model
     registry, capacity-bucketed plan cache, micro-batching, worker pool
     with backpressure, deadline-aware QoS with priority load shedding,
-    degraded-mode fallbacks, and serving metrics.
+    and serving metrics.
 health
     The serving health state machine (``HEALTHY → DEGRADED → SHEDDING →
     DRAINING``) with hysteresis thresholds and dwell times, driven by
-    obs signals and honored by serve admission and the fallback path.
+    queue depth and breaker state and honored by serve admission.
 obs
     Unified observability: the metrics registry (counters, gauges,
     histograms, labeled series), hierarchical span tracing with bounded

@@ -417,7 +417,7 @@ def _run_serve_overload(spec: ScenarioSpec, workdir: Path) -> Dict:
     # Deterministic by construction: the server starts with no workers,
     # so the whole admission sequence (class bounds, health transitions,
     # evictions, pre-expired deadlines) is a pure function of the
-    # submission order; the p99 health signal stays disabled and the
+    # submission order; no health signal reads a clock and the
     # down-dwell is too long for wall-clock timing to move the machine.
     server, plan, metrics = _faulted_server(
         spec,

@@ -1,15 +1,16 @@
 """Server health state machine with hysteresis and dwell times.
 
-``HealthMonitor`` condenses the observability signals the serving stack
-already exports — queue depth, p99 latency, circuit-breaker state — into
-one four-state machine::
+``HealthMonitor`` condenses two signals the serving stack already
+exports — queue depth and circuit-breaker state — into one four-state
+machine::
 
     HEALTHY ──▶ DEGRADED ──▶ SHEDDING ──▶ DRAINING
        ◀──────    ◀──────       (drain is terminal)
 
 * ``HEALTHY``  — normal serving.
-* ``DEGRADED`` — pressure building: the server switches models to their
-  registered fallback chain (compiled→eager or a cheaper model).
+* ``DEGRADED`` — pressure building, or a model's circuit breaker is
+  open: serving goes on unchanged (each request on the model and engine
+  it asked for), and the machine must dwell here before it may shed.
 * ``SHEDDING`` — overload: only the strongest priority class is
   admitted; everything else sheds with a typed ``LoadShed``.
 * ``DRAINING`` — shutdown in progress: no admission at all.
@@ -52,11 +53,9 @@ _STATE_LEVELS: Dict[str, int] = {s: i for i, s in enumerate(HEALTH_STATES)}
 class HealthThresholds:
     """Entry thresholds for the elevated states.
 
-    ``queue_*`` thresholds are fractions of the server's ``max_queue``;
-    ``p99_*`` thresholds are seconds against the latency histogram's p99
-    and are disabled (``None``) by default — wall-clock-driven
-    transitions would break chaos-report determinism, so scenarios only
-    enable the queue signals.
+    ``queue_*`` thresholds are fractions of the server's ``max_queue``.
+    No threshold reads a clock, which keeps chaos health trajectories
+    deterministic.
 
     The *exit* threshold for each state is the entry threshold times
     ``hysteresis`` (0 < h < 1): a signal must drop clearly below where
@@ -65,8 +64,6 @@ class HealthThresholds:
 
     queue_degraded: float = 0.75
     queue_shedding: float = 0.95
-    p99_degraded_s: Optional[float] = None
-    p99_shedding_s: Optional[float] = None
     hysteresis: float = 0.6
 
     def __post_init__(self) -> None:
@@ -77,13 +74,6 @@ class HealthThresholds:
                 "require 0 < queue_degraded <= queue_shedding, got "
                 f"{self.queue_degraded} / {self.queue_shedding}"
             )
-        if (self.p99_degraded_s is None) != (self.p99_shedding_s is None):
-            raise ValueError("set both p99 thresholds or neither")
-        if self.p99_degraded_s is not None:
-            if not (0.0 < self.p99_degraded_s <= self.p99_shedding_s):
-                raise ValueError(
-                    "require 0 < p99_degraded_s <= p99_shedding_s"
-                )
 
     def desired_level(self, signals: Mapping, scale: float = 1.0) -> int:
         """Severity level the raw signals ask for, thresholds scaled.
@@ -99,13 +89,6 @@ class HealthThresholds:
             level = max(level, 2)
         elif q >= self.queue_degraded * scale:
             level = max(level, 1)
-        if self.p99_degraded_s is not None:
-            p99 = signals.get("p99_s")
-            if p99 is not None:
-                if p99 >= self.p99_shedding_s * scale:
-                    level = max(level, 2)
-                elif p99 >= self.p99_degraded_s * scale:
-                    level = max(level, 1)
         if signals.get("breaker_open"):
             level = max(level, 1)
         return level
@@ -146,6 +129,7 @@ class HealthMonitor:
         self._down_streak = 0
         self._draining = False
         self._history: List[Tuple[int, str, str]] = []
+        self._n_transitions = 0
         self._registry = None
         self._source: Optional[Callable[[], Mapping]] = None
 
@@ -185,9 +169,9 @@ class HealthMonitor:
     def tick(self, signals: Optional[Mapping] = None) -> str:
         """Advance the machine one observation; returns the new state.
 
-        ``signals`` maps ``queue_frac`` (pending / max_queue), optional
-        ``p99_s`` and ``breaker_open`` (bool).  When omitted, the attached
-        source is polled.
+        ``signals`` maps ``queue_frac`` (pending / max_queue) and
+        ``breaker_open`` (bool).  When omitted, the attached source is
+        polled.
         """
         if signals is None:
             signals = self._source() if self._source is not None else {}
@@ -238,6 +222,7 @@ class HealthMonitor:
         old = HEALTH_STATES[self._level]
         new = HEALTH_STATES[new_level]
         self._level = new_level
+        self._n_transitions += 1
         self._history.append((self._ticks, old, new))
         if len(self._history) > self._history_bound:
             del self._history[: len(self._history) - self._history_bound]
@@ -249,14 +234,14 @@ class HealthMonitor:
             ).inc()
 
     def stats(self) -> dict:
-        """State, level, tick count and recent transitions."""
+        """State, level, tick count, transition count and recent transitions."""
         with self._lock:
             return {
                 "state": HEALTH_STATES[self._level],
                 "level": self._level,
                 "ticks": self._ticks,
                 "draining": self._draining,
-                "transitions": len(self._history),
+                "transitions": self._n_transitions,
                 "history": [
                     {"tick": t, "from": a, "to": b}
                     for t, a, b in self._history[-16:]
@@ -268,12 +253,12 @@ def health_from_config(cfg: Mapping) -> HealthMonitor:
     """Build a validated :class:`HealthMonitor` from a JSON config mapping.
 
     Recognized keys: ``queue_degraded``, ``queue_shedding``,
-    ``p99_degraded_s``, ``p99_shedding_s``, ``hysteresis``, ``dwell_up``,
-    ``dwell_down``.  Unknown keys raise ``ValueError``.
+    ``hysteresis``, ``dwell_up``, ``dwell_down``.  Unknown keys raise
+    ``ValueError``.
     """
     known = {
-        "queue_degraded", "queue_shedding", "p99_degraded_s",
-        "p99_shedding_s", "hysteresis", "dwell_up", "dwell_down",
+        "queue_degraded", "queue_shedding", "hysteresis", "dwell_up",
+        "dwell_down",
     }
     unknown = set(cfg) - known
     if unknown:
@@ -282,13 +267,8 @@ def health_from_config(cfg: Mapping) -> HealthMonitor:
             f"(expected {sorted(known)})"
         )
     th_kwargs = {}
-    for key in (
-        "queue_degraded", "queue_shedding", "hysteresis",
-    ):
+    for key in ("queue_degraded", "queue_shedding", "hysteresis"):
         if key in cfg:
-            th_kwargs[key] = float(cfg[key])
-    for key in ("p99_degraded_s", "p99_shedding_s"):
-        if key in cfg and cfg[key] is not None:
             th_kwargs[key] = float(cfg[key])
     mon_kwargs = {}
     for key in ("dwell_up", "dwell_down"):

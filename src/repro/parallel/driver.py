@@ -84,7 +84,6 @@ class ParallelForceEvaluator:
         self,
         potential,
         grid: ProcessGrid,
-        cluster: Optional[VirtualCluster] = None,
         skin: float = 0.0,
         engine: str = "eager",
         fault_plan=None,
@@ -98,7 +97,7 @@ class ParallelForceEvaluator:
         self.potential = potential
         self.grid = grid
         self.obs = registry if registry is not None else Registry()
-        self.cluster = cluster or VirtualCluster(
+        self.cluster = VirtualCluster(
             grid.n_ranks, fault_plan=fault_plan, registry=self.obs
         )
         self.fault_plan = fault_plan

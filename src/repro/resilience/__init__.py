@@ -25,9 +25,11 @@ whole stack, wired through four layers:
   and by the trainer without a watchdog).
 * **Degradation primitives** — :class:`RetryPolicy` (bounded retries,
   exponential backoff, seeded jitter) and :class:`CircuitBreaker`
-  (open after N consecutive failures, half-open probe), used by
-  ``repro.serve`` for per-model failure isolation and by
-  ``parallel.comm`` for message retransmission.
+  (open after N consecutive failures, half-open probe).  The serve
+  layer is their only user: ``repro.serve`` retries each failed batch
+  and isolates a failing model behind its own breaker.  Dropped halo
+  messages need neither — ``parallel.comm`` records one retransmission
+  per drop.
 """
 
 from .checkpoint import CheckpointError, CheckpointManager

@@ -7,8 +7,8 @@ able to take heterogeneous concurrent traffic — the serving-side scaling
 follow-up to the kernel work (cf. Tan et al. 2025, high-performance
 inference for deep equivariant potentials):
 
-* :class:`ModelRegistry` — named/versioned potentials; compiled state is
-  built lazily and LRU-evicted, identity never is.
+* :class:`ModelRegistry` — a map from model name to potential, plan
+  cache and circuit breaker; registering a name again replaces its entry.
 * :class:`PlanCache` — maps arbitrary request sizes onto a geometric
   ladder of padded plan capacities, so replay hit-rate stays near 100%
   across mixed-size request streams.
@@ -23,10 +23,10 @@ inference for deep equivariant potentials):
 * :class:`QoSPolicy` / :class:`~repro.health.HealthMonitor` — graceful
   degradation under overload: per-request deadlines
   (:class:`DeadlineExceeded`), priority classes with
-  lowest-class-first shedding (:class:`LoadShed`), a
-  ``HEALTHY → DEGRADED → SHEDDING → DRAINING`` health state machine,
-  and per-model degraded fallback chains (``degraded=True`` stamped on
-  :class:`ServeResult`).
+  lowest-class-first shedding (:class:`LoadShed`) and a
+  ``HEALTHY → DEGRADED → SHEDDING → DRAINING`` health state machine
+  that gates admission; every request is served by the model it names
+  (:class:`ServeResult` carries the name).
 
 Quickstart::
 
@@ -62,7 +62,7 @@ from .errors import (
     ServerStopped,
     WorkerCrash,
 )
-from .registry import EAGER_FALLBACK, ModelEntry, ModelRegistry, UnknownModelError
+from .registry import ModelEntry, ModelRegistry, UnknownModelError
 from .server import Client, ForceServer
 
 __all__ = [
@@ -71,7 +71,6 @@ __all__ = [
     "DEFAULT_PRIORITY",
     "DeadlineExceeded",
     "DrainTimeout",
-    "EAGER_FALLBACK",
     "ForceRequest",
     "ForceServer",
     "HEALTH_STATES",

@@ -1,8 +1,8 @@
 """What happens to a batch after pickup: the last stage of the force server.
 
 In order: one pre-evaluation filter (the only place a request fails with
-:class:`~repro.serve.errors.DeadlineExceeded`), the degraded fallback,
-the per-model circuit breaker, the batch's merged graph
+:class:`~repro.serve.errors.DeadlineExceeded`), the per-model circuit
+breaker, the batch's merged graph
 (``Potential.prepare_batch``), evaluation under the retry policy, the
 per-structure split and validation.  Futures resolve only after all of
 it, so a retry never double-resolves one and no caller ever sees a
@@ -22,7 +22,7 @@ from ..resilience.guards import NumericalInstabilityError, validate_energy_force
 from ..resilience.retry import RetryPolicy
 from .batching import ForceRequest
 from .errors import CircuitOpen, DeadlineExceeded, ModelFailure, ServeError, WorkerCrash
-from .qos import DEGRADED_SERVED, SHED_DEADLINE, ServeResult
+from .qos import SHED_DEADLINE, ServeResult
 
 __all__ = ["Executor"]
 
@@ -30,9 +30,8 @@ __all__ = ["Executor"]
 class Executor:
     """Evaluate picked-up batches and resolve their requests' futures.
 
-    ``health`` is the monitor whose ``DEGRADED`` (or worse) state reroutes
-    batches through the model's fallback chain, or None when QoS is not
-    enforced.
+    Each batch runs on the model its requests named, on the server's
+    ``engine``, whatever the health state.
     """
 
     def __init__(
@@ -43,7 +42,6 @@ class Executor:
         retry_policy: RetryPolicy,
         fault_plan=None,
         stall_time: float = 0.01,
-        health=None,
     ) -> None:
         self.registry = registry
         self.ledger = ledger
@@ -51,7 +49,6 @@ class Executor:
         self.retry_policy = retry_policy
         self.fault_plan = fault_plan
         self.stall_time = float(stall_time)
-        self.health = health
         #: EWMA of batch service seconds (graph build + evaluation): the
         #: feasibility check sheds a deadline request whose remaining
         #: budget cannot cover one batch.
@@ -117,19 +114,8 @@ class Executor:
         return live
 
     def _evaluate(self, live: List[ForceRequest]) -> None:
-        key = live[0].model
-        eager = self.engine == "eager"
-        degraded = False
-        if self.health is not None and self.health.level >= 1:
-            # DEGRADED (or worse): serve through the model's fallback
-            # chain — a cheaper registered model, or the same model on
-            # the eager engine (no compiled state churn while stressed).
-            fb_entry, fb_eager = self.registry.resolve_degraded(key)
-            if fb_entry.key != key or (fb_eager and not eager):
-                degraded = True
-                eager = eager or fb_eager
-                key = fb_entry.key
-        entry = self.registry.peek(key) if eager else self.registry.get(key)
+        name = live[0].model
+        entry = self.registry.get(name)
         if not entry.breaker.allow():
             # Fail fast: the model has been failing consistently; shedding
             # here protects the workers for healthy models.  A half-open
@@ -137,7 +123,7 @@ class Executor:
             for req in live:
                 self.ledger.fail(
                     req,
-                    CircuitOpen(f"circuit open for model {key}"),
+                    CircuitOpen(f"circuit open for model {name}"),
                     "requests_failed",
                     "circuit_open",
                 )
@@ -154,7 +140,7 @@ class Executor:
         self._h_prepare.observe(t_eval - t_service)
         try:
             results = self.retry_policy.call(
-                lambda: self._attempt(entry, live, graph, eager),
+                lambda: self._attempt(entry, live, graph),
                 retry_on=(WorkerCrash, NumericalInstabilityError),
                 on_retry=lambda attempt, exc: (
                     entry.breaker.record_failure(),
@@ -175,19 +161,13 @@ class Executor:
             else 0.8 * self.eval_ewma + 0.2 * elapsed
         )
         entry.breaker.record_success()
-        if degraded:
-            self.metrics.counter(DEGRADED_SERVED).inc(len(live))
         for req, (e, f) in zip(live, results):
             self.ledger.finish(
-                req,
-                ServeResult(
-                    e, f, degraded=degraded, model=entry.key,
-                    priority=req.priority,
-                ),
+                req, ServeResult(e, f, model=name, priority=req.priority)
             )
 
     def _attempt(
-        self, entry, live: List[ForceRequest], graph, eager: bool
+        self, entry, live: List[ForceRequest], graph
     ) -> List[Tuple[float, np.ndarray]]:
         """One evaluation of the batch: results in request order, or raise
         (any failure or non-finite output); finishes no futures.
@@ -206,9 +186,8 @@ class Executor:
             positions, species, nl, offsets, edge_counts = graph
             results: List = [None] * len(live)
             if nl.n_edges > 0:
-                if not eager:
-                    cache = entry.ensure_cache()
-                    pentry = cache.acquire(len(species), nl.n_edges)
+                if self.engine == "compiled":
+                    pentry = entry.plan_cache.acquire(len(species), nl.n_edges)
                     with pentry.lock:
                         # The compiled potential serializes its own callers;
                         # this lock makes the capture counter delta
@@ -234,7 +213,7 @@ class Executor:
                 e, f = potential.energy_and_forces(live[i].system, no_edges)
                 results[i] = (float(e), f)
             for (e, f) in results:
-                validate_energy_forces(e, f, context=f"model {entry.key}")
+                validate_energy_forces(e, f, context=f"model {live[0].model}")
             return results
 
     @staticmethod

@@ -44,7 +44,6 @@ __all__ = [
     "qos_from_config",
     "SHED_LOAD",
     "SHED_DEADLINE",
-    "DEGRADED_SERVED",
 ]
 
 #: Priority classes, strongest first.  The tuple index is the level:
@@ -55,11 +54,10 @@ PRIORITY_LEVELS: Dict[str, int] = {name: i for i, name in enumerate(PRIORITIES)}
 
 DEFAULT_PRIORITY = "batch"
 
-#: Counter names for QoS sheds (labelled ``{class=...}``) and degraded
-#: serves; the chaos obs-consistency invariant sums these.
+#: Counter names for QoS sheds (labelled ``{class=...}``); the chaos
+#: obs-consistency invariant sums these.
 SHED_LOAD = "serve.shed.load"
 SHED_DEADLINE = "serve.shed.deadline"
-DEGRADED_SERVED = "serve.degraded"
 
 
 def priority_level(priority: str) -> int:
@@ -172,14 +170,12 @@ class ServeResult(tuple):
     """An ``(energy, forces)`` pair with serving metadata attached.
 
     Unpacks exactly like the plain tuple the server has always returned
-    (``e, f = result``) while exposing ``result.degraded`` (whether a
-    fallback model or engine served it), ``result.model`` (the entry key
-    that actually evaluated) and ``result.priority``.
+    (``e, f = result``) while exposing ``result.model`` (the name of the
+    model that evaluated it) and ``result.priority``.
     """
 
-    def __new__(cls, energy, forces, degraded=False, model=None, priority=None):
+    def __new__(cls, energy, forces, model=None, priority=None):
         self = super().__new__(cls, (energy, forces))
-        self.degraded = bool(degraded)
         self.model = model
         self.priority = priority
         return self

@@ -1,256 +1,115 @@
-"""Named, versioned potentials with lazily built, LRU-bounded plan caches.
+"""Named potentials, each with its plan cache and circuit breaker.
 
-A serving process typically hosts several potentials at once — production
-and candidate versions of a model, plus cheap baselines — but compiled
-plans (buffer arenas, captured kernel lists) are the expensive part, not
-the weights.  The registry therefore separates identity from hot state:
+A serving process may host several potentials at once — a production
+model plus cheap baselines, say — and a request names the one it wants.
+The registry maps each name to a :class:`ModelEntry`: the potential, the
+:class:`~repro.serve.plancache.PlanCache` of its compiled plans, and the
+circuit breaker that fails its requests fast while it keeps failing.
 
-* every ``register()``-ed potential stays resolvable by ``"name"`` (latest
-  version) or ``"name:version"`` (pinned) for the life of the process;
-* each entry's :class:`~repro.serve.plancache.PlanCache` is created on
-  first use and counts against ``max_compiled``; exceeding the bound
-  evicts the least-recently-*used* entry's plans (its arenas and captured
-  graphs), which are transparently rebuilt if that model is used again.
-
-This is the same capture-state-is-a-cache stance as
-``CompiledPotential.invalidate()``: weights updated in place call
-:meth:`ModelRegistry.invalidate` to drop the stale plans.
+Registering a name again replaces its entry: the old potential's plans
+and breaker go with it, and the next batch for that name is served by the
+new potential.  Weights updated in place call
+:meth:`ModelRegistry.invalidate` to drop the stale plans — the same
+capture-state-is-a-cache stance as ``CompiledPotential.invalidate()``.
 """
 
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict
 from typing import Dict, List, Optional
 
 from ..resilience.retry import CircuitBreaker
 from .plancache import PlanCache
 
-__all__ = ["ModelRegistry", "ModelEntry", "UnknownModelError", "EAGER_FALLBACK"]
+__all__ = ["ModelRegistry", "ModelEntry", "UnknownModelError"]
 
 
 class UnknownModelError(KeyError):
     """Raised when a request names a model the registry does not hold."""
 
 
-#: Fallback sentinel: serve the *same* model through the eager engine
-#: (no plan capture, no compiled state) when degraded.
-EAGER_FALLBACK = "eager"
-
-
 class ModelEntry:
-    """One registered (name, version) with its lazily built plan cache."""
+    """One registered potential with its plan cache and breaker."""
 
-    __slots__ = (
-        "name", "version", "potential", "plan_cache", "breaker",
-        "fallback", "_cache_opts",
-    )
+    __slots__ = ("potential", "plan_cache", "breaker")
 
-    def __init__(
-        self,
-        name: str,
-        version: str,
-        potential,
-        cache_opts: dict,
-        breaker_opts: Optional[dict] = None,
-        fallback: Optional[str] = None,
-    ) -> None:
-        self.name = name
-        self.version = version
+    def __init__(self, potential, plan_cache: PlanCache, breaker: CircuitBreaker) -> None:
         self.potential = potential
-        self.plan_cache: Optional[PlanCache] = None
+        self.plan_cache = plan_cache
         # Per-model circuit breaker: one misbehaving model must not take
         # down requests against the healthy ones it shares a server with.
-        self.breaker = CircuitBreaker(**(breaker_opts or {}))
-        # Degraded-mode fallback: another model key, EAGER_FALLBACK, or
-        # None (no fallback; the primary serves even when degraded).
-        self.fallback = fallback
-        self._cache_opts = cache_opts
-
-    @property
-    def key(self) -> str:
-        return f"{self.name}:{self.version}"
-
-    @property
-    def compiled(self) -> bool:
-        """Whether this entry currently holds live compiled state."""
-        return self.plan_cache is not None
-
-    def ensure_cache(self) -> PlanCache:
-        """The entry's plan cache, building it on first use."""
-        if self.plan_cache is None:
-            self.plan_cache = PlanCache(self.potential, **self._cache_opts)
-        return self.plan_cache
-
-    def invalidate(self) -> None:
-        """Drop compiled state (e.g. after an in-place weight update)."""
-        self.plan_cache = None
+        self.breaker = breaker
 
 
 class ModelRegistry:
-    """Resolve model keys to entries; bound the number of compiled ones.
+    """Map model names to entries; the first name registered is the default.
 
     Parameters
     ----------
-    max_compiled:
-        How many entries may hold live compiled plans at once.  Identity is
-        never evicted — only the expensive capture state is, LRU-first.
     plan_cache_opts:
         Keyword arguments forwarded to each entry's :class:`PlanCache`
         (``max_plans``, ``growth``, floors).
+    breaker_opts:
+        Keyword arguments forwarded to each entry's
+        :class:`~repro.resilience.CircuitBreaker` (thresholds, ``clock``).
     """
 
     def __init__(
         self,
-        max_compiled: int = 4,
         plan_cache_opts: Optional[dict] = None,
         breaker_opts: Optional[dict] = None,
     ) -> None:
-        if max_compiled < 1:
-            raise ValueError("max_compiled must be >= 1")
-        self.max_compiled = int(max_compiled)
         self._cache_opts = dict(plan_cache_opts or {})
         self._breaker_opts = dict(breaker_opts or {})
-        self._lock = threading.RLock()
+        self._lock = threading.Lock()
         self._entries: Dict[str, ModelEntry] = {}
-        self._latest: Dict[str, str] = {}
-        # LRU order over entries that currently hold compiled state.
-        self._hot: "OrderedDict[str, ModelEntry]" = OrderedDict()
         self._default: Optional[str] = None
-        self.n_evictions = 0
 
-    def register(
-        self, name: str, potential, version: str = "v1",
-        fallback: Optional[str] = None,
-    ) -> ModelEntry:
-        """Register (or replace) ``name:version``; first model is the default.
-
-        ``fallback`` names the degraded-mode substitute: another model
-        key (possibly registered later), or ``"eager"`` to serve this
-        model through the eager engine while degraded.
-        """
+    def register(self, name: str, potential) -> ModelEntry:
+        """Add ``name``, or replace its entry (plans and breaker included)."""
         if ":" in name:
             raise ValueError("model name must not contain ':'")
+        entry = ModelEntry(
+            potential,
+            PlanCache(potential, **self._cache_opts),
+            CircuitBreaker(**self._breaker_opts),
+        )
         with self._lock:
-            entry = ModelEntry(
-                name, str(version), potential, self._cache_opts,
-                breaker_opts=self._breaker_opts, fallback=fallback,
-            )
-            self._entries[entry.key] = entry
-            self._latest[name] = entry.version
-            self._hot.pop(entry.key, None)  # replacing drops stale plans
+            self._entries[name] = entry
             if self._default is None:
                 self._default = name
-            return entry
+        return entry
 
     @property
     def default_model(self) -> Optional[str]:
         """The model name used when a request does not specify one."""
         return self._default
 
-    def resolve_key(self, key: Optional[str]) -> str:
-        """Normalize ``None`` / ``"name"`` / ``"name:version"`` to a full key."""
-        with self._lock:
-            if key is None:
-                key = self._default
-            if key is None:
-                raise UnknownModelError("registry is empty")
-            if ":" not in key:
-                version = self._latest.get(key)
-                if version is None:
-                    raise UnknownModelError(key)
-                key = f"{key}:{version}"
-            if key not in self._entries:
-                raise UnknownModelError(key)
-            return key
+    def get(self, name: Optional[str] = None) -> ModelEntry:
+        """The entry for ``name`` (the default model when None)."""
+        if name is None:
+            name = self._default
+        try:
+            return self._entries[name]
+        except KeyError:
+            raise UnknownModelError(
+                "registry is empty" if name is None else name
+            ) from None
 
-    def get(self, key: Optional[str] = None) -> ModelEntry:
-        """The entry for ``key``, with compiled state ready and touched.
-
-        Building or touching an entry's plan cache moves it to the MRU end;
-        if more than ``max_compiled`` entries hold plans, the LRU entry's
-        plans are dropped (the entry itself stays registered).
-        """
-        with self._lock:
-            entry = self._entries[self.resolve_key(key)]
-            entry.ensure_cache()
-            self._hot[entry.key] = entry
-            self._hot.move_to_end(entry.key)
-            while len(self._hot) > self.max_compiled:
-                _, cold = self._hot.popitem(last=False)
-                cold.invalidate()
-                self.n_evictions += 1
-            return entry
-
-    def peek(self, key: Optional[str] = None) -> ModelEntry:
-        """The entry for ``key`` without building plans or touching LRU."""
-        with self._lock:
-            return self._entries[self.resolve_key(key)]
-
-    def invalidate(self, key: Optional[str] = None) -> None:
+    def invalidate(self, name: Optional[str] = None) -> None:
         """Drop a model's compiled plans (call after updating its weights)."""
-        with self._lock:
-            entry = self._entries[self.resolve_key(key)]
-            entry.invalidate()
-            self._hot.pop(entry.key, None)
-
-    def set_fallback(self, key: Optional[str], fallback: Optional[str]) -> None:
-        """Set (or clear) a model's degraded-mode fallback target."""
-        if fallback is not None and fallback != EAGER_FALLBACK:
-            # Validate eagerly when the target already exists; targets
-            # registered later are re-checked at resolve time.
-            if ":" in fallback or fallback in self._latest:
-                self.resolve_key(fallback)
-        with self._lock:
-            self._entries[self.resolve_key(key)].fallback = fallback
-
-    def resolve_degraded(self, key: Optional[str]):
-        """Degraded-serving target for ``key``: ``(entry, eager)``.
-
-        Follows the fallback chain from the entry for ``key`` to its
-        end.  ``eager`` is True when the chain ends in the ``"eager"``
-        sentinel (same model, eager engine).  Chains are cycle-safe; an
-        unresolvable link stops at the last resolvable entry rather than
-        failing the request — degraded mode must never be the reason a
-        request dies.
-        """
-        with self._lock:
-            entry = self._entries[self.resolve_key(key)]
-            seen = {entry.key}
-            while entry.fallback is not None:
-                if entry.fallback == EAGER_FALLBACK:
-                    return entry, True
-                try:
-                    nxt = self._entries[self.resolve_key(entry.fallback)]
-                except UnknownModelError:
-                    break
-                if nxt.key in seen:
-                    break
-                seen.add(nxt.key)
-                entry = nxt
-            return entry, False
-
-    def breaker(self, key: Optional[str] = None) -> CircuitBreaker:
-        """The circuit breaker guarding ``key`` (no LRU touch)."""
-        with self._lock:
-            return self._entries[self.resolve_key(key)].breaker
+        self.get(name).plan_cache.clear()
 
     def any_breaker_open(self) -> bool:
         """Whether any registered model's circuit breaker is open.
 
-        Cheap enough for the health monitor to poll per tick (no plan
-        cache stats, no LRU touches).
+        Cheap enough for the health monitor to poll per tick.
         """
         with self._lock:
             return any(e.breaker.state == "open" for e in self._entries.values())
 
     def names(self) -> List[str]:
-        """Registered model names (without versions)."""
-        with self._lock:
-            return sorted(self._latest)
-
-    def keys(self) -> List[str]:
-        """Every registered ``name:version`` key."""
+        """Registered model names."""
         with self._lock:
             return sorted(self._entries)
 
@@ -258,26 +117,12 @@ class ModelRegistry:
         return len(self._entries)
 
     def stats(self) -> dict:
-        """Registry occupancy plus per-compiled-entry plan-cache stats."""
+        """The default model, plus plan-cache stats and breaker state by name."""
         with self._lock:
-            hot = list(self._hot.values())
-            out = {
-                "n_registered": len(self._entries),
-                "n_compiled": len(hot),
-                "max_compiled": self.max_compiled,
-                "evictions": self.n_evictions,
-                "default_model": self._default,
-            }
-        out["models"] = {
-            e.key: e.plan_cache.stats() for e in hot if e.plan_cache is not None
+            entries = dict(self._entries)
+        return {
+            "n_registered": len(entries),
+            "default_model": self._default,
+            "models": {name: e.plan_cache.stats() for name, e in entries.items()},
+            "breakers": {name: e.breaker.state for name, e in entries.items()},
         }
-        with self._lock:
-            out["breakers"] = {
-                e.key: e.breaker.state for e in self._entries.values()
-            }
-            out["fallbacks"] = {
-                e.key: e.fallback
-                for e in self._entries.values()
-                if e.fallback is not None
-            }
-        return out

@@ -8,8 +8,8 @@ behind.  A request passes three stages, each owning its decisions::
                   │                 full-queue eviction — or a typed shed
                   ──▶ MicroBatcher  per-(model, class) coalescing window,
                   │                 deadline purge, strict-priority pickup
-                  ──▶ Executor      deadline filter, fallback, breaker,
-                                    prepare_batch, retry, split, validate
+                  ──▶ Executor      deadline filter, breaker, prepare_batch,
+                                    retry, split, validate
                   ──▶ per-structure energy/forces on each request's Future
 
 The server owns only the lifecycle (``start``/``drain``/``stop``),
@@ -24,9 +24,9 @@ breaker (``CircuitOpen``), after retries (``ModelFailure``), or at
 shutdown (``DrainTimeout`` once the drain deadline passes, so a stalled
 worker cannot hang ``stop``).  With a :class:`~repro.serve.qos.QoSPolicy`
 (or an explicit :class:`~repro.health.HealthMonitor`) the health state
-machine (``HEALTHY → DEGRADED → SHEDDING → DRAINING``) gates admission,
-and reroutes ``DEGRADED`` batches through fallback models (results carry
-``degraded=True``); without one it only observes.
+machine (``HEALTHY → DEGRADED → SHEDDING → DRAINING``) gates admission;
+without one it only observes.  Every batch runs on the model its requests
+named, on the server's engine, in every health state.
 """
 
 from __future__ import annotations
@@ -69,8 +69,8 @@ class ForceServer:
         arrival sheds with :class:`ServerOverloaded`.  Passing a
         :class:`~repro.serve.qos.QoSPolicy` or a
         :class:`~repro.health.HealthMonitor` turns on QoS enforcement —
-        per-class queue shares, eviction of weaker classes, health-gated
-        admission and degraded fallbacks.  Without either, a default
+        per-class queue shares, eviction of weaker classes and
+        health-gated admission.  Without either, a default
         monitor still observes (``stats()["health"]``, the
         ``health.state`` gauge) but never sheds.  Deadlines apply either
         way.
@@ -135,12 +135,11 @@ class ForceServer:
         self.health.attach(self._health_signals)
         self.health.bind(self.metrics)
         # QoS enforcement is opt-in: passing a policy (or an explicit
-        # monitor) turns on priority shedding, health-gated admission and
-        # degraded fallbacks.  Without either, the monitor still observes
-        # and exports state, but admission never sheds on its account.
+        # monitor) turns on priority shedding and health-gated admission.
+        # Without either, the monitor still observes and exports state,
+        # but admission never sheds on its account.
         enforce = qos is not None or health is not None
         ledger = self._ledger = Ledger(self.metrics)
-        self._h_latency = self.metrics.histogram("latency_s")
         self.batcher = MicroBatcher(
             max_batch=max_batch, max_wait=batch_wait, adaptive=adaptive
         )
@@ -154,7 +153,6 @@ class ForceServer:
             retry_policy or RetryPolicy(max_retries=2, base_delay=1e-3, max_delay=0.02),
             fault_plan=fault_plan,
             stall_time=stall_time,
-            health=self.health if enforce else None,
         )
         self.batcher.on_expire = self.executor.expire
         self._lock = threading.Lock()
@@ -273,12 +271,14 @@ class ForceServer:
         :class:`LoadShed` for policy sheds) when admission rejects,
         :class:`ServerStopped` after ``stop()``, and
         :class:`~repro.serve.registry.UnknownModelError` for unknown
-        model keys — all synchronously, so callers can react without
+        model names — all synchronously, so callers can react without
         touching the future.
         """
-        key = self.registry.resolve_key(model)
+        if model is None:
+            model = self.registry.default_model
+        self.registry.get(model)
         return self.admission.admit(
-            system, key, nl=nl, priority=priority, deadline=deadline
+            system, model, nl=nl, priority=priority, deadline=deadline
         )
 
     # -- worker side ----------------------------------------------------------
@@ -302,7 +302,6 @@ class ForceServer:
         """Signal snapshot for the health monitor's tick."""
         return {
             "queue_frac": self.batcher.pending() / self.max_queue,
-            "p99_s": self._h_latency.percentile(0.99),
             "breaker_open": self.registry.any_breaker_open(),
         }
 

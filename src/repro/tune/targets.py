@@ -280,7 +280,7 @@ def tune_serve(
             metrics=registry,
             start=False,
         )
-        cache = server.registry.get().ensure_cache()
+        cache = server.registry.get().plan_cache
         lookups = []  # (pair rows, padded pair capacity) per plan lookup
         acquire = cache.acquire
 

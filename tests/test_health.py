@@ -50,14 +50,6 @@ class TestThresholds:
         # The floor never reaches SHEDDING on its own.
         assert th.desired_level({"breaker_open": True}) == 1
 
-    def test_p99_thresholds_disabled_by_default(self):
-        assert HealthThresholds().desired_level({"p99_s": 1e9}) == 0
-
-    def test_p99_thresholds_when_enabled(self):
-        th = HealthThresholds(p99_degraded_s=0.1, p99_shedding_s=0.5)
-        assert th.desired_level({"p99_s": 0.2}) == 1
-        assert th.desired_level({"p99_s": 0.6}) == 2
-
     @pytest.mark.parametrize(
         "kw",
         [
@@ -65,8 +57,6 @@ class TestThresholds:
             {"hysteresis": 1.0},
             {"queue_degraded": 0.0},
             {"queue_degraded": 0.9, "queue_shedding": 0.5},
-            {"p99_degraded_s": 0.1},  # one of the pair
-            {"p99_degraded_s": 0.5, "p99_shedding_s": 0.1},
         ],
     )
     def test_validation(self, kw):
@@ -144,6 +134,16 @@ class TestMonitorTransitions:
             mon.tick(CALM)  # down one
         assert len(mon.history()) == 4
 
+    def test_transition_count_is_not_capped_by_the_history_bound(self):
+        registry = Registry()
+        mon = fast_monitor(history=128).bind(registry)
+        for _ in range(200):
+            mon.tick(BUSY)  # up one
+            mon.tick(CALM)  # down one
+        assert len(mon.history()) == 128
+        assert mon.stats()["transitions"] == 400
+        assert registry.counter("health.transitions").value == 400
+
     def test_attached_source_is_polled(self):
         mon = fast_monitor()
         mon.attach(lambda: BUSY)
@@ -196,6 +196,13 @@ class TestConfig:
     def test_unknown_key_raises(self):
         with pytest.raises(ValueError, match="unknown health config"):
             health_from_config({"queue_degrated": 0.5})
+
+    def test_latency_thresholds_are_unknown_keys(self):
+        """Health reads queue depth and breaker state only: a config that
+        still names a p99 threshold fails the strict loader."""
+        for key in ("p99_degraded_s", "p99_shedding_s"):
+            with pytest.raises(ValueError, match="unknown health config"):
+                health_from_config({key: 0.1})
 
     def test_bad_dwell_raises(self):
         with pytest.raises(ValueError):

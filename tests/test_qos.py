@@ -1,10 +1,10 @@
 """QoS tests: priority admission, deadlines, shedding, degraded serving.
 
 The QoS layer's contract extends the server's correctly-or-explicitly
-guarantee with three new explicit outcomes — ``LoadShed`` (class
-``shed``), ``DeadlineExceeded`` (class ``deadline``) and degraded results
-stamped ``degraded=True`` — and one ordering rule: admission never
-sacrifices a stronger class for a weaker one.  Determinism trick
+guarantee with two new explicit outcomes — ``LoadShed`` (class ``shed``)
+and ``DeadlineExceeded`` (class ``deadline``) — and two rules: admission
+never sacrifices a stronger class for a weaker one, and a ``DEGRADED``
+server still serves each request on the model and engine it asked for.  Determinism trick
 throughout: ``start(workers=False)`` opens admission without the worker
 pool, so the whole admission sequence is single-threaded and exact.
 """
@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 from repro.md import Cell, System
 from repro.models import LennardJones, MorsePotential
 from repro.serve import (
-    EAGER_FALLBACK,
     Client,
     DeadlineExceeded,
     ForceServer,
@@ -27,7 +26,6 @@ from repro.serve import (
     HealthThresholds,
     LoadShed,
     MicroBatcher,
-    ModelRegistry,
     QoSPolicy,
     ServeError,
     ServerOverloaded,
@@ -37,7 +35,7 @@ from repro.serve import (
     qos_from_config,
 )
 from repro.serve.batching import ForceRequest
-from repro.serve.qos import DEGRADED_SERVED, SHED_DEADLINE, SHED_LOAD
+from repro.serve.qos import SHED_DEADLINE, SHED_LOAD
 
 
 def make_system(n=8, seed=0, box=8.0):
@@ -161,15 +159,12 @@ class TestQoSPolicy:
 class TestServeResult:
     def test_unpacks_like_the_legacy_tuple(self):
         f = np.zeros((3, 3))
-        res = ServeResult(-1.5, f, degraded=True, model="lj:v1", priority="batch")
+        res = ServeResult(-1.5, f, model="lj", priority="batch")
         e, forces = res
         assert e == -1.5 and forces is f
         assert res.energy == -1.5 and res.forces is f
-        assert res.degraded and res.model == "lj:v1" and res.priority == "batch"
+        assert res.model == "lj" and res.priority == "batch"
         assert isinstance(res, tuple) and len(res) == 2
-
-    def test_defaults_not_degraded(self):
-        assert not ServeResult(0.0, np.zeros((1, 3))).degraded
 
 
 # ---------------------------------------------------------------------------
@@ -414,75 +409,67 @@ class TestDeadlineAwareBatching:
 # degraded serving
 # ---------------------------------------------------------------------------
 class TestDegradedServing:
-    def test_degraded_serves_fallback_model_and_stamps_result(self):
+    """``DEGRADED`` changes admission only: a server held there serves each
+    request on the model and engine it asked for."""
+
+    @staticmethod
+    def direct(pot, system):
+        return pot.energy_and_forces(system, pot.prepare_neighbors(system))
+
+    def test_degraded_serves_the_requested_model(self):
         lj = make_lj()
+        cheap = LennardJones(epsilon=0.1, sigma=1.0, cutoff=2.0, n_species=2)
         server = ForceServer(
             lj, n_workers=1, engine="eager",
             qos=QoSPolicy(), health=shedding_monitor(1), start=False,
         )
-        cheap = LennardJones(epsilon=0.1, sigma=1.0, cutoff=2.0, n_species=2)
         server.registry.register("cheap", cheap)
-        server.registry.set_fallback("default", "cheap")
         server.start()
         try:
             assert server.health.state == "DEGRADED"
-            res = Client(server).evaluate(make_system(), priority="interactive")
+            system = make_system()
+            res = Client(server).evaluate(system, priority="interactive")
             assert isinstance(res, ServeResult)
-            assert res.degraded and res.model == "cheap:v1"
-            assert res.priority == "interactive"
+            assert res.model == "default" and res.priority == "interactive"
             e, f = res  # legacy unpacking still works
-            assert np.allclose(f, res.forces)
-            m = server.metrics.snapshot()["counters"]
-            assert m[DEGRADED_SERVED] == 1
+            e0, f0 = self.direct(lj, system)
+            assert e == e0
+            np.testing.assert_array_equal(f, f0)
+            res = Client(server, model="cheap").evaluate(system)
+            assert res.model == "cheap"
+            assert res.energy == self.direct(cheap, system)[0]
+            assert server.health.state == "DEGRADED"
         finally:
             server.stop(drain=True)
 
-    def test_degraded_compiled_falls_back_to_eager(self):
+    def test_degraded_compiled_server_stays_compiled(self):
         server = ForceServer(
             make_lj(), n_workers=1, engine="compiled",
             qos=QoSPolicy(), health=shedding_monitor(1),
         )
-        server.registry.set_fallback("default", EAGER_FALLBACK)
         try:
-            res = Client(server).evaluate(make_system())
-            assert res.degraded and res.model == "default:v1"
-            # Eager and compiled are bitwise-identical here, so the
-            # exactness contract survives degradation.
-            direct = make_lj().energy_and_forces(
-                make_system(),
-                make_lj().prepare_neighbors(make_system())
-                if hasattr(make_lj(), "prepare_neighbors") else None,
-            )
+            systems = [make_system(seed=k) for k in range(3)]
+            results = Client(server).evaluate_many(systems)
+            assert server.health.state == "DEGRADED"
+            m = server.metrics.snapshot()["counters"]
+            assert m["plan_captures"] + m["plan_replays"] == m["batches"] > 0
+            for res, system in zip(results, systems):
+                assert res.model == "default"
+                e0, f0 = self.direct(make_lj(), system)
+                assert res.energy == e0
+                np.testing.assert_array_equal(res.forces, f0)
         finally:
             server.stop(drain=True)
 
     def test_healthy_server_never_degrades(self):
         server = ForceServer(make_lj(), n_workers=1, engine="eager", qos=QoSPolicy())
         server.registry.register("cheap", make_lj())
-        server.registry.set_fallback("default", "cheap")
         try:
             res = Client(server).evaluate(make_system())
-            assert not res.degraded and res.model == "default:v1"
+            assert res.model == "default"
+            assert server.health.state == "HEALTHY"
         finally:
             server.stop(drain=True)
-
-    def test_fallback_chain_is_cycle_safe(self):
-        reg = ModelRegistry()
-        reg.register("a", make_lj(), fallback="b")
-        reg.register("b", make_lj(), fallback="a")
-        entry, eager = reg.resolve_degraded("a")
-        assert entry.key == "b:v1" and not eager
-
-    def test_unresolvable_fallback_stops_at_last_entry(self):
-        reg = ModelRegistry()
-        reg.register("a", make_lj(), fallback="missing")
-        entry, eager = reg.resolve_degraded("a")
-        assert entry.key == "a:v1" and not eager
-
-    def test_registry_stats_report_fallbacks(self):
-        reg = ModelRegistry()
-        reg.register("a", make_lj(), fallback=EAGER_FALLBACK)
-        assert reg.stats()["fallbacks"]["a:v1"] == EAGER_FALLBACK
 
 
 class TestStatsSurface:

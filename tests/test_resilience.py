@@ -24,7 +24,6 @@ from repro.parallel import (
     ParallelForceEvaluator,
     ParallelSimulation,
     ProcessGrid,
-    VirtualCluster,
 )
 from repro.resilience import (
     COMM_DROP,
@@ -495,14 +494,14 @@ class TestParallelFaults:
         s, lj = _parallel_system()
         e_ref, f_ref = lj.energy_and_forces(s)
         plan = FaultPlan(seed=5, rates={COMM_DROP: 0.1})
-        cluster = VirtualCluster(8, fault_plan=plan)
         grid = ProcessGrid.create(8, s.cell)
-        ev = ParallelForceEvaluator(lj, grid, cluster)
+        ev = ParallelForceEvaluator(lj, grid, fault_plan=plan)
         e, f, _ = ev.compute(s)
-        faults = cluster.fault_stats()
+        ev.close()
+        faults = ev.cluster.fault_stats()
         assert faults["n_dropped"] > 0
         assert faults["n_retransmits"] == faults["n_dropped"]
-        assert "retransmit" in cluster.stats.messages
+        assert "retransmit" in ev.cluster.stats.messages
         np.testing.assert_allclose(e, e_ref, rtol=1e-10)
         np.testing.assert_allclose(f, f_ref, atol=1e-9)
 

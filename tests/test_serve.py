@@ -4,8 +4,8 @@ The acceptance contract for ``repro.serve`` mirrors the engine's: served
 energies and forces must be *bitwise* identical (float64) to direct eager
 evaluation of each structure — batching, padding, plan reuse and thread
 hand-offs change throughput, never physics.  Around that core, these tests
-pin down the operational behaviours a service needs: registry versioning
-and LRU eviction of compiled state, bucket-cache hit/miss accounting,
+pin down the operational behaviours a service needs: model routing and
+replacement in the registry, bucket-cache hit/miss accounting,
 micro-batch coalescing, shed-with-error backpressure, deadlines, and
 graceful drain.
 """
@@ -224,54 +224,66 @@ class TestPlanCache:
 class TestModelRegistry:
     def test_register_resolve_and_default(self):
         reg = ModelRegistry()
-        reg.register("lj", make_lj())
-        reg.register("morse", make_morse())
+        lj, morse = make_lj(), make_morse()
+        reg.register("lj", lj)
+        reg.register("morse", morse)
         assert reg.default_model == "lj"
-        assert reg.resolve_key(None) == "lj:v1"
-        assert reg.resolve_key("morse") == "morse:v1"
+        assert reg.get().potential is lj
+        assert reg.get("morse").potential is morse
         assert reg.names() == ["lj", "morse"]
 
-    def test_version_pinning_and_latest(self):
+    def test_register_again_replaces_entry(self):
+        """A second ``register`` of a name swaps in a new entry: the next
+        batch is served bitwise by the new potential, and the old entry's
+        plans and breaker are not the new one's."""
         reg = ModelRegistry()
-        reg.register("lj", make_lj(), version="v1")
-        v2 = make_lj()
-        reg.register("lj", v2, version="v2")
-        assert reg.resolve_key("lj") == "lj:v2"
-        assert reg.get("lj").potential is v2
-        assert reg.get("lj:v1").potential is not v2
-        assert set(reg.keys()) == {"lj:v1", "lj:v2"}
+        old = reg.register("lj", make_lj())
+        systems = [make_system(n=12, seed=k) for k in range(4)]
+        new_pot = LennardJones(epsilon=0.5, sigma=1.0, cutoff=3.0, n_species=2)
+        with ForceServer(reg, n_workers=1, max_batch=4) as server:
+            client = Client(server)
+            client.evaluate_many(systems)
+            assert old.plan_cache.n_plans > 0
+            new = reg.register("lj", new_pot)
+            served = client.evaluate_many(systems)
+            stats = server.stats()
+        assert reg.get("lj") is new and reg.names() == ["lj"]
+        assert new.plan_cache is not old.plan_cache
+        assert new.breaker is not old.breaker
+        assert stats["registry"]["models"]["lj"]["misses"] == new.plan_cache.n_plans > 0
+        for (e, f), s in zip(served, systems):
+            e0, f0 = direct_eager(new_pot, s)
+            assert e == e0
+            np.testing.assert_array_equal(f, f0)
 
     def test_unknown_model_raises(self):
         reg = ModelRegistry()
         with pytest.raises(UnknownModelError):
-            reg.resolve_key(None)  # empty registry
+            reg.get()  # empty registry
         reg.register("lj", make_lj())
         with pytest.raises(UnknownModelError):
             reg.get("nequip")
         with pytest.raises(UnknownModelError):
-            reg.get("lj:v9")
+            reg.get("lj:v1")
 
-    def test_lru_evicts_compiled_state_not_identity(self):
-        reg = ModelRegistry(max_compiled=2)
-        for name in ("a", "b", "c"):
-            reg.register(name, make_lj())
-        ea = reg.get("a")
-        reg.get("b")
-        assert ea.compiled
-        reg.get("c")  # exceeds max_compiled → evicts a's plans
-        assert reg.n_evictions == 1
-        assert not ea.compiled
-        assert "a" in reg.names()  # identity survives
-        assert reg.get("a").compiled  # transparently rebuilt (evicting b or c)
-        assert reg.stats()["n_compiled"] == 2
+    def test_stats_are_keyed_by_bare_name(self):
+        reg = ModelRegistry()
+        reg.register("lj", make_lj())
+        reg.register("morse", make_morse())
+        reg.get("morse").plan_cache.acquire(10, 64)
+        stats = reg.stats()
+        assert stats["default_model"] == "lj" and stats["n_registered"] == 2
+        assert set(stats["models"]) == set(stats["breakers"]) == {"lj", "morse"}
+        assert stats["models"]["morse"]["n_plans"] == 1
+        assert stats["models"]["lj"]["n_plans"] == 0
+        assert stats["breakers"]["lj"] == "closed"
 
     def test_invalidate_drops_plans(self):
         reg = ModelRegistry()
         reg.register("lj", make_lj())
-        entry = reg.get("lj")
-        entry.ensure_cache().acquire(10, 64)
+        reg.get("lj").plan_cache.acquire(10, 64)
         reg.invalidate("lj")
-        assert not reg.peek("lj").compiled
+        assert reg.get("lj").plan_cache.n_plans == 0
 
     def test_colon_in_name_rejected(self):
         with pytest.raises(ValueError):
@@ -575,7 +587,7 @@ class TestReplayRate:
         with ForceServer(pot, n_workers=1, max_batch=1) as server:
             Client(server).evaluate_many(systems)
             stats = server.stats()
-        model_stats = stats["registry"]["models"]["default:v1"]
+        model_stats = stats["registry"]["models"]["default"]
         assert model_stats["n_plans"] <= 2  # edge counts may straddle a class
         assert model_stats["misses"] == model_stats["n_plans"]
         assert model_stats["hits"] == 12 - model_stats["misses"]
@@ -894,7 +906,7 @@ class TestFaultInjectionServing:
         assert stats["errors"]["model_failure"] >= 1
         assert stats["errors"]["circuit_open"] >= 1
         assert stats["errors"]["total"] >= 2
-        assert stats["registry"]["breakers"]["bad:v1"] == "open"
+        assert stats["registry"]["breakers"]["bad"] == "open"
 
     def test_breaker_half_open_probe_recovers(self):
         t = [0.0]
@@ -928,7 +940,7 @@ class TestFaultInjectionServing:
         e0, f0 = direct_eager(make_lj(), system)
         assert e == e0
         np.testing.assert_array_equal(forces, f0)
-        assert registry.breaker("flaky").state == "closed"
+        assert registry.get("flaky").breaker.state == "closed"
         server.stop()
 
 

@@ -52,6 +52,8 @@ from .functional import (
     where,
     safe_norm,
     erfc,
+    lj_pair,
+    morse_pair,
     less,
     step_mask,
     sign_of,
@@ -89,6 +91,8 @@ __all__ = [
     "where",
     "safe_norm",
     "erfc",
+    "lj_pair",
+    "morse_pair",
     "less",
     "step_mask",
     "sign_of",

@@ -261,6 +261,54 @@ def erfc(x) -> Tensor:
     return Tensor._make(K.erfck(None, x.data), (x,), backward, "erfc")
 
 
+def lj_pair(r, eps, sig, cutoff: float, p: int) -> Tensor:
+    """Per-edge Lennard-Jones term ½·4ε[(σ/r)¹² − (σ/r)⁶]·u(r/r_c), one kernel.
+
+    ``eps`` and ``sig`` are per-edge constants; ``u`` is the degree-``p``
+    polynomial cutoff.  Differentiable once, with respect to ``r`` only.
+    """
+    return _pair_term("lj_pair", "LennardJones", r, (eps, sig), cutoff, p)
+
+
+def morse_pair(r, D, a, r0, cutoff: float, p: int) -> Tensor:
+    """Per-edge Morse term ½·D[(1 − e^{−a(r−r0)})² − 1]·u(r/r_c), one kernel.
+
+    ``D``, ``a`` and ``r0`` are per-edge constants.  Differentiable once,
+    with respect to ``r`` only.
+    """
+    return _pair_term("morse_pair", "MorsePotential", r, (D, a, r0), cutoff, p)
+
+
+def _pair_term(op: str, name: str, r, params, cutoff: float, p: int) -> Tensor:
+    """The fused pair-term op ``op`` and, as its backward, ``op + "_grad"``:
+    g·d/dr of the term, recorded as one more kernel whose own backward
+    raises — nothing differentiates a parameter-free pair term twice."""
+    r = astensor(r)
+    params = tuple(astensor(t) for t in params)
+    if any(t.requires_grad for t in params):
+        raise NotImplementedError(f"{name}: pair parameters are constants")
+    arrays = tuple(t.data for t in params)
+    static = {"cutoff": float(cutoff), "p": int(p)}
+    grad_op = op + "_grad"
+
+    def no_second_derivative(gg: Tensor) -> None:
+        raise NotImplementedError(f"{name}: no second derivative")
+
+    def backward(g: Tensor) -> None:
+        if r._track():
+            r._accumulate(
+                Tensor._make(
+                    K.KERNELS[grad_op](None, g.data, r.data, *arrays, **static),
+                    (g, r) + params, no_second_derivative, grad_op, static,
+                )
+            )
+
+    return Tensor._make(
+        K.KERNELS[op](None, r.data, *arrays, **static), (r,) + params, backward,
+        op, static,
+    )
+
+
 # -- recorded, non-differentiable mask ops ------------------------------------
 def less(x, c: float) -> Tensor:
     """Float mask (x < c); recorded so replay recomputes it from live data."""

@@ -460,6 +460,148 @@ def erfck(out, a):
     return _fill(out, _erfc(a))
 
 
+# -- fused pair terms -----------------------------------------------------------
+# One kernel per analytic pair term and one per its r-derivative, in place of
+# the ~dozen tape ops per term whose intermediates an eager force call held
+# until its backward ran.  Elementwise (pad-invariant); the output and every
+# temporary come from ``_tape_empty``.  Not in INPLACE_OPS: they read ``r``
+# after writing ``out``.
+def _ipow(x, n, out):
+    """``x**n`` (integer n >= 2) into ``out`` (not ``x``) by repeated
+    multiplication: left to right over n's bits, square, then times ``x``."""
+    np.multiply(x, x, out=out)
+    for k, bit in enumerate(bin(n)[3:]):
+        if k:
+            np.multiply(out, out, out=out)
+        if bit == "1":
+            np.multiply(out, x, out=out)
+    return out
+
+
+def envelope(s, p, out=None, scratch=None, ds=False):
+    """The polynomial cutoff u(s) = 1 − c0·sᵖ + c1·sᵖ⁺¹ − c2·sᵖ⁺² in Horner
+    form, 1 + sᵖ·(−c0 + s·(c1 − c2·s)) — with ``ds``, its derivative
+    sᵖ⁻¹·(−p·c0 + s·((p+1)·c1 − (p+2)·c2·s)) — at ``s`` clamped to at most 1.
+
+    The coefficients are small integers, so u(1) = 1 + (−1) and u′(1) are
+    exactly 0: a caller clamps s = r/r_c with ``minimum(s, 1)`` and every
+    pair at or past the cutoff — a pad edge sits exactly on it — contributes
+    an exact zero.
+    """
+    c0, c1, c2 = (p + 1) * (p + 2) / 2.0, p * (p + 2.0), p * (p + 1) / 2.0
+    if ds:
+        p, c0, c1, c2 = p - 1, p * c0, (p + 1) * c1, (p + 2) * c2
+    if out is None:
+        out = _tape_empty(s.shape, s.dtype)
+    if scratch is None:
+        scratch = _tape_empty(s.shape, s.dtype)
+    np.multiply(s, -c2, out=out)
+    out += c1
+    out *= s
+    out -= c0
+    out *= s if p == 1 else _ipow(s, p, scratch)
+    if not ds:
+        out += 1.0
+    return out
+
+
+def _clamped_s(r, cutoff):
+    """min(r / r_c, 1): exactly 1 on a pad edge (r = r_c) and past it."""
+    s = np.divide(r, cutoff, out=_tape_empty(r.shape, r.dtype))
+    return np.minimum(s, 1.0, out=s)
+
+
+@_kernel("lj_pair")
+def lj_pairk(out, r, eps, sig, cutoff, p):
+    """½·4ε[(σ/r)¹² − (σ/r)⁶]·u(r/r_c) = 2ε·x⁶(x⁶ − 1)·u, x = σ/r."""
+    if out is None:
+        out = _tape_empty(r.shape, r.dtype)
+    a = _clamped_s(r, cutoff)
+    b = _tape_empty(r.shape, r.dtype)
+    envelope(a, p, out, b)
+    np.divide(sig, r, out=a)
+    _ipow(a, 6, b)  # x⁶
+    np.subtract(b, 1.0, out=a)
+    a *= b
+    a *= eps
+    a *= 2.0
+    out *= a
+    return out
+
+
+@_kernel("lj_pair_grad")
+def lj_pair_gradk(out, g, r, eps, sig, cutoff, p):
+    """g·d/dr[½φu] = g·(½φ·u′/r_c + ½φ′·u), with ½φ = 2ε·x⁶(x⁶ − 1) and
+    ½φ′ = −12ε·x⁶(2x⁶ − 1)/r."""
+    if out is None:
+        out = _tape_empty(r.shape, r.dtype)
+    a = _clamped_s(r, cutoff)
+    b = _tape_empty(r.shape, r.dtype)
+    u = envelope(a, p, None, b)
+    envelope(a, p, out, b, ds=True)
+    np.divide(sig, r, out=a)
+    _ipow(a, 6, b)  # x⁶
+    np.subtract(b, 1.0, out=a)
+    a *= b
+    a *= eps
+    a *= 2.0 / cutoff
+    out *= a
+    np.multiply(b, 2.0, out=a)
+    a -= 1.0
+    a *= b
+    a *= eps
+    a *= -12.0
+    a /= r
+    a *= u
+    out += a
+    out *= g
+    return out
+
+
+@_kernel("morse_pair")
+def morse_pairk(out, r, D, a, r0, cutoff, p):
+    """½·D[(1 − e)² − 1]·u(r/r_c) = ½·D·e(e − 2)·u, e = exp(a(r0 − r))."""
+    if out is None:
+        out = _tape_empty(r.shape, r.dtype)
+    t = _clamped_s(r, cutoff)
+    e = _tape_empty(r.shape, r.dtype)
+    envelope(t, p, out, e)
+    np.subtract(r0, r, out=e)
+    e *= a
+    np.exp(e, out=e)
+    np.subtract(e, 2.0, out=t)
+    t *= e
+    t *= D
+    t *= 0.5
+    out *= t
+    return out
+
+
+@_kernel("morse_pair_grad")
+def morse_pair_gradk(out, g, r, D, a, r0, cutoff, p):
+    """g·d/dr[½φu] = g·D·e·[a(1 − e)·u + ½(e − 2)·u′/r_c]."""
+    if out is None:
+        out = _tape_empty(r.shape, r.dtype)
+    t = _clamped_s(r, cutoff)
+    e = _tape_empty(r.shape, r.dtype)
+    u = envelope(t, p, None, e)
+    envelope(t, p, out, e, ds=True)
+    np.subtract(r0, r, out=e)
+    e *= a
+    np.exp(e, out=e)
+    np.subtract(e, 2.0, out=t)
+    t *= 0.5 / cutoff
+    out *= t
+    np.subtract(1.0, e, out=t)
+    t *= a
+    t *= u
+    out += t
+    out *= e
+    out *= D
+    out *= g
+    return out
+
+
 # -- recorded non-differentiable masks ----------------------------------------
 @_kernel("less")
 def lessk(out, a, c):

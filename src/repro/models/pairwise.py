@@ -13,8 +13,10 @@ import numpy as np
 
 from .. import autodiff as ad
 from ..md.neighborlist import NeighborList
-from ..nn.radial import PolynomialCutoff
 from .base import Potential
+
+#: Degree of the polynomial cutoff envelope both pair potentials use.
+ENVELOPE_P = 6
 
 
 class LennardJones(Potential):
@@ -42,7 +44,6 @@ class LennardJones(Potential):
         self.eps_table = eps
         self.sigma_table = sig
         self.cutoff = float(cutoff)
-        self.envelope = PolynomialCutoff(6)
 
     def graph_inputs(self, species: np.ndarray, nl: NeighborList) -> dict:
         inputs = super().graph_inputs(species, nl)
@@ -60,11 +61,8 @@ class LennardJones(Potential):
         r = ad.safe_norm(disp, axis=-1)
         eps = ad.gather(ad.Tensor(self.eps_table.reshape(-1)), pair_idx)
         sig = ad.gather(ad.Tensor(self.sigma_table.reshape(-1)), pair_idx)
-        x6 = (sig / r) ** 6
-        e_pair = eps * (x6 * x6 - x6) * 4.0
-        u = self.envelope(r * (1.0 / self.cutoff))
         # Half per ordered pair: each unordered bond appears twice.
-        e_edge = e_pair * u * 0.5
+        e_edge = ad.lj_pair(r, eps, sig, self.cutoff, ENVELOPE_P)
         return ad.scatter_add(e_edge, i, positions.shape[0])
 
 
@@ -85,10 +83,10 @@ class MorsePotential(Potential):
         self.D = np.asarray(D, dtype=np.float64)
         self.a = np.asarray(a, dtype=np.float64)
         self.r0 = np.asarray(r0, dtype=np.float64)
-        if not (self.D.shape == self.a.shape == self.r0.shape) or self.D.ndim != 2:
+        S = self.D.shape[0] if self.D.ndim == 2 else -1
+        if not self.D.shape == self.a.shape == self.r0.shape == (S, S):
             raise ValueError("D, a, r0 must be [S, S] matrices of equal shape")
         self.cutoff = float(cutoff)
-        self.envelope = PolynomialCutoff(6)
 
     def graph_inputs(self, species: np.ndarray, nl: NeighborList) -> dict:
         inputs = super().graph_inputs(species, nl)
@@ -107,8 +105,5 @@ class MorsePotential(Potential):
         D = ad.gather(ad.Tensor(self.D.reshape(-1)), pair_idx)
         a = ad.gather(ad.Tensor(self.a.reshape(-1)), pair_idx)
         r0 = ad.gather(ad.Tensor(self.r0.reshape(-1)), pair_idx)
-        decay = ad.exp(-(a * (r - r0)))
-        e_pair = D * ((1.0 - decay) ** 2 - 1.0)
-        u = self.envelope(r * (1.0 / self.cutoff))
-        e_edge = e_pair * u * 0.5
+        e_edge = ad.morse_pair(r, D, a, r0, self.cutoff, ENVELOPE_P)
         return ad.scatter_add(e_edge, i, positions.shape[0])

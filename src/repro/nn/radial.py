@@ -45,9 +45,8 @@ class PolynomialCutoff:
         return ad.where(inside, poly, ad.Tensor(np.zeros_like(poly.data)))
 
     def numpy(self, x: np.ndarray) -> np.ndarray:
-        p = self.p
-        poly = 1.0 - self._c0 * x**p + self._c1 * x ** (p + 1) - self._c2 * x ** (p + 2)
-        return np.where(x < 1.0, poly, 0.0)
+        """u(x) as the fused pair kernels compute it (Horner form)."""
+        return ad.kernels.envelope(np.minimum(x, 1.0), self.p)
 
 
 class BesselBasis(Module):

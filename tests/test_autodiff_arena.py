@@ -307,7 +307,8 @@ def test_an_exception_rewinds_and_leaves_the_arena_usable():
 @on_fresh_thread
 def test_a_small_call_releases_what_a_large_one_needed():
     pot = lj()
-    large, tiny = fcc(6), fcc(2, n_atoms=11, periodic=False)
+    # 74 088 pairs, a 13 MB tape: two blocks (fcc(6)'s 8.2 MB fits in one)
+    large, tiny = fcc(7), fcc(2, n_atoms=11, periodic=False)
     pot.evaluate(large.positions, large.species, pot.prepare_neighbors(large))
     held = arena.stats()
     assert held["blocks"] >= 2 and held["bytes_held"] >= 2 * arena.BLOCK_BYTES

@@ -237,6 +237,12 @@ class TestPairPotentials:
         with pytest.raises(ValueError):
             MorsePotential(np.ones(2), np.ones(2), np.ones(2))
 
+    def test_morse_rejects_non_square_tables(self):
+        """pair_idx = s_i·S + s_j reads an [S, S] table; [2, 3] would hand
+        pair (1, 0) the entry D[0, 2]."""
+        with pytest.raises(ValueError):
+            MorsePotential(np.ones((2, 3)), np.ones((2, 3)), np.ones((2, 3)))
+
     def test_zbl_repulsive_and_monotone(self):
         zbl = ZBLRepulsion(np.array([1.0, 8.0]), cutoff=2.0)
         energies = []

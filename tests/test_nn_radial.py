@@ -41,6 +41,17 @@ class TestPolynomialCutoff:
         x = rng.random(20) * 1.4
         assert np.allclose(env.numpy(x), env(ad.Tensor(x)).data)
 
+    @pytest.mark.parametrize("p", [2, 3, 6, 9])
+    def test_kernel_derivative_matches_central_differences(self, rng, p):
+        """du/ds of the fused pair kernels against differences of u."""
+        env = PolynomialCutoff(p)
+        x = np.concatenate([rng.random(30), [0.0, 1.0, 1.3]])
+        h = 1e-6
+        numeric = (env.numpy(x + h) - env.numpy(x - h)) / (2 * h)
+        exact = ad.kernels.envelope(np.minimum(x, 1.0), p, ds=True)
+        np.testing.assert_allclose(exact, numeric, rtol=1e-7, atol=1e-8)
+        assert np.all(exact[-2:] == 0.0) and np.all(env.numpy(x[-2:]) == 0.0)
+
     def test_rejects_small_p(self):
         with pytest.raises(ValueError):
             PolynomialCutoff(1)

@@ -107,6 +107,7 @@ class ReferencePotential(Potential):
         self._n_species = len(self.params.charges)
 
     def atomic_energies(self, positions, species, nl: NeighborList):
+        self._refuse_half(nl)
         p = self.params
         species = np.asarray(species)
         n_atoms = positions.shape[0]

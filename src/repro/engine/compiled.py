@@ -71,6 +71,10 @@ class PotentialWrapper:
     def pair_cutoffs(self):
         return self.potential.pair_cutoffs
 
+    @property
+    def half_list(self) -> bool:
+        return self.potential.half_list
+
     def prepare_neighbors(self, system):
         return self.potential.prepare_neighbors(system)
 

@@ -45,7 +45,7 @@ def minimize(
     """
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
-    verlet = VerletList(model_cutoff(potential), skin=skin)
+    verlet = VerletList(model_cutoff(potential), skin=skin, half=potential.half_list)
     step = float(initial_step)
     energies = []
     e, forces = potential.energy_and_forces(system, verlet.get(system))

@@ -7,6 +7,9 @@ cartesian lattice offset such that ``r_ij = pos[j] + shift - pos[i]``.
 Every ordered pair within the cutoff appears exactly once — also in MD,
 whose skinned :class:`VerletList` is cut to the cutoff every step, as
 pair_allegro cuts LAMMPS's: the skin buys rebuild cadence, not force work.
+A *half* list (:func:`half_list`, LAMMPS ``newton on``) keeps one of the
+two orders of every pair: MD drivers build one for a potential whose bond
+energy is symmetric (``Potential.half_list``), never for Allegro.
 
 §V-B4 of the paper prunes pairs with per-*ordered*-species-pair cutoffs
 (H→C at 1.25 Å while C→H keeps 4.0 Å), cutting ordered pairs ~3× in water;
@@ -31,6 +34,7 @@ class NeighborList:
 
     edge_index: np.ndarray  # [2, E] int64: row 0 = center i, row 1 = neighbor j
     shifts: np.ndarray  # [E, 3] float64 cartesian shifts
+    half: bool = False  # each unordered pair once (:func:`half_list`)
 
     @property
     def n_edges(self) -> int:
@@ -373,7 +377,39 @@ def prune_to_cutoff(
     if len(keep) == nl.n_edges:
         return nl
     return NeighborList(
-        np.take(nl.edge_index, keep, axis=1), np.take(nl.shifts, keep, axis=0)
+        np.take(nl.edge_index, keep, axis=1), np.take(nl.shifts, keep, axis=0),
+        nl.half,
+    )
+
+
+def half_list(nl: NeighborList, keys: np.ndarray, row_images=None) -> NeighborList:
+    """The edges of the full list ``nl`` that carry each unordered pair once.
+
+    Keeps edge i→j when ``keys[i] < keys[j]``; when the keys are equal (an
+    atom and its own periodic image), when the pair's net image ``shift +
+    row_images[j] − row_images[i]`` is lexicographically positive.  Keys
+    are global atom ids and row images lattice shifts (a ghost row's), so
+    only integers and lattice vectors decide, never positions: two ranks
+    that see a pair through differently rounded coordinates agree on which
+    of them keeps it.  Stable: the kept edges keep their order.
+    """
+    i, j = nl.edge_index
+    k_i, k_j = np.take(keys, i), np.take(keys, j)
+    keep = k_i < k_j
+    tie = np.flatnonzero(k_i == k_j)
+    if len(tie):
+        image = np.take(nl.shifts, tie, axis=0)
+        if row_images is not None:
+            image = image + np.take(row_images, j[tie], axis=0)
+            image -= np.take(row_images, i[tie], axis=0)
+        # Lattice shifts are 0 or at least a box length; 1e-6 Å absorbs
+        # the rounding of wrap offsets.
+        sign = np.sign(image) * (np.abs(image) > 1e-6)
+        first = np.argmax(sign != 0, axis=1)
+        keep[tie] = sign[np.arange(len(tie)), first] > 0
+    keep = np.flatnonzero(keep)
+    return NeighborList(
+        np.take(nl.edge_index, keep, axis=1), np.take(nl.shifts, keep, axis=0), True
     )
 
 
@@ -489,9 +525,15 @@ class VerletList:
     sound only when the skin comfortably covers ``check_every`` steps of
     drift, which is exactly the coupling the ``md`` tuning target
     searches over.
+
+    ``half`` builds a half list (:func:`half_list`, keys = atom index) for
+    a model whose ``half_list`` is True: each pair is pruned and evaluated
+    once.
     """
 
-    def __init__(self, cutoff, skin: float = 0.5, check_every: int = 1):
+    def __init__(
+        self, cutoff, skin: float = 0.5, check_every: int = 1, half: bool = False
+    ):
         if skin < 0:
             raise ValueError("skin must be non-negative")
         if check_every < 1:
@@ -499,6 +541,7 @@ class VerletList:
         self.cutoff = cutoff
         self.skin = float(skin)
         self.check_every = int(check_every)
+        self.half = bool(half)
         self._nl: Optional[NeighborList] = None
         self._ref_positions: Optional[np.ndarray] = None
         self.n_builds = 0
@@ -517,7 +560,8 @@ class VerletList:
             # so positions are folded into the box exactly here (the same
             # reason LAMMPS remaps atoms at reneighboring time).
             system.wrap()
-            self._nl = neighbor_list(system, float(np.max(self.cutoff)) + self.skin)
+            nl = neighbor_list(system, float(np.max(self.cutoff)) + self.skin)
+            self._nl = half_list(nl, np.arange(system.n_atoms)) if self.half else nl
             self._ref_positions = system.positions.copy()
             self.n_builds += 1
             self._since_check = 0

@@ -173,7 +173,8 @@ class Simulation:
             raise ValueError(f"unknown engine {engine!r} (use 'eager' or 'compiled')")
         self.engine = engine
         self.verlet = VerletList(
-            model_cutoff(self.potential), skin=skin, check_every=neighbor_every
+            model_cutoff(self.potential), skin=skin, check_every=neighbor_every,
+            half=self.potential.half_list,
         )
         self._c_rebuilds = self.obs.counter("md.neighbor_rebuilds")
         self._h_force = self.obs.histogram("md.force_seconds")
@@ -321,6 +322,7 @@ class Simulation:
                     if verlet._nl is None
                     else (verlet._nl.edge_index.copy(), verlet._nl.shifts.copy())
                 ),
+                "half": verlet._nl is not None and verlet._nl.half,
             }
         }
 
@@ -355,8 +357,11 @@ class Simulation:
         if verlet_state["nl"] is None:
             self.verlet._nl = None
         else:
+            # A state without "half" holds a full list: never double-counted.
             edge_index, shifts = verlet_state["nl"]
-            self.verlet._nl = NeighborList(np.array(edge_index), np.array(shifts))
+            self.verlet._nl = NeighborList(
+                np.array(edge_index), np.array(shifts), verlet_state.get("half", False)
+            )
 
     # -- guarded degradation --------------------------------------------------
     def _check_health(self, manager) -> bool:

@@ -11,7 +11,7 @@
 * :class:`LennardJones` — simple pair potential used in MD engine tests.
 """
 
-from .base import Potential, PerSpeciesScaleShift
+from .base import HalfListError, Potential, PerSpeciesScaleShift
 from .pairwise import LennardJones, MorsePotential
 from .zbl import ZBLRepulsion
 from .allegro import AllegroModel, AllegroConfig
@@ -22,6 +22,7 @@ from .electrostatics import WolfCoulomb, CompositePotential
 from .uncertainty import EnsemblePotential, train_ensemble, max_force_uncertainty
 
 __all__ = [
+    "HalfListError",
     "Potential",
     "PerSpeciesScaleShift",
     "LennardJones",

@@ -22,6 +22,10 @@ from ..md.system import System
 from ..nn.module import Module
 
 
+class HalfListError(ValueError):
+    """A half neighbor list given to a model that needs every ordered pair."""
+
+
 class PerSpeciesScaleShift(Module):
     """E_i → σ_{Z_i}·E_i + μ_{Z_i}, computed in float64.
 
@@ -68,6 +72,22 @@ class Potential(Module):
     #: None when every pair interacts out to ``cutoff``.
     pair_cutoffs: Optional[np.ndarray] = None
 
+    @property
+    def half_list(self) -> bool:
+        """Whether MD may evaluate this model on a half list, each unordered
+        pair once (:func:`repro.md.neighborlist.half_list`).  Only a pair
+        potential with E_ij = E_ji may: Allegro's per-ordered-pair energies
+        (and every other many-body or composite model) need both orders."""
+        return False
+
+    def _refuse_half(self, nl: NeighborList) -> None:
+        """Raise :class:`HalfListError` on a half list this model cannot use."""
+        if nl.half and not self.half_list:
+            raise HalfListError(
+                f"{type(self).__name__} needs every ordered pair; "
+                "it was given a half neighbor list"
+            )
+
     def prepare_neighbors(self, system: System) -> NeighborList:
         """The neighbor list this model is evaluated on: every caller that
         has a system and no list (MD, serving, training, wrappers) asks here."""
@@ -96,7 +116,9 @@ class Potential(Module):
     def atomic_energies(
         self, positions: ad.Tensor, species: np.ndarray, nl: NeighborList
     ) -> ad.Tensor:
-        """Per-atom energies [N] in eV (float64, already scaled/shifted)."""
+        """Per-atom energies [N] in eV (float64, already scaled/shifted);
+        :class:`HalfListError` on a half list the model cannot take."""
+        self._refuse_half(nl)
         species = np.asarray(species)
         if nl.n_edges == 0:
             return self._empty_energies(ad.astensor(positions), species)
@@ -111,8 +133,10 @@ class Potential(Module):
         every array has leading dimension ``nl.n_edges``.  The reserved keys
         ``"i_idx"``/``"j_idx"``/``"shifts"`` are padded with pad-atom indices
         and cutoff-length shift vectors respectively; any other key is
-        zero-padded.
+        zero-padded.  A half list (``nl.half``) is refused unless
+        :attr:`half_list`.
         """
+        self._refuse_half(nl)
         i_idx, j_idx = nl.edge_index
         return {"i_idx": i_idx, "j_idx": j_idx, "shifts": nl.shifts}
 

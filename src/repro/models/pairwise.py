@@ -19,11 +19,35 @@ from .base import Potential
 ENVELOPE_P = 6
 
 
+def _symmetric(*tables) -> bool:
+    return all(np.array_equal(t, t.T) for t in tables)
+
+
+def _pair_idx(species, nl: NeighborList, S: int) -> np.ndarray:
+    """Each edge's row in :func:`_blocks` tables: its species pair, in the
+    second block on a half list."""
+    i_idx, j_idx = nl.edge_index
+    idx = species[i_idx] * S + species[j_idx]
+    return idx + S * S if nl.half else idx
+
+
+def _blocks(table: np.ndarray, half_factor: float) -> ad.Tensor:
+    """[S, S] → [2S²]: the per-species-pair parameters of a full list's
+    edges (half a bond each), then a half list's (the whole bond): energy
+    scales get ``half_factor`` 2, shape parameters 1.  The kernels are
+    linear in the energy scale, so a half-list edge term and its gradient
+    are bitwise twice the full-list ones."""
+    flat = table.reshape(-1)
+    return ad.Tensor(np.concatenate([flat, half_factor * flat]))
+
+
 class LennardJones(Potential):
     """12-6 Lennard-Jones with per-species-pair ε and σ, smoothly cut off.
 
-    E_ij = 4ε[(σ/r)¹² − (σ/r)⁶] · u(r/r_c); each ordered pair carries half
-    the bond energy so per-atom energies sum to the usual total.
+    E_ij = 4ε[(σ/r)¹² − (σ/r)⁶] · u(r/r_c).  On a full list each ordered
+    pair carries half the bond energy, so per-atom energies sum to the
+    usual total; on a half list (symmetric tables only) the one kept edge
+    carries all of it, on its center.
     """
 
     def __init__(
@@ -45,11 +69,13 @@ class LennardJones(Potential):
         self.sigma_table = sig
         self.cutoff = float(cutoff)
 
+    @property
+    def half_list(self) -> bool:
+        return _symmetric(self.eps_table, self.sigma_table)
+
     def graph_inputs(self, species: np.ndarray, nl: NeighborList) -> dict:
         inputs = super().graph_inputs(species, nl)
-        i_idx, j_idx = nl.edge_index
-        S = self.eps_table.shape[0]
-        inputs["pair_idx"] = species[i_idx] * S + species[j_idx]
+        inputs["pair_idx"] = _pair_idx(species, nl, self.eps_table.shape[0])
         return inputs
 
     def traced_energies(self, positions, species, inputs: dict):
@@ -59,9 +85,8 @@ class LennardJones(Potential):
             positions, i
         )
         r = ad.safe_norm(disp, axis=-1)
-        eps = ad.gather(ad.Tensor(self.eps_table.reshape(-1)), pair_idx)
-        sig = ad.gather(ad.Tensor(self.sigma_table.reshape(-1)), pair_idx)
-        # Half per ordered pair: each unordered bond appears twice.
+        eps = ad.gather(_blocks(self.eps_table, 2.0), pair_idx)
+        sig = ad.gather(_blocks(self.sigma_table, 1.0), pair_idx)
         e_edge = ad.lj_pair(r, eps, sig, self.cutoff, ENVELOPE_P)
         return ad.scatter_add(e_edge, i, positions.shape[0])
 
@@ -71,6 +96,7 @@ class MorsePotential(Potential):
 
     Smooth, strongly anharmonic, and species-sensitive — used inside the
     synthetic quantum reference potential (:mod:`repro.data.reference`).
+    Full and half lists split the bond energy as :class:`LennardJones`.
     """
 
     def __init__(
@@ -88,11 +114,13 @@ class MorsePotential(Potential):
             raise ValueError("D, a, r0 must be [S, S] matrices of equal shape")
         self.cutoff = float(cutoff)
 
+    @property
+    def half_list(self) -> bool:
+        return _symmetric(self.D, self.a, self.r0)
+
     def graph_inputs(self, species: np.ndarray, nl: NeighborList) -> dict:
         inputs = super().graph_inputs(species, nl)
-        i_idx, j_idx = nl.edge_index
-        S = self.D.shape[0]
-        inputs["pair_idx"] = species[i_idx] * S + species[j_idx]
+        inputs["pair_idx"] = _pair_idx(species, nl, self.D.shape[0])
         return inputs
 
     def traced_energies(self, positions, species, inputs: dict):
@@ -102,8 +130,8 @@ class MorsePotential(Potential):
             positions, i
         )
         r = ad.safe_norm(disp, axis=-1)
-        D = ad.gather(ad.Tensor(self.D.reshape(-1)), pair_idx)
-        a = ad.gather(ad.Tensor(self.a.reshape(-1)), pair_idx)
-        r0 = ad.gather(ad.Tensor(self.r0.reshape(-1)), pair_idx)
+        D = ad.gather(_blocks(self.D, 2.0), pair_idx)
+        a = ad.gather(_blocks(self.a, 1.0), pair_idx)
+        r0 = ad.gather(_blocks(self.r0, 1.0), pair_idx)
         e_edge = ad.morse_pair(r, D, a, r0, self.cutoff, ENVELOPE_P)
         return ad.scatter_add(e_edge, i, positions.shape[0])

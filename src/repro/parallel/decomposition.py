@@ -6,7 +6,10 @@ boundary.  Because Allegro assigns each ordered pair (i→j) to its center
 atom i, a rank that owns i can evaluate E_ij entirely from local + ghost
 data — the strict locality that lets the model drop into spatial
 decomposition unchanged (paper §V-C: "Allegro ... fits perfectly into the
-spatial decomposition concept of LAMMPS").
+spatial decomposition concept of LAMMPS").  A symmetric pair potential
+needs each pair only once (E_ij = E_ji): its shard lists are half lists,
+split between ranks by global atom id, and the reverse halo returns the
+force on the ghost end of a pair.
 
 Ghost sets are constructed by the periodic-image containment rule (an atom
 image belongs to rank r's halo iff it falls in r's cutoff-expanded brick),
@@ -22,7 +25,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from ..md.neighborlist import NeighborList, neighbor_list
+from ..md.neighborlist import NeighborList, half_list, neighbor_list
 from ..md.system import System
 from .comm import VirtualCluster
 from .topology import ProcessGrid
@@ -222,7 +225,19 @@ class DomainDecomposition:
 
     # -- local neighbor lists ----------------------------------------------------
     @staticmethod
-    def local_neighbor_list(shard: RankShard, cutoff: float) -> NeighborList:
-        """Open-boundary local list with owned atoms as the only centers."""
+    def local_neighbor_list(
+        shard: RankShard, cutoff: float, half: bool = False
+    ) -> NeighborList:
+        """Open-boundary local list with owned atoms as the only centers.
+
+        ``half``: each global pair on one rank only (:func:`half_list`,
+        keys = global ids, a ghost's row image = its lattice shift); the
+        reverse halo returns the force on its ghost end.
+        """
         local = System(shard.positions, shard.species, cell=None)
-        return neighbor_list(local, cutoff, n_centers=shard.n_owned)
+        nl = neighbor_list(local, cutoff, n_centers=shard.n_owned)
+        if not half:
+            return nl
+        keys = np.concatenate([shard.owned_ids, shard.ghost_ids])
+        images = np.concatenate([np.zeros((shard.n_owned, 3)), shard.ghost_shifts])
+        return half_list(nl, keys, images)

@@ -8,7 +8,9 @@ counters) is the serial one, unchanged; per force call the evaluator does
 1. forward halo exchange of positions,
 2. every rank prunes its skinned owned-center list to the cutoff and
    evaluates the potential on it — rank 0 in this process, ranks 1…R−1 at
-   the same time on their own worker processes (:mod:`.workers`),
+   the same time on their own worker processes (:mod:`.workers`); for a
+   potential whose ``half_list`` is True that list is half, so each pair
+   is pruned and evaluated on one rank only,
 3. energies, owned forces and ghost blocks are accumulated in rank order,
    and the reverse halo exchange adds ghost force contributions back to
    owners.
@@ -215,7 +217,7 @@ class ParallelForceEvaluator:
         def rank0():
             if shards[0].nl is None:
                 shards[0].nl = self.decomp.local_neighbor_list(
-                    shards[0], self.decomp.cutoff
+                    shards[0], self.decomp.cutoff, self._model.half_list
                 )
 
         _, lists = self._alongside([s.rank for s in shards[1:]], rank0)

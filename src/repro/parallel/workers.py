@@ -121,7 +121,7 @@ def _serve(conn, inherited, rank, potential, engine, registry, cutoffs) -> None:
                 reply = None
                 if shard.nl is None:
                     reply = shard.nl = DomainDecomposition.local_neighbor_list(
-                        shard, list_cutoff
+                        shard, list_cutoff, potential.half_list
                     )
             else:
                 energy, local_f, n_edges, seconds = evaluate_shard(

@@ -438,10 +438,12 @@ class TestWorkerRanks:
 
     def test_compiled_counters_and_arena_match_the_in_process_loop(self):
         """Mirrored worker counters read as the in-process rank loop's did
-        (the values below are what that loop gave for this run)."""
+        (the values below are what that loop gave for this run; with half
+        lists they are what each rank's edge counts give through the 5 %
+        padding policy)."""
         from repro.autodiff import arena
 
-        for engine, captures, scopes in (("compiled", [2, 1, 1, 2], 0), ("eager", None, 84)):
+        for engine, captures, scopes in (("compiled", [1, 1, 1, 2], 0), ("eager", None, 84)):
             system, lj = _lj_system(np.random.default_rng(7), n_side=6)
             system.seed_velocities(60.0, np.random.default_rng(8))
             before = arena.stats()["scopes"]
@@ -453,7 +455,7 @@ class TestWorkerRanks:
                 assert sim.engine_stats() is None
             else:
                 es = sim.engine_stats()
-                assert (es["n_captures"], es["n_replays"], es["recaptures"]) == (6, 84, 2)
+                assert (es["n_captures"], es["n_replays"], es["recaptures"]) == (5, 84, 1)
                 assert sorted(es["per_rank"]) == [0, 1, 2, 3]
                 assert [
                     stats["counters"][f"engine.captures{{rank={r}}}"] for r in range(4)

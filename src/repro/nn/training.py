@@ -101,8 +101,6 @@ class TrainConfig:
     #: (non-finite labels, malformed shapes/species), "quarantine" also
     #: drops duplicates and σ-outliers, "off" skips validation.
     data_policy: str = "reject"
-    #: Robust z-score threshold for the σ-outlier screening.
-    outlier_sigma: float = 6.0
     #: Multiply the learning rate by this after each watchdog rollback.
     rollback_lr_factor: float = 0.5
     #: Transient step failures (``train.step_failure`` channel) are
@@ -232,10 +230,7 @@ class Trainer:
             return
         from ..data.validate import DatasetValidationError, validate_frames
 
-        sigma = self.config.outlier_sigma
-        report = validate_frames(
-            self.train_frames, energy_sigma=sigma, force_sigma=sigma
-        )
+        report = validate_frames(self.train_frames)
         self.dataset_report = report
         if policy == "reject":
             if report.hard_issues:

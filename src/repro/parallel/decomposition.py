@@ -100,6 +100,14 @@ class DomainDecomposition:
         # (in box lengths) is in a brick's cutoff-expanded [lo, hi) along it,
         # once per slab; a rank's image (kx, ky, kz) is its three slabs' AND.
         lengths, cut = system.cell.lengths, self.cutoff
+        # Images −1, 0, +1 hold every partner within the cutoff only when
+        # each periodic axis spans it; a shorter axis would need image ±2.
+        for ax in range(3):
+            if system.cell.pbc[ax] and lengths[ax] < cut:
+                raise ValueError(
+                    f"periodic box length {lengths[ax]:.2f} Å along axis {ax} is "
+                    f"below the decomposition cutoff {cut:.2f} Å"
+                )
         images = [(-1, 0, 1) if system.cell.pbc[ax] else (0,) for ax in range(3)]
         shifted = [{k: pos[:, ax] + k * lengths[ax] for k in images[ax]} for ax in range(3)]
         slabs: dict = {}

@@ -21,7 +21,6 @@ from .store import (
     FrameQuarantinedError,
     TrajectoryReader,
     TrajectoryWriter,
-    sidecar_path,
 )
 from .stream import (
     StreamingMSD,
@@ -45,7 +44,6 @@ __all__ = [
     "StreamingThermo",
     "analyze_stream",
     "frame_nbytes",
-    "sidecar_path",
     "DEFAULT_FRAMES_PER_CHUNK",
     "TRAJ_TORN_CHUNK",
 ]

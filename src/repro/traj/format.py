@@ -23,8 +23,9 @@ previous one *on the raw float64 bit patterns* — exactly invertible,
 unlike floating-point subtraction — then deflates with zlib: consecutive
 MD frames share exponent/high-mantissa bytes, which deflate removes.
 
-The footer is written only on clean close; readers that find no footer
-fall back to the sidecar index or a sequential scan (:mod:`.store`).
+The footer is written only on clean close; a reader that finds no footer
+builds its index by one CRC-verifying sequential scan (:mod:`.store`).
+The file is its own index: nothing is written beside it.
 """
 
 from __future__ import annotations
@@ -417,7 +418,7 @@ def read_footer(
     callers know where the chunk stream ends.  Any damage (missing end
     magic, bad CRC, implausible length) yields None rather than an error:
     a missing footer just means the file was not closed cleanly, and the
-    sidecar/scan paths take over.
+    reader's scan takes over.
     """
     tail_size = _FOOTER_TAIL.size
     if file_size < tail_size:

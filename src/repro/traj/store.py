@@ -5,14 +5,12 @@ as a LAMMPS dump does at its dump step.  A dump is a few hundred bytes of
 memcpy per frame and one encode + fsync per chunk, a fraction of a percent
 of an MD step, so there is nothing to hide behind a thread.
 
-Writer discipline (mirrors :class:`repro.resilience.CheckpointManager`):
+Writer discipline — the ``.rtrj`` file is its own index, nothing is
+written beside it:
 
-* A chunk commit **appends + fsyncs** the chunk to the data file, then
-  atomically replaces the sidecar index (``<path>.idx``) via the same
-  tmp-file + fsync + ``os.replace`` sequence the checkpoint manager uses.
-  A kill between the two leaves a valid data file whose last chunk the
-  sidecar merely does not know about — the reader scans past the sidecar
-  end and finds it.
+* A chunk commit **appends + fsyncs** the chunk to the data file and
+  does nothing else.  A kill at any point leaves a prefix of committed
+  chunks, possibly followed by a torn one.
 * The embedded footer index is written only on clean :meth:`close`; its
   absence is the reliable signal of an unclean shutdown.
 * A kill mid-append leaves a torn tail; the reader detects it from the
@@ -20,18 +18,16 @@ Writer discipline (mirrors :class:`repro.resilience.CheckpointManager`):
   chunk can be injected deterministically via the ``traj.torn_chunk``
   fault channel).
 
-Reader index preference: embedded footer → sidecar (+ scan of anything
-past its end) → full sequential scan with ``CHNK``-magic resynchronization
-across damaged regions.  Chunks are decoded lazily; a chunk that fails its
-CRC is **quarantined** — counted, never yielded — so the reader's contract
-is "never return a corrupt frame".
+Reader index: the embedded footer after a clean close, otherwise a full
+sequential scan with ``CHNK``-magic resynchronization across damaged
+regions.  Chunks are decoded lazily; a chunk that fails its CRC is
+**quarantined** — counted, never yielded — so the reader's contract is
+"never return a corrupt frame".
 """
 
 from __future__ import annotations
 
-import json
 import os
-import tempfile
 import zlib
 from bisect import bisect_right
 from pathlib import Path
@@ -62,7 +58,6 @@ __all__ = [
     "FrameQuarantinedError",
     "TrajectoryReader",
     "TrajectoryWriter",
-    "sidecar_path",
 ]
 
 DEFAULT_FRAMES_PER_CHUNK = 16
@@ -75,56 +70,6 @@ TRAJ_TORN_CHUNK = "traj.torn_chunk"
 
 class FrameQuarantinedError(TrajError):
     """Random access into a chunk that failed its checksum."""
-
-
-def sidecar_path(path: Union[str, Path]) -> Path:
-    return Path(str(path) + ".idx")
-
-
-def _write_sidecar(path: Path, entries: List[IndexEntry], total_frames: int) -> None:
-    """Atomically replace the sidecar index (tmp + fsync + rename)."""
-    doc = {
-        "version": 1,
-        "total_frames": int(total_frames),
-        "entries": [
-            [e.offset, e.first_frame, e.n_frames, e.first_step, e.last_step]
-            for e in entries
-        ],
-    }
-    side = sidecar_path(path)
-    fd, tmp_name = tempfile.mkstemp(
-        dir=side.parent, prefix=f".{side.name}-", suffix=".tmp"
-    )
-    try:
-        with os.fdopen(fd, "w") as fh:
-            json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp_name, side)
-    except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise
-
-
-def _read_sidecar(path: Path) -> Optional[Tuple[List[IndexEntry], int]]:
-    side = sidecar_path(path)
-    try:
-        doc = json.loads(side.read_text())
-    except (OSError, ValueError):
-        return None
-    if not isinstance(doc, dict) or doc.get("version") != 1:
-        return None
-    try:
-        entries = [
-            IndexEntry(int(o), int(ff), int(nf), int(fs), int(ls))
-            for o, ff, nf, fs, ls in doc["entries"]
-        ]
-        return entries, int(doc["total_frames"])
-    except (KeyError, TypeError, ValueError):
-        return None
 
 
 def _scan_chunks(
@@ -182,12 +127,6 @@ def _scan_chunks(
     if not torn_tail and 0 < file_size - pos < CHUNK_HEADER_SIZE:
         torn_tail = True
     return entries, data_end, torn_tail
-
-
-def _entry_span(fh, entry: IndexEntry) -> int:
-    fh.seek(entry.offset)
-    ch = decode_chunk_header(fh.read(CHUNK_HEADER_SIZE))
-    return CHUNK_HEADER_SIZE + ch.payload_len
 
 
 def _find_next_chunk(fh, start: int, file_size: int) -> Optional[int]:
@@ -256,11 +195,11 @@ class TrajectoryWriter:
         Source of the per-file tables (species, masses, names, pbc).
         Required when creating a new file; optional on append.
     append_from:
-        Resume mode: open an existing file and truncate it to frames with
-        ``step <= append_from`` before appending (a chunk straddling the
-        cut is decoded and its prefix re-buffered).  The result is as if
-        the original run had simply continued — the ingredient for
-        bitwise kill-and-resume trajectories.
+        Resume mode: open an existing file, index the prefix of chunks that
+        decode, and :meth:`rollback` to ``append_from`` before appending (a
+        chunk straddling the cut is decoded and its prefix re-buffered).
+        The result is as if the original run had simply continued — the
+        ingredient for bitwise kill-and-resume trajectories.
     fault_plan:
         Optional :class:`repro.resilience.FaultPlan`; the
         ``traj.torn_chunk`` channel is consulted once per commit, and a
@@ -314,42 +253,31 @@ class TrajectoryWriter:
     # -- resume-append --------------------------------------------------------
     def _open_append(self, append_from: int) -> None:
         self._fh = open(self.path, "r+b")
-        self._fh.seek(0)
         self.header, self._data_start = read_header(self._fh)
-        size = os.path.getsize(self.path)
-        entries, _, _ = _scan_chunks(self._fh, size, self._data_start)
-        # Re-verify every chunk (payload CRC + decode for steps); the
-        # resumed file must be prefix-valid, so everything from the first
-        # damaged chunk onward is dropped and re-dumped by the replay.
-        kept: List[IndexEntry] = []
-        first_frame = 0
+        entries, _, _ = _scan_chunks(
+            self._fh, os.path.getsize(self.path), self._data_start
+        )
+        # Index the contiguous prefix of chunks that decode (decoding gives
+        # their steps); the first damaged chunk and everything after it is
+        # dropped and re-dumped by the replay.  Then the cut at
+        # ``append_from`` is the watchdog's rollback, which truncates.
+        self._data_end = self._data_start
         for e in entries:
+            if e.offset != self._data_end:
+                break
             try:
                 frames = self._load_entry(e)
             except TrajFormatError:
                 break
-            if frames[0].step > append_from:
-                break
-            if frames[-1].step > append_from:
-                # Straddling chunk: keep the prefix in the open buffer.
-                self._buffer = [f for f in frames if f.step <= append_from]
-                break
-            kept.append(
+            self._entries.append(
                 IndexEntry(
-                    e.offset, first_frame, e.n_frames,
+                    e.offset, self.frames_durable, e.n_frames,
                     frames[0].step, frames[-1].step,
                 )
             )
-            first_frame += e.n_frames
-        self._entries = kept
-        self.frames_durable = first_frame
-        self._data_end = (
-            kept[-1].offset + _entry_span(self._fh, kept[-1])
-            if kept
-            else self._data_start
-        )
-        self._fh.truncate(self._data_end)
-        self._fh.seek(self._data_end)
+            self.frames_durable += e.n_frames
+            self._data_end = self._fh.tell()  # just past the decoded payload
+        self.rollback(append_from)
 
     def _load_entry(self, entry: IndexEntry) -> List[Frame]:
         self._fh.seek(entry.offset)
@@ -443,41 +371,32 @@ class TrajectoryWriter:
             self._c_frames.inc(len(frames))
             self._c_chunks.inc()
             self._c_bytes.inc(len(blob))
-        _write_sidecar(self.path, self._entries, self.frames_durable)
 
     def rollback(self, max_step: int) -> None:
         """Drop every frame (buffered or committed) with ``step > max_step``.
 
-        The rollback half of watchdog recovery: after the simulation
-        restores a checkpoint at ``max_step``, frames dumped past it must
-        vanish so the replay re-appends them deterministically.  A
-        committed chunk straddling the cut is decoded and its prefix
-        re-buffered; an undecodable (torn) straddling chunk is dropped
-        whole — its surviving frames are re-dumped by the replay anyway.
+        The one truncate-and-rebuffer routine, shared by watchdog recovery
+        (the simulation restored a checkpoint at ``max_step``) and resume
+        (``append_from=``): frames dumped past the cut vanish so the replay
+        re-appends them deterministically.  A committed chunk straddling
+        the cut is decoded and its prefix re-buffered; an undecodable
+        (torn) straddling chunk is dropped whole — its surviving frames are
+        re-dumped by the replay anyway.
         """
         if self.closed:
             raise TrajError("trajectory writer is closed")
         self._buffer = [f for f in self._buffer if f.step <= max_step]
-        changed = False
-        while self._entries and self._entries[-1].first_step > max_step:
+        while self._entries and self._entries[-1].last_step > max_step:
             e = self._entries.pop()
             self.frames_durable -= e.n_frames
             self._data_end = e.offset
-            changed = True
-        if self._entries and self._entries[-1].last_step > max_step:
-            e = self._entries.pop()
-            self.frames_durable -= e.n_frames
-            self._data_end = e.offset
-            changed = True
-            try:
-                frames = self._load_entry(e)
-            except TrajFormatError:
-                frames = []
-            self._buffer = [f for f in frames if f.step <= max_step] + self._buffer
-        if changed:
-            self._fh.truncate(self._data_end)
-            self._fh.seek(self._data_end)
-            _write_sidecar(self.path, self._entries, self.frames_durable)
+            if e.first_step <= max_step:
+                try:
+                    frames = self._load_entry(e)
+                except TrajFormatError:
+                    frames = []
+                self._buffer = [f for f in frames if f.step <= max_step] + self._buffer
+        self._fh.truncate(self._data_end)
 
     def close(self) -> None:
         """Commit the open buffer, embed the footer index, fsync, close."""
@@ -530,12 +449,12 @@ class TrajectoryWriter:
 class TrajectoryReader:
     """Lazy random-access reader that quarantines damage instead of failing.
 
-    Opening reads only the file header and an index (footer → sidecar →
-    scan); chunks are decoded on demand with CRC verification and a
-    one-chunk LRU.  Iteration skips corrupt chunks (counting their frames
-    as quarantined); random access into one raises
-    :class:`FrameQuarantinedError` — either way, a corrupt frame is never
-    returned.
+    Opening reads the file header and an index: the footer after a clean
+    close, otherwise one CRC-verifying scan of the chunks.  Chunks are
+    decoded on demand with CRC verification and a one-chunk LRU.
+    Iteration skips corrupt chunks (counting their frames as quarantined);
+    random access into one raises :class:`FrameQuarantinedError` — either
+    way, a corrupt frame is never returned.
     """
 
     def __init__(self, path: Union[str, Path], registry=None) -> None:
@@ -563,38 +482,10 @@ class TrajectoryReader:
             self._index, self._total, _ = footer
             self.index_source = "footer"
             return
-        side = _read_sidecar(self.path)
-        if side is not None:
-            entries, total = side
-            # Entries past EOF cannot exist; anything between the sidecar's
-            # notion of the end and the file's actual end is scanned (a
-            # kill between chunk append and sidecar replace leaves exactly
-            # one such chunk).
-            entries = [e for e in entries if e.offset + CHUNK_HEADER_SIZE <= self._size]
-            end = self._data_start
-            if entries:
-                try:
-                    end = entries[-1].offset + _entry_span(self._fh, entries[-1])
-                except TrajFormatError:
-                    end = self._size
-            if end < self._size:
-                extra, _, torn = _scan_chunks(self._fh, self._size, end)
-                first = entries[-1].first_frame + entries[-1].n_frames if entries else 0
-                for e in extra:
-                    entries.append(
-                        IndexEntry(e.offset, first, e.n_frames, -1, -1)
-                    )
-                    first += e.n_frames
-                self.torn_tail = torn
-            self._index = entries
-            self._total = sum(e.n_frames for e in entries)
-            self.index_source = "sidecar"
-            return
         self._index, _, self.torn_tail = _scan_chunks(
             self._fh, self._size, self._data_start
         )
         self._total = sum(e.n_frames for e in self._index)
-        self.index_source = "scan"
 
     # -- access ---------------------------------------------------------------
     def __len__(self) -> int:

@@ -144,31 +144,6 @@ class TestExactlyOnce:
         full = neighbor_list(wrapped, cutoff, method="brute")
         _assert_each_pair_once(kept, _serial_keys(full, system.cell))
 
-    def test_a_rank_keeps_one_bond_to_its_own_image(self):
-        # One rank in a box thinner than the cutoff along x: every atom
-        # neighbors its own ghost images at ±L, and keeps the +L bond.
-        rng = np.random.default_rng(4)
-        cell = Cell([2.5, 12.0, 12.0])
-        system = System(
-            rng.uniform(0, 1, (60, 3)) * cell.lengths, np.zeros(60, int), cell
-        )
-        (shard,) = DomainDecomposition(ProcessGrid.create(1, cell), 3.0).build(system)
-        keys = np.concatenate([shard.owned_ids, shard.ghost_ids])
-        images = np.concatenate([np.zeros((shard.n_owned, 3)), shard.ghost_shifts])
-
-        def self_bonds(nl):
-            i, j = nl.edge_index
-            tie = keys[i] == keys[j]
-            return keys[i][tie], (images[j] - images[i])[tie]
-
-        owners, _ = self_bonds(DomainDecomposition.local_neighbor_list(shard, 3.0))
-        assert sorted(owners.tolist()) == sorted(2 * list(range(60)))
-        owners, bonds = self_bonds(
-            DomainDecomposition.local_neighbor_list(shard, 3.0, half=True)
-        )
-        assert sorted(owners.tolist()) == list(range(60))
-        np.testing.assert_array_equal(bonds, np.tile([2.5, 0.0, 0.0], (60, 1)))
-
 
 def _pair_potential(kind, n_species):
     if kind == "lj":

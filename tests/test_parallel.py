@@ -18,6 +18,7 @@ from repro.md import (
 )
 from repro.models import AllegroConfig, AllegroModel, LennardJones
 from repro.parallel import (
+    BalancedProcessGrid,
     DomainDecomposition,
     ParallelForceEvaluator,
     ParallelSimulation,
@@ -207,6 +208,23 @@ class TestDecompositionExactness:
         decomp = DomainDecomposition(grid, 1.5)
         with pytest.raises(ValueError):
             decomp.build(s)
+
+    def test_an_axis_shorter_than_the_cutoff_is_refused(self, rng):
+        # One rank along x in a 1.4 Å-thin box: a partner within the 3 Å
+        # cutoff can sit two images away, where no ghost of image ±1 reaches
+        # (the 1-rank energy came out 7.5e-4 off), so the build refuses it.
+        cell = Cell([1.4, 8.0, 8.0])
+        system = System(
+            rng.uniform(0, 1, (12, 3)) * cell.lengths, np.zeros(12, int), cell
+        )
+        for grid in (ProcessGrid((1, 2, 1), cell), BalancedProcessGrid((1, 2, 1), cell)):
+            with pytest.raises(ValueError, match="along axis 0 is below the"):
+                DomainDecomposition(grid, 3.0).build(system)
+        # An axis exactly one cutoff long needs no image beyond ±1.
+        cell = Cell([3.0, 8.0, 8.0])
+        system.cell = cell
+        shards = DomainDecomposition(ProcessGrid((1, 2, 1), cell), 3.0).build(system)
+        assert sum(sh.n_owned for sh in shards) == 12
 
     def test_load_balance_reported(self, rng):
         system, lj = _lj_system(rng)

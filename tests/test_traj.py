@@ -31,7 +31,6 @@ from repro.traj import (
     TrajError,
     TrajFormatError,
     analyze_stream,
-    sidecar_path,
 )
 from repro.traj.format import (
     decode_chunk_header,
@@ -191,7 +190,7 @@ class TestStoreReader:
             with pytest.raises(IndexError):
                 reader.read(11)
 
-    def test_missing_footer_falls_back_to_sidecar_then_scan(self, tmp_path):
+    def test_missing_footer_falls_back_to_scan(self, tmp_path):
         system = _system(n_side=2)
         frames = _frames(system, 8)
         path = tmp_path / "t.rtrj"
@@ -200,10 +199,7 @@ class TestStoreReader:
             store.append(f)
         store.barrier()
         store.abort()  # crash-shaped: no footer written
-        with TrajectoryReader(path) as reader:
-            assert reader.index_source == "sidecar"
-            assert [f.step for f in reader.frames()] == list(range(8))
-        os.remove(sidecar_path(path))
+        assert os.listdir(tmp_path) == ["t.rtrj"]  # nothing beside the file
         with TrajectoryReader(path) as reader:
             assert reader.index_source == "scan"
             assert [f.step for f in reader.frames()] == list(range(8))
@@ -213,7 +209,6 @@ class TestStoreReader:
         path = tmp_path / "t.rtrj"
         _write(path, system, _frames(system, 10), frames_per_chunk=4)
         raw = path.read_bytes()
-        os.remove(sidecar_path(path))
         for cut in (1, 20, 37, len(raw) // 2):
             torn = tmp_path / f"torn{cut}.rtrj"
             torn.write_bytes(raw[: len(raw) - cut])
@@ -336,7 +331,7 @@ class TestWriter:
             time.sleep(pause_s)
         w.abort()
         with TrajectoryReader(path) as reader:
-            assert reader.index_source == "sidecar"  # no footer
+            assert reader.index_source == "scan"  # no footer
             assert [f.step for f in reader.frames()] == list(range(14))
 
     def test_rollback_then_rewrite_is_bitwise(self, tmp_path):
@@ -353,6 +348,48 @@ class TestWriter:
             store.append(f)
         store.close()
         assert clean.read_bytes() == rolled.read_bytes()
+
+    def test_kill_after_resumed_commit_leaves_a_consistent_index(
+        self, tmp_path, monkeypatch
+    ):
+        """A resume that truncates, then dies right after its first commit.
+
+        Twelve frames in chunks of 4, killed; resumed at step 5 (chunk 4–7
+        straddles the cut) and step 6 appended, so the first commit holds
+        steps 4–6.  A kill just after that chunk's fsync — simulated by an
+        ``os.replace`` that raises, the call any atomic index replace would
+        make next — must leave a file whose index agrees with its bytes:
+        every frame ``len(reader)`` counts reads back.
+        """
+        system = _system(n_side=2)
+        frames = _frames(system, 12)
+        path = tmp_path / "t.rtrj"
+        w = TrajectoryWriter(path, system=system, frames_per_chunk=4)
+        for f in frames:
+            w.append(f)
+        w.abort()
+
+        class Killed(Exception):
+            pass
+
+        def kill(*args, **kwargs):
+            raise Killed
+
+        w = TrajectoryWriter(path, frames_per_chunk=4, append_from=5)
+        w.append(frames[6])
+        monkeypatch.setattr(os, "replace", kill)
+        try:
+            w.barrier()
+        except Killed:
+            pass
+        w.abort()
+        monkeypatch.undo()
+
+        with TrajectoryReader(path) as reader:
+            report = reader.verify()
+            assert len(reader) == report["frames_readable"] == 7
+            assert [reader.read(i).step for i in range(len(reader))] == list(range(7))
+        assert os.listdir(tmp_path) == ["t.rtrj"]
 
     def test_convert_mixed_atom_counts_raises_typed(self, tmp_path):
         """An XYZ whose frames hold 4, 4 and 5 atoms fails at the bad frame."""

@@ -1,6 +1,6 @@
 """Property tests for the trajectory data plane (Hypothesis).
 
-Four invariants, each checked over randomized shapes/contents:
+Five invariants, each checked over randomized shapes/contents:
 
 1. **Binary round-trip is exact** — every ``Frame`` field survives the
    ``.rtrj`` store bit-for-bit, compressed or not, at any chunking.
@@ -11,14 +11,19 @@ Four invariants, each checked over randomized shapes/contents:
 4. **Torn tails never raise** — truncating a trajectory at *any* byte
    past the file header still opens, iterates and verifies cleanly; the
    readable prefix matches the original frames exactly.
+5. **Resume ≡ rollback ≡ uninterrupted** — cutting a trajectory at any
+   step (on or inside a chunk boundary), from a cleanly closed file, a
+   killed one or one with a torn last chunk, and re-appending the frames
+   past the cut gives the bytes of a writer that never stopped.
 """
 
+import os
 import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.md.system import Cell, System
@@ -163,8 +168,8 @@ class TestTornTail:
             raw = path.read_bytes()
             with TrajectoryReader(path) as reader:
                 data_start = reader._data_start
-            # Truncate anywhere from "no data at all" to "missing one byte",
-            # and drop the sidecar so the reader has to scan from scratch.
+            # Truncate anywhere from "no data at all" to "missing one byte";
+            # with the footer gone the reader has to scan from scratch.
             pos = data_start + int(cut * max(0, len(raw) - 1 - data_start))
             torn = Path(d) / "torn.rtrj"
             torn.write_bytes(raw[:pos])
@@ -176,3 +181,98 @@ class TestTornTail:
             assert len(got) <= n_frames
             for a, b in zip(frames, got):
                 _assert_frame_equal(a, b)
+
+
+class _TearNext:
+    """Fault plan stub: the next chunk commit is torn once armed."""
+
+    armed = False
+
+    def fires(self, channel):
+        return self.armed
+
+
+class TestResumeEqualsRollback:
+    @given(
+        n_frames=st.integers(1, 12),
+        frames_per_chunk=st.integers(1, 5),
+        kept=st.data(),
+        past_frame=st.integers(0, 2),
+        pinned=st.booleans(),
+        end=st.sampled_from(["footer", "kill", "torn"]),
+        compression=st.booleans(),
+        seed=st.integers(0, 10_000),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_bytes_match_uninterrupted(
+        self, n_frames, frames_per_chunk, kept, past_frame, pinned, end,
+        compression, seed,
+    ):
+        n_atoms = 3
+        frames = _frames(n_frames, n_atoms, seed)  # steps 0, 3, 6, ...
+        # k frames survive the cut at step s; a torn chunk lies past the cut,
+        # as the MD driver's barrier before each checkpoint guarantees.
+        k = kept.draw(st.integers(0, n_frames), label="k")
+        m = kept.draw(st.integers(k, n_frames), label="m")  # frames dumped
+        s = 3 * (k - 1) + past_frame
+        pinned = pinned or end == "torn"
+        system = _system(n_atoms, seed=0)
+
+        def interrupted(path):
+            tear = _TearNext()
+            w = TrajectoryWriter(
+                path, system=system, frames_per_chunk=frames_per_chunk,
+                compression=compression, fault_plan=tear,
+            )
+            for f in frames[:k]:
+                w.append(f)
+            if pinned:
+                w.barrier()  # the checkpoint barrier at s
+            for f in frames[k:m]:
+                w.append(f)
+            if end == "torn":
+                tear.armed = True
+                w.barrier()
+                tear.armed = False
+            return w
+
+        with tempfile.TemporaryDirectory() as d:
+            ref = Path(d) / "ref.rtrj"
+            w = TrajectoryWriter(
+                ref, system=system, frames_per_chunk=frames_per_chunk,
+                compression=compression,
+            )
+            for f in frames[:k]:
+                w.append(f)
+            if pinned:
+                w.barrier()
+            for f in frames[k:]:
+                w.append(f)
+            w.close()
+
+            resumed = Path(d) / "resumed.rtrj"
+            w = interrupted(resumed)
+            if end == "footer":
+                # A clean close pins a boundary at m; the reference has it
+                # only where it pins s.
+                assume(pinned or m > k or m == n_frames or k % frames_per_chunk == 0)
+                w.close()
+            else:
+                # A kill loses the open buffer: it must hold no frame <= s.
+                assume(w.frames_durable >= k)
+                w.abort()
+            w = TrajectoryWriter(resumed, append_from=s)
+            for f in frames[k:]:
+                w.append(f)
+            w.close()
+
+            rolled = Path(d) / "rolled.rtrj"
+            w = interrupted(rolled)
+            w.rollback(s)
+            for f in frames[k:]:
+                w.append(f)
+            w.close()
+
+            assert resumed.read_bytes() == ref.read_bytes()
+            assert rolled.read_bytes() == ref.read_bytes()
+            assert sorted(os.listdir(d)) == ["ref.rtrj", "resumed.rtrj", "rolled.rtrj"]

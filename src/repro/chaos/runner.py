@@ -202,12 +202,15 @@ def replay(source, bug: Optional[str] = None) -> ScenarioOutcome:
     """Re-run a reproducer artifact (path, JSON string, or dict).
 
     Accepts either a bare spec dict or a full reproducer artifact (uses
-    its ``spec`` and, unless overridden, its recorded ``bug`` tag).
+    its ``spec`` and, unless overridden, its recorded ``bug`` tag).  A
+    string is JSON when it opens with ``{`` and a path otherwise: it is
+    never handed to the file system to find out (a JSON document longer
+    than a file name is an ``OSError`` there).
     """
-    if isinstance(source, (str, Path)) and Path(str(source)).exists():
-        raw = json.loads(Path(source).read_text())
-    elif isinstance(source, str):
+    if isinstance(source, str) and source.lstrip().startswith("{"):
         raw = json.loads(source)
+    elif isinstance(source, (str, Path)):
+        raw = json.loads(Path(source).read_text())
     else:
         raw = dict(source)
     if "spec" in raw:

@@ -281,10 +281,15 @@ class TrainRunConfig:
 
 @dataclass(frozen=True)
 class ParallelConfig:
-    """``parallel``: the decomposition ``tune --target parallel`` searches."""
+    """``parallel``: the decomposition ``tune --target parallel`` searches.
+
+    ``grid`` is that target's recorded pick: a profile writes it, and no
+    builder reads it (``ParallelSimulation`` always builds
+    ``ProcessGrid.create(n_ranks, cell)``).
+    """
 
     n_ranks: int = 8  # ranks whose factorisations are ranked
-    grid: Optional[Tuple[int, ...]] = None  # tuned process grid (a profile writes it)
+    grid: Optional[Tuple[int, ...]] = None  # the parallel target's recorded pick
 
 
 @dataclass(frozen=True)

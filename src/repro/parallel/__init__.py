@@ -4,7 +4,8 @@ This package replaces LAMMPS + MPI on Perlmutter (see DESIGN.md).  It
 implements the same parallelization the paper relies on:
 
 * :mod:`topology` — a LAMMPS-style 3D process grid (surface-minimizing
-  factorization of the rank count over the box).
+  factorization of the rank count over the box) whose cut planes start
+  uniform and rebalance to atom-count quantiles.
 * :mod:`comm` — the virtual communicator: a ledger that records every
   halo, reverse-force and migration message with its bytes (and any
   injected drop or delay), so communication volume is measured, not
@@ -26,7 +27,6 @@ implements the same parallelization the paper relies on:
 """
 
 from .topology import ProcessGrid
-from .loadbalance import BalancedProcessGrid
 from .comm import VirtualCluster, CommStats
 from .decomposition import DomainDecomposition, RankShard
 from .driver import ParallelForceEvaluator, ParallelSimulation
@@ -40,7 +40,6 @@ from .perfmodel import (
 
 __all__ = [
     "ProcessGrid",
-    "BalancedProcessGrid",
     "VirtualCluster",
     "CommStats",
     "DomainDecomposition",

@@ -84,6 +84,8 @@ class DomainDecomposition:
         """Partition + halo construction; accounts migration and halo bytes."""
         if system.cell is None:
             raise ValueError("domain decomposition requires a periodic cell")
+        # Checked at every build too: a rebalance may have moved the cuts.
+        self.grid.validate_cutoff(self.cutoff)
         pos = system.cell.wrap(system.positions)
         owner = self.grid.owner_of(pos)
 
@@ -99,15 +101,9 @@ class DomainDecomposition:
         # Ghost selection, per axis: whether each atom's image at shift k
         # (in box lengths) is in a brick's cutoff-expanded [lo, hi) along it,
         # once per slab; a rank's image (kx, ky, kz) is its three slabs' AND.
+        # Images −1, 0, +1 suffice: validate_cutoff saw each periodic axis
+        # span the cutoff.
         lengths, cut = system.cell.lengths, self.cutoff
-        # Images −1, 0, +1 hold every partner within the cutoff only when
-        # each periodic axis spans it; a shorter axis would need image ±2.
-        for ax in range(3):
-            if system.cell.pbc[ax] and lengths[ax] < cut:
-                raise ValueError(
-                    f"periodic box length {lengths[ax]:.2f} Å along axis {ax} is "
-                    f"below the decomposition cutoff {cut:.2f} Å"
-                )
         images = [(-1, 0, 1) if system.cell.pbc[ax] else (0,) for ax in range(3)]
         shifted = [{k: pos[:, ax] + k * lengths[ax] for k in images[ax]} for ax in range(3)]
         slabs: dict = {}

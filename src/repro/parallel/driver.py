@@ -404,7 +404,6 @@ class ParallelSimulation(Simulation):
         fault_plan=None,
         max_retries: int = 3,
         registry: Optional[Registry] = None,
-        grid_dims=None,
     ) -> None:
         if system.cell is None:
             raise ValueError("parallel MD requires a periodic cell")
@@ -413,17 +412,7 @@ class ParallelSimulation(Simulation):
         # one view.
         self._init_loop(system, dt, thermostat, registry=registry)
         self.potential = potential
-        # grid_dims overrides the surface-minimizing default factorization
-        # (how a tuned parallel profile pins the measured-best grid).
-        if grid_dims is not None:
-            dims = tuple(int(d) for d in grid_dims)
-            if int(np.prod(dims)) != int(n_ranks):
-                raise ValueError(
-                    f"grid_dims {dims} does not factor n_ranks={n_ranks}"
-                )
-            self.grid = ProcessGrid(dims, system.cell)
-        else:
-            self.grid = ProcessGrid.create(n_ranks, system.cell)
+        self.grid = ProcessGrid.create(n_ranks, system.cell)
         self.evaluator = ParallelForceEvaluator(
             potential,
             self.grid,

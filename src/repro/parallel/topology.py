@@ -3,7 +3,11 @@
 LAMMPS factorizes the rank count into a 3D grid that minimizes the total
 subdomain surface area (communication is proportional to surface); the
 same heuristic is used here.  Each rank owns an axis-aligned brick of the
-periodic box and talks to its six face neighbors.
+box, bounded by per-axis cut planes.  The cuts start uniform, which
+balances homogeneous systems (bulk water); :meth:`ProcessGrid.rebalance`
+moves them to atom-count quantiles, as LAMMPS's ``balance`` command shifts
+its grid planes, so a heterogeneous one (the capsid: a dense shell in
+dilute surroundings) gives every rank ≈ N/P atoms.
 """
 
 from __future__ import annotations
@@ -13,6 +17,10 @@ from typing import List, Tuple
 import numpy as np
 
 from ..md.cell import Cell
+
+#: Narrowest brick (Å) :meth:`ProcessGrid.rebalance` leaves, so the cuts of
+#: a degenerate distribution stay strictly increasing.
+_MIN_WIDTH = 1e-6
 
 
 def _factor_triplets(p: int) -> List[Tuple[int, int, int]]:
@@ -29,7 +37,13 @@ def _factor_triplets(p: int) -> List[Tuple[int, int, int]]:
 
 
 class ProcessGrid:
-    """A (px, py, pz) decomposition of ``n_ranks`` over a periodic box."""
+    """A (px, py, pz) decomposition of ``n_ranks`` over a box.
+
+    The cut planes of axis ``a`` are held in units of the uniform brick
+    length ``L_a / d_a`` (uniform cuts are 0, 1, …, d_a), so the grid
+    follows its cell's current lengths, and a uniform grid's bricks are
+    exactly ``k · (L / d)`` with owners ``⌊x / (L / d)⌋``.
+    """
 
     def __init__(self, dims: Tuple[int, int, int], cell: Cell) -> None:
         dims = tuple(int(d) for d in dims)
@@ -38,6 +52,7 @@ class ProcessGrid:
         self.dims = dims
         self.cell = cell
         self.n_ranks = int(np.prod(dims))
+        self._cuts = [np.arange(d + 1, dtype=np.float64) for d in dims]
 
     @classmethod
     def create(cls, n_ranks: int, cell: Cell) -> "ProcessGrid":
@@ -54,6 +69,32 @@ class ProcessGrid:
                 best, best_cost = dims, cost
         return cls(best, cell)
 
+    def _brick(self) -> np.ndarray:
+        """The uniform brick length per axis: the unit of the cuts."""
+        return self.cell.lengths / np.asarray(self.dims)
+
+    # -- balancing -----------------------------------------------------------
+    def rebalance(self, positions: np.ndarray) -> None:
+        """Move cut planes to atom-count quantiles, staged per axis.
+
+        Axis 0 cuts equalize counts across x-slabs; within the resulting
+        assignment, axis 1 cuts use the global y-distribution (a
+        single-pass approximation of full recursive bisection that is exact
+        for separable densities and close otherwise), and likewise z.
+        """
+        pos = self.cell.wrap(np.asarray(positions, dtype=np.float64))
+        brick = self._brick()
+        for ax, d in enumerate(self.dims):
+            if d == 1:
+                continue
+            L = self.cell.lengths[ax]
+            inner = np.quantile(pos[:, ax], np.linspace(0.0, 1.0, d + 1)[1:-1])
+            cuts = np.concatenate([[0.0], inner, [L]])
+            for k in range(1, len(cuts)):
+                cuts[k] = max(cuts[k], cuts[k - 1] + _MIN_WIDTH)
+            cuts[-1] = L
+            self._cuts[ax] = cuts / brick[ax]
+
     # -- rank <-> coordinates -------------------------------------------------
     def coords_of(self, rank: int) -> Tuple[int, int, int]:
         px, py, pz = self.dims
@@ -61,45 +102,47 @@ class ProcessGrid:
             raise ValueError(f"rank {rank} out of range")
         return (rank // (py * pz), (rank // pz) % py, rank % pz)
 
-    def rank_of(self, coords: Tuple[int, int, int]) -> int:
-        px, py, pz = self.dims
-        cx, cy, cz = (c % d for c, d in zip(coords, self.dims))
-        return (cx * py + cy) * pz + cz
-
-    def neighbor(self, rank: int, axis: int, direction: int) -> int:
-        """Face neighbor along ±axis with periodic wrap."""
-        c = list(self.coords_of(rank))
-        c[axis] += direction
-        return self.rank_of(tuple(c))
-
     # -- geometry ---------------------------------------------------------------
     def domain_bounds(self, rank: int) -> Tuple[np.ndarray, np.ndarray]:
-        """(lo, hi) corner of the rank's brick."""
+        """(lo, hi) corner of the rank's brick.  Along an open axis the
+        outer bricks reach to ∓∞: :meth:`owner_of` gives them the atoms
+        beyond the box's faces."""
         c = np.asarray(self.coords_of(rank))
-        sub = self.cell.lengths / np.asarray(self.dims)
-        return c * sub, (c + 1) * sub
-
-    @property
-    def subdomain_lengths(self) -> np.ndarray:
-        return self.cell.lengths / np.asarray(self.dims)
+        brick = self._brick()
+        lo = np.array([cuts[k] for cuts, k in zip(self._cuts, c)]) * brick
+        hi = np.array([cuts[k + 1] for cuts, k in zip(self._cuts, c)]) * brick
+        open_axis = ~self.cell.pbc
+        lo[open_axis & (c == 0)] = -np.inf
+        hi[open_axis & (c == np.asarray(self.dims) - 1)] = np.inf
+        return lo, hi
 
     def owner_of(self, positions: np.ndarray) -> np.ndarray:
-        """Rank owning each (wrapped) position."""
-        pos = self.cell.wrap(positions)
-        sub = self.subdomain_lengths
-        coords = np.minimum((pos / sub).astype(int), np.asarray(self.dims) - 1)
+        """Rank owning each (wrapped) position: the brick between the cuts
+        that hold it; one beyond an open axis's face belongs to the outer
+        brick, so every atom has a rank."""
+        u = self.cell.wrap(positions) / self._brick()
+        cx, cy, cz = (
+            np.searchsorted(self._cuts[ax][1:-1], u[:, ax], side="right")
+            for ax in range(3)
+        )
         px, py, pz = self.dims
-        return (coords[:, 0] * py + coords[:, 1]) * pz + coords[:, 2]
+        return (cx * py + cy) * pz + cz
 
     def validate_cutoff(self, cutoff: float) -> None:
-        """Halo exchange needs each subdomain to span at least the cutoff."""
-        sub = self.subdomain_lengths
+        """Every brick spans at least the cutoff along each axis split
+        between ranks (halo exchange reaches face neighbors only) and along
+        each periodic axis (ghost images −1, 0, +1 hold every partner within
+        the cutoff only when the box spans it)."""
+        brick = self._brick()
         for ax in range(3):
-            if self.dims[ax] > 1 and sub[ax] < cutoff:
-                raise ValueError(
-                    f"subdomain length {sub[ax]:.2f} Å along axis {ax} is below "
-                    f"the cutoff {cutoff:.2f} Å; use fewer ranks along this axis"
-                )
+            if self.dims[ax] > 1 or self.cell.pbc[ax]:
+                width = np.diff(self._cuts[ax]).min() * brick[ax]
+                if width < cutoff:
+                    fix = "use fewer ranks" if self.dims[ax] > 1 else "use a longer box"
+                    raise ValueError(
+                        f"subdomain length {width:.2f} Å along axis {ax} is below "
+                        f"the cutoff {cutoff:.2f} Å; {fix} along this axis"
+                    )
 
     def __repr__(self) -> str:
         return f"ProcessGrid(dims={self.dims}, n_ranks={self.n_ranks})"

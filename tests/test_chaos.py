@@ -338,6 +338,16 @@ class TestPlantedBug:
         fixed = run_scenario(ScenarioSpec.from_dict(artifact["spec"]))
         assert fixed.ok
 
+    def test_replay_takes_a_dict_a_long_json_string_and_a_path(self, tmp_path):
+        spec = sample_scenario(5, workload="md").to_dict()
+        text = json.dumps(spec)
+        assert len(text) > 255  # longer than a file name may be
+        path = tmp_path / "spec.json"
+        path.write_text(text)
+        outcomes = [replay(src).to_dict() for src in (spec, text, path, str(path))]
+        assert outcomes[0]["spec"] == spec
+        assert all(outcome == outcomes[0] for outcome in outcomes)
+
 
 class TestSoak:
     def test_small_soak_green_and_byte_deterministic(self):

@@ -11,6 +11,7 @@ when it translated dicts itself.
 import ast
 import hashlib
 import json
+import re
 from dataclasses import asdict, fields, is_dataclass
 from pathlib import Path
 
@@ -286,6 +287,35 @@ class TestLayering:
                 if any(n == "repro.cli" or n.startswith("repro.cli.") for n in names):
                     offenders.append(str(rel))
         assert offenders == []
+
+
+class TestDesignLayout:
+    def test_the_layout_tree_names_every_module(self):
+        """DESIGN §6's tree lists each module under src/repro/ (packages'
+        ``__init__``/``__main__`` aside), and no module that is gone."""
+        root = Path(repro.__file__).parent
+        design = (root.parents[1] / "DESIGN.md").read_text()
+        tree = design.split("## 6. Repository layout", 1)[1].split("```")[1]
+        named, package = set(), None
+        for line in tree.splitlines():
+            entry = re.match(r"  (\S+)", line)
+            if entry and entry.group(1).endswith("/"):
+                package = entry.group(1)
+            elif entry:
+                named.add(entry.group(1))
+                package = None
+                continue
+            elif not line.startswith("   "):
+                package = None
+            if package:
+                named.update(package + name for name in re.findall(r"\b\w+\.py\b", line))
+        modules = {
+            path.relative_to(root).as_posix()
+            for path in root.rglob("*.py")
+            if path.name not in ("__init__.py", "__main__.py")
+        }
+        assert sorted(modules - named) == [], "modules missing from DESIGN §6"
+        assert sorted(named - modules) == [], "DESIGN §6 names modules that are gone"
 
 
 class TestBuildersMatchTheOldTranslation:

@@ -20,7 +20,6 @@ from repro.md.simulation import Simulation
 from repro.models import HalfListError, LennardJones, MorsePotential
 from repro.parallel.decomposition import DomainDecomposition
 from repro.parallel.driver import ParallelForceEvaluator, ParallelSimulation
-from repro.parallel.loadbalance import BalancedProcessGrid
 from repro.parallel.topology import ProcessGrid
 from repro.resilience import CheckpointManager
 
@@ -113,9 +112,8 @@ class TestExactlyOnce:
         if kind == "balanced":
             # A dense corner in a dilute box, so the cuts move off uniform.
             system.positions[:120] *= 0.4
-            pgrid = BalancedProcessGrid.create_balanced(
-                n_ranks, system.cell, system.positions
-            )
+            pgrid = ProcessGrid.create(n_ranks, system.cell)
+            pgrid.rebalance(system.positions)
             uniform = ProcessGrid.create(n_ranks, system.cell)
             assert any(
                 not np.allclose(pgrid.domain_bounds(r), uniform.domain_bounds(r))

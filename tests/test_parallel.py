@@ -18,7 +18,6 @@ from repro.md import (
 )
 from repro.models import AllegroConfig, AllegroModel, LennardJones
 from repro.parallel import (
-    BalancedProcessGrid,
     DomainDecomposition,
     ParallelForceEvaluator,
     ParallelSimulation,
@@ -62,13 +61,8 @@ class TestProcessGrid:
 
     def test_coords_roundtrip(self):
         grid = ProcessGrid((2, 3, 2), Cell.cubic(12.0))
-        for r in range(grid.n_ranks):
-            assert grid.rank_of(grid.coords_of(r)) == r
-
-    def test_neighbors_wrap(self):
-        grid = ProcessGrid((2, 1, 1), Cell.cubic(10.0))
-        assert grid.neighbor(0, 0, +1) == 1
-        assert grid.neighbor(1, 0, +1) == 0
+        centers = [np.mean(grid.domain_bounds(r), axis=0) for r in range(grid.n_ranks)]
+        assert grid.owner_of(np.array(centers)).tolist() == list(range(grid.n_ranks))
 
     def test_owner_covers_all_ranks(self, rng):
         grid = ProcessGrid((2, 2, 2), Cell.cubic(10.0))
@@ -217,7 +211,9 @@ class TestDecompositionExactness:
         system = System(
             rng.uniform(0, 1, (12, 3)) * cell.lengths, np.zeros(12, int), cell
         )
-        for grid in (ProcessGrid((1, 2, 1), cell), BalancedProcessGrid((1, 2, 1), cell)):
+        rebalanced = ProcessGrid((1, 2, 1), cell)
+        rebalanced.rebalance(system.positions)
+        for grid in (ProcessGrid((1, 2, 1), cell), rebalanced):
             with pytest.raises(ValueError, match="along axis 0 is below the"):
                 DomainDecomposition(grid, 3.0).build(system)
         # An axis exactly one cutoff long needs no image beyond ±1.

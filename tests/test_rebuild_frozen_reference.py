@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from repro.md import Cell, System
 from repro.md.neighborlist import NeighborList, _cell_list
-from repro.parallel import BalancedProcessGrid, ProcessGrid
+from repro.parallel import ProcessGrid
 from repro.parallel.comm import CommStats, VirtualCluster
 from repro.parallel.decomposition import DomainDecomposition
 from repro.resilience import FaultPlan
@@ -424,7 +424,7 @@ def random_decomposition(seed, fault_rate=0.0):
     pos = rng.uniform(-margin, lengths + margin - 1e-9 * ~pbc, size=(n, 3))
     system = System(pos, rng.integers(0, 3, size=n), cell)
     if rng.random() < 0.3:
-        grid = BalancedProcessGrid(dims, cell)
+        grid = ProcessGrid(dims, cell)
         grid.rebalance(pos)
         try:
             grid.validate_cutoff(cutoff)

@@ -23,17 +23,10 @@ import time
 import numpy as np
 
 from conftest import fmt_table
+from repro.health import HealthThresholds
 from repro.md import Cell, System, neighbor_list
 from repro.models import LennardJones
-from repro.serve import (
-    DeadlineExceeded,
-    ForceServer,
-    HealthMonitor,
-    HealthThresholds,
-    LoadShed,
-    QoSPolicy,
-    ServeError,
-)
+from repro.serve import DeadlineExceeded, ForceServer, LoadShed, QoSPolicy, ServeError
 
 N_REQUESTS = int(os.environ.get("DEGRADATION_N", "40"))
 SLEEP_S = 8e-3  # injected per-request cost (sleep in the NL build)
@@ -76,11 +69,10 @@ def run_mode(qos_on: bool):
     pot = SlowLJ(SLEEP_S, epsilon=0.8, sigma=1.1, cutoff=3.0, n_species=2)
     kwargs = {"max_queue": 2 * N_REQUESTS}
     if qos_on:
-        kwargs["qos"] = QoSPolicy()
-        kwargs["health"] = HealthMonitor(
-            thresholds=HealthThresholds(queue_degraded=0.5, queue_shedding=0.8),
-            dwell_up=2,
-            dwell_down=8,
+        kwargs["qos"] = QoSPolicy(
+            health=HealthThresholds(
+                queue_degraded=0.5, queue_shedding=0.8, dwell_up=2, dwell_down=8
+            )
         )
         kwargs["max_queue"] = 16  # let the health machine see pressure
     server = ForceServer(

@@ -31,6 +31,7 @@ from typing import Dict, Optional
 import numpy as np
 
 from ..config import ServeConfig, build_server
+from ..health import HealthThresholds
 from ..md import (
     BerendsenBarostat,
     Cell,
@@ -406,7 +407,7 @@ _OVERLOAD_PRIORITIES = ("interactive", "batch", "background")
 
 
 def _run_serve_overload(spec: ScenarioSpec, workdir: Path) -> Dict:
-    from ..serve import DeadlineExceeded, LoadShed, ServeError
+    from ..serve import DeadlineExceeded, LoadShed, QoSPolicy, ServeError
 
     opts = spec.options
     n_requests = int(opts.get("n_requests", 16))
@@ -425,14 +426,11 @@ def _run_serve_overload(spec: ScenarioSpec, workdir: Path) -> Dict:
         start=False,
         max_batch=max_batch,
         max_queue=max_queue,
-        qos={  # the default (enforced) policy plus early health thresholds
-            "health": {
-                "queue_degraded": 0.3,
-                "queue_shedding": 0.65,
-                "dwell_up": 2,
-                "dwell_down": 10_000,
-            }
-        },
+        qos=QoSPolicy(  # the default policy plus early health thresholds
+            health=HealthThresholds(
+                queue_degraded=0.3, queue_shedding=0.65, dwell_up=2, dwell_down=10_000
+            )
+        ),
     )
 
     server.start(workers=False)  # admit deterministically, workers later

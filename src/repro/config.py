@@ -18,6 +18,7 @@ and the library stays usable without this module.
 
 from __future__ import annotations
 
+import collections.abc
 import dataclasses
 import os
 from dataclasses import dataclass, replace
@@ -26,11 +27,10 @@ from typing import Mapping, Optional, Tuple, Union, get_args, get_origin, get_ty
 import numpy as np
 
 from . import data, models
-from .health import health_from_config
 from .md import BerendsenThermostat, LangevinThermostat, Simulation
 from .models import AllegroConfig
 from .nn import TrainConfig
-from .serve import ForceServer, qos_from_config
+from .serve import ForceServer, QoSPolicy
 
 # -- the section loader --------------------------------------------------------
 
@@ -38,9 +38,9 @@ from .serve import ForceServer, qos_from_config
 def load(cls, raw, where: str = ""):
     """``raw`` (a JSON mapping) as an instance of the dataclass ``cls``.
 
-    Values are coerced to the declared field types (nested dataclasses and
-    tuples of them recurse), unknown keys raise ``ValueError`` listing the
-    valid ones, and an instance of ``cls`` passes through unchanged — so
+    Values are coerced to the declared field types (nested dataclasses,
+    tuples and mappings of them recurse), unknown keys raise ``ValueError``
+    listing the valid ones, and an instance of ``cls`` passes through unchanged — so
     every builder accepts either the typed section or its JSON form.
     ``where`` is the section's dotted path, for error messages.
     """
@@ -77,8 +77,12 @@ def _coerce(tp, value, where: str):
         return tuple(_coerce(item, v, f"{where}[{i}]") for i, v in enumerate(value))
     if tp is np.ndarray:
         return np.asarray(value, dtype=np.float64)
-    if tp is dict and isinstance(value, Mapping):
-        return dict(value)
+    if origin is collections.abc.Mapping and isinstance(value, Mapping):  # Mapping[K, V]
+        key, item = get_args(tp)
+        return {
+            _coerce(key, k, where): _coerce(item, v, f"{where}.{k}")
+            for k, v in value.items()
+        }
     is_number = isinstance(value, (int, float)) and not isinstance(value, bool)
     if tp is float and is_number:
         return float(value)
@@ -177,14 +181,13 @@ class ServeConfig:
     engine: str = "compiled"  # "compiled" | "eager"
     plan_floor: int = 16  # smallest atom size class of the plan ladder
     plan_growth: float = 1.5  # geometric growth of the ladder's classes
-    #: QoS policy mapping (see :func:`repro.serve.qos_from_config`), with
-    #: the health thresholds nested under its ``health`` key
-    #: (:func:`repro.health.health_from_config`).  None/empty: observe-only.
-    qos: Optional[dict] = None
+    #: Admission policy (:class:`repro.serve.QoSPolicy`, the health
+    #: thresholds nested under its ``health`` key); a server given one
+    #: enforces it.  None: the health monitor only observes.
+    qos: Optional[QoSPolicy] = None
 
     def __post_init__(self) -> None:
         _check_min("serve.max_batch", self.max_batch, 1)
-        self.build_qos()  # typos in the nested mappings fail at load time
 
     def plan_cache_opts(self) -> dict:
         """The plan-cache size ladders: the pair ladder starts at four times
@@ -194,13 +197,6 @@ class ServeConfig:
             "pair_floor": 4 * self.plan_floor,
             "growth": self.plan_growth,
         }
-
-    def build_qos(self):
-        """``(QoSPolicy, HealthMonitor)`` for this section (None when unset)."""
-        if not self.qos:
-            return None, None
-        health = self.qos.get("health")
-        return qos_from_config(self.qos), health_from_config(health) if health else None
 
 
 @dataclass(frozen=True)
@@ -424,7 +420,6 @@ def build_server(serve: ServeConfig, potential, **runtime) -> ForceServer:
     """A :class:`~repro.serve.ForceServer` for ``potential`` (or a model
     registry) from a ``serve`` section; ``runtime`` carries the constructor
     arguments that are not configuration (``metrics``, ``fault_plan``, ...)."""
-    qos, health = serve.build_qos()
     return ForceServer(
         potential,
         n_workers=serve.n_workers,
@@ -434,8 +429,7 @@ def build_server(serve: ServeConfig, potential, **runtime) -> ForceServer:
         adaptive=serve.adaptive,
         plan_cache_opts=serve.plan_cache_opts(),
         engine=serve.engine,
-        qos=qos,
-        health=health,
+        qos=serve.qos,
         **runtime,
     )
 

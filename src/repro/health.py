@@ -36,12 +36,7 @@ import threading
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
-__all__ = [
-    "HEALTH_STATES",
-    "HealthThresholds",
-    "HealthMonitor",
-    "health_from_config",
-]
+__all__ = ["HEALTH_STATES", "HealthThresholds", "HealthMonitor"]
 
 #: States weakest-condition first; the tuple index is the severity level.
 HEALTH_STATES = ("HEALTHY", "DEGRADED", "SHEDDING", "DRAINING")
@@ -51,7 +46,7 @@ _STATE_LEVELS: Dict[str, int] = {s: i for i, s in enumerate(HEALTH_STATES)}
 
 @dataclass(frozen=True)
 class HealthThresholds:
-    """Entry thresholds for the elevated states.
+    """``serve.qos.health``: entry thresholds and dwell times.
 
     ``queue_*`` thresholds are fractions of the server's ``max_queue``.
     No threshold reads a clock, which keeps chaos health trajectories
@@ -59,14 +54,21 @@ class HealthThresholds:
 
     The *exit* threshold for each state is the entry threshold times
     ``hysteresis`` (0 < h < 1): a signal must drop clearly below where
-    it entered before the machine steps back down.
+    it entered before the machine steps back down.  ``dwell_up``
+    (``dwell_down``) is the number of consecutive ticks a worsening
+    (improving) signal must persist before the machine steps one state
+    up (down); recovery is deliberately slower than degradation.
     """
 
     queue_degraded: float = 0.75
     queue_shedding: float = 0.95
     hysteresis: float = 0.6
+    dwell_up: int = 3
+    dwell_down: int = 12
 
     def __post_init__(self) -> None:
+        if self.dwell_up < 1 or self.dwell_down < 1:
+            raise ValueError("dwell_up and dwell_down must be >= 1")
         if not (0.0 < self.hysteresis < 1.0):
             raise ValueError("hysteresis must be in (0, 1)")
         if not (0.0 < self.queue_degraded <= self.queue_shedding):
@@ -100,27 +102,15 @@ class HealthMonitor:
     Parameters
     ----------
     thresholds:
-        Entry/exit thresholds (see :class:`HealthThresholds`).
-    dwell_up / dwell_down:
-        Consecutive ticks a worsening (improving) signal must persist
-        before the machine steps one state up (down).  Recovery is
-        deliberately slower than degradation by default.
+        Entry/exit thresholds and dwell times (see :class:`HealthThresholds`).
     history:
         Bounded count of retained ``(tick, from, to)`` transitions.
     """
 
     def __init__(
-        self,
-        thresholds: Optional[HealthThresholds] = None,
-        dwell_up: int = 3,
-        dwell_down: int = 12,
-        history: int = 128,
+        self, thresholds: Optional[HealthThresholds] = None, history: int = 128
     ) -> None:
-        if dwell_up < 1 or dwell_down < 1:
-            raise ValueError("dwell_up and dwell_down must be >= 1")
         self.thresholds = thresholds or HealthThresholds()
-        self.dwell_up = int(dwell_up)
-        self.dwell_down = int(dwell_down)
         self._history_bound = int(history)
         self._lock = threading.Lock()
         self._level = 0
@@ -186,13 +176,13 @@ class HealthMonitor:
                 if enter > self._level:
                     self._up_streak += 1
                     self._down_streak = 0
-                    if self._up_streak >= self.dwell_up:
+                    if self._up_streak >= th.dwell_up:
                         self._record(self._level + 1)
                         self._up_streak = 0
                 elif stay < self._level:
                     self._down_streak += 1
                     self._up_streak = 0
-                    if self._down_streak >= self.dwell_down:
+                    if self._down_streak >= th.dwell_down:
                         self._record(self._level - 1)
                         self._down_streak = 0
                 else:
@@ -248,30 +238,3 @@ class HealthMonitor:
                 ],
             }
 
-
-def health_from_config(cfg: Mapping) -> HealthMonitor:
-    """Build a validated :class:`HealthMonitor` from a JSON config mapping.
-
-    Recognized keys: ``queue_degraded``, ``queue_shedding``,
-    ``hysteresis``, ``dwell_up``, ``dwell_down``.  Unknown keys raise
-    ``ValueError``.
-    """
-    known = {
-        "queue_degraded", "queue_shedding", "hysteresis", "dwell_up",
-        "dwell_down",
-    }
-    unknown = set(cfg) - known
-    if unknown:
-        raise ValueError(
-            f"unknown health config keys: {sorted(unknown)} "
-            f"(expected {sorted(known)})"
-        )
-    th_kwargs = {}
-    for key in ("queue_degraded", "queue_shedding", "hysteresis"):
-        if key in cfg:
-            th_kwargs[key] = float(cfg[key])
-    mon_kwargs = {}
-    for key in ("dwell_up", "dwell_down"):
-        if key in cfg:
-            mon_kwargs[key] = int(cfg[key])
-    return HealthMonitor(thresholds=HealthThresholds(**th_kwargs), **mon_kwargs)

@@ -81,18 +81,21 @@ class ProcessGrid:
         assignment, axis 1 cuts use the global y-distribution (a
         single-pass approximation of full recursive bisection that is exact
         for separable densities and close otherwise), and likewise z.
+        Along an open axis the outer cuts follow atoms past the box's faces.
         """
         pos = self.cell.wrap(np.asarray(positions, dtype=np.float64))
         brick = self._brick()
         for ax, d in enumerate(self.dims):
             if d == 1:
                 continue
-            L = self.cell.lengths[ax]
+            lo, hi = 0.0, self.cell.lengths[ax]
+            if not self.cell.pbc[ax]:
+                lo, hi = min(lo, pos[:, ax].min()), max(hi, pos[:, ax].max())
             inner = np.quantile(pos[:, ax], np.linspace(0.0, 1.0, d + 1)[1:-1])
-            cuts = np.concatenate([[0.0], inner, [L]])
+            cuts = np.concatenate([[lo], inner, [hi]])
             for k in range(1, len(cuts)):
                 cuts[k] = max(cuts[k], cuts[k - 1] + _MIN_WIDTH)
-            cuts[-1] = L
+            cuts[-1] = hi
             self._cuts[ax] = cuts / brick[ax]
 
     # -- rank <-> coordinates -------------------------------------------------
@@ -132,11 +135,15 @@ class ProcessGrid:
         """Every brick spans at least the cutoff along each axis split
         between ranks (halo exchange reaches face neighbors only) and along
         each periodic axis (ghost images −1, 0, +1 hold every partner within
-        the cutoff only when the box spans it)."""
+        the cutoff only when the box spans it).  The outer bricks of an open
+        axis are unbounded, as :meth:`domain_bounds` gives them."""
         brick = self._brick()
         for ax in range(3):
             if self.dims[ax] > 1 or self.cell.pbc[ax]:
-                width = np.diff(self._cuts[ax]).min() * brick[ax]
+                widths = np.diff(self._cuts[ax]) * brick[ax]
+                if not self.cell.pbc[ax]:
+                    widths[[0, -1]] = np.inf
+                width = widths.min()
                 if width < cutoff:
                     fix = "use fewer ranks" if self.dims[ax] > 1 else "use a longer box"
                     raise ValueError(

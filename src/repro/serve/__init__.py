@@ -39,7 +39,6 @@ Quickstart::
         print(server.stats()["replay_rate"], server.stats()["health"]["state"])
 """
 
-from ..health import HEALTH_STATES, HealthMonitor, HealthThresholds
 from ..md.neighborlist import concatenate_structures
 from .batching import ForceRequest, MicroBatcher
 from .plancache import PlanCache, SizeClasses
@@ -49,7 +48,6 @@ from .qos import (
     QoSPolicy,
     ServeResult,
     priority_level,
-    qos_from_config,
 )
 from .errors import (
     CircuitOpen,
@@ -73,9 +71,6 @@ __all__ = [
     "DrainTimeout",
     "ForceRequest",
     "ForceServer",
-    "HEALTH_STATES",
-    "HealthMonitor",
-    "HealthThresholds",
     "LoadShed",
     "MicroBatcher",
     "ModelEntry",
@@ -93,5 +88,4 @@ __all__ = [
     "WorkerCrash",
     "concatenate_structures",
     "priority_level",
-    "qos_from_config",
 ]

@@ -84,8 +84,8 @@ class Admission:
     """Admit a request into the batcher's queue, or refuse it with a typed
     :class:`~repro.serve.errors.ServeError`.
 
-    ``enforce`` turns on the QoS decisions (health gate, per-class
-    shares); without it only the stopped check and the total bound apply,
+    A ``qos`` policy turns on the QoS decisions (health gate, per-class
+    shares); without one only the stopped check and the total bound apply,
     though the health monitor is still ticked once per submission.
     """
 
@@ -96,7 +96,6 @@ class Admission:
         max_queue: int,
         qos: Optional[QoSPolicy],
         health,
-        enforce: bool,
     ) -> None:
         self.batcher = batcher
         self.ledger = ledger
@@ -104,7 +103,6 @@ class Admission:
         self.max_queue = int(max_queue)
         self.qos = qos
         self.health = health
-        self.enforced = bool(enforce)
         self.class_bounds = (
             qos.bounds_for(max_queue)
             if qos is not None
@@ -146,18 +144,17 @@ class Admission:
             if not self.accepting:
                 self.metrics.counter("errors_shutdown").inc()
                 raise ServerStopped("server is not accepting requests")
-            if self.enforced and self.health.level >= 2:
+            if qos is not None and self.health.level >= 2:
                 # SHEDDING (or DRAINING): only the strongest classes are
                 # admitted until the monitor steps back down.
-                admit_level = qos.shed_admit_level if qos is not None else 0
-                if self.health.level >= 3 or level > admit_level:
+                if self.health.level >= 3 or level > qos.shed_admit_level:
                     raise self._shed(
                         priority, "shed",
                         f"health state {self.health.state}: "
                         f"{priority} requests are shed",
                     )
             depth = self.batcher.pending()
-            if self.enforced:
+            if qos is not None:
                 by_class = self.batcher.pending_by_class()
                 bound = self.class_bounds.get(priority, self.max_queue)
                 if by_class.get(priority, 0) >= bound:

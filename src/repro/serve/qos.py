@@ -34,6 +34,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Mapping, Optional
 
+from ..health import HealthThresholds
+
 __all__ = [
     "PRIORITIES",
     "PRIORITY_LEVELS",
@@ -41,7 +43,6 @@ __all__ = [
     "QoSPolicy",
     "ServeResult",
     "priority_level",
-    "qos_from_config",
     "SHED_LOAD",
     "SHED_DEADLINE",
 ]
@@ -76,7 +77,8 @@ def _default_weights() -> Dict[str, float]:
 
 @dataclass(frozen=True)
 class QoSPolicy:
-    """Admission/scheduling policy for a :class:`~repro.serve.ForceServer`.
+    """``serve.qos``: the admission/scheduling policy of a
+    :class:`~repro.serve.ForceServer`; a server given one enforces it.
 
     Parameters
     ----------
@@ -98,6 +100,9 @@ class QoSPolicy:
     deadlines:
         Optional per-class default deadline (seconds, end-to-end) applied
         when ``submit`` passes none.  ``None`` entries mean no deadline.
+    health:
+        Thresholds and dwell times of the server's
+        :class:`~repro.health.HealthMonitor`, whose state gates admission.
     """
 
     weights: Mapping[str, float] = field(default_factory=_default_weights)
@@ -105,6 +110,7 @@ class QoSPolicy:
     shed_admit_priority: str = "interactive"
     default_priority: str = DEFAULT_PRIORITY
     deadlines: Optional[Mapping[str, Optional[float]]] = None
+    health: HealthThresholds = HealthThresholds()
 
     def __post_init__(self) -> None:
         for name in self.weights:
@@ -188,37 +194,3 @@ class ServeResult(tuple):
     def forces(self):
         return self[1]
 
-
-def qos_from_config(cfg: Mapping) -> QoSPolicy:
-    """Build a validated :class:`QoSPolicy` from a JSON config mapping.
-
-    Recognized keys: ``weights``, ``queue_bounds``, ``shed_admit_priority``,
-    ``default_priority``, ``deadlines``.  Unknown keys raise ``ValueError``
-    so config typos fail loudly instead of silently doing nothing.
-    """
-    known = {
-        "weights", "queue_bounds", "shed_admit_priority",
-        "default_priority", "deadlines", "health",
-    }
-    unknown = set(cfg) - known
-    if unknown:
-        raise ValueError(
-            f"unknown qos config keys: {sorted(unknown)} (expected {sorted(known)})"
-        )
-    kwargs: Dict = {}
-    if "weights" in cfg:
-        kwargs["weights"] = {str(k): float(v) for k, v in cfg["weights"].items()}
-    if "queue_bounds" in cfg and cfg["queue_bounds"] is not None:
-        kwargs["queue_bounds"] = {
-            str(k): int(v) for k, v in cfg["queue_bounds"].items()
-        }
-    if "shed_admit_priority" in cfg:
-        kwargs["shed_admit_priority"] = str(cfg["shed_admit_priority"])
-    if "default_priority" in cfg:
-        kwargs["default_priority"] = str(cfg["default_priority"])
-    if "deadlines" in cfg and cfg["deadlines"] is not None:
-        kwargs["deadlines"] = {
-            str(k): (None if v is None else float(v))
-            for k, v in cfg["deadlines"].items()
-        }
-    return QoSPolicy(**kwargs)

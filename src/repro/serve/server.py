@@ -23,10 +23,9 @@ deadline (``DeadlineExceeded``, never evaluated), against an open circuit
 breaker (``CircuitOpen``), after retries (``ModelFailure``), or at
 shutdown (``DrainTimeout`` once the drain deadline passes, so a stalled
 worker cannot hang ``stop``).  With a :class:`~repro.serve.qos.QoSPolicy`
-(or an explicit :class:`~repro.health.HealthMonitor`) the health state
-machine (``HEALTHY → DEGRADED → SHEDDING → DRAINING``) gates admission;
-without one it only observes.  Every batch runs on the model its requests
-named, on the server's engine, in every health state.
+the health state machine (``HEALTHY → DEGRADED → SHEDDING → DRAINING``)
+gates admission; without one it only observes.  Every batch runs on the
+model its requests named, on the server's engine, in every health state.
 """
 
 from __future__ import annotations
@@ -64,16 +63,15 @@ class ForceServer:
         ``"default"`` in a new registry whose plan caches use
         ``plan_cache_opts`` (``atom_floor``, ``pair_floor``, ``growth``,
         ``max_plans``; a registry passed in keeps its own).
-    max_queue, qos, health:
+    max_queue, qos:
         Admission.  ``max_queue`` bounds pending requests: beyond it an
         arrival sheds with :class:`ServerOverloaded`.  Passing a
-        :class:`~repro.serve.qos.QoSPolicy` or a
-        :class:`~repro.health.HealthMonitor` turns on QoS enforcement —
-        per-class queue shares, eviction of weaker classes and
-        health-gated admission.  Without either, a default
-        monitor still observes (``stats()["health"]``, the
-        ``health.state`` gauge) but never sheds.  Deadlines apply either
-        way.
+        :class:`~repro.serve.qos.QoSPolicy` turns on QoS enforcement —
+        per-class queue shares, eviction of weaker classes and admission
+        gated by a :class:`~repro.health.HealthMonitor` on
+        ``qos.health``.  Without one, a default monitor still observes
+        (``stats()["health"]``, the ``health.state`` gauge) but never
+        sheds.  Deadlines apply either way.
     max_batch, batch_wait, adaptive:
         The :class:`~repro.serve.batching.MicroBatcher`: at most
         ``max_batch`` structures per batch, a partial batch waits at most
@@ -113,7 +111,6 @@ class ForceServer:
         adaptive: bool = True,
         plan_cache_opts: Optional[dict] = None,
         qos: Optional[QoSPolicy] = None,
-        health: Optional[HealthMonitor] = None,
     ) -> None:
         if engine not in ("compiled", "eager"):
             raise ValueError(f"unknown engine {engine!r} (compiled|eager)")
@@ -131,21 +128,14 @@ class ForceServer:
         self.drain_timeout = None if drain_timeout is None else float(drain_timeout)
         self.metrics = metrics or Registry()
         self.qos = qos
-        self.health = health if health is not None else HealthMonitor()
+        self.health = HealthMonitor(qos.health if qos is not None else None)
         self.health.attach(self._health_signals)
         self.health.bind(self.metrics)
-        # QoS enforcement is opt-in: passing a policy (or an explicit
-        # monitor) turns on priority shedding and health-gated admission.
-        # Without either, the monitor still observes and exports state,
-        # but admission never sheds on its account.
-        enforce = qos is not None or health is not None
         ledger = self._ledger = Ledger(self.metrics)
         self.batcher = MicroBatcher(
             max_batch=max_batch, max_wait=batch_wait, adaptive=adaptive
         )
-        self.admission = Admission(
-            self.batcher, ledger, max_queue, qos, self.health, enforce
-        )
+        self.admission = Admission(self.batcher, ledger, max_queue, qos, self.health)
         self.executor = Executor(
             self.registry,
             ledger,
@@ -323,7 +313,7 @@ class ForceServer:
         snap["engine"] = self.engine
         snap["health"] = self.health.stats()
         snap["qos"] = {
-            "enforced": self.admission.enforced,
+            "enforced": self.qos is not None,
             "class_bounds": dict(self.admission.class_bounds),
             "pending_by_class": self.batcher.pending_by_class(),
         }

@@ -23,8 +23,8 @@ from repro import config as rc
 from repro.cli import main
 from repro.cli.md import resume_config, run_config
 from repro.data import random_molecule
-from repro.health import health_from_config
-from repro.serve import ForceServer, qos_from_config
+from repro.health import HealthThresholds
+from repro.serve import ForceServer, QoSPolicy
 from repro.serve.plancache import PlanCache
 from repro.tune import (
     MD_SPACE,
@@ -34,11 +34,13 @@ from repro.tune import (
 )
 from repro.tune.targets import _default_md_config
 
+#: The sections ``repro.config`` defines, and the two it loads from next to
+#: the code they configure (``serve.qos`` and ``serve.qos.health``).
 SECTION_CLASSES = [
     obj
     for name, obj in vars(rc).items()
     if is_dataclass(obj) and obj.__module__ == rc.__name__
-]
+] + [QoSPolicy, HealthThresholds]
 
 #: Instances away from the defaults, one per section class (plus the three
 #: starter documents as whole configs).
@@ -50,7 +52,14 @@ INSTANCES = [
     ),
     rc.MDConfig(steps=7, thermostat="berendsen", padding=None, checkpoint_dir="c"),
     rc.OutputConfig(trajectory="run.rtrj", every=3),
-    rc.ServeConfig(max_batch=4, batch_wait=1.5e-3, qos={"queue_bounds": {"background": 9}}),
+    rc.ServeConfig(max_batch=4, batch_wait=1.5e-3, qos=QoSPolicy(queue_bounds={"background": 9})),
+    QoSPolicy(
+        weights={"interactive": 5.0, "batch": 1.5, "background": 1.0},
+        shed_admit_priority="batch",
+        deadlines={"interactive": 0.1, "batch": None},
+        health=HealthThresholds(queue_shedding=0.9, dwell_down=4),
+    ),
+    HealthThresholds(queue_degraded=0.5, hysteresis=0.7, dwell_up=2),
     rc.WorkloadConfig(
         n_requests=5,
         priority="batch",
@@ -91,7 +100,11 @@ class TestRoundTrip:
 TYPO_CONFIGS = [
     ({"md": {"skinn": -5.0, "neighbour_every": 0}}, "unknown md config keys"),
     ({"serve": {"max_batchh": 0}}, "unknown serve config keys"),
-    ({"serve": {"qos": {"weightss": {}}}}, "unknown qos config keys"),
+    # The error names the dotted section; the case keeps its original id.
+    pytest.param({"serve": {"qos": {"weightss": {}}}}, "unknown serve.qos config keys",
+                 id="config2-unknown qos config keys"),
+    ({"serve": {"qos": {"health": {"p99_degraded_s": 0.1}}}},
+     "unknown serve.qos.health config keys"),
 ]
 
 
@@ -355,8 +368,9 @@ class TestBuildersMatchTheOldTranslation:
             adaptive=bool(serve.get("adaptive", True)),
             plan_cache_opts=None,
             engine=serve.get("engine", "compiled"),
-            qos=qos_from_config(serve["qos"]),
-            health=health_from_config(serve["qos"]["health"]),
+            qos=QoSPolicy(
+                **{**serve["qos"], "health": HealthThresholds(**serve["qos"]["health"])}
+            ),
             start=False,
         )
         new = rc.build_server(
@@ -377,7 +391,6 @@ class TestBuildersMatchTheOldTranslation:
                 "adaptive": server.batcher.adaptive,
                 "qos": server.qos,
                 "thresholds": server.health.thresholds,
-                "dwell": (server.health.dwell_up, server.health.dwell_down),
                 "stall_time": server.executor.stall_time,
                 "drain_timeout": server.drain_timeout,
                 "atom_ladder": (ladders.atom_classes.floor, ladders.atom_classes.growth),

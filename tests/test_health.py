@@ -11,12 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.health import (
-    HEALTH_STATES,
-    HealthMonitor,
-    HealthThresholds,
-    health_from_config,
-)
+from repro.config import load_config
+from repro.health import HEALTH_STATES, HealthMonitor, HealthThresholds
 from repro.obs import Registry
 
 CALM = {"queue_frac": 0.0}
@@ -24,11 +20,16 @@ BUSY = {"queue_frac": 0.8}  # above queue_degraded, below queue_shedding
 SWAMPED = {"queue_frac": 1.0}  # above queue_shedding
 
 
+def monitor(history=128, **kw):
+    """A monitor on ``HealthThresholds(**kw)``."""
+    return HealthMonitor(HealthThresholds(**kw), history=history)
+
+
 def fast_monitor(**kw):
     """A monitor that reacts in one tick each way unless overridden."""
     kw.setdefault("dwell_up", 1)
     kw.setdefault("dwell_down", 1)
-    return HealthMonitor(**kw)
+    return monitor(**kw)
 
 
 class TestThresholds:
@@ -72,13 +73,13 @@ class TestMonitorTransitions:
         assert mon.history() == []
 
     def test_dwell_up_requires_consecutive_ticks(self):
-        mon = HealthMonitor(dwell_up=3, dwell_down=1)
+        mon = monitor(dwell_up=3, dwell_down=1)
         assert mon.tick(BUSY) == "HEALTHY"
         assert mon.tick(BUSY) == "HEALTHY"
         assert mon.tick(BUSY) == "DEGRADED"
 
     def test_interrupted_streak_resets(self):
-        mon = HealthMonitor(dwell_up=2, dwell_down=100)
+        mon = monitor(dwell_up=2, dwell_down=100)
         mon.tick(BUSY)
         mon.tick(CALM)  # breaks the streak
         mon.tick(BUSY)
@@ -98,9 +99,7 @@ class TestMonitorTransitions:
         ]
 
     def test_hysteresis_band_holds_state(self):
-        mon = fast_monitor(
-            thresholds=HealthThresholds(queue_degraded=0.5, hysteresis=0.6)
-        )
+        mon = fast_monitor(queue_degraded=0.5, hysteresis=0.6)
         mon.tick({"queue_frac": 0.6})
         assert mon.state == "DEGRADED"
         # 0.4 < entry 0.5 but > exit 0.3: no recovery, however long.
@@ -108,7 +107,7 @@ class TestMonitorTransitions:
             assert mon.tick({"queue_frac": 0.4}) == "DEGRADED"
 
     def test_dwell_down_slows_recovery(self):
-        mon = HealthMonitor(dwell_up=1, dwell_down=3)
+        mon = monitor(dwell_up=1, dwell_down=3)
         mon.tick(BUSY)
         assert mon.state == "DEGRADED"
         assert mon.tick(CALM) == "DEGRADED"
@@ -179,9 +178,14 @@ class TestMonitorExport:
         assert not s["draining"]
 
 
+def load_health(health):
+    """``serve.qos.health`` of a config document, loaded."""
+    return load_config({"serve": {"qos": {"health": health}}}).serve.qos.health
+
+
 class TestConfig:
     def test_round_trip(self):
-        mon = health_from_config(
+        th = load_health(
             {
                 "queue_degraded": 0.5,
                 "queue_shedding": 0.9,
@@ -190,23 +194,23 @@ class TestConfig:
                 "dwell_down": 4,
             }
         )
-        assert mon.thresholds.queue_degraded == 0.5
-        assert mon.dwell_up == 2 and mon.dwell_down == 4
+        assert th.queue_degraded == 0.5
+        assert th.dwell_up == 2 and th.dwell_down == 4
 
     def test_unknown_key_raises(self):
-        with pytest.raises(ValueError, match="unknown health config"):
-            health_from_config({"queue_degrated": 0.5})
+        with pytest.raises(ValueError, match="unknown serve.qos.health config"):
+            load_health({"queue_degrated": 0.5})
 
     def test_latency_thresholds_are_unknown_keys(self):
         """Health reads queue depth and breaker state only: a config that
         still names a p99 threshold fails the strict loader."""
         for key in ("p99_degraded_s", "p99_shedding_s"):
-            with pytest.raises(ValueError, match="unknown health config"):
-                health_from_config({key: 0.1})
+            with pytest.raises(ValueError, match="unknown serve.qos.health config"):
+                load_health({key: 0.1})
 
     def test_bad_dwell_raises(self):
         with pytest.raises(ValueError):
-            HealthMonitor(dwell_up=0)
+            HealthThresholds(dwell_up=0)
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +228,7 @@ class TestMonitorProperties:
     @given(signal_walks, dwells, dwells)
     @settings(max_examples=100)
     def test_transitions_always_adjacent_never_draining(self, walk, up, down):
-        mon = HealthMonitor(dwell_up=up, dwell_down=down)
+        mon = monitor(dwell_up=up, dwell_down=down)
         for q in walk:
             mon.tick({"queue_frac": q})
         levels = {s: i for i, s in enumerate(HEALTH_STATES)}
@@ -237,7 +241,7 @@ class TestMonitorProperties:
     @settings(max_examples=100)
     def test_same_walk_same_trajectory(self, walk, up, down):
         def run():
-            mon = HealthMonitor(dwell_up=up, dwell_down=down)
+            mon = monitor(dwell_up=up, dwell_down=down)
             states = [mon.tick({"queue_frac": q}) for q in walk]
             return states, mon.history()
 
@@ -247,7 +251,7 @@ class TestMonitorProperties:
     @settings(max_examples=100)
     def test_dwell_up_lower_bounds_transition_spacing(self, walk, up):
         """Consecutive *upward* transitions are >= dwell_up ticks apart."""
-        mon = HealthMonitor(dwell_up=up, dwell_down=1)
+        mon = monitor(dwell_up=up, dwell_down=1)
         for q in walk:
             mon.tick({"queue_frac": q})
         ups = [t for t, a, b in mon.history() if HEALTH_STATES.index(b) > HEALTH_STATES.index(a)]

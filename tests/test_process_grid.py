@@ -169,3 +169,73 @@ class TestOneGeometryCheck:
         # Open, the same axis needs no image and is accepted.
         open_y = Cell([8.0, 2.0, 8.0], (True, False, True))
         DomainDecomposition(ProcessGrid((2, 1, 1), open_y), 3.0)
+
+
+def frozen_rebalance_cuts(grid, positions):
+    """The cut planes ``rebalance`` gave before its open-axis rule: box
+    faces as the outer cuts, kept as the reference for in-box atoms."""
+    pos = grid.cell.wrap(np.asarray(positions, dtype=np.float64))
+    brick = grid.cell.lengths / np.asarray(grid.dims)
+    out = []
+    for ax, d in enumerate(grid.dims):
+        if d == 1:
+            out.append(np.arange(d + 1, dtype=np.float64))
+            continue
+        L = grid.cell.lengths[ax]
+        inner = np.quantile(pos[:, ax], np.linspace(0.0, 1.0, d + 1)[1:-1])
+        cuts = np.concatenate([[0.0], inner, [L]])
+        for k in range(1, len(cuts)):
+            cuts[k] = max(cuts[k], cuts[k - 1] + 1e-6)
+        cuts[-1] = L
+        out.append(cuts / brick[ax])
+    return out
+
+
+class TestRebalanceOnAnOpenAxis:
+    @staticmethod
+    def crowded_past_the_face(seed=3):
+        """100 atoms in a 10 Å box open along x, 70 of them at x = 11–20."""
+        rng = np.random.default_rng(seed)
+        pos = rng.uniform(0.0, 10.0, (100, 3))
+        pos[:70, 0] = rng.uniform(11.0, 20.0, 70)
+        cell = Cell.cubic(10.0, pbc=(False, True, True))
+        return System(pos, rng.integers(0, 2, 100), cell)
+
+    @pytest.mark.parametrize("half", [True, False], ids=["half-list", "full-list"])
+    def test_cuts_follow_the_atoms_and_forces_match_serial(self, half):
+        system = self.crowded_past_the_face()
+        grid = ProcessGrid((2, 1, 1), system.cell)
+        grid.rebalance(system.positions)
+        x = system.positions[:, 0]
+        cuts = grid._cuts[0] * 5.0  # Å: the uniform brick is 5 Å
+        assert np.all(np.diff(cuts) > 0)
+        assert cuts[0] == 0.0 and cuts[-1] == x.max()
+        grid.validate_cutoff(3.0)
+        assert np.bincount(grid.owner_of(system.positions)).tolist() == [50, 50]
+
+        lj = _lennard_jones(half)
+        e_ser, f_ser = lj.energy_and_forces(system)
+        ev = ParallelForceEvaluator(lj, grid, skin=0.4)
+        try:
+            e_par, f_par, stats = ev.compute(system.copy())
+        finally:
+            ev.close()
+        assert stats.n_owned.tolist() == [50, 50]
+        assert abs(e_par - e_ser) <= 1e-10 * abs(e_ser)
+        np.testing.assert_allclose(f_par, f_ser, rtol=0, atol=1e-10 * np.abs(f_ser).max())
+
+    def test_an_inner_brick_of_an_open_axis_is_still_checked(self):
+        system = self.crowded_past_the_face()
+        system.positions[:60, 0] = np.linspace(14.0, 14.5, 60)  # a thin middle slab
+        grid = ProcessGrid((3, 1, 1), system.cell)
+        grid.rebalance(system.positions)
+        with pytest.raises(ValueError, match="along axis 0 is below the cutoff"):
+            grid.validate_cutoff(3.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(uniform_grids_and_points())
+    def test_in_box_cuts_are_bitwise_the_box_faced_rule(self, case):
+        grid, pos = case
+        grid.rebalance(pos)
+        for got, want in zip(grid._cuts, frozen_rebalance_cuts(grid, pos)):
+            assert_bitwise(got, want)

@@ -16,14 +16,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.config import load_config
+from repro.health import HealthThresholds
 from repro.md import Cell, System
-from repro.models import LennardJones, MorsePotential
+from repro.models import LennardJones
 from repro.serve import (
     Client,
     DeadlineExceeded,
     ForceServer,
-    HealthMonitor,
-    HealthThresholds,
     LoadShed,
     MicroBatcher,
     QoSPolicy,
@@ -32,7 +32,6 @@ from repro.serve import (
     ServerStopped,
     ServeResult,
     priority_level,
-    qos_from_config,
 )
 from repro.serve.batching import ForceRequest
 from repro.serve.qos import SHED_DEADLINE, SHED_LOAD
@@ -81,13 +80,17 @@ def paused_server(**kw):
     return server
 
 
-def shedding_monitor(level):
-    """A pre-driven monitor pinned at severity ``level`` (sticky)."""
-    mon = HealthMonitor(dwell_up=1, dwell_down=10**6)
+#: The default policy with a health machine that steps up on every
+#: overloaded tick and never steps back down.
+STICKY = QoSPolicy(health=HealthThresholds(dwell_up=1, dwell_down=10**6))
+
+
+def drive(server, level):
+    """Tick ``server.health`` up to severity ``level``, where it sticks."""
     for _ in range(level):
-        mon.tick({"queue_frac": 1.0})
-    assert mon.level == level
-    return mon
+        server.health.tick({"queue_frac": 1.0})
+    assert server.health.level == level
+    return server
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +145,10 @@ class TestQoSPolicy:
             priority_level(None)
 
     def test_config_round_trip_and_unknown_key(self):
-        policy = qos_from_config(
+        def load_qos(qos):
+            return load_config({"serve": {"qos": qos}}).serve.qos
+
+        policy = load_qos(
             {
                 "weights": {"interactive": 4, "batch": 2, "background": 1},
                 "queue_bounds": {"background": 2},
@@ -152,8 +158,8 @@ class TestQoSPolicy:
         )
         assert policy.default_priority == "interactive"
         assert policy.bounds_for(8)["background"] == 2
-        with pytest.raises(ValueError, match="unknown qos config"):
-            qos_from_config({"wieghts": {}})
+        with pytest.raises(ValueError, match="unknown serve.qos config"):
+            load_qos({"wieghts": {}})
 
 
 class TestServeResult:
@@ -228,7 +234,7 @@ class TestPriorityAdmission:
             server.stop(drain=False)
 
     def test_shedding_state_admits_only_interactive(self):
-        server = paused_server(qos=QoSPolicy(), health=shedding_monitor(2))
+        server = drive(paused_server(qos=STICKY), 2)
         try:
             assert server.health.state == "SHEDDING"
             for priority in ("batch", "background"):
@@ -251,7 +257,7 @@ class TestPriorityAdmission:
             server.stop(drain=False)
 
     def test_without_qos_or_health_admission_is_legacy(self):
-        # No policy, no monitor: the monitor observes but never sheds.
+        # No policy: the default monitor observes but never sheds.
         server = paused_server(max_queue=2)
         try:
             for k in range(2):
@@ -419,9 +425,8 @@ class TestDegradedServing:
     def test_degraded_serves_the_requested_model(self):
         lj = make_lj()
         cheap = LennardJones(epsilon=0.1, sigma=1.0, cutoff=2.0, n_species=2)
-        server = ForceServer(
-            lj, n_workers=1, engine="eager",
-            qos=QoSPolicy(), health=shedding_monitor(1), start=False,
+        server = drive(
+            ForceServer(lj, n_workers=1, engine="eager", qos=STICKY, start=False), 1
         )
         server.registry.register("cheap", cheap)
         server.start()
@@ -443,10 +448,11 @@ class TestDegradedServing:
             server.stop(drain=True)
 
     def test_degraded_compiled_server_stays_compiled(self):
-        server = ForceServer(
-            make_lj(), n_workers=1, engine="compiled",
-            qos=QoSPolicy(), health=shedding_monitor(1),
+        server = drive(
+            ForceServer(make_lj(), n_workers=1, engine="compiled", qos=STICKY, start=False),
+            1,
         )
+        server.start()
         try:
             systems = [make_system(seed=k) for k in range(3)]
             results = Client(server).evaluate_many(systems)
@@ -498,12 +504,14 @@ class TestAdmissionProperties:
     @settings(max_examples=30, deadline=None)
     def test_admission_never_inverts_and_accounting_is_exact(self, seq):
         server = paused_server(
-            qos=QoSPolicy(queue_bounds={"batch": 5, "background": 5}),
-            max_queue=5,
             # Pin the monitor at HEALTHY (astronomical dwell): this
             # property isolates *admission* ordering; health-state
             # shedding is covered separately and by the chaos invariant.
-            health=HealthMonitor(dwell_up=10**6, dwell_down=10**6),
+            qos=QoSPolicy(
+                queue_bounds={"batch": 5, "background": 5},
+                health=HealthThresholds(dwell_up=10**6, dwell_down=10**6),
+            ),
+            max_queue=5,
         )
         n_shed = 0
         try:

@@ -51,7 +51,6 @@ from .functional import (
     minimum,
     where,
     safe_norm,
-    erfc,
     lj_pair,
     morse_pair,
     less,
@@ -90,7 +89,6 @@ __all__ = [
     "minimum",
     "where",
     "safe_norm",
-    "erfc",
     "lj_pair",
     "morse_pair",
     "less",

@@ -246,21 +246,6 @@ def safe_norm(x, axis: int = -1, keepdims: bool = False, eps: float = 1e-30) -> 
     return out
 
 
-def erfc(x) -> Tensor:
-    """Complementary error function (for Wolf/Ewald-style electrostatics).
-
-    d/dx erfc(x) = −(2/√π)·e^(−x²), expressed with Tensor ops so higher
-    derivatives (force training through electrostatics) stay exact.
-    """
-    x = astensor(x)
-
-    def backward(g: Tensor) -> None:
-        if x._track():
-            x._accumulate(g * exp(-(x * x)) * (-2.0 / np.sqrt(np.pi)))
-
-    return Tensor._make(K.erfck(None, x.data), (x,), backward, "erfc")
-
-
 def lj_pair(r, eps, sig, cutoff: float, p: int) -> Tensor:
     """Per-edge Lennard-Jones term ½·4ε[(σ/r)¹² − (σ/r)⁶]·u(r/r_c), one kernel.
 

@@ -453,13 +453,6 @@ def selectk(out, cond, a, b):
     return _fill(out, np.where(cond != 0, a, b))
 
 
-@_kernel("erfc")
-def erfck(out, a):
-    from scipy.special import erfc as _erfc
-
-    return _fill(out, _erfc(a))
-
-
 # -- fused pair terms -----------------------------------------------------------
 # One kernel per analytic pair term and one per its r-derivative, in place of
 # the ~dozen tape ops per term whose intermediates an eager force call held

@@ -112,9 +112,6 @@ class ReferencePotential(Potential):
         species = np.asarray(species)
         n_atoms = positions.shape[0]
         i_idx, j_idx = nl.edge_index
-        if nl.n_edges == 0:
-            return ad.Tensor(np.zeros(n_atoms))
-
         positions = ad.astensor(positions)
         disp = ad.gather(positions, j_idx) + ad.Tensor(nl.shifts) - ad.gather(
             positions, i_idx

@@ -278,11 +278,6 @@ class CompiledPotential(PotentialWrapper):
         species = np.asarray(species)
         n = int(species.shape[0])
         n_act = n if n_active is None else int(n_active)
-        if nl.n_edges == 0:
-            # Degenerate graph: delegate to the eager path (shape-special
-            # cases like per-model empty returns are not worth capturing).
-            return self.potential.evaluate(positions, species, nl, n_active)
-
         inputs = self.potential.graph_inputs(species, nl)
         n_edges = int(nl.n_edges)
         with self._lock:

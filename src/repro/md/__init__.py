@@ -20,7 +20,6 @@ from .neighborlist import (
 from .integrators import VelocityVerlet
 from .thermostats import LangevinThermostat, BerendsenThermostat, NoseHooverThermostat
 from .barostat import BerendsenBarostat, instantaneous_pressure
-from .constraints import BondConstraints
 from .simulation import Simulation, MDResult
 from .minimize import minimize, sample_md_frames, MinimizeResult
 from .analysis import StabilityReport, diffusion_coefficient, stability_report
@@ -44,7 +43,6 @@ __all__ = [
     "BerendsenThermostat",
     "NoseHooverThermostat",
     "BerendsenBarostat",
-    "BondConstraints",
     "instantaneous_pressure",
     "Simulation",
     "MDResult",

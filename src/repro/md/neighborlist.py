@@ -418,9 +418,9 @@ def merged_neighbor_list(
 ):
     """The disjoint graph of a batch of structures, built in one pass.
 
-    Returns ``(positions, species, nl, offsets, edge_counts)``: structure
-    ``k`` owns atom rows ``offsets[k]:offsets[k+1]`` and ``edge_counts[k]``
-    edges, shifted by its atom offset so the graphs stay disjoint — no
+    Returns ``(positions, species, nl, offsets)``: structure ``k`` owns
+    atom rows ``offsets[k]:offsets[k+1]`` and the edges centered on them,
+    shifted by its atom offset so the graphs stay disjoint — no
     cross-structure interaction exists, which is what makes batched
     evaluation (a served batch, a training batch) exact.  Arrays and edge
     order are those of concatenating one ``neighbor_list(system, cutoff)``
@@ -472,25 +472,13 @@ def merged_neighbor_list(
             [edge_index] + [nl.edge_index + off for nl, off in given], axis=1
         )
         shifts = np.concatenate([shifts] + [nl.shifts for nl, _ in given])
-    # offsets[structure] <= center < offsets[structure + 1]
-    structure = np.searchsorted(offsets, edge_index[0], side="right") - 1
     if given and any(shared):
-        # Back into structure order; within a structure nothing moves.
+        # Back into structure order (offsets[structure] <= center <
+        # offsets[structure + 1]); within a structure nothing moves.
+        structure = np.searchsorted(offsets, edge_index[0], side="right") - 1
         order = np.argsort(structure, kind="stable")
         edge_index, shifts = edge_index[:, order], shifts[order]
-        structure = structure[order]
-    edge_counts = np.bincount(structure, minlength=len(systems))
-    return positions, species, NeighborList(edge_index, shifts), offsets, edge_counts
-
-
-def concatenate_structures(systems, neighbor_lists):
-    """Concatenate structures into one evaluation-ready super-structure:
-    :func:`merged_neighbor_list` with every list given.
-
-    Returns ``(positions, species, nl, offsets)`` where ``offsets`` has
-    ``len(systems) + 1`` entries.
-    """
-    return merged_neighbor_list(systems, None, neighbor_lists)[:4]
+    return positions, species, NeighborList(edge_index, shifts), offsets
 
 
 def ordered_pair_counts(

@@ -18,8 +18,6 @@ from .allegro import AllegroModel, AllegroConfig
 from .nequip import NequIPModel, NequIPConfig
 from .deepmd import DeepMDModel, DeepMDConfig
 from .classical import ClassicalForceField, ClassicalConfig
-from .electrostatics import WolfCoulomb, CompositePotential
-from .uncertainty import EnsemblePotential, train_ensemble, max_force_uncertainty
 
 __all__ = [
     "HalfListError",
@@ -36,9 +34,4 @@ __all__ = [
     "DeepMDConfig",
     "ClassicalForceField",
     "ClassicalConfig",
-    "WolfCoulomb",
-    "CompositePotential",
-    "EnsemblePotential",
-    "train_ensemble",
-    "max_force_uncertainty",
 ]

@@ -33,7 +33,7 @@ A ZBL core repulsion can be added (§VI-D) for MD stability.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np

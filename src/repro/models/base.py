@@ -95,7 +95,7 @@ class Potential(Module):
 
     def prepare_batch(self, systems, nls=None):
         """The merged graph several structures are evaluated on at once:
-        ``(positions, species, nl, offsets, edge_counts)`` of
+        ``(positions, species, nl, offsets)`` of
         :func:`repro.md.neighborlist.merged_neighbor_list`, equal to
         concatenating one :meth:`prepare_neighbors` list per structure.
         ``nls[k]``, where not None, is the list structure ``k`` brought.
@@ -120,8 +120,6 @@ class Potential(Module):
         :class:`HalfListError` on a half list the model cannot take."""
         self._refuse_half(nl)
         species = np.asarray(species)
-        if nl.n_edges == 0:
-            return self._empty_energies(ad.astensor(positions), species)
         return self.traced_energies(
             ad.astensor(positions), species, self.graph_inputs(species, nl)
         )
@@ -152,12 +150,6 @@ class Potential(Module):
         raise NotImplementedError(
             f"{type(self).__name__} does not implement traced_energies"
         )
-
-    def _empty_energies(
-        self, positions: ad.Tensor, species: np.ndarray
-    ) -> ad.Tensor:
-        """Energies for an empty neighbor list (no pair interactions)."""
-        return ad.Tensor(np.zeros(positions.shape[0]))
 
     def compile(
         self,

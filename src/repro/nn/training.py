@@ -41,7 +41,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 import numpy as np
 
 from .. import autodiff as ad
-from ..md.neighborlist import NeighborList, concatenate_structures
+from ..md.neighborlist import NeighborList, merged_neighbor_list
 from ..md.system import System
 from ..obs import Registry, get_tracer, span
 from ..resilience.checkpoint import CheckpointManager, resolve_checkpoint_sink
@@ -135,8 +135,8 @@ class _Batch:
     )
 
     def __init__(self, frames: Sequence[LabeledFrame], nls: Sequence[NeighborList]):
-        self.positions, self.species, self.nl, offsets = concatenate_structures(
-            [f.system for f in frames], nls
+        self.positions, self.species, self.nl, offsets = merged_neighbor_list(
+            [f.system for f in frames], None, nls
         )
         self.n_structures = len(frames)
         self.n_atoms_per = np.diff(offsets)

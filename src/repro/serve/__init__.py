@@ -39,7 +39,6 @@ Quickstart::
         print(server.stats()["replay_rate"], server.stats()["health"]["state"])
 """
 
-from ..md.neighborlist import concatenate_structures
 from .batching import ForceRequest, MicroBatcher
 from .plancache import PlanCache, SizeClasses
 from .qos import (
@@ -86,6 +85,5 @@ __all__ = [
     "SizeClasses",
     "UnknownModelError",
     "WorkerCrash",
-    "concatenate_structures",
     "priority_level",
 ]

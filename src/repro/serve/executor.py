@@ -16,7 +16,6 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from ..md.neighborlist import NeighborList
 from ..obs import OCCUPANCY_BUCKETS, span
 from ..resilience.guards import NumericalInstabilityError, validate_energy_forces
 from ..resilience.retry import RetryPolicy
@@ -182,36 +181,21 @@ class Executor:
             if self.fault_plan.fires(WORKER_CRASH):
                 raise WorkerCrash("injected worker crash")
         with span("serve.eval"):
-            potential = entry.potential
-            positions, species, nl, offsets, edge_counts = graph
-            results: List = [None] * len(live)
-            if nl.n_edges > 0:
-                if self.engine == "compiled":
-                    pentry = entry.plan_cache.acquire(len(species), nl.n_edges)
-                    with pentry.lock:
-                        # The compiled potential serializes its own callers;
-                        # this lock makes the capture counter delta
-                        # attributable to THIS batch.
-                        captures_before = pentry.compiled.n_captures
-                        e_atoms, forces = pentry.compiled.evaluate(
-                            positions, species, nl
-                        )
-                        results = self._split(e_atoms, forces, offsets)
-                        captured = pentry.compiled.n_captures - captures_before
-                    self._c_captures.inc(captured)
-                    self._c_replays.inc(1 - captured)
-                else:
-                    e_atoms, forces = potential.evaluate(positions, species, nl)
-                    results = self._split(e_atoms, forces, offsets)
-            # Zero-edge structures take the eager path: models may define a
-            # non-trivial empty-graph energy (e.g. Wolf self-interaction)
-            # that the traced graph cannot express, and exactness beats
-            # batching.  In the merged graph their atoms are rows without
-            # edges, which leave every other row as it is.
-            no_edges = NeighborList(nl.edge_index[:, :0], nl.shifts[:0])
-            for i in np.flatnonzero(edge_counts == 0):
-                e, f = potential.energy_and_forces(live[i].system, no_edges)
-                results[i] = (float(e), f)
+            positions, species, nl, offsets = graph
+            if self.engine == "compiled":
+                pentry = entry.plan_cache.acquire(len(species), nl.n_edges)
+                with pentry.lock:
+                    # The compiled potential serializes its own callers;
+                    # this lock makes the capture counter delta
+                    # attributable to THIS batch.
+                    captures_before = pentry.compiled.n_captures
+                    e_atoms, forces = pentry.compiled.evaluate(positions, species, nl)
+                    captured = pentry.compiled.n_captures - captures_before
+                self._c_captures.inc(captured)
+                self._c_replays.inc(1 - captured)
+            else:
+                e_atoms, forces = entry.potential.evaluate(positions, species, nl)
+            results = self._split(e_atoms, forces, offsets)
             for (e, f) in results:
                 validate_energy_forces(e, f, context=f"model {live[0].model}")
             return results

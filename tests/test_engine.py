@@ -35,12 +35,21 @@ from repro.models import (
     NequIPModel,
     ZBLRepulsion,
 )
-from repro.models.electrostatics import WolfCoulomb
 from repro.parallel.driver import ParallelForceEvaluator, ParallelSimulation
 from repro.parallel.topology import ProcessGrid
 
 
+def with_shifts(pot, mu=(-5.0, -3.0)):
+    """``pot`` with per-species shifts μ, where it has a scale/shift: an
+    energy every atom carries whatever its neighbors."""
+    if hasattr(pot, "scale_shift"):
+        pot.scale_shift.shifts.data[:] = mu
+    return pot
+
+
 def make_potential(name, n_species=2):
+    if name == "allegro_shifted":
+        return with_shifts(make_potential("allegro", n_species))
     if name == "allegro":
         return AllegroModel(
             AllegroConfig(
@@ -67,14 +76,14 @@ def make_potential(name, n_species=2):
         a = np.full((n_species, n_species), 1.6)
         r0 = np.full((n_species, n_species), 1.4)
         return MorsePotential(D, a, r0, cutoff=3.5)
-    if name == "wolf":
-        return WolfCoulomb(np.array([0.4, -0.4]), alpha=0.3, cutoff=3.5)
     if name == "zbl":
         return ZBLRepulsion(np.array([8.0, 1.0]), cutoff=2.0)
     raise ValueError(name)
 
 
-ALL_MODELS = ["allegro", "nequip", "deepmd", "classical", "lj", "morse", "wolf", "zbl"]
+ALL_MODELS = [
+    "allegro", "nequip", "deepmd", "classical", "lj", "morse", "allegro_shifted", "zbl",
+]
 
 
 def make_system(rng, n=14, box=9.0):
@@ -147,6 +156,65 @@ class TestBitwiseEquivalence:
         cm.energy_and_forces(system, nl2)
         np.testing.assert_array_equal(f1, f1_copy)
 
+
+
+class TestZeroEdgeGraph:
+    """An empty neighbor list is an ordinary graph with zero edges: an atom
+    without neighbors gets the energy it gets inside any structure — its
+    per-species shift μ_Z, or NequIP's per-atom readout — on every path."""
+
+    @staticmethod
+    def structures():
+        """A lone atom, the same atom far from a bonded pair, and a
+        two-atom structure whose atoms are out of each other's reach."""
+        far = np.array([20.0, 21.0, 22.0])
+        lone = System(far[None], np.array([1]), Cell.cubic(50.0))
+        bonded = System(
+            np.array([[1.0, 1.0, 1.0], [2.1, 1.4, 1.2], far]),
+            np.array([0, 1, 1]),
+            Cell.cubic(50.0),
+        )
+        apart = System(np.array([[1.0, 1.0, 1.0], far]), np.array([0, 1]), Cell.cubic(50.0))
+        return lone, bonded, apart
+
+    @pytest.mark.parametrize("name", ALL_MODELS)
+    def test_a_lone_atom_is_the_same_atom_inside_a_structure(self, name):
+        from repro.serve import Client, ForceServer
+
+        pot = with_shifts(make_potential(name))
+        lone, bonded, apart = self.structures()
+        nl = pot.prepare_neighbors(bonded)
+        assert pot.prepare_neighbors(lone).n_edges == 0
+        assert pot.prepare_neighbors(apart).n_edges == 0
+        assert nl.n_edges > 0 and not np.isin(2, nl.edge_index)
+        want = pot.evaluate(bonded.positions, bonded.species, nl)[0][2]
+        assert pot.compile().evaluate(bonded.positions, bonded.species, nl)[0][2] == want
+        assert pot.energy_and_forces(lone)[0] == want
+        assert pot.compile().energy_and_forces(lone)[0] == want
+        for engine in ("eager", "compiled"):
+            with ForceServer(pot, n_workers=1, engine=engine) as server:
+                assert Client(server).evaluate(lone)[0] == want, engine
+
+    @pytest.mark.parametrize("name", ALL_MODELS)
+    def test_served_mixed_zero_edge_batch_is_eager(self, name):
+        """One batch of zero-edge and non-empty structures, served on either
+        engine, is what each structure gets on its own, bit for bit."""
+        from repro.serve import ForceServer
+
+        pot = with_shifts(make_potential(name))
+        lone, bonded, apart = self.structures()
+        systems = [lone, make_system(np.random.default_rng(3)), apart, bonded]
+        for engine in ("eager", "compiled"):
+            with ForceServer(pot, n_workers=1, max_batch=8, engine=engine, start=False) as server:
+                server.start(workers=False)
+                futures = [server.submit(s) for s in systems]
+                server.start()
+                served = [f.result(timeout=120) for f in futures]
+                assert server.stats()["counters"]["batches"] == 1
+            for system, (e, f) in zip(systems, served):
+                e0, f0 = pot.energy_and_forces(system)
+                assert e == e0, engine
+                np.testing.assert_array_equal(f, f0)
 
 class TestCapacityOverflow:
     def test_growth_triggers_recapture_and_stays_exact(self, rng):

@@ -38,7 +38,7 @@ def test_example_imports_resolve(path):
 
 
 def test_examples_exist_and_have_mains():
-    assert len(EXAMPLES) >= 11  # quickstart + domain + resilience scenarios
+    assert len(EXAMPLES) >= 10  # quickstart + domain + resilience scenarios
     for path in EXAMPLES:
         text = path.read_text()
         assert "__main__" in text, f"{path.name} is not runnable"

@@ -1,112 +1,15 @@
-"""Tests for SHAKE/RATTLE constraints and the Nosé–Hoover thermostat."""
+"""Tests for the Nosé–Hoover thermostat."""
 
 import numpy as np
 import pytest
 
-from repro.data import water_unit_cell
-from repro.data.reference import SPECIES_INDEX, ReferencePotential
-from repro.md import (
-    BondConstraints,
-    Cell,
-    NoseHooverThermostat,
-    Simulation,
-    System,
-)
+from repro.md import Cell, NoseHooverThermostat, Simulation, System
 from repro.models import LennardJones
 
 
 @pytest.fixture
 def rng():
     return np.random.default_rng(229)
-
-
-class TestBondConstraints:
-    def test_shake_restores_bond_length(self, rng):
-        s = System(
-            np.array([[0.0, 0, 0], [1.2, 0, 0]]),
-            np.zeros(2, int),
-            None,
-            masses=np.array([16.0, 1.0]),
-        )
-        ref = s.positions.copy()
-        s.positions[1, 0] = 1.5  # stretched by the drift
-        con = BondConstraints(np.array([[0, 1]]), np.array([1.2]))
-        iters = con.apply_positions(s, ref, dt=1.0)
-        assert iters < 100
-        assert con.max_violation(s.positions) < 1e-6
-
-    def test_shake_respects_mass_ratio(self):
-        """The light atom moves (almost all of) the correction distance."""
-        s = System(
-            np.array([[0.0, 0, 0], [1.5, 0, 0]]),
-            np.zeros(2, int),
-            None,
-            masses=np.array([1000.0, 1.0]),
-        )
-        ref = np.array([[0.0, 0, 0], [1.2, 0, 0]])
-        con = BondConstraints(np.array([[0, 1]]), np.array([1.2]))
-        con.apply_positions(s, ref, dt=1.0)
-        # Heavy atom absorbs ~1/1000 of the 0.3 Å correction.
-        assert abs(s.positions[0, 0]) < 1e-3
-        assert s.positions[1, 0] - s.positions[0, 0] == pytest.approx(1.2, abs=1e-6)
-
-    def test_rattle_removes_radial_velocity(self):
-        s = System(
-            np.array([[0.0, 0, 0], [1.0, 0, 0]]),
-            np.zeros(2, int),
-            None,
-        )
-        s.velocities = np.array([[0.0, 0, 0], [0.3, 0.2, 0.0]])
-        con = BondConstraints(np.array([[0, 1]]), np.array([1.0]))
-        con.apply_velocities(s)
-        d = s.positions[1] - s.positions[0]
-        radial = (d * (s.velocities[1] - s.velocities[0])).sum()
-        assert abs(radial) < 1e-7  # converged to the constraint tolerance
-        # Tangential motion preserved.
-        assert abs(s.velocities[1][1] - s.velocities[0][1] - 0.2) < 1e-9
-
-    def test_rigid_water_detection(self):
-        w = water_unit_cell(n_grid=2)
-        con = BondConstraints.rigid_water(
-            w.species, SPECIES_INDEX["O"], SPECIES_INDEX["H"]
-        )
-        n_waters = w.n_atoms // 3
-        assert len(con.pairs) == 3 * n_waters
-        assert con.max_violation(w.positions) < 0.05  # generator geometry
-
-    def test_constrained_water_md_preserves_geometry(self, rng):
-        """SHAKE-constrained MD holds bond lengths at dt = 2 fs — the AMBER
-        production setup the paper's benchmark systems use."""
-        w = water_unit_cell(n_grid=3, seed=2)
-        con = BondConstraints.rigid_water(
-            w.species, SPECIES_INDEX["O"], SPECIES_INDEX["H"]
-        )
-        # Start exactly on the constraint manifold.
-        ref0 = w.positions.copy()
-        con.apply_positions(w, ref0, dt=0.0)
-        w.seed_velocities(300.0, rng)
-        con.apply_velocities(w)
-        ref = ReferencePotential(cutoff=3.0, three_body_cutoff=2.0)
-        sim = Simulation(w, ref, dt=2.0)
-
-        prev = {"pos": w.positions.copy()}
-
-        def constrain(step, simulation):
-            con.apply_positions(simulation.system, prev["pos"], simulation.integrator.dt)
-            con.apply_velocities(simulation.system)
-            prev["pos"] = simulation.system.positions.copy()
-
-        sim.add_callback(constrain)
-        sim.run(20)
-        assert con.max_violation(w.positions) < 1e-4
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            BondConstraints(np.zeros((2, 3)), np.ones(2))
-        with pytest.raises(ValueError):
-            BondConstraints(np.zeros((2, 2), dtype=int), np.array([1.0, -1.0]))
-        with pytest.raises(ValueError):
-            BondConstraints.rigid_water(np.array([1, 1, 1]), 3, 0)
 
 
 class TestNoseHoover:

@@ -19,7 +19,6 @@ from repro.md.neighborlist import (
     _PAIR_CHUNK,
     NeighborList,
     _brute_force,
-    concatenate_structures,
     filter_by_pair_cutoffs,
     merged_neighbor_list,
 )
@@ -62,6 +61,28 @@ def frozen_brute_force(pos, cell, cutoff, n_centers):
         [np.concatenate(rows_i).astype(np.int64), np.concatenate(rows_j).astype(np.int64)]
     )
     return NeighborList(edge_index, np.concatenate(rows_s, axis=0))
+
+
+def concatenation(systems, nls):
+    """One super-structure: atoms stacked, each list's edges shifted by its
+    structure's first atom row."""
+    offsets = np.concatenate([[0], np.cumsum([s.n_atoms for s in systems])])
+    edge_index = np.concatenate(
+        [np.zeros((2, 0), np.int64)] + [nl.edge_index + off for nl, off in zip(nls, offsets)],
+        axis=1,
+    )
+    return (
+        np.concatenate([s.positions for s in systems]),
+        np.concatenate([s.species for s in systems]),
+        NeighborList(edge_index, np.concatenate([np.zeros((0, 3))] + [nl.shifts for nl in nls])),
+        offsets,
+    )
+
+
+def edge_counts(nl, offsets):
+    """Edges per structure of a merged list, counted by center atom."""
+    structure = np.searchsorted(offsets, nl.edge_index[0], side="right") - 1
+    return np.bincount(structure, minlength=len(offsets) - 1)
 
 
 def assert_same_list(got: NeighborList, want: NeighborList):
@@ -118,7 +139,7 @@ class TestKernelAgainstTheFrozenCopy:
             CUTOFF,
             n_centers,
         )
-        want = concatenate_structures(
+        want = concatenation(
             systems,
             [
                 frozen_brute_force(s.positions, s.cell, CUTOFF, nc)
@@ -141,12 +162,26 @@ class TestKernelAgainstTheFrozenCopy:
 class TestMergedAgainstPerStructureLists:
     @staticmethod
     def assert_is_the_concatenation(systems, merged, nls):
-        positions, species, nl, offsets = concatenate_structures(systems, nls)
+        positions, species, nl, offsets = concatenation(systems, nls)
+        assert len(merged) == 4
         assert np.array_equal(merged[0], positions)
         assert np.array_equal(merged[1], species) and merged[1].dtype == species.dtype
         assert_same_list(merged[2], nl)
         assert np.array_equal(merged[3], offsets) and merged[3].dtype == np.int64
-        assert merged[4].tolist() == [x.n_edges for x in nls]
+        assert edge_counts(merged[2], merged[3]).tolist() == [x.n_edges for x in nls]
+
+    def test_offsets_and_edge_shifting(self):
+        """Every list given: the graphs stay disjoint, each structure's
+        edges index only its own atom rows."""
+        rng = np.random.default_rng(1)
+        s1, s2 = random_structure(rng, 5), random_structure(rng, 7)
+        nl1, nl2 = neighbor_list(s1, CUTOFF), neighbor_list(s2, CUTOFF)
+        pos, spec, nl, offsets = merged_neighbor_list([s1, s2], None, [nl1, nl2])
+        assert pos.shape == (12, 3) and spec.shape == (12,)
+        assert offsets.tolist() == [0, 5, 12]
+        assert nl.n_edges == nl1.n_edges + nl2.n_edges
+        assert np.array_equal(nl.edge_index[:, : nl1.n_edges], nl1.edge_index)
+        assert np.array_equal(nl.edge_index[:, nl1.n_edges :], nl2.edge_index + 5)
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
@@ -253,9 +288,8 @@ class TestValidation:
     def test_empty_structures_and_an_all_empty_batch(self):
         none = System(np.zeros((0, 3)), np.zeros(0, int), Cell.cubic(9.0))
         one = System(np.ones((1, 3)), np.zeros(1, int), Cell.cubic(9.0))
-        positions, species, nl, offsets, counts = merged_neighbor_list(
-            [none, one, none], 3.0
-        )
+        positions, species, nl, offsets = merged_neighbor_list([none, one, none], 3.0)
         assert positions.shape == (1, 3) and offsets.tolist() == [0, 0, 1, 1]
         assert nl.edge_index.shape == (2, 0) and nl.edge_index.dtype == np.int64
-        assert nl.shifts.shape == (0, 3) and counts.tolist() == [0, 0, 0]
+        assert nl.shifts.shape == (0, 3)
+        assert edge_counts(nl, offsets).tolist() == [0, 0, 0]

@@ -1,27 +1,16 @@
-"""Tests for the extension modules: electrostatics, ensembles, deployment.
+"""Tests for deployment-mode inference (the pair_allegro analogue).
 
-These implement the "implications" section of the paper (§VIII): composable
-local electrostatics [39], ensemble uncertainty for active learning [42],
-and deployment-mode inference (the pair_allegro analogue).
+``inference_mode`` freezes parameters and pre-fuses tensor products for
+the duration of a block, gives the training-mode result, and leaves the
+model trainable afterwards.
 """
 
 import numpy as np
 import pytest
 
 import repro.autodiff as ad
-from repro.data import conformation_dataset, label_frames
-from repro.md import System, neighbor_list
-from repro.models import (
-    AllegroConfig,
-    AllegroModel,
-    CompositePotential,
-    EnsemblePotential,
-    LennardJones,
-    WolfCoulomb,
-    max_force_uncertainty,
-    train_ensemble,
-)
-from repro.nn import TrainConfig
+from repro.md import System
+from repro.models import AllegroConfig, AllegroModel
 
 
 @pytest.fixture
@@ -29,7 +18,7 @@ def rng():
     return np.random.default_rng(151)
 
 
-def tiny_allegro(seed=0):
+def tiny_allegro():
     return AllegroModel(
         AllegroConfig(
             n_species=4,
@@ -40,140 +29,8 @@ def tiny_allegro(seed=0):
             edge_energy_hidden=(8,),
             r_cut=3.0,
             avg_num_neighbors=8.0,
-            seed=seed,
         )
     )
-
-
-class TestWolfCoulomb:
-    def test_opposite_charges_attract(self):
-        wolf = WolfCoulomb(np.array([1.0, -1.0]), alpha=0.3, cutoff=6.0)
-        s = System(np.array([[0.0, 0, 0], [2.0, 0, 0]]), np.array([0, 1]), None)
-        e, f = wolf.energy_and_forces(s)
-        assert f[0, 0] > 0 and f[1, 0] < 0  # pulled together
-
-    def test_like_charges_repel(self):
-        wolf = WolfCoulomb(np.array([1.0, -1.0]), alpha=0.3, cutoff=6.0)
-        s = System(np.array([[0.0, 0, 0], [2.0, 0, 0]]), np.array([0, 0]), None)
-        _, f = wolf.energy_and_forces(s)
-        assert f[0, 0] < 0 and f[1, 0] > 0
-
-    def test_approaches_bare_coulomb_at_short_range(self):
-        """For r ≪ Rc and small α, Wolf ≈ q₁q₂/r + constant shift."""
-        from repro.models.zbl import COULOMB_EV_A
-
-        wolf = WolfCoulomb(np.array([1.0, -1.0]), alpha=0.05, cutoff=20.0)
-        energies = {}
-        for r in (1.0, 2.0):
-            s = System(np.array([[0.0, 0, 0], [r, 0, 0]]), np.array([0, 1]), None)
-            energies[r], _ = wolf.energy_and_forces(s)
-        de = energies[1.0] - energies[2.0]
-        bare = -COULOMB_EV_A * (1.0 / 1.0 - 1.0 / 2.0)
-        assert de == pytest.approx(bare, rel=0.05)
-
-    def test_energy_continuous_at_cutoff(self):
-        wolf = WolfCoulomb(np.array([1.0, -1.0]), alpha=0.3, cutoff=5.0)
-
-        def energy(r):
-            s = System(np.array([[0.0, 0, 0], [r, 0, 0]]), np.array([0, 1]), None)
-            return wolf.energy_and_forces(s)[0]
-
-        gap = abs(energy(5.0 - 1e-6) - energy(5.0 + 1e-6))
-        assert gap < 1e-5
-
-    def test_forces_match_numeric_gradient(self, rng):
-        wolf = WolfCoulomb(np.array([0.5, -0.5, 0.3, -0.3]), alpha=0.3, cutoff=5.0)
-        s = System(rng.uniform(0, 4, (6, 3)), rng.integers(0, 4, 6), None)
-        nl = neighbor_list(s, wolf.cutoff)
-        _, F = wolf.energy_and_forces(s, nl)
-        eps = 1e-6
-        for atom, ax in [(0, 0), (3, 2)]:
-            p, m = s.copy(), s.copy()
-            p.positions[atom, ax] += eps
-            m.positions[atom, ax] -= eps
-            ep, _ = wolf.energy_and_forces(p, nl)
-            em, _ = wolf.energy_and_forces(m, nl)
-            assert -(ep - em) / (2 * eps) == pytest.approx(F[atom, ax], abs=1e-5)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            WolfCoulomb(np.ones((2, 2)))
-        with pytest.raises(ValueError):
-            WolfCoulomb(np.ones(2), alpha=-1.0)
-
-
-class TestCompositePotential:
-    def test_sum_of_members(self, rng):
-        lj = LennardJones(epsilon=0.01, sigma=1.8, cutoff=3.0, n_species=4)
-        wolf = WolfCoulomb(np.array([0.3, -0.3, 0.1, -0.1]), alpha=0.3, cutoff=5.0)
-        combo = CompositePotential(lj, wolf)
-        assert combo.cutoff == 5.0
-        s = System(rng.uniform(0, 4, (8, 3)), rng.integers(0, 4, 8), None)
-        nl = neighbor_list(s, combo.cutoff)
-        e_combo, f_combo = combo.energy_and_forces(s, nl)
-        e_lj, f_lj = lj.energy_and_forces(s, nl)
-        e_w, f_w = wolf.energy_and_forces(s, nl)
-        assert e_combo == pytest.approx(e_lj + e_w, rel=1e-12)
-        assert np.allclose(f_combo, f_lj + f_w, atol=1e-10)
-
-    def test_allegro_plus_electrostatics_runs(self, rng):
-        model = tiny_allegro()
-        wolf = WolfCoulomb(np.array([0.25, 0.05, -0.2, -0.45]), alpha=0.3, cutoff=4.0)
-        combo = CompositePotential(model, wolf)
-        s = System(rng.uniform(0, 5, (10, 3)), rng.integers(0, 4, 10), None)
-        e, f = combo.energy_and_forces(s)
-        assert np.isfinite(e) and np.isfinite(f).all()
-
-    def test_needs_members(self):
-        with pytest.raises(ValueError):
-            CompositePotential()
-
-
-class TestEnsemble:
-    @pytest.fixture(scope="class")
-    def trained(self):
-        frames = label_frames(conformation_dataset(8, n_heavy=3, seed=7, sigma=0.05))
-        ens = train_ensemble(
-            tiny_allegro,
-            frames,
-            n_members=3,
-            trainer_config=TrainConfig(lr=5e-3, batch_size=4, seed=1),
-            epochs=4,
-        )
-        return ens, frames
-
-    def test_mean_energy_is_member_average(self, trained):
-        ens, frames = trained
-        s = frames[0].system
-        nl = ens.prepare_neighbors(s)
-        e_ens, _ = ens.energy_and_forces(s, nl)
-        e_members = [m.energy_and_forces(s, nl)[0] for m in ens.members]
-        assert e_ens == pytest.approx(np.mean(e_members), rel=1e-10)
-
-    def test_uncertainty_shapes_and_positivity(self, trained):
-        ens, frames = trained
-        e, f, std = ens.predict_with_uncertainty(frames[0].system)
-        n = frames[0].system.n_atoms
-        assert f.shape == (n, 3)
-        assert std.shape == (n,)
-        assert (std >= 0).all()
-        assert std.max() > 0  # differently-initialized members disagree
-
-    def test_uncertainty_grows_out_of_distribution(self, trained):
-        """Far-from-training geometries must look *more* uncertain — the
-        active-learning signal."""
-        ens, frames = trained
-        in_dist = max_force_uncertainty(ens, frames[0].system)
-        squeezed = frames[0].system.copy()
-        squeezed.positions *= 0.75  # compress far outside training
-        out_dist = max_force_uncertainty(ens, squeezed)
-        assert out_dist > in_dist
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            EnsemblePotential([])
-        with pytest.raises(ValueError):
-            train_ensemble(tiny_allegro, [], n_members=0)
 
 
 class TestInferenceMode:

@@ -25,8 +25,6 @@ from repro import obs
 from repro.obs import (
     LATENCY_BUCKETS,
     OCCUPANCY_BUCKETS,
-    Counter,
-    Gauge,
     Histogram,
     Registry,
     Timer,

@@ -27,7 +27,7 @@ from repro.md import (
     neighbor_list,
     read_xyz,
 )
-from repro.models import AllegroConfig, AllegroModel, EnsemblePotential, LennardJones
+from repro.models import AllegroConfig, AllegroModel, LennardJones
 from repro.resilience import (
     POTENTIAL_CORRUPT,
     FaultPlan,
@@ -209,7 +209,6 @@ class TestOnePotentialProtocol:
             "eager": model,
             "compiled": model.compile(),
             "faulty": FaultyPotential(model, FaultPlan()),
-            "ensemble": EnsemblePotential([model, model]),
         }
         for name, ev in evaluators.items():
             nl = ev.prepare_neighbors(system)

@@ -109,8 +109,7 @@ class TestImportFootprint:
     def test_importing_the_package_does_not_import_scipy_or_numpy_testing(self):
         """``scipy.linalg`` (pulled in for one ``block_diag``) dragged
         ``scipy._lib`` and ``numpy.testing`` into every process: ~30 MB of
-        RSS and 0.15-0.4 s of start-up.  The one scipy function the package
-        uses, ``scipy.special.erfc``, is imported when the kernel first runs."""
+        RSS and 0.15-0.4 s of start-up."""
         import os
         import subprocess
         import sys

@@ -20,8 +20,14 @@ import pytest
 
 from repro import obs
 from repro.md import Cell, System, neighbor_list
-from repro.models import AllegroConfig, AllegroModel, LennardJones, MorsePotential
-from repro.models.electrostatics import WolfCoulomb
+from repro.models import (
+    AllegroConfig,
+    AllegroModel,
+    LennardJones,
+    MorsePotential,
+    NequIPConfig,
+    NequIPModel,
+)
 from repro.obs import Histogram, Registry
 from repro.resilience import FaultPlan, RetryPolicy
 from repro.resilience.faults import POTENTIAL_CORRUPT, WORKER_CRASH, WORKER_STALL
@@ -38,7 +44,6 @@ from repro.serve import (
     ServerOverloaded,
     SizeClasses,
     UnknownModelError,
-    concatenate_structures,
 )
 from repro.serve.batching import ForceRequest
 
@@ -59,6 +64,21 @@ def make_morse():
     a = np.full((2, 2), 1.6)
     r0 = np.full((2, 2), 1.4)
     return MorsePotential(D, a, r0, cutoff=3.5)
+
+
+def make_shifted(pot, mu=(-5.0, -3.0)):
+    """``pot`` with per-species shifts μ: every atom carries μ_Z, so a
+    structure without edges has a non-zero energy."""
+    pot.scale_shift.shifts.data[:] = mu
+    return pot
+
+
+def make_shifted_allegro():
+    return make_shifted(
+        AllegroModel(
+            AllegroConfig(n_species=2, n_tensor=2, latent_dim=8, lmax=1, n_layers=1, r_cut=3.0)
+        )
+    )
 
 
 class SlowLJ(LennardJones):
@@ -366,30 +386,6 @@ class TestMicroBatcher:
 
 
 # ---------------------------------------------------------------------------
-# concatenation
-# ---------------------------------------------------------------------------
-
-
-class TestConcatenation:
-    def test_offsets_and_edge_shifting(self):
-        s1, s2 = make_system(n=5, seed=1), make_system(n=7, seed=2)
-        nl1 = neighbor_list(s1, 3.0)
-        nl2 = neighbor_list(s2, 3.0)
-        pos, spec, nl, offsets = concatenate_structures([s1, s2], [nl1, nl2])
-        assert pos.shape == (12, 3) and spec.shape == (12,)
-        assert offsets.tolist() == [0, 5, 12]
-        assert nl.n_edges == nl1.n_edges + nl2.n_edges
-        # Graphs stay disjoint: s2's edges index only s2's atom rows.
-        tail = nl.edge_index[:, nl1.n_edges :]
-        assert tail.min() >= 5 if tail.size else True
-
-    def test_mismatched_lengths_rejected(self):
-        s = make_system(n=5, seed=1)
-        with pytest.raises(ValueError):
-            concatenate_structures([s], [])
-
-
-# ---------------------------------------------------------------------------
 # the server: exactness
 # ---------------------------------------------------------------------------
 
@@ -418,32 +414,36 @@ class TestServedExactness:
             np.testing.assert_array_equal(f, f0)
 
     def test_zero_edge_structures_use_exact_empty_path(self):
-        """Models with non-trivial empty-graph energies (Wolf self-term)."""
-        pot = WolfCoulomb(np.array([0.4, -0.4]), alpha=0.3, cutoff=3.5)
+        """A structure without edges is a zero-edge graph on the one path:
+        its atoms keep their per-species shift (Allegro) or per-atom
+        readout (NequIP), served as eagerly computed."""
         sparse = System(
             np.array([[0.0, 0.0, 0.0], [20.0, 20.0, 20.0]]),
             np.array([0, 1]),
             Cell.cubic(50.0),
         )
         dense = make_system(n=10, seed=3)
-        with ForceServer(pot, n_workers=1, max_batch=4) as server:
-            (e_s, f_s), (e_d, f_d) = Client(server).evaluate_many([sparse, dense])
-        e0, f0 = direct_eager(pot, sparse)
-        assert e_s == e0 and e_s != 0.0  # the self-energy survived serving
-        np.testing.assert_array_equal(f_s, f0)
-        e1, f1 = direct_eager(pot, dense)
-        assert e_d == e1
-        np.testing.assert_array_equal(f_d, f1)
+        nequip = make_shifted(NequIPModel(NequIPConfig(n_species=2, n_features=4, n_layers=2)))
+        for pot in (make_shifted_allegro(), nequip):
+            assert pot.prepare_neighbors(sparse).n_edges == 0
+            with ForceServer(pot, n_workers=1, max_batch=4) as server:
+                (e_s, f_s), (e_d, f_d) = Client(server).evaluate_many([sparse, dense])
+            e0, f0 = direct_eager(pot, sparse)
+            assert e_s == e0 and e_s != 0.0  # the per-atom energy survived serving
+            np.testing.assert_array_equal(f_s, f0)
+            e1, f1 = direct_eager(pot, dense)
+            assert e_d == e1
+            np.testing.assert_array_equal(f_d, f1)
 
-    @pytest.mark.parametrize("model", ["lj", "wolf", "allegro_pruned"])
+    @pytest.mark.parametrize("model", ["lj", "allegro_shifted", "allegro_pruned"])
     def test_one_mixed_batch_equals_per_request_submission(self, model):
         """One batch holding a structure without edges, a structure that
         brings its own list and one big enough for the cell list, next to
         small ones: every result is what the structure gets on its own."""
         if model == "lj":
             pot = make_lj()
-        elif model == "wolf":
-            pot = WolfCoulomb(np.array([0.4, -0.4]), alpha=0.3, cutoff=3.0)
+        elif model == "allegro_shifted":
+            pot = make_shifted_allegro()
         else:
             pot = AllegroModel(
                 AllegroConfig(
@@ -487,8 +487,8 @@ class TestServedExactness:
             e0, f0 = pot.energy_and_forces(system, nl)  # nl=None: the model's own
             assert e == e0
             np.testing.assert_array_equal(f, f0)
-        if model == "wolf":
-            assert batched[1][0] != 0.0  # the self-energy survived the merged graph
+        if model == "allegro_shifted":
+            assert batched[1][0] != 0.0  # the shifts survived the merged graph
         if model == "allegro_pruned":
             assert pot.prepare_neighbors(own).n_edges < own_nl.n_edges
 
@@ -529,10 +529,12 @@ class TestServedExactness:
 
         pot = Skinned(epsilon=0.8, sigma=1.1, cutoff=3.0, n_species=2)
         systems = [make_system(n=10 + k, seed=k, box=9.0) for k in range(4)]
-        graph = pot.prepare_batch(systems)
+        _, _, nl, offsets = pot.prepare_batch(systems)
         assert calls == [10, 11, 12, 13]
-        assert graph[4].tolist() == [neighbor_list(s, 3.5).n_edges for s in systems]
-        assert graph[4].sum() > sum(neighbor_list(s, 3.0).n_edges for s in systems)
+        structure = np.searchsorted(offsets, nl.edge_index[0], side="right") - 1
+        counts = np.bincount(structure, minlength=len(systems))
+        assert counts.tolist() == [neighbor_list(s, 3.5).n_edges for s in systems]
+        assert counts.sum() > sum(neighbor_list(s, 3.0).n_edges for s in systems)
 
     def test_caller_supplied_neighbor_list_is_respected(self):
         pot = make_lj()

@@ -111,8 +111,6 @@ class TestFormat:
     def test_truncated_header_is_descriptive(self, tmp_path):
         path = tmp_path / "t.rtrj"
         path.write_bytes(b"RPRTRJ1\n\x01\x00")
-        import io
-
         with pytest.raises(TrajFormatError, match="too short"):
             with open(path, "rb") as fh:
                 read_header(fh)
